@@ -18,7 +18,7 @@ import hashlib
 import json
 import sys
 import time
-from itertools import combinations
+from itertools import combinations, tee
 from pathlib import Path
 from random import Random
 
@@ -148,7 +148,14 @@ def _resolve_base(spec: str):
         except (KeyError, TypeError) as exc:
             raise FormatError(
                 "base file needs 'atoms', 'leq', and 'base'") from exc
-        u = hsets.Universe(hsets.base_poset(atoms, pairs))
+        unknown = sorted({lbl for pair in pairs for lbl in pair
+                          if lbl not in atoms})
+        if unknown:
+            raise FormatError(f"leq labels not among atoms: {unknown}")
+        try:
+            u = hsets.Universe(hsets.base_poset(atoms, pairs))
+        except ValueError as exc:
+            raise FormatError(f"bad base poset: {exc}") from exc
         missing = [lbl for lbl in chosen if lbl not in atoms]
         if missing:
             raise FormatError(f"base labels not among atoms: {missing}")
@@ -176,6 +183,14 @@ def _read_json(path: str) -> dict:
         raise FormatError(f"{path}: {exc}") from exc
 
 
+def _build(base, depth: int, u, budget: int) -> hierarchy_mod.Hierarchy:
+    """hierarchy.build, with a budget below the base size a config error."""
+    size = len(set(base))
+    if size > budget:
+        raise FormatError(f"budget {budget} is below the base size {size}")
+    return hierarchy_mod.build(base, depth, u, budget)
+
+
 def _require_complete(h: hierarchy_mod.Hierarchy):
     if not h.complete:
         raise BudgetError("level budget exhausted",
@@ -193,7 +208,7 @@ def cmd_hierarchy(args):
     if args.depth < 0 or args.budget <= 0:
         raise FormatError("depth must be >= 0 and budget positive")
     u, base = _resolve_base(args.base)
-    h = hierarchy_mod.build(base, args.depth, u, args.budget)
+    h = _build(base, args.depth, u, args.budget)
     payload = {
         "action": args.action,
         "levels": [len(level) for level in h.levels],
@@ -226,7 +241,7 @@ def _suite_lemma23(args, rng):
 
     for name in ("thm33", "antichain3"):
         u, base = _resolve_base(name)
-        h = hierarchy_mod.build(base, depth, u, args.budget)
+        h = _build(base, depth, u, args.budget)
         _require_complete(h)
         rep = hierarchy_mod.verify_stage_properties(h)
         checks += len(rep.checks)
@@ -260,7 +275,7 @@ def _suite_lemma24(args, rng):
     """Pairing every stage element with an incomparable outsider."""
     depth = _pick(args.depth, 2)
     u, ids = hsets.abstract_antichain(4)
-    h = hierarchy_mod.build(ids[:3], depth, u, args.budget)
+    h = _build(ids[:3], depth, u, args.budget)
     _require_complete(h)
     checks = 0
     violations = []
@@ -316,7 +331,7 @@ def _suite_lemma32(args, rng):
     depth = _pick(args.depth, 1)
     max_size = _pick(args.max_size, 4)
     u, base = _resolve_base("thm33")
-    h = hierarchy_mod.build(base, depth, u, args.budget)
+    h = _build(base, depth, u, args.budget)
     _require_complete(h)
     open_maps = injective = 0
     violations = []
@@ -446,6 +461,14 @@ def _suite_bao(args, rng):
             "baos_sampled": baos, "checks": checks, "violations": violations}
 
 
+# suites whose --max-size feeds a structure enumeration, and its bound
+_MAX_SIZE_BOUNDS = {
+    "lemma31": order_mod.MAX_PREORDER_SIZE,
+    "lemma32": order_mod.MAX_POSET_SIZE,
+    "coreflect": order_mod.MAX_PREORDER_SIZE,
+    "duality": order_mod.MAX_POSET_SIZE,
+}
+
 _SUITE_FUNCS = {
     "lemma23": _suite_lemma23,
     "lemma24": _suite_lemma24,
@@ -461,6 +484,12 @@ _SUITE_FUNCS = {
 def cmd_verify(args):
     if args.budget <= 0 or args.samples < 0:
         raise FormatError("budget must be positive and samples nonnegative")
+    if args.depth is not None and args.depth < 0:
+        raise FormatError("depth must be >= 0")
+    bound = _MAX_SIZE_BOUNDS.get(args.suite)
+    if bound is not None and _pick(args.max_size, 0) > bound:
+        raise FormatError(
+            f"--max-size for {args.suite} must be at most {bound}")
     rng = Random(args.seed)
     payload = _SUITE_FUNCS[args.suite](args, rng)
     code = EXIT_OK if not payload["violations"] else EXIT_FAIL
@@ -473,44 +502,55 @@ def cmd_verify(args):
 def cmd_obstruct(args):
     if args.depth < 1 or args.budget <= 0:
         raise FormatError("depth must be >= 1 and budget positive")
+    bound = order_mod.MAX_POSET_SIZE
+    if args.all_posets is not None and not 1 <= args.all_posets <= bound:
+        raise FormatError(f"--all-posets needs a bound in 1..{bound}")
     u, base = _resolve_base("thm33")
-    h = hierarchy_mod.build(base, args.depth, u, args.budget)
+    h = _build(base, args.depth, u, args.budget)
     _require_complete(h)
     s = sierpinski()
     if args.poset is not None:
         posets = [(args.poset, _resolve_poset(args.poset))]
     else:
-        if args.all_posets < 1:
-            raise FormatError("--all-posets needs a positive bound")
         posets = []
         for n in range(1, args.all_posets + 1):
             posets += [(f"poset{n}.{i}", p) for i, p in
                        enumerate(order_mod.enumerate_posets(n))]
 
+    def candidates():
+        for name, p in posets:
+            opens = maps_mod.enumerate_open_maps(p, s)
+            for p1 in opens:
+                for p2 in opens:
+                    yield name, p, p1, p2
+
+    labelled, searched = tee(candidates())
+    verdicts = maps_mod.product_obstructions(
+        h, ((p, p1, p2) for _, p, p1, p2 in searched), args.depth)
     certificates = []
     refuted = 0
-    for name, p in posets:
-        opens = maps_mod.enumerate_open_maps(p, s)
-        for p1 in opens:
-            for p2 in opens:
-                tick = time.perf_counter() if args.timing else None
-                verdict = maps_mod.product_obstruction(p, p1, p2, h,
-                                                       args.depth)
-                refuted += verdict.refuted
-                certificates.append({
-                    "poset": name,
-                    "size": p.n,
-                    "p1": list(p1.table),
-                    "p2": list(p2.table),
-                    "certificate_kind": verdict.certificate_kind,
-                    "stage": verdict.stage,
-                    "candidates_examined": sum(
-                        st.candidates_examined for st in verdict.searches),
-                    "mediating_found": sum(
-                        st.mediating_found for st in verdict.searches),
-                    "elapsed": (round(time.perf_counter() - tick, 6)
-                                if args.timing else None),
-                })
+    tick = time.perf_counter()
+    for (name, p, p1, p2), verdict in zip(labelled, verdicts):
+        refuted += verdict.refuted
+        elapsed = None
+        if args.timing:
+            # since the previous certificate, so the first candidate to
+            # reach a stage also carries that stage's preparation
+            now = time.perf_counter()
+            elapsed, tick = round(now - tick, 6), now
+        certificates.append({
+            "poset": name,
+            "size": p.n,
+            "p1": list(p1.table),
+            "p2": list(p2.table),
+            "certificate_kind": verdict.certificate_kind,
+            "stage": verdict.stage,
+            "candidates_examined": sum(
+                st.candidates_examined for st in verdict.searches),
+            "mediating_found": sum(
+                st.mediating_found for st in verdict.searches),
+            "elapsed": elapsed,
+        })
     payload = {
         "posets": len(posets),
         "candidates": len(certificates),

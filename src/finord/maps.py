@@ -15,7 +15,9 @@ The obstruction machinery drives the package's headline computation: for a
 candidate product object P with projections to the two-point chain, search
 each tower stage for an open mediating map compatible with the stage's two
 coordinate maps, and certify failure either by exhaustive emptiness or by a
-cardinality bound via injectivity.
+cardinality bound via injectivity.  A sweep over many candidates does the
+stage work (materializing a stage, building and checking its coordinate
+maps) once per sweep, not once per candidate.
 """
 
 from dataclasses import dataclass, field
@@ -257,13 +259,15 @@ def mediating_search(q: FinitePreorder, f1: PointMap, f2: PointMap,
         _check_into_sierpinski(f, name)
     if f1.dom != q or f2.dom != q or p1.dom != p or p2.dom != p:
         raise HypothesisError("map domains must match the given preorders")
+    return _mediating(q, f1, f2, p, p1, p2, node_budget)
 
-    fibers = {}
-    for pair in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        fibers[pair] = 0
-    for v in range(p.n):
-        fibers[(p1(v), p2(v))] |= 1 << v
-    allowed = [fibers[(f1(x), f2(x))] for x in range(q.n)]
+
+def _mediating(q, f1, f2, p, p1, p2, node_budget):
+    """mediating_search on maps already checked open and on matching domains."""
+    fibers = [0, 0, 0, 0]  # points of p by (p1, p2) value pair, at 2*a + b
+    for v, (a, b) in enumerate(zip(p1.table, p2.table)):
+        fibers[2 * a + b] |= 1 << v
+    allowed = [fibers[2 * a + b] for a, b in zip(f1.table, f2.table)]
     tables, nodes = kernels.enumerate_maps(
         q.n, p.n, q.down, q.up, p.down, p.up, allowed, True, node_budget)
     out = []
@@ -308,29 +312,72 @@ def product_obstruction(p: FinitePreorder, p1: PointMap, p2: PointMap,
     ("cardinality_bound").  Raises BudgetError when the tower is too shallow
     to reach either certificate.
     """
+    return next(product_obstructions(h, [(p, p1, p2)], max_alpha, node_budget))
+
+
+def product_obstructions(h, candidates, max_alpha: int | None = None,
+                         node_budget: int = 10_000_000):
+    """Yield product_obstruction's verdict for each (p, p1, p2), in order.
+
+    The first time a search reaches stage alpha, the stage is materialized
+    and its two coordinate maps are built and checked open; each distinct
+    projection map is checked open once.  Per candidate only the fiber
+    masks, the pinned kernel search and the checks on the maps it finds
+    remain.  Prepared stages live for this call only.
+    """
     if max_alpha is None:
         max_alpha = h.depth
     if max_alpha > h.depth:
         raise ValueError("tower not built that deep")
-    searches = []
-    for alpha in range(1, max_alpha + 1):
-        materialized = hierarchy_mod.materialize(h, alpha)
-        stage, _ = materialized
-        f1 = coordinate_map(h, alpha, 1, materialized)
-        f2 = coordinate_map(h, alpha, 2, materialized)
-        found, nodes = mediating_search(stage, f1, f2, p, p1, p2, node_budget)
-        injective_ok = all(len(set(f.table)) == stage.n for f in found)
-        searches.append(StageSearch(alpha, stage.n, nodes, len(found),
-                                    injective_ok))
-        if not found:
-            return ObstructionVerdict("empty_mediating_set", alpha, searches)
-        if not injective_ok:
-            return ObstructionVerdict("non_injective_mediating", alpha, searches)
-    for alpha, level in enumerate(h.levels):
-        if len(level) > p.n:
-            return ObstructionVerdict("cardinality_bound", alpha, searches)
-    raise BudgetError("no stage within the tower outgrows the candidate",
-                      stage=h.depth, budget=h.budget)
+    s = sierpinski()
+    stages = {}  # alpha -> (stage, f1, f2)
+    open_projections = set()  # (dom, table) of projections checked open
+
+    def stage_at(alpha):
+        got = stages.get(alpha)
+        if got is None:
+            materialized = hierarchy_mod.materialize(h, alpha)
+            f1 = coordinate_map(h, alpha, 1, materialized)
+            f2 = coordinate_map(h, alpha, 2, materialized)
+            _check_into_sierpinski(f1, "f1")
+            _check_into_sierpinski(f2, "f2")
+            got = stages[alpha] = (materialized[0], f1, f2)
+        return got
+
+    def check_projection(f, name):
+        if f.cod != s:
+            raise HypothesisError(f"{name} must land in the two-point chain")
+        key = (f.dom, f.table)
+        if key not in open_projections:
+            if not is_open_v2(f):
+                raise HypothesisError(f"{name} must be open")
+            open_projections.add(key)
+
+    def verdict(p, p1, p2):
+        searches = []
+        for alpha in range(1, max_alpha + 1):
+            stage, f1, f2 = stage_at(alpha)
+            check_projection(p1, "p1")
+            check_projection(p2, "p2")
+            if p1.dom != p or p2.dom != p:
+                raise HypothesisError("map domains must match the given preorders")
+            found, nodes = _mediating(stage, f1, f2, p, p1, p2, node_budget)
+            injective_ok = all(len(set(f.table)) == stage.n for f in found)
+            searches.append(StageSearch(alpha, stage.n, nodes, len(found),
+                                        injective_ok))
+            if not found:
+                return ObstructionVerdict("empty_mediating_set", alpha, searches)
+            if not injective_ok:
+                return ObstructionVerdict("non_injective_mediating", alpha,
+                                          searches)
+        for alpha, level in enumerate(h.levels):
+            if len(level) > p.n:
+                return ObstructionVerdict("cardinality_bound", alpha, searches)
+        raise BudgetError("no stage within the tower outgrows the candidate",
+                          stage=h.depth, budget=h.budget)
+
+    for p, p1, p2 in candidates:
+        yield verdict(p, p1, p2)
 
 
 def _bits(mask):

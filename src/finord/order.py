@@ -12,6 +12,10 @@ from itertools import permutations, product as iproduct
 from finord import kernels
 from finord.errors import FormatError
 
+# largest carriers enumerate_posets and enumerate_preorders accept
+MAX_POSET_SIZE = 6
+MAX_PREORDER_SIZE = 4
+
 
 @dataclass(frozen=True)
 class FinitePreorder:
@@ -207,17 +211,24 @@ def poset_iso(p: FinitePreorder, q: FinitePreorder):
 
 
 def canonical_form(p: FinitePreorder) -> str:
-    """Least leq bit string over all relabelings; equal iff isomorphic."""
+    """Least leq bit string over all relabelings; equal iff isomorphic.
+
+    Each relabeling's bit string is built as an integer; strings of equal
+    length compare like their integer values, so the minimum is the same.
+    """
+    n = p.n
+    if n == 0:
+        return ""
     best = None
-    for perm in permutations(range(p.n)):
-        bits = []
+    for perm in permutations(range(n)):
+        key = 0
         for i in perm:
             row = p.up[i]
-            bits.append("".join("1" if row >> j & 1 else "0" for j in perm))
-        s = "".join(bits)
-        if best is None or s < best:
-            best = s
-    return best if best is not None else ""
+            for j in perm:
+                key = key << 1 | row >> j & 1
+        if best is None or key < best:
+            best = key
+    return format(best, f"0{n * n}b")
 
 
 def enumerate_posets(n: int) -> list[FinitePreorder]:
@@ -228,8 +239,9 @@ def enumerate_posets(n: int) -> list[FinitePreorder]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > 6:
-        raise ValueError("enumeration by relabeling is impractical beyond 6")
+    if n > MAX_POSET_SIZE:
+        raise ValueError("enumeration by relabeling is impractical beyond "
+                         f"{MAX_POSET_SIZE}")
     reps = [singleton()]
     for k in range(2, n + 1):
         seen = {}
@@ -247,8 +259,9 @@ def enumerate_posets(n: int) -> list[FinitePreorder]:
 
 def enumerate_preorders(n: int) -> list[FinitePreorder]:
     """All labeled preorders on n elements (counts 1, 4, 29, 355); n <= 4."""
-    if not 1 <= n <= 4:
-        raise ValueError("labeled preorder enumeration supported for 1 <= n <= 4")
+    if not 1 <= n <= MAX_PREORDER_SIZE:
+        raise ValueError("labeled preorder enumeration supported for "
+                         f"1 <= n <= {MAX_PREORDER_SIZE}")
     out = []
     off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
     for combo in iproduct((0, 1), repeat=len(off_diag)):

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism, file formats."""
 
+import hashlib
 import json
 
 import pytest
@@ -192,6 +193,50 @@ def test_obstruct_file_poset(tmp_path, capsys):
     code, doc = run_json(["obstruct", "--poset", f"file:{target}"], capsys)
     assert code == 0
     assert doc["refuted"] == doc["candidates"] > 0
+
+
+def test_obstruct_certificates_golden(capsys):
+    # digest of the certificate list as produced before the obstruction
+    # sweep did its stage work once per run
+    code, doc = run_json(["obstruct", "--all-posets", "4"], capsys)
+    assert code == 0
+    text = json.dumps(doc["certificates"], sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "8a392f646eb11ad50be158af0fb1f40164c5f599de4a29e8d24ad1f2eeee3dd7")
+
+
+def test_obstruct_timing_fills_every_elapsed(capsys):
+    _, doc = run_json(["obstruct", "--all-posets", "2", "--timing"], capsys)
+    assert doc["certificates"]
+    for cert in doc["certificates"]:
+        assert isinstance(cert["elapsed"], float)
+        assert cert["elapsed"] >= 0
+    _, doc = run_json(["obstruct", "--all-posets", "2"], capsys)
+    assert all(cert["elapsed"] is None for cert in doc["certificates"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["obstruct", "--all-posets", "7"],
+    ["obstruct", "--all-posets", "2", "--budget", "3"],
+    ["verify", "lemma23", "--depth", "-1"],
+    ["verify", "lemma31", "--max-size", "5"],
+    ["verify", "duality", "--max-size", "7"],
+    ["hierarchy", "build", "--budget", "1"],
+    ["hierarchy", "build", "--base", "file:{unknown_label}"],
+])
+def test_config_errors_exit_one_with_a_line(argv, tmp_path, capsys):
+    base = tmp_path / "base.json"
+    base.write_text(json.dumps({
+        "atoms": ["p", "q"],
+        "leq": [["p", "nope"]],
+        "base": ["p", "q"],
+    }))
+    argv = [arg.format(unknown_label=base) for arg in argv]
+    code, out, err = run(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("finord: error: ") and err.count("\n") == 1
 
 
 def test_budget_exhaustion_exits_two(capsys):

@@ -195,6 +195,60 @@ def test_all_small_posets_refuted_by_stage_one():
                     assert verdict.stage == 1
 
 
+def oracle_verdict(p, p1, p2, h):
+    """The obstruction verdict rebuilt stage by stage from public calls."""
+    searches = []
+    for alpha in range(1, h.depth + 1):
+        stage, _ = hierarchy.materialize(h, alpha)
+        f1 = maps.coordinate_map(h, alpha, 1)
+        f2 = maps.coordinate_map(h, alpha, 2)
+        found, nodes = maps.mediating_search(stage, f1, f2, p, p1, p2)
+        injective = all(len(set(f.table)) == stage.n for f in found)
+        searches.append(maps.StageSearch(alpha, stage.n, nodes, len(found),
+                                         injective))
+        if not found:
+            return maps.ObstructionVerdict("empty_mediating_set", alpha,
+                                           searches)
+        if not injective:
+            return maps.ObstructionVerdict("non_injective_mediating", alpha,
+                                           searches)
+    alpha = next(a for a, level in enumerate(h.levels) if len(level) > p.n)
+    return maps.ObstructionVerdict("cardinality_bound", alpha, searches)
+
+
+def test_sweep_matches_oracle_on_small_posets():
+    _, _, h = claw_tower(depth=2)
+    s = sierpinski()
+    candidates = []
+    for n in (1, 2, 3):
+        for p in order.enumerate_posets(n):
+            opens = maps.enumerate_open_maps(p, s)
+            candidates += [(p, p1, p2) for p1 in opens for p2 in opens]
+    # stage 1 with its own coordinate maps mediates at stage 1, not at 2
+    stage, _ = hierarchy.materialize(h, 1)
+    candidates.append((stage, maps.coordinate_map(h, 1, 1),
+                       maps.coordinate_map(h, 1, 2)))
+    swept = list(maps.product_obstructions(h, iter(candidates)))
+    assert len(swept) == len(candidates)
+    for (p, p1, p2), verdict in zip(candidates, swept):
+        assert verdict == oracle_verdict(p, p1, p2, h), (p, p1.table, p2.table)
+    last = swept[-1]
+    assert (last.certificate_kind, last.stage) == ("empty_mediating_set", 2)
+    assert last.searches[0].mediating_found == 1
+
+
+def test_sweep_rejects_non_open_projection():
+    _, _, h = claw_tower()
+    s = sierpinski()
+    p = order.chain(2)
+    p1 = PointMap(p, s, (0, 1))
+    not_open = PointMap(p, s, (1, 0))
+    verdicts = maps.product_obstructions(h, [(p, p1, p1), (p, p1, not_open)])
+    assert next(verdicts).refuted
+    with pytest.raises(HypothesisError):
+        next(verdicts)
+
+
 def test_injectivity_propagates_small():
     _, _, h = claw_tower()
     for n in (1, 2, 3, 4):

@@ -99,6 +99,16 @@ def test_canonical_form_permutation_invariant():
             assert order.canonical_form(FinitePreorder(4, tuple(up))) == canon
 
 
+def test_canonical_form_is_least_bit_string():
+    for n in (1, 2, 3):
+        for p in order.enumerate_preorders(n):
+            strings = [
+                "".join("1" if p.leq(i, j) else "0" for i in perm for j in perm)
+                for perm in permutations(range(n))
+            ]
+            assert order.canonical_form(p) == min(strings)
+
+
 def test_enumerate_posets_counts():
     for n, count in POSETS_UP_TO_ISO.items():
         got = order.enumerate_posets(n)
