@@ -101,10 +101,25 @@ def is_pmorphism_via_preimages(table, f: KripkeFrame, g: KripkeFrame) -> bool:
 
 
 def pmorphisms(f: KripkeFrame, g: KripkeFrame, budget: int = 10_000_000):
-    """All p-morphisms f -> g by exhaustive function search, ascending order."""
+    """All p-morphisms f -> g by exhaustive function search, ascending order.
+
+    The test per function is `is_pmorphism`'s, with each state's successor
+    list read off its mask once per call.
+    """
     if g.n ** f.n > budget:
         raise BudgetError("function space too large")
-    return [t for t in iproduct(range(g.n), repeat=f.n) if is_pmorphism(t, f, g)]
+    succs = [tuple(_bits(row)) for row in f.succ]
+    found = []
+    for table in iproduct(range(g.n), repeat=f.n):
+        for x, succ in enumerate(succs):
+            img = 0
+            for y in succ:
+                img |= 1 << table[y]
+            if img != g.succ[table[x]]:
+                break
+        else:
+            found.append(table)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -197,36 +212,41 @@ class CoreflectionReport:
         return not self.violations
 
 
-def verify_coreflection(f: KripkeFrame, p: FinitePreorder,
-                        budget: int = 10_000_000) -> CoreflectionReport:
+def verify_coreflection(f: KripkeFrame, preorders, budget: int = 10_000_000
+                        ) -> tuple[Coreflection, list[CoreflectionReport]]:
     """Universal property at desk scale, by exhausting all p-morphisms.
 
-    Every p-morphism from p's opposite frame into f must land inside the
-    coreflection and corestrict to an open map into the coreflected
-    preorder (equivalently a p-morphism into the restricted frame; both
-    routes are checked).  The factorization is through an inclusion, so
-    uniqueness is automatic.
+    Returns the coreflection of f and one CoreflectionReport per preorder p
+    in `preorders`, in order.  Every p-morphism from p's opposite frame into
+    f must land inside the coreflection and corestrict to an open map into
+    the coreflected preorder (equivalently a p-morphism into the restricted
+    frame; both routes are checked).  The factorization is through an
+    inclusion, so uniqueness is automatic.  The coreflection and its
+    restricted frame are computed once for all the preorders.
     """
     cor = coreflect(f)
     pos = {x: i for i, x in enumerate(cor.members)}
-    frame_p = opposite_frame(p)
     restricted = opposite_frame(cor.preorder)
-    violations = []
-    count = 0
-    for table in pmorphisms(frame_p, f, budget):
-        count += 1
-        if any(not cor.member_mask >> v & 1 for v in table):
-            violations.append(("image_escapes", table))
-            continue
-        g = tuple(pos[v] for v in table)
-        open_route = maps_mod.is_open_v2(
-            maps_mod.PointMap(p, cor.preorder, g))
-        frame_route = is_pmorphism(g, frame_p, restricted)
-        if open_route != frame_route:
-            violations.append(("route_disagreement", table))
-        if not open_route:
-            violations.append(("corestriction_not_open", table))
-    return CoreflectionReport(count, violations)
+    reports = []
+    for p in preorders:
+        frame_p = opposite_frame(p)
+        violations = []
+        count = 0
+        for table in pmorphisms(frame_p, f, budget):
+            count += 1
+            if any(not cor.member_mask >> v & 1 for v in table):
+                violations.append(("image_escapes", table))
+                continue
+            g = tuple(pos[v] for v in table)
+            open_route = maps_mod.is_open_v2(
+                maps_mod.PointMap(p, cor.preorder, g))
+            frame_route = is_pmorphism(g, frame_p, restricted)
+            if open_route != frame_route:
+                violations.append(("route_disagreement", table))
+            if not open_route:
+                violations.append(("corestriction_not_open", table))
+        reports.append(CoreflectionReport(count, violations))
+    return cor, reports
 
 
 # ---------------------------------------------------------------------------
@@ -400,28 +420,39 @@ def enumerate_frames(n: int, budget: int = 1 << 20):
 
 
 def frames_up_to_iso(n: int, budget: int = 1 << 20):
-    """One representative per isomorphism class of n-state frames."""
-    seen = {}
-    for f in enumerate_frames(n, budget):
-        key = min(
-            tuple(_permuted_row(f.succ[p[i]], p, n) for i in range(n))
-            for p in _inverse_perms(n)
-        )
-        seen.setdefault(key, f)
-    return [seen[k] for k in sorted(seen)]
+    """One representative per isomorphism class of n-state frames.
 
-
-def _inverse_perms(n):
-    # pairs (perm applied to indices); precomputed list of tuples
-    return [tuple(p) for p in permutations(range(n))]
-
-
-def _permuted_row(row, p, n):
-    out = 0
-    for j in range(n):
-        if row >> p[j] & 1:
-            out |= 1 << j
-    return out
+    The representative is the class's first labeled frame in relation-bit
+    order: frames are walked in that order, and each unmarked one marks its
+    whole relabeling orbit.  Classes are listed by their canonical key, the
+    least row tuple in the orbit.
+    """
+    if (1 << n * n) > budget:
+        raise BudgetError("too many relations")
+    full = (1 << n) - 1
+    # per relabeling p: the row map (state j of the image is state p[j])
+    # and the row order (image row i is source row p[i])
+    perms = []
+    for p in permutations(range(n)):
+        row_map = [0] * (1 << n)
+        for row in range(1 << n):
+            for j in range(n):
+                if row >> p[j] & 1:
+                    row_map[row] |= 1 << j
+        perms.append((p, row_map))
+    marked = bytearray(1 << n * n)
+    classes = []
+    for bits in range(1 << n * n):
+        if marked[bits]:
+            continue
+        succ = [(bits >> i * n) & full for i in range(n)]
+        images = [tuple(row_map[succ[p[i]]] for i in range(n))
+                  for p, row_map in perms]
+        for image in images:
+            marked[sum(row << i * n for i, row in enumerate(image))] = 1
+        classes.append((min(images), KripkeFrame(n, tuple(succ))))
+    classes.sort(key=lambda c: c[0])
+    return [f for _, f in classes]
 
 
 def sample_frame(n: int, rng, density: float = 0.4) -> KripkeFrame:

@@ -312,8 +312,9 @@ def _kripke_suite():
     frames = (kripke.frames_up_to_iso(1) + kripke.frames_up_to_iso(2)
               + kripke.frames_up_to_iso(3) + kripke.frames_up_to_iso(4))
     for f in frames:
-        for p in preorders:
-            rep = kripke.verify_coreflection(f, p)
+        _, reports = kripke.verify_coreflection(f, preorders)
+        assert len(reports) == len(preorders)
+        for p, rep in zip(preorders, reports):
             assert rep.ok, (f, p, rep.violations)
 
     # closure algebra iff preorder, exhaustively then sampled

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from finord import cli, hierarchy, order
+from finord import cli, hierarchy, kripke, order
 
 
 def run(argv, capsys):
@@ -206,6 +206,31 @@ def test_obstruct_certificates_golden(capsys):
         "8a392f646eb11ad50be158af0fb1f40164c5f599de4a29e8d24ad1f2eeee3dd7")
 
 
+def test_coreflect_report_golden(capsys):
+    # digest of the whole report as produced before verify_coreflection
+    # took every preorder of a frame in one call
+    code, out, _ = run(["verify", "coreflect", "--states", "3"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "097112765b1344d77c28cdf3a1a545c8e660a2e39c31cc8e46f25e0fe8b45228")
+
+
+def test_coreflect_suite_coreflects_each_frame_once(monkeypatch, capsys):
+    calls = []
+    original = kripke.coreflect
+
+    def counting(f, *args, **kwargs):
+        calls.append(f)
+        return original(f, *args, **kwargs)
+
+    monkeypatch.setattr(kripke, "coreflect", counting)
+    code, doc = run_json(["verify", "coreflect", "--states", "3"], capsys)
+    assert code == 0
+    assert doc["frames"] == 530 and doc["preorders"] == 5
+    assert len(calls) == 530
+    assert len({(f.n, f.succ) for f in calls}) == 530
+
+
 def test_obstruct_timing_fills_every_elapsed(capsys):
     _, doc = run_json(["obstruct", "--all-posets", "2", "--timing"], capsys)
     assert doc["certificates"]
@@ -223,6 +248,7 @@ def test_obstruct_timing_fills_every_elapsed(capsys):
     ["verify", "lemma31", "--max-size", "5"],
     ["verify", "duality", "--max-size", "7"],
     ["hierarchy", "build", "--budget", "1"],
+    ["verify", "thm26", "--budget", "2"],
     ["hierarchy", "build", "--base", "file:{unknown_label}"],
 ])
 def test_config_errors_exit_one_with_a_line(argv, tmp_path, capsys):

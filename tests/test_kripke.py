@@ -1,7 +1,7 @@
 """Frames, p-morphisms, the preorder coreflection, and complex algebras."""
 
 import random
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 import pytest
 
@@ -78,6 +78,22 @@ def test_pmorphisms_enumeration():
         kripke.pmorphisms(f, f, budget=3)
 
 
+def test_pmorphisms_match_the_is_pmorphism_filter():
+    # every labeled frame on up to two states into every one on up to three
+    sources = [f for n in (1, 2) for f in all_frames(n)]
+    targets = sources + all_frames(3)
+    for f in sources:
+        for g in targets:
+            expected = [t for t in iproduct(range(g.n), repeat=f.n)
+                        if kripke.is_pmorphism(t, f, g)]
+            assert kripke.pmorphisms(f, g) == expected, (f, g)
+    # empty relations: every one of the 3**2 functions is a p-morphism
+    f, g = all_frames(2)[0], all_frames(3)[0]
+    assert len(kripke.pmorphisms(f, g, budget=9)) == 9
+    with pytest.raises(BudgetError):
+        kripke.pmorphisms(f, g, budget=8)
+
+
 def test_coreflect_drops_irreflexive_state():
     f = KripkeFrame(2, (0b10, 0b10))
     cor = kripke.coreflect(f)
@@ -105,8 +121,10 @@ def test_coreflection_universal_property_small():
     for n in (1, 2):
         preorders.extend(order.enumerate_preorders(n))
     for f in all_frames(2):
-        for p in preorders:
-            report = kripke.verify_coreflection(f, p)
+        cor, reports = kripke.verify_coreflection(f, preorders)
+        assert cor == kripke.coreflect(f)
+        assert len(reports) == len(preorders)
+        for p, report in zip(preorders, reports):
             assert report.ok, (f, p, report.violations)
 
 
@@ -169,6 +187,28 @@ def test_frame_iso():
     assert kripke.frame_iso(f, g) is not None
     assert kripke.frame_iso(f, KripkeFrame(2, (0b00, 0b00))) is None
     assert kripke.frame_iso(f, KripkeFrame(1, (0b01,))) is None
+
+
+def _frames_up_to_iso_by_key(n):
+    # oracle: canonicalize every labeled frame, keep each key's first frame
+    seen = {}
+    for f in kripke.enumerate_frames(n):
+        key = min(
+            tuple(_permuted_row(f.succ[p[i]], p, n) for i in range(n))
+            for p in permutations(range(n)))
+        seen.setdefault(key, f)
+    return [seen[k] for k in sorted(seen)]
+
+
+def _permuted_row(row, p, n):
+    return sum(1 << j for j in range(n) if row >> p[j] & 1)
+
+
+def test_frames_up_to_iso_matches_the_key_route():
+    for n in (1, 2, 3):
+        assert kripke.frames_up_to_iso(n) == _frames_up_to_iso_by_key(n)
+    with pytest.raises(BudgetError):
+        kripke.frames_up_to_iso(3, budget=511)
 
 
 def test_enumeration_counts():
