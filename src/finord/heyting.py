@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from finord import maps as maps_mod
 from finord import order as order_mod
 from finord.errors import BudgetError, HypothesisError
+from finord.kernels import bits
 from finord.order import FinitePreorder
 
 
@@ -265,7 +266,7 @@ def from_lattice_order(le: FinitePreorder) -> DownsetAlgebra:
     def meet_of(i, j):
         commons = le.down[i] & le.down[j]
         best = None
-        for k in _bits(commons):
+        for k in bits(commons):
             if commons & ~le.down[k] == 0:
                 best = k
         return best
@@ -273,7 +274,7 @@ def from_lattice_order(le: FinitePreorder) -> DownsetAlgebra:
     def join_of(i, j):
         commons = le.up[i] & le.up[j]
         best = None
-        for k in _bits(commons):
+        for k in bits(commons):
             if commons & ~le.up[k] == 0:
                 best = k
         return best
@@ -304,7 +305,7 @@ def from_lattice_order(le: FinitePreorder) -> DownsetAlgebra:
 
 
 def _is_ji(le, joins, x):
-    below = [y for y in _bits(le.down[x]) if y != x]
+    below = [y for y in bits(le.down[x]) if y != x]
     if not below:
         return x != _bottom_of(le)
     acc = below[0]
@@ -327,10 +328,3 @@ def to_json(alg: DownsetAlgebra) -> dict:
                              for i in range(alg.base.n))
                      for m in alg.elements],
     }
-
-
-def _bits(mask):
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit.bit_length() - 1

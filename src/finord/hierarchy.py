@@ -23,6 +23,7 @@ from finord import kernels
 from finord import order as order_mod
 from finord.errors import BudgetError, FormatError, HypothesisError
 from finord.hsets import Universe, is_antichain, is_nontrivial_antichain, load
+from finord.kernels import bits
 
 DEFAULT_BUDGET = 200_000
 
@@ -61,7 +62,7 @@ def enumerate_nontrivial_antichains(ids, u: Universe) -> list[tuple[int, ...]]:
     elems = sorted(set(ids))
     comp = _comparability_masks(elems, u)
     masks, _ = kernels.antichains(len(elems), comp, min_size=2)
-    return [tuple(elems[i] for i in _bits(m)) for m in masks]
+    return [tuple(elems[i] for i in bits(m)) for m in masks]
 
 
 def _comparability_masks(elems, u):
@@ -106,7 +107,7 @@ def build(base_ids, depth: int, u: Universe, budget: int = DEFAULT_BUDGET) -> Hi
             break
         fresh = []
         for m in masks:
-            kids = tuple(elems[i] for i in _bits(m))
+            kids = tuple(elems[i] for i in bits(m))
             got = u.peek(kids)
             if got is None or got not in level:
                 fresh.append(kids)
@@ -436,10 +437,3 @@ def level_dot(h: Hierarchy, alpha: int) -> str:
     """DOT Hasse diagram of stage alpha; nodes carry universe ids."""
     p, ids = materialize(h, alpha)
     return order_mod.to_dot(p, labels={i: str(ids[i]) for i in range(p.n)})
-
-
-def _bits(mask):
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit.bit_length() - 1

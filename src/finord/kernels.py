@@ -1,36 +1,149 @@
-"""Kernel dispatch: compiled extension when available, pure Python otherwise.
+"""Enumeration kernels.
 
-The compiled kernels use 64-bit masks, so they only apply when every mask
-fits in 64 bits; wider problems always take the pure path, which uses
-arbitrary-precision ints.  Set FINORD_PURE_KERNELS=1 to force the pure
-implementation regardless.
+The two hot loops of the package: independent-set (antichain) enumeration
+over a comparability mask table, and backtracking enumeration of monotone or
+open maps between finite preorders.  It also holds `bits`, the mask iterator
+the other modules share; it imports only `errors`, so any module can import
+it without a cycle.
+
+All subsets are bitmasks (bit i = element i), held in Python ints, so there
+is no limit on the number of elements.  Output order is deterministic.
 """
 
-import os
+from finord.errors import BudgetError
 
-from finord import _kernels_pure as _pure
-
-if os.environ.get("FINORD_PURE_KERNELS") == "1":
-    _fast = None
-else:
-    try:
-        from finord import _kernels_c as _fast
-    except ImportError:
-        _fast = None
-
-ACTIVE = _fast.IMPL if _fast is not None else _pure.IMPL
+# stamped into benchmark records; the only implementation
+ACTIVE = "pure"
 
 
 def antichains(n, comp, min_size=0, limit=None):
-    if _fast is not None and n <= 64:
-        return _fast.antichains(n, comp, min_size, limit)
-    return _pure.antichains(n, comp, min_size, limit)
+    """Enumerate subsets of range(n) with no two members comparable.
+
+    comp[i] is the bitmask of elements comparable to i; i's own bit is
+    ignored.  Emits masks in lexicographic order over sorted index tuples:
+    (), (0,), (0,1), (0,1,2), ..., i.e. depth-first, extending before
+    advancing.  Subsets smaller than min_size are skipped but still extended.
+
+    Returns (masks, hit_limit): hit_limit is True exactly when more than
+    `limit` results exist; the list is then the first `limit` of them, a
+    deterministic prefix of the full enumeration.
+    """
+    out = []
+    hit_limit = False
+
+    # stack entries: (mask, size, next_index, blocked)
+    stack = [(0, 0, 0, 0)]
+    while stack:
+        mask, size, start, blocked = stack.pop()
+        if size >= min_size:
+            if limit is not None and len(out) >= limit:
+                hit_limit = True
+                break
+            out.append(mask)
+        # push in reverse so lower indices are explored first
+        for j in range(n - 1, start - 1, -1):
+            bit = 1 << j
+            if not blocked & bit:
+                stack.append((mask | bit, size + 1, j + 1, blocked | comp[j]))
+    return out, hit_limit
 
 
 def enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed, require_open,
                    node_budget=10_000_000):
-    if _fast is not None and n_p <= 64 and n_q <= 64:
-        return _fast.enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up,
-                                    allowed, require_open, node_budget)
-    return _pure.enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up,
-                                allowed, require_open, node_budget)
+    """Enumerate monotone maps P -> Q as value tuples, openness optional.
+
+    p_down[i]/p_up[i] are the reflexive down/up masks of i in P, likewise
+    q_down/q_up in Q.  allowed[i] restricts the candidate values of element i
+    (a mask over range(n_q)).  With require_open, a map is emitted only if the
+    image of every principal downset equals the principal downset of the
+    image point; this is checked incrementally as soon as a point's downset
+    is fully assigned, which prunes most of the tree.
+
+    Elements are assigned in a linear extension of P (by downset size, ties
+    by index) and candidate values are tried in ascending order, so output
+    order is deterministic.  Raises BudgetError when more than node_budget
+    assignments are attempted.
+
+    Returns (maps, nodes) where nodes is the number of assignments tried.
+    """
+    if n_p == 0:
+        return [()], 0
+
+    order = sorted(range(n_p), key=lambda i: (p_down[i].bit_count(), i))
+    pos = [0] * n_p
+    for k, x in enumerate(order):
+        pos[x] = k
+
+    # openness of w is checkable once every element of p_down[w] is assigned
+    check_at = [[] for _ in range(n_p)]
+    if require_open:
+        for w in range(n_p):
+            # ties by index put w's class (p_down[w] & p_up[w]) last in p_down[w]
+            last = (p_down[w] & p_up[w]).bit_length() - 1
+            check_at[pos[last]].append(w)
+
+    full_q = (1 << n_q) - 1
+    cand = [allowed[i] & full_q for i in range(n_p)]
+    f = [-1] * n_p
+    out = []
+    nodes = 0
+
+    def down_image(w):
+        img = 0
+        for z in bits(p_down[w]):
+            img |= 1 << f[z]
+        return img
+
+    def backtrack(k):
+        nonlocal nodes
+        if k == n_p:
+            out.append(tuple(f))
+            return
+        x = order[k]
+        rest = order[k + 1:]
+        m = cand[x]
+        while m:
+            bit = m & -m
+            m ^= bit
+            v = bit.bit_length() - 1
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetError("map search exceeded node budget",
+                                  used=nodes, budget=node_budget)
+            f[x] = v
+            undo = []
+            ok = True
+            for z in rest:
+                old = cand[z]
+                new = old
+                if p_up[x] >> z & 1:
+                    new &= q_up[v]
+                if p_down[x] >> z & 1:
+                    new &= q_down[v]
+                if new != old:
+                    cand[z] = new
+                    undo.append((z, old))
+                    if not new:
+                        ok = False
+                        break
+            if ok and require_open:
+                for w in check_at[k]:
+                    if down_image(w) != q_down[f[w]]:
+                        ok = False
+                        break
+            if ok:
+                backtrack(k + 1)
+            for z, old in undo:
+                cand[z] = old
+        f[x] = -1
+
+    backtrack(0)
+    return out, nodes
+
+
+def bits(mask):
+    """Yield the indices of the set bits of mask, lowest first."""
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        yield bit.bit_length() - 1

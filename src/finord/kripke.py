@@ -20,6 +20,7 @@ from itertools import permutations, product as iproduct
 from finord import maps as maps_mod
 from finord import order as order_mod
 from finord.errors import BudgetError, FormatError, HypothesisError
+from finord.kernels import bits
 from finord.order import FinitePreorder
 
 
@@ -39,7 +40,7 @@ class KripkeFrame:
     def pred(self) -> tuple[int, ...]:
         cols = [0] * self.n
         for i in range(self.n):
-            for j in _bits(self.succ[i]):
+            for j in bits(self.succ[i]):
                 cols[j] |= 1 << i
         return tuple(cols)
 
@@ -57,7 +58,7 @@ def frame_is_preorder(f: KripkeFrame) -> bool:
         return False
     return all(
         f.succ[j] & ~f.succ[i] == 0
-        for i in range(f.n) for j in _bits(f.succ[i])
+        for i in range(f.n) for j in bits(f.succ[i])
     )
 
 
@@ -75,7 +76,7 @@ def is_pmorphism(table, f: KripkeFrame, g: KripkeFrame) -> bool:
     """f[R[x]] = S[f(x)] for every state x."""
     for x in range(f.n):
         img = 0
-        for y in _bits(f.succ[x]):
+        for y in bits(f.succ[x]):
             img |= 1 << table[y]
         if img != g.succ[table[x]]:
             return False
@@ -93,7 +94,7 @@ def is_pmorphism_via_preimages(table, f: KripkeFrame, g: KripkeFrame) -> bool:
             if g.pred[y] >> v & 1:
                 lhs |= 1 << x
         rhs = 0
-        for x in _bits(fibers[y]):
+        for x in bits(fibers[y]):
             rhs |= f.pred[x]
         if lhs != rhs:
             return False
@@ -108,7 +109,7 @@ def pmorphisms(f: KripkeFrame, g: KripkeFrame, budget: int = 10_000_000):
     """
     if g.n ** f.n > budget:
         raise BudgetError("function space too large")
-    succs = [tuple(_bits(row)) for row in f.succ]
+    succs = [tuple(bits(row)) for row in f.succ]
     found = []
     for table in iproduct(range(g.n), repeat=f.n):
         for x, succ in enumerate(succs):
@@ -145,10 +146,10 @@ def _upsets(f: KripkeFrame) -> list[int]:
 
 def _is_good_upset(f: KripkeFrame, u: int) -> bool:
     """R restricted to u is reflexive and transitive."""
-    for x in _bits(u):
+    for x in bits(u):
         if not f.succ[x] >> x & 1:
             return False
-        for y in _bits(f.succ[x] & u):
+        for y in bits(f.succ[x] & u):
             if f.succ[y] & u & ~f.succ[x]:
                 return False
     return True
@@ -168,7 +169,7 @@ def coreflect(f: KripkeFrame, cap: int = 20) -> Coreflection:
         y |= u
     assert _is_good_upset(f, y), "union of good upsets must be good"
     assert all(u & ~y == 0 for u in good)
-    members = tuple(_bits(y))
+    members = tuple(bits(y))
     pos = {x: i for i, x in enumerate(members)}
     up = [0] * len(members)
     # converse: a <= b in the coreflection iff b R a
@@ -189,10 +190,10 @@ def coreflect_fixpoint(f: KripkeFrame) -> int:
     changed = True
     while changed:
         changed = False
-        for x in _bits(y):
+        for x in bits(y):
             bad = (not f.succ[x] >> x & 1) or f.succ[x] & ~y
             if not bad:
-                for z in _bits(f.succ[x] & y):
+                for z in bits(f.succ[x] & y):
                     if f.succ[z] & y & ~f.succ[x]:
                         bad = True
                         break
@@ -273,7 +274,7 @@ class FiniteBAO:
 
     def dia(self, a: int) -> int:
         out = 0
-        for u in _bits(a):
+        for u in bits(a):
             out |= self.dia_atom[u]
         return out
 
@@ -352,7 +353,7 @@ def bao_L(a: FiniteBAO, cap: int = 16) -> KripkeFrame:
         if x & ~a.box(x) == 0:
             s |= x
     assert s & ~a.box(s) == 0, "the join of the family must stay in it"
-    members = tuple(_bits(s))
+    members = tuple(bits(s))
     pos = {x: i for i, x in enumerate(members)}
     succ = [0] * len(members)
     for x in members:
@@ -563,14 +564,7 @@ def frame_to_dot(f: KripkeFrame, labels=None) -> str:
     for i in range(f.n):
         lines.append(f'  s{i} [label="{name[i]}"];')
     for i in range(f.n):
-        for j in _bits(f.succ[i]):
+        for j in bits(f.succ[i]):
             lines.append(f"  s{i} -> s{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _bits(mask):
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit.bit_length() - 1

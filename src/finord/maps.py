@@ -28,6 +28,7 @@ from finord import kernels
 from finord import order as order_mod
 from finord.errors import BudgetError, HypothesisError
 from finord.hsets import chain_hypothesis, is_convex
+from finord.kernels import bits
 from finord.order import FinitePreorder, sierpinski
 
 
@@ -48,7 +49,7 @@ class PointMap:
 
     def image_mask(self, mask: int) -> int:
         out = 0
-        for i in _bits(mask):
+        for i in bits(mask):
             out |= 1 << self.table[i]
         return out
 
@@ -80,7 +81,7 @@ def all_functions(p: FinitePreorder, q: FinitePreorder):
 def is_monotone(f: PointMap) -> bool:
     return all(
         f.cod.leq(f.table[i], f.table[j])
-        for i in range(f.dom.n) for j in _bits(f.dom.up[i])
+        for i in range(f.dom.n) for j in bits(f.dom.up[i])
     )
 
 
@@ -378,10 +379,3 @@ def product_obstructions(h, candidates, max_alpha: int | None = None,
 
     for p, p1, p2 in candidates:
         yield verdict(p, p1, p2)
-
-
-def _bits(mask):
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit.bit_length() - 1

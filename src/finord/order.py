@@ -11,6 +11,7 @@ from itertools import permutations, product as iproduct
 
 from finord import kernels
 from finord.errors import FormatError
+from finord.kernels import bits
 
 # largest carriers enumerate_posets and enumerate_preorders accept
 MAX_POSET_SIZE = 6
@@ -38,7 +39,7 @@ class FinitePreorder:
             if not row >> i & 1:
                 raise ValueError(f"relation is not reflexive at {i}")
         for i in range(self.n):
-            for j in _bits(self.up[i]):
+            for j in bits(self.up[i]):
                 if self.up[j] & ~self.up[i]:
                     raise ValueError(f"relation is not transitive at ({i}, {j})")
 
@@ -46,7 +47,7 @@ class FinitePreorder:
     def down(self) -> tuple[int, ...]:
         cols = [0] * self.n
         for i in range(self.n):
-            for j in _bits(self.up[i]):
+            for j in bits(self.up[i]):
                 cols[j] |= 1 << i
         return tuple(cols)
 
@@ -66,7 +67,7 @@ class FinitePreorder:
         return tuple((self.up[i] | self.down[i]) & ~(1 << i) for i in range(self.n))
 
     def __repr__(self):
-        pairs = [(i, j) for i in range(self.n) for j in _bits(self.up[i]) if i != j]
+        pairs = [(i, j) for i in range(self.n) for j in bits(self.up[i]) if i != j]
         return f"FinitePreorder({self.n}, pairs={pairs})"
 
 
@@ -112,8 +113,8 @@ def product(p: FinitePreorder, q: FinitePreorder) -> FinitePreorder:
     for i in range(p.n):
         for j in range(q.n):
             mask = 0
-            for a in _bits(p.up[i]):
-                for b in _bits(q.up[j]):
+            for a in bits(p.up[i]):
+                for b in bits(q.up[j]):
                     mask |= 1 << (a * q.n + b)
             up.append(mask)
     return FinitePreorder(n, tuple(up))
@@ -121,14 +122,14 @@ def product(p: FinitePreorder, q: FinitePreorder) -> FinitePreorder:
 
 def down_closure(p: FinitePreorder, mask: int) -> int:
     out = 0
-    for i in _bits(mask):
+    for i in bits(mask):
         out |= p.down[i]
     return out
 
 
 def up_closure(p: FinitePreorder, mask: int) -> int:
     out = 0
-    for i in _bits(mask):
+    for i in bits(mask):
         out |= p.up[i]
     return out
 
@@ -163,7 +164,7 @@ def covers(p: FinitePreorder) -> list[tuple[int, int]]:
     for i in range(p.n):
         for j in range(p.n):
             if p.lt(i, j) and not any(
-                p.lt(i, k) and p.lt(k, j) for k in _bits(p.up[i] & p.down[j])
+                p.lt(i, k) and p.lt(k, j) for k in bits(p.up[i] & p.down[j])
             ):
                 out.append((i, j))
     return out
@@ -248,7 +249,7 @@ def enumerate_posets(n: int) -> list[FinitePreorder]:
         for p in reps:
             for d in all_downsets(p):
                 up = [row for row in p.up]
-                for i in _bits(d):
+                for i in bits(d):
                     up[i] |= 1 << (k - 1)
                 up.append(1 << (k - 1))
                 q = FinitePreorder(k, tuple(up))
@@ -334,16 +335,9 @@ def to_dot(p: FinitePreorder, labels=None) -> str:
     for i in range(p.n):
         lines.append(f'  n{i} [label="{name[i]}"];')
     edges = covers(p) if p.is_poset else [
-        (i, j) for i in range(p.n) for j in _bits(p.up[i]) if i != j
+        (i, j) for i in range(p.n) for j in bits(p.up[i]) if i != j
     ]
     for i, j in edges:
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _bits(mask):
-    while mask:
-        bit = mask & -mask
-        mask ^= bit
-        yield bit.bit_length() - 1

@@ -1,16 +1,12 @@
-"""Pure kernels against brute force, and against the compiled extension."""
+"""The enumeration kernels against brute force, output order included."""
 
 import random
 from itertools import product as iproduct
 
 import pytest
 
-from finord import _kernels_pure as pure
 from finord import kernels, maps, order
 from finord.errors import BudgetError
-
-needs_compiled = pytest.mark.skipif(kernels._fast is None,
-                                    reason="compiled extension unavailable")
 
 
 def random_comparability(n, rng, density=0.3):
@@ -34,32 +30,37 @@ def brute_antichains(n, comp, min_size):
     return out
 
 
+def index_tuple(n, mask):
+    return tuple(i for i in range(n) if mask >> i & 1)
+
+
 def test_antichains_brute_force_agreement():
     rng = random.Random(11)
     for n in range(0, 11):
         for _ in range(8):
             comp = random_comparability(n, rng)
             for min_size in (0, 2):
-                masks, hit = pure.antichains(n, comp, min_size=min_size)
+                masks, hit = kernels.antichains(n, comp, min_size=min_size)
                 assert not hit
-                assert len(set(masks)) == len(masks)
-                assert set(masks) == brute_antichains(n, comp, min_size)
+                # documented order: lexicographic over sorted index tuples
+                assert masks == sorted(brute_antichains(n, comp, min_size),
+                                       key=lambda m: index_tuple(n, m))
 
 
 def test_antichains_limit_is_prefix():
     rng = random.Random(5)
     comp = random_comparability(9, rng)
-    full, _ = pure.antichains(9, comp, min_size=2)
+    full, _ = kernels.antichains(9, comp, min_size=2)
     for limit in (0, 1, len(full) // 2, len(full), len(full) + 5):
-        got, hit = pure.antichains(9, comp, min_size=2, limit=limit)
+        got, hit = kernels.antichains(9, comp, min_size=2, limit=limit)
         assert got == full[:limit]
         assert hit == (len(full) > limit)
 
 
 def test_antichains_empty_graph_counts():
-    masks, hit = pure.antichains(4, [0, 0, 0, 0], min_size=0)
+    masks, hit = kernels.antichains(4, [0, 0, 0, 0], min_size=0)
     assert not hit and len(masks) == 16
-    masks, hit = pure.antichains(4, [0, 0, 0, 0], min_size=2)
+    masks, hit = kernels.antichains(4, [0, 0, 0, 0], min_size=2)
     assert len(masks) == 16 - 1 - 4
 
 
@@ -85,11 +86,14 @@ def test_enumerate_maps_brute_force_agreement():
         full = (1 << q.n) - 1
         allowed = [full if rng.random() < 0.8 else rng.getrandbits(q.n)
                    for _ in range(p.n)]
+        # documented order: ascending values, assigned in the linear
+        # extension of P by (downset size, index)
+        ext = sorted(range(p.n), key=lambda i: (p.down[i].bit_count(), i))
         for require_open in (False, True):
-            got, _ = pure.enumerate_maps(p.n, q.n, p.down, p.up,
-                                         q.down, q.up, allowed, require_open)
-            assert sorted(got) == sorted(brute_maps(p, q, allowed,
-                                                    require_open))
+            got, _ = kernels.enumerate_maps(p.n, q.n, p.down, p.up,
+                                            q.down, q.up, allowed, require_open)
+            assert got == sorted(brute_maps(p, q, allowed, require_open),
+                                 key=lambda t: [t[x] for x in ext])
 
 
 def test_enumerate_maps_budget():
@@ -97,41 +101,6 @@ def test_enumerate_maps_budget():
     q = order.antichain(8)
     full = (1 << q.n) - 1
     with pytest.raises(BudgetError):
-        pure.enumerate_maps(p.n, q.n, p.down, p.up, q.down, q.up,
-                            [full] * p.n, False, node_budget=10)
+        kernels.enumerate_maps(p.n, q.n, p.down, p.up, q.down, q.up,
+                               [full] * p.n, False, node_budget=10)
 
-
-@needs_compiled
-def test_compiled_antichains_match_pure():
-    rng = random.Random(97)
-    for n in (0, 1, 5, 9, 14):
-        for _ in range(6):
-            comp = random_comparability(n, rng, density=0.25)
-            for min_size in (0, 2):
-                for limit in (None, 7):
-                    assert (kernels._fast.antichains(n, comp, min_size, limit)
-                            == pure.antichains(n, comp, min_size, limit))
-
-
-@needs_compiled
-def test_compiled_enumerate_maps_match_pure():
-    rng = random.Random(41)
-    for _ in range(60):
-        p = order.sample_preorder(rng.randrange(1, 5), rng)
-        q = order.sample_preorder(rng.randrange(1, 5), rng)
-        full = (1 << q.n) - 1
-        allowed = [full if rng.random() < 0.7 else rng.getrandbits(q.n)
-                   for _ in range(p.n)]
-        for require_open in (False, True):
-            args = (p.n, q.n, p.down, p.up, q.down, q.up, allowed,
-                    require_open)
-            assert kernels._fast.enumerate_maps(*args) == pure.enumerate_maps(*args)
-
-
-@needs_compiled
-def test_compiled_budget_error():
-    p = order.antichain(8)
-    full = (1 << p.n) - 1
-    with pytest.raises(BudgetError):
-        kernels._fast.enumerate_maps(p.n, p.n, p.down, p.up, p.down, p.up,
-                                     [full] * p.n, False, 10)
