@@ -2,13 +2,19 @@
 
 The two hot loops of the package: independent-set (antichain) enumeration
 over a comparability mask table, and backtracking enumeration of monotone or
-open maps between finite preorders.  It also holds `bits`, the mask iterator
-the other modules share; it imports only `errors`, so any module can import
-it without a cycle.
+open maps between finite preorders.  The map search prepares its plan
+(linear extension, openness check points, comparable later elements) once
+per domain and keeps it in a bounded cache, since callers such as the
+obstruction sweep search from the same domain many times.  It also holds
+`bits`, the mask iterator the other modules share; it imports only
+`errors` and the standard library, so any module can import it without a
+cycle.
 
 All subsets are bitmasks (bit i = element i), held in Python ints, so there
 is no limit on the number of elements.  Output order is deterministic.
 """
+
+from functools import lru_cache
 
 from finord.errors import BudgetError
 
@@ -61,14 +67,90 @@ def enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed, require_open,
 
     Elements are assigned in a linear extension of P (by downset size, ties
     by index) and candidate values are tried in ascending order, so output
-    order is deterministic.  Raises BudgetError when more than node_budget
-    assignments are attempted.
+    order is deterministic.  The per-domain part of the search (see `_plan`)
+    is prepared once per domain and reused by later calls on it.  Raises
+    BudgetError when more than node_budget assignments are attempted, and
+    ValueError when a row of P is not reflexive.
 
     Returns (maps, nodes) where nodes is the number of assignments tried.
     """
     if n_p == 0:
         return [()], 0
 
+    order, check_at, later, down_bits = _plan(tuple(p_down), tuple(p_up),
+                                              require_open)
+    full_q = (1 << n_q) - 1
+    cand = [allowed[i] & full_q for i in range(n_p)]
+    f = [-1] * n_p
+    out = []
+    nodes = 0
+
+    def backtrack(k):
+        nonlocal nodes
+        if k == n_p:
+            out.append(tuple(f))
+            return
+        x = order[k]
+        m = cand[x]
+        while m:
+            bit = m & -m
+            m ^= bit
+            v = bit.bit_length() - 1
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetError("map search exceeded node budget",
+                                  used=nodes, budget=node_budget)
+            f[x] = v
+            up_v, down_v = q_up[v], q_down[v]
+            undo = []
+            ok = True
+            # only elements comparable to x can lose candidates
+            for z, above, below in later[k]:
+                old = cand[z]
+                new = old
+                if above:
+                    new &= up_v
+                if below:
+                    new &= down_v
+                if new != old:
+                    cand[z] = new
+                    undo.append((z, old))
+                    if not new:
+                        ok = False
+                        break
+            if ok:
+                for w in check_at[k]:
+                    img = 0
+                    for z in down_bits[w]:
+                        img |= 1 << f[z]
+                    if img != q_down[f[w]]:
+                        ok = False
+                        break
+            if ok:
+                backtrack(k + 1)
+            for z, old in undo:
+                cand[z] = old
+        f[x] = -1
+
+    backtrack(0)
+    return out, nodes
+
+
+@lru_cache(maxsize=256)
+def _plan(p_down, p_up, require_open):
+    """The part of a map search that depends only on the domain P.
+
+    Returns (order, check_at, later, down_bits): the linear extension of P
+    by (downset size, index); check_at[k], the points whose openness is
+    checkable once order[k] is assigned (all empty without require_open);
+    later[k], the elements after order[k] in the extension that are
+    comparable to it, as (z, z above order[k], z below order[k]); and
+    down_bits[w], the members of p_down[w].
+    """
+    n_p = len(p_down)
+    for w in range(n_p):
+        if not (p_down[w] & p_up[w]) >> w & 1:
+            raise ValueError(f"row {w} of the domain order does not contain {w}")
     order = sorted(range(n_p), key=lambda i: (p_down[i].bit_count(), i))
     pos = [0] * n_p
     for k, x in enumerate(order):
@@ -82,63 +164,12 @@ def enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed, require_open,
             last = (p_down[w] & p_up[w]).bit_length() - 1
             check_at[pos[last]].append(w)
 
-    full_q = (1 << n_q) - 1
-    cand = [allowed[i] & full_q for i in range(n_p)]
-    f = [-1] * n_p
-    out = []
-    nodes = 0
-
-    def down_image(w):
-        img = 0
-        for z in bits(p_down[w]):
-            img |= 1 << f[z]
-        return img
-
-    def backtrack(k):
-        nonlocal nodes
-        if k == n_p:
-            out.append(tuple(f))
-            return
-        x = order[k]
-        rest = order[k + 1:]
-        m = cand[x]
-        while m:
-            bit = m & -m
-            m ^= bit
-            v = bit.bit_length() - 1
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetError("map search exceeded node budget",
-                                  used=nodes, budget=node_budget)
-            f[x] = v
-            undo = []
-            ok = True
-            for z in rest:
-                old = cand[z]
-                new = old
-                if p_up[x] >> z & 1:
-                    new &= q_up[v]
-                if p_down[x] >> z & 1:
-                    new &= q_down[v]
-                if new != old:
-                    cand[z] = new
-                    undo.append((z, old))
-                    if not new:
-                        ok = False
-                        break
-            if ok and require_open:
-                for w in check_at[k]:
-                    if down_image(w) != q_down[f[w]]:
-                        ok = False
-                        break
-            if ok:
-                backtrack(k + 1)
-            for z, old in undo:
-                cand[z] = old
-        f[x] = -1
-
-    backtrack(0)
-    return out, nodes
+    later = tuple(
+        tuple((z, bool(p_up[x] >> z & 1), bool(p_down[x] >> z & 1))
+              for z in order[k + 1:] if (p_up[x] | p_down[x]) >> z & 1)
+        for k, x in enumerate(order))
+    down_bits = tuple(tuple(bits(row)) for row in p_down)
+    return tuple(order), tuple(map(tuple, check_at)), later, down_bits
 
 
 def bits(mask):

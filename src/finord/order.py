@@ -236,7 +236,11 @@ def enumerate_posets(n: int) -> list[FinitePreorder]:
     """All posets on n elements up to isomorphism, canonical representatives.
 
     Grown by repeatedly adjoining a new maximal element above a chosen
-    downset; intended for n <= 5 (counts 1, 2, 5, 16, 63).
+    downset; intended for n <= 5 (counts 1, 2, 5, 16, 63).  The first poset
+    generated in each isomorphism class is its representative: a candidate
+    is kept only if `poset_iso` finds no earlier kept one with the same
+    multiset of (up size, down size) isomorphic to it.  `canonical_form` is
+    computed once per representative and the list is sorted by it.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -245,7 +249,7 @@ def enumerate_posets(n: int) -> list[FinitePreorder]:
                          f"{MAX_POSET_SIZE}")
     reps = [singleton()]
     for k in range(2, n + 1):
-        seen = {}
+        buckets = {}
         for p in reps:
             for d in all_downsets(p):
                 up = [row for row in p.up]
@@ -253,9 +257,18 @@ def enumerate_posets(n: int) -> list[FinitePreorder]:
                     up[i] |= 1 << (k - 1)
                 up.append(1 << (k - 1))
                 q = FinitePreorder(k, tuple(up))
-                seen.setdefault(canonical_form(q), q)
-        reps = [seen[key] for key in sorted(seen)]
+                bucket = buckets.setdefault(_degree_multiset(q), [])
+                if all(poset_iso(q, r) is None for r in bucket):
+                    bucket.append(q)
+        reps = sorted((r for bucket in buckets.values() for r in bucket),
+                      key=canonical_form)
     return reps
+
+
+def _degree_multiset(p: FinitePreorder) -> tuple:
+    """Sorted (up size, down size) pairs: an isomorphism invariant."""
+    return tuple(sorted((p.up[i].bit_count(), p.down[i].bit_count())
+                        for i in range(p.n)))
 
 
 def enumerate_preorders(n: int) -> list[FinitePreorder]:

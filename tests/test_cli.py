@@ -195,15 +195,23 @@ def test_obstruct_file_poset(tmp_path, capsys):
     assert doc["refuted"] == doc["candidates"] > 0
 
 
-def test_obstruct_certificates_golden(capsys):
-    # digest of the certificate list as produced before the obstruction
-    # sweep did its stage work once per run
-    code, doc = run_json(["obstruct", "--all-posets", "4"], capsys)
+# digests of the `obstruct --all-posets N` certificate lists as produced
+# before the obstruction sweep did its stage work once per run; they pin
+# every candidate's candidates_examined, so a change in search order shows
+CERTIFICATE_DIGESTS = {
+    "4": "8a392f646eb11ad50be158af0fb1f40164c5f599de4a29e8d24ad1f2eeee3dd7",
+    "5": "9ea190d2d8a15ad0eba84011e3ebd41e7dc6529d41efa8a76d8ad9643076d3b7",
+}
+
+
+@pytest.mark.parametrize("size", sorted(CERTIFICATE_DIGESTS))
+def test_obstruct_certificates_golden(size, capsys):
+    code, doc = run_json(["obstruct", "--all-posets", size], capsys)
     assert code == 0
     text = json.dumps(doc["certificates"], sort_keys=True,
                       separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "8a392f646eb11ad50be158af0fb1f40164c5f599de4a29e8d24ad1f2eeee3dd7")
+        CERTIFICATE_DIGESTS[size])
 
 
 def test_coreflect_report_golden(capsys):

@@ -84,16 +84,19 @@ def test_enumerate_maps_brute_force_agreement():
         p = order.sample_preorder(rng.randrange(1, 5), rng)
         q = order.sample_preorder(rng.randrange(1, 4), rng)
         full = (1 << q.n) - 1
-        allowed = [full if rng.random() < 0.8 else rng.getrandbits(q.n)
-                   for _ in range(p.n)]
         # documented order: ascending values, assigned in the linear
         # extension of P by (downset size, index)
         ext = sorted(range(p.n), key=lambda i: (p.down[i].bit_count(), i))
-        for require_open in (False, True):
-            got, _ = kernels.enumerate_maps(p.n, q.n, p.down, p.up,
-                                            q.down, q.up, allowed, require_open)
-            assert got == sorted(brute_maps(p, q, allowed, require_open),
-                                 key=lambda t: [t[x] for x in ext])
+        # several searches per domain: all but the first reuse its plan
+        for _ in range(3):
+            allowed = [full if rng.random() < 0.8 else rng.getrandbits(q.n)
+                       for _ in range(p.n)]
+            for require_open in (False, True):
+                got, _ = kernels.enumerate_maps(p.n, q.n, p.down, p.up,
+                                                q.down, q.up, allowed,
+                                                require_open)
+                assert got == sorted(brute_maps(p, q, allowed, require_open),
+                                     key=lambda t: [t[x] for x in ext])
 
 
 def test_enumerate_maps_budget():
@@ -104,3 +107,13 @@ def test_enumerate_maps_budget():
         kernels.enumerate_maps(p.n, q.n, p.down, p.up, q.down, q.up,
                                [full] * p.n, False, node_budget=10)
 
+
+def test_enumerate_maps_rejects_non_reflexive_row():
+    # row 1 of the domain lacks 1 itself; its openness check would have no
+    # point to be filed under
+    p_down = (0b01, 0b01)
+    p_up = (0b11, 0b00)
+    q = order.chain(2)
+    with pytest.raises(ValueError, match="row 1"):
+        kernels.enumerate_maps(2, q.n, p_down, p_up, q.down, q.up,
+                               [0b11, 0b11], True)

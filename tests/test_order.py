@@ -1,5 +1,6 @@
 """Finite preorder machinery: construction, closures, enumeration, export."""
 
+import hashlib
 import random
 from itertools import permutations
 
@@ -114,6 +115,39 @@ def test_enumerate_posets_counts():
         got = order.enumerate_posets(n)
         assert len(got) == count
         assert all(p.is_poset and p.n == n for p in got)
+
+
+def reference_posets(n):
+    """enumerate_posets by a canonical form per generated candidate."""
+    reps = [order.singleton()]
+    for k in range(2, n + 1):
+        seen = {}
+        for p in reps:
+            for d in order.all_downsets(p):
+                up = list(p.up)
+                for i in range(k - 1):
+                    if d >> i & 1:
+                        up[i] |= 1 << (k - 1)
+                up.append(1 << (k - 1))
+                q = FinitePreorder(k, tuple(up))
+                seen.setdefault(order.canonical_form(q), q)
+        reps = [seen[key] for key in sorted(seen)]
+    return reps
+
+
+def test_enumerate_posets_matches_reference_route():
+    # same representatives, same labelings, same order
+    for n in POSETS_UP_TO_ISO:
+        got = [p.up for p in order.enumerate_posets(n)]
+        assert got == [p.up for p in reference_posets(n)]
+
+
+def test_enumerate_posets_six_digest():
+    # digest of the up rows as the reference route produced them
+    got = [p.up for p in order.enumerate_posets(6)]
+    assert len(got) == 318
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "bd40db4d01f4f9baba5fb3d4fa56155b3302d509ec1e68f042e7a55bfbaac3cc")
 
 
 def test_enumerate_posets_no_duplicate_classes():
