@@ -12,8 +12,10 @@ preimage; join-irreducibles recover the underlying poset, giving the finite
 duality that the verification suites exercise.
 """
 
+import math
 from dataclasses import dataclass, field
 
+from finord import kernels
 from finord import maps as maps_mod
 from finord import order as order_mod
 from finord.errors import BudgetError, HypothesisError
@@ -74,7 +76,8 @@ class DownsetAlgebra:
 
 def downset_algebra(p: FinitePreorder, cap: int = 20) -> DownsetAlgebra:
     if p.n > cap:
-        raise BudgetError("downset enumeration beyond the size cap")
+        raise BudgetError("downset enumeration beyond the size cap",
+                          used=p.n, budget=cap)
     return DownsetAlgebra(p, tuple(order_mod.all_downsets(p)))
 
 
@@ -177,7 +180,8 @@ def cha_morphisms(a: DownsetAlgebra, b: DownsetAlgebra,
     ji_poset, ji = join_irreducibles(a)
     k = len(ji)
     if len(b.elements) ** k > node_budget:
-        raise BudgetError("too many candidate assignments")
+        raise BudgetError("too many candidate assignments",
+                          used=len(b.elements) ** k, budget=node_budget)
     out = []
     for assign in _monotone_assignments(ji_poset, b):
         table = []
@@ -195,27 +199,15 @@ def cha_morphisms(a: DownsetAlgebra, b: DownsetAlgebra,
 
 def _monotone_assignments(ji_poset: FinitePreorder, b: DownsetAlgebra):
     """All ji-monotone tuples of b-elements, lexicographic order."""
-    n = ji_poset.n
-    out = []
-    cur = [None] * n
-
-    def extend(i):
-        if i == n:
-            out.append(tuple(cur))
-            return
-        for v in b.elements:
-            ok = all(
-                (not ji_poset.leq(j, i) or b.le(cur[j], v))
-                and (not ji_poset.leq(i, j) or b.le(v, cur[j]))
-                for j in range(i)
-            )
-            if ok:
-                cur[i] = v
-                extend(i + 1)
-        cur[i] = None
-
-    extend(0)
-    return out
+    elems = b.elements
+    m = len(elems)
+    below = [sum(1 << u for u in range(m) if b.le(elems[u], x)) for x in elems]
+    above = [sum(1 << u for u in range(m) if b.le(x, elems[u])) for x in elems]
+    # cha_morphisms bounds the search before it starts
+    tables, _ = kernels.enumerate_maps(
+        ji_poset.n, m, ji_poset.down, ji_poset.up, below, above,
+        [(1 << m) - 1] * ji_poset.n, False, node_budget=math.inf)
+    return sorted(tuple(elems[v] for v in t) for t in tables)
 
 
 @dataclass

@@ -1,14 +1,14 @@
 """Enumeration kernels.
 
 The two hot loops of the package: independent-set (antichain) enumeration
-over a comparability mask table, and backtracking enumeration of monotone or
-open maps between finite preorders.  The map search prepares its plan
-(linear extension, openness check points, comparable later elements) once
-per domain and keeps it in a bounded cache, since callers such as the
-obstruction sweep search from the same domain many times.  It also holds
-`bits`, the mask iterator the other modules share; it imports only
-`errors` and the standard library, so any module can import it without a
-cycle.
+over a comparability mask table, and backtracking search for monotone, open
+or injective maps between finite relations given by rows, which serves open
+maps, both isomorphism tests (`relation_iso`) and `heyting.cha_morphisms`.
+The map search prepares its plan once per domain and keeps it in a bounded
+cache, since callers such as the obstruction sweep search from the same
+domain many times.  It also holds `bits`, the mask iterator the other
+modules share; it imports only `errors` and the standard library, so any
+module can import it without a cycle.
 
 All subsets are bitmasks (bit i = element i), held in Python ints, so there
 is no limit on the number of elements.  Output order is deterministic.
@@ -55,22 +55,25 @@ def antichains(n, comp, min_size=0, limit=None):
 
 
 def enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed, require_open,
-                   node_budget=10_000_000):
+                   node_budget=10_000_000, injective=False):
     """Enumerate monotone maps P -> Q as value tuples, openness optional.
 
-    p_down[i]/p_up[i] are the reflexive down/up masks of i in P, likewise
-    q_down/q_up in Q.  allowed[i] restricts the candidate values of element i
-    (a mask over range(n_q)).  With require_open, a map is emitted only if the
-    image of every principal downset equals the principal downset of the
-    image point; this is checked incrementally as soon as a point's downset
-    is fully assigned, which prunes most of the tree.
+    P and Q are relations given by rows: p_down[i] is the mask of the points
+    below i in a preorder (i's successors in a Kripke frame) and p_up[i] its
+    transpose, likewise q_down/q_up.  allowed[i] restricts the values of
+    element i (a mask over range(n_q)).  Monotonicity is forward-checked
+    between distinct elements only, so without require_open Q is assumed
+    reflexive, as every preorder is.  With require_open, a map is emitted
+    only if the image of every p_down[w] equals q_down of the image of w,
+    checked as soon as w and p_down[w] are assigned; this prunes most of the
+    tree and alone enforces P's self-loops.  With injective, a value an
+    assigned element holds is no candidate.
 
-    Elements are assigned in a linear extension of P (by downset size, ties
-    by index) and candidate values are tried in ascending order, so output
-    order is deterministic.  The per-domain part of the search (see `_plan`)
-    is prepared once per domain and reused by later calls on it.  Raises
-    BudgetError when more than node_budget assignments are attempted, and
-    ValueError when a row of P is not reflexive.
+    Elements are assigned by (row size, index) and candidate values are
+    tried in ascending order, so output order is deterministic.  The
+    per-domain part of the search (see `_plan`) is prepared once per domain
+    and reused.  Raises BudgetError when more than node_budget assignments
+    are attempted.
 
     Returns (maps, nodes) where nodes is the number of assignments tried.
     """
@@ -84,14 +87,15 @@ def enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed, require_open,
     f = [-1] * n_p
     out = []
     nodes = 0
+    used = 0
 
     def backtrack(k):
-        nonlocal nodes
+        nonlocal nodes, used
         if k == n_p:
             out.append(tuple(f))
             return
         x = order[k]
-        m = cand[x]
+        m = cand[x] & ~used
         while m:
             bit = m & -m
             m ^= bit
@@ -104,7 +108,7 @@ def enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed, require_open,
             up_v, down_v = q_up[v], q_down[v]
             undo = []
             ok = True
-            # only elements comparable to x can lose candidates
+            # only elements related to x can lose candidates
             for z, above, below in later[k]:
                 old = cand[z]
                 new = old
@@ -127,7 +131,10 @@ def enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed, require_open,
                         ok = False
                         break
             if ok:
+                if injective:
+                    used |= bit
                 backtrack(k + 1)
+                used &= ~bit
             for z, old in undo:
                 cand[z] = old
         f[x] = -1
@@ -136,33 +143,51 @@ def enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed, require_open,
     return out, nodes
 
 
+def relation_iso(a_down, a_up, b_down, b_up):
+    """Lexicographically least isomorphism A -> B as a tuple, or None.
+
+    A and B are relations given by rows as in `enumerate_maps`.  A bijection
+    f with f[a_down[x]] = b_down[f(x)] for every x is exactly a relation
+    isomorphism, so this is the open injective map search, each point pinned
+    to the points of B with its (row size, column size, self-loop) signature.
+    """
+    def signatures(down, up):
+        return [(d.bit_count(), u.bit_count(), d >> i & 1)
+                for i, (d, u) in enumerate(zip(down, up))]
+
+    n = len(a_down)
+    if len(b_down) != n:
+        return None
+    sig_b = signatures(b_down, b_up)
+    allowed = [sum(1 << j for j, t in enumerate(sig_b) if t == s)
+               for s in signatures(a_down, a_up)]
+    maps, _ = enumerate_maps(n, n, a_down, a_up, b_down, b_up, allowed, True,
+                             injective=True)
+    return min(maps, default=None)
+
+
 @lru_cache(maxsize=256)
 def _plan(p_down, p_up, require_open):
     """The part of a map search that depends only on the domain P.
 
-    Returns (order, check_at, later, down_bits): the linear extension of P
-    by (downset size, index); check_at[k], the points whose openness is
-    checkable once order[k] is assigned (all empty without require_open);
-    later[k], the elements after order[k] in the extension that are
-    comparable to it, as (z, z above order[k], z below order[k]); and
-    down_bits[w], the members of p_down[w].
+    Returns (order, check_at, later, down_bits): the elements of P by
+    (row size, index); check_at[k], the points whose openness is checkable
+    once order[k] is assigned (all empty without require_open); later[k],
+    the elements after order[k] in that order that are related to it, as
+    (z, z above order[k], z below order[k]); and down_bits[w], the members
+    of p_down[w].
     """
     n_p = len(p_down)
-    for w in range(n_p):
-        if not (p_down[w] & p_up[w]) >> w & 1:
-            raise ValueError(f"row {w} of the domain order does not contain {w}")
     order = sorted(range(n_p), key=lambda i: (p_down[i].bit_count(), i))
     pos = [0] * n_p
     for k, x in enumerate(order):
         pos[x] = k
 
-    # openness of w is checkable once every element of p_down[w] is assigned
+    # openness of w is checkable once w and all of p_down[w] are assigned
     check_at = [[] for _ in range(n_p)]
     if require_open:
         for w in range(n_p):
-            # ties by index put w's class (p_down[w] & p_up[w]) last in p_down[w]
-            last = (p_down[w] & p_up[w]).bit_length() - 1
-            check_at[pos[last]].append(w)
+            check_at[max(pos[z] for z in bits(p_down[w] | 1 << w))].append(w)
 
     later = tuple(
         tuple((z, bool(p_up[x] >> z & 1), bool(p_down[x] >> z & 1))

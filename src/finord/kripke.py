@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations, product as iproduct
 
+from finord import kernels
 from finord import maps as maps_mod
 from finord import order as order_mod
 from finord.errors import BudgetError, FormatError, HypothesisError
@@ -108,7 +109,8 @@ def pmorphisms(f: KripkeFrame, g: KripkeFrame, budget: int = 10_000_000):
     list read off its mask once per call.
     """
     if g.n ** f.n > budget:
-        raise BudgetError("function space too large")
+        raise BudgetError("function space too large", used=g.n ** f.n,
+                          budget=budget)
     succs = [tuple(bits(row)) for row in f.succ]
     found = []
     for table in iproduct(range(g.n), repeat=f.n):
@@ -162,7 +164,8 @@ def coreflect(f: KripkeFrame, cap: int = 20) -> Coreflection:
     union is verified to be good itself and to contain each good upset.
     """
     if f.n > cap:
-        raise BudgetError("exhaustive upset enumeration beyond the cap")
+        raise BudgetError("exhaustive upset enumeration beyond the cap",
+                          used=f.n, budget=cap)
     good = [u for u in _upsets(f) if _is_good_upset(f, u)]
     y = 0
     for u in good:
@@ -347,7 +350,8 @@ def bao_L(a: FiniteBAO, cap: int = 16) -> KripkeFrame:
     under s with x R y iff x <= s & dia(y).
     """
     if a.atoms > cap:
-        raise BudgetError("element scan beyond the cap")
+        raise BudgetError("element scan beyond the cap", used=a.atoms,
+                          budget=cap)
     s = 0
     for x in range(1 << a.atoms):
         if x & ~a.box(x) == 0:
@@ -373,46 +377,14 @@ def verify_bao_adjunction(f: KripkeFrame) -> bool:
 
 def frame_iso(f: KripkeFrame, g: KripkeFrame):
     """Lexicographically least relation isomorphism, or None."""
-    if f.n != g.n:
-        return None
-
-    def sig(h, i):
-        return (h.succ[i].bit_count(), h.pred[i].bit_count(),
-                bool(h.succ[i] >> i & 1))
-
-    by_sig = {}
-    for j in range(g.n):
-        by_sig.setdefault(sig(g, j), []).append(j)
-    img = [-1] * f.n
-    used = 0
-
-    def assign(i):
-        nonlocal used
-        if i == f.n:
-            return True
-        for j in by_sig.get(sig(f, i), []):
-            if used >> j & 1:
-                continue
-            ok = all(
-                f.rel(k, i) == g.rel(img[k], j) and f.rel(i, k) == g.rel(j, img[k])
-                for k in range(i)
-            ) and f.rel(i, i) == g.rel(j, j)
-            if ok:
-                img[i] = j
-                used |= 1 << j
-                if assign(i + 1):
-                    return True
-                used &= ~(1 << j)
-                img[i] = -1
-        return False
-
-    return tuple(img) if assign(0) else None
+    return kernels.relation_iso(f.succ, f.pred, g.succ, g.pred)
 
 
 def enumerate_frames(n: int, budget: int = 1 << 20):
     """All labeled frames on n states, relation bits ascending."""
     if (1 << n * n) > budget:
-        raise BudgetError("too many relations")
+        raise BudgetError("too many relations", used=1 << n * n,
+                          budget=budget)
     out = []
     for bits in range(1 << n * n):
         succ = tuple((bits >> i * n) & ((1 << n) - 1) for i in range(n))
@@ -429,7 +401,8 @@ def frames_up_to_iso(n: int, budget: int = 1 << 20):
     least row tuple in the orbit.
     """
     if (1 << n * n) > budget:
-        raise BudgetError("too many relations")
+        raise BudgetError("too many relations", used=1 << n * n,
+                          budget=budget)
     full = (1 << n) - 1
     # per relabeling p: the row map (state j of the image is state p[j])
     # and the row order (image row i is source row p[i])
@@ -492,7 +465,8 @@ def fullness_frames_report(f: KripkeFrame, g: KripkeFrame,
     coincide with being a p-morphism, function by function.
     """
     if g.n ** f.n > budget:
-        raise BudgetError("function space too large")
+        raise BudgetError("function space too large", used=g.n ** f.n,
+                          budget=budget)
     ca_f, ca_g = complex_algebra(f), complex_algebra(g)
     count = pm = bm = 0
     violations = []

@@ -88,7 +88,8 @@ def is_monotone(f: PointMap) -> bool:
 def is_open_v1(f: PointMap, cap: int = 20) -> bool:
     """Monotone and images of downsets are downsets."""
     if f.dom.n > cap:
-        raise BudgetError("v1 enumerates all downsets; domain too large")
+        raise BudgetError("v1 enumerates all downsets; domain too large",
+                          used=f.dom.n, budget=cap)
     if not is_monotone(f):
         return False
     return all(

@@ -176,39 +176,7 @@ def poset_iso(p: FinitePreorder, q: FinitePreorder):
     Returns the lexicographically least isomorphism, so the answer is
     deterministic.  Works for preorders as well.
     """
-    if p.n != q.n:
-        return None
-
-    def sig(r, i):
-        return (r.up[i].bit_count(), r.down[i].bit_count())
-
-    q_by_sig = {}
-    for j in range(q.n):
-        q_by_sig.setdefault(sig(q, j), []).append(j)
-    img = [-1] * p.n
-    used = 0
-
-    def assign(i):
-        nonlocal used
-        if i == p.n:
-            return True
-        for j in q_by_sig.get(sig(p, i), []):
-            if used >> j & 1:
-                continue
-            ok = all(
-                p.leq(k, i) == q.leq(img[k], j) and p.leq(i, k) == q.leq(j, img[k])
-                for k in range(i)
-            )
-            if ok:
-                img[i] = j
-                used |= 1 << j
-                if assign(i + 1):
-                    return True
-                used &= ~(1 << j)
-                img[i] = -1
-        return False
-
-    return tuple(img) if assign(0) else None
+    return kernels.relation_iso(p.down, p.up, q.down, q.up)
 
 
 def canonical_form(p: FinitePreorder) -> str:

@@ -214,13 +214,25 @@ def test_obstruct_certificates_golden(size, capsys):
         CERTIFICATE_DIGESTS[size])
 
 
-def test_coreflect_report_golden(capsys):
-    # digest of the whole report as produced before verify_coreflection
-    # took every preorder of a frame in one call
-    code, out, _ = run(["verify", "coreflect", "--states", "3"], capsys)
+# digests of whole reports: coreflect as produced before verify_coreflection
+# took every preorder of a frame in one call, duality and bao before the
+# isomorphism tests and cha_morphisms ran on the map-search kernel
+REPORT_DIGESTS = {
+    "coreflect": (["verify", "coreflect", "--states", "3"],
+                  "097112765b1344d77c28cdf3a1a545c8e660a2e39c31cc8e46f25e0fe8b45228"),
+    "duality": (["verify", "duality"],
+                "05bd613d188e3d3ee82378ab95dd1b24e5c0157493fa7ab84ed965478fe06d68"),
+    "bao": (["verify", "bao"],
+            "d63f8c80faba17bbdde98e2ed4cb2cecc8994e9c15b3e51c93040297ecc099a6"),
+}
+
+
+@pytest.mark.parametrize("suite", list(REPORT_DIGESTS))
+def test_coreflect_report_golden(suite, capsys):
+    argv, digest = REPORT_DIGESTS[suite]
+    code, out, _ = run(argv, capsys)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "097112765b1344d77c28cdf3a1a545c8e660a2e39c31cc8e46f25e0fe8b45228")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_coreflect_suite_coreflects_each_frame_once(monkeypatch, capsys):

@@ -6,7 +6,7 @@ from itertools import product as iproduct
 import pytest
 
 from finord import heyting, hierarchy, hsets, maps, order
-from finord.errors import HypothesisError
+from finord.errors import BudgetError, HypothesisError
 from finord.hsets import Universe
 from finord.maps import PointMap
 from finord.order import antichain, chain, from_pairs, product, sierpinski
@@ -101,6 +101,20 @@ def test_preimage_rejects_non_open():
         heyting.preimage_morphism(const1)
 
 
+def test_budget_errors_carry_usage_and_budget():
+    one = heyting.downset_algebra(chain(1))
+    cases = [
+        (lambda: heyting.downset_algebra(chain(3), cap=2), 3, 2),
+        (lambda: heyting.cha_morphisms(one, one, node_budget=1), 2, 1),
+        (lambda: maps.is_open_v1(PointMap(chain(2), chain(1), (0, 0)), cap=1),
+         2, 1),
+    ]
+    for call, used, budget in cases:
+        with pytest.raises(BudgetError) as exc:
+            call()
+        assert (exc.value.used, exc.value.budget) == (used, budget)
+
+
 def test_cha_morphisms_match_bruteforce():
     cases = [sierpinski(), chain(2), antichain(2), chain(3)]
     for p in cases:
@@ -115,6 +129,47 @@ def test_cha_morphisms_match_bruteforce():
             }
             fast = {phi.table for phi in heyting.cha_morphisms(a, b)}
             assert fast == brute, (p, q)
+
+
+def lexicographic_monotone_assignments(ji_poset, b):
+    """The hand-written search cha_morphisms used before it ran on the map
+    kernel: ji-monotone tuples of b-elements, built position by position."""
+    n = ji_poset.n
+    out = []
+    cur = [None] * n
+
+    def extend(i):
+        if i == n:
+            out.append(tuple(cur))
+            return
+        for v in b.elements:
+            ok = all(
+                (not ji_poset.leq(j, i) or b.le(cur[j], v))
+                and (not ji_poset.leq(i, j) or b.le(v, cur[j]))
+                for j in range(i)
+            )
+            if ok:
+                cur[i] = v
+                extend(i + 1)
+        cur[i] = None
+
+    extend(0)
+    return out
+
+
+def test_monotone_assignments_match_the_lexicographic_search():
+    # every poset up to 4 points, and every labeled one up to 3: for some of
+    # those, index order is not the kernel's assignment order, so the
+    # kernel's own output order differs from the reference's
+    algebras = [heyting.downset_algebra(q)
+                for n in (1, 2, 3) for q in order.enumerate_posets(n)]
+    posets = [p for n in (1, 2, 3) for p in order.enumerate_preorders(n)
+              if p.is_poset] + order.enumerate_posets(4)
+    for p in posets:
+        ji_poset, _ = heyting.join_irreducibles(heyting.downset_algebra(p))
+        for b in algebras:
+            assert heyting._monotone_assignments(ji_poset, b) == (
+                lexicographic_monotone_assignments(ji_poset, b))
 
 
 def test_fullness_small_pairs():

@@ -1,12 +1,13 @@
 """The enumeration kernels against brute force, output order included."""
 
 import random
-from itertools import product as iproduct
+from itertools import permutations, product as iproduct
 
 import pytest
 
-from finord import kernels, maps, order
+from finord import kernels, kripke, maps, order
 from finord.errors import BudgetError
+from finord.kernels import bits
 
 
 def random_comparability(n, rng, density=0.3):
@@ -108,12 +109,79 @@ def test_enumerate_maps_budget():
                                [full] * p.n, False, node_budget=10)
 
 
-def test_enumerate_maps_rejects_non_reflexive_row():
-    # row 1 of the domain lacks 1 itself; its openness check would have no
-    # point to be filed under
-    p_down = (0b01, 0b01)
-    p_up = (0b11, 0b00)
-    q = order.chain(2)
-    with pytest.raises(ValueError, match="row 1"):
-        kernels.enumerate_maps(2, q.n, p_down, p_up, q.down, q.up,
-                               [0b11, 0b11], True)
+def test_enumerate_maps_on_relation_rows():
+    # random frames, irreflexive and non-transitive rows included: open maps
+    # are the p-morphisms, injective ones their injective part, and with a
+    # reflexive codomain monotone maps are the relation-preserving functions
+    rng = random.Random(31)
+    for _ in range(150):
+        f = kripke.sample_frame(rng.randrange(1, 5), rng)
+        g = kripke.sample_frame(rng.randrange(1, 4), rng)
+        # documented order: ascending values, assigned by (row size, index)
+        ext = sorted(range(f.n), key=lambda i: (f.succ[i].bit_count(), i))
+        tables = sorted(iproduct(range(g.n), repeat=f.n),
+                        key=lambda t: [t[x] for x in ext])
+        full = [(1 << g.n) - 1] * f.n
+        pm = [t for t in tables if kripke.is_pmorphism(t, f, g)]
+        got, _ = kernels.enumerate_maps(f.n, g.n, f.succ, f.pred, g.succ,
+                                        g.pred, full, True)
+        assert got == pm, (f, g)
+        got, _ = kernels.enumerate_maps(f.n, g.n, f.succ, f.pred, g.succ,
+                                        g.pred, full, True, injective=True)
+        assert got == [t for t in pm if len(set(t)) == f.n], (f, g)
+        refl = kripke.KripkeFrame(g.n, tuple(row | 1 << j
+                                             for j, row in enumerate(g.succ)))
+        got, _ = kernels.enumerate_maps(f.n, g.n, f.succ, f.pred, refl.succ,
+                                        refl.pred, full, False)
+        assert got == [t for t in tables
+                       if all(refl.rel(t[x], t[y]) for x in range(f.n)
+                              for y in bits(f.succ[x]))], (f, g)
+
+
+def brute_iso(n_a, rel_a, n_b, rel_b):
+    """Least permutation p with rel_a(i, j) == rel_b(p[i], p[j]), or None."""
+    if n_a != n_b:
+        return None
+    for perm in permutations(range(n_a)):  # lexicographic order
+        if all(rel_a(i, j) == rel_b(perm[i], perm[j])
+               for i in range(n_a) for j in range(n_a)):
+            return perm
+    return None
+
+
+def relabel_rows(rows, perm):
+    """Rows of the relation carried along perm: i R j becomes perm[i] R perm[j]."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            out[perm[i]] |= 1 << perm[j]
+    return tuple(out)
+
+
+def test_isomorphisms_are_the_least_permutation():
+    preorders = [p for n in (1, 2, 3) for p in order.enumerate_preorders(n)]
+    for p in preorders:
+        for q in preorders:
+            assert order.poset_iso(p, q) == brute_iso(p.n, p.leq, q.n, q.leq)
+    frames = [f for n in (1, 2) for f in kripke.enumerate_frames(n)]
+    for f in frames:
+        for g in frames:
+            assert kripke.frame_iso(f, g) == brute_iso(f.n, f.rel, g.n, g.rel)
+    rng = random.Random(41)
+    nones = 0
+    for _ in range(200):
+        perm = list(range(5))
+        rng.shuffle(perm)
+        p = order.sample_preorder(5, rng)
+        f = kripke.sample_frame(5, rng)
+        for q in (order.FinitePreorder(5, relabel_rows(p.up, perm)),
+                  order.sample_preorder(5, rng)):
+            expected = brute_iso(5, p.leq, 5, q.leq)
+            assert order.poset_iso(p, q) == expected
+            nones += expected is None
+        for g in (kripke.KripkeFrame(5, relabel_rows(f.succ, perm)),
+                  kripke.sample_frame(5, rng)):
+            expected = brute_iso(5, f.rel, 5, g.rel)
+            assert kripke.frame_iso(f, g) == expected
+            nones += expected is None
+    assert nones > 0

@@ -90,8 +90,25 @@ def test_pmorphisms_match_the_is_pmorphism_filter():
     # empty relations: every one of the 3**2 functions is a p-morphism
     f, g = all_frames(2)[0], all_frames(3)[0]
     assert len(kripke.pmorphisms(f, g, budget=9)) == 9
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError) as exc:
         kripke.pmorphisms(f, g, budget=8)
+    assert (exc.value.used, exc.value.budget) == (9, 8)
+
+
+def test_budget_errors_carry_usage_and_budget():
+    f = KripkeFrame(2, (0b00, 0b00))
+    g = KripkeFrame(3, (0, 0, 0))
+    cases = [
+        (lambda: kripke.fullness_frames_report(f, g, budget=8), 9, 8),
+        (lambda: kripke.enumerate_frames(2, budget=15), 16, 15),
+        (lambda: kripke.frames_up_to_iso(2, budget=15), 16, 15),
+        (lambda: kripke.coreflect(f, cap=1), 2, 1),
+        (lambda: kripke.bao_L(kripke.complex_algebra(f), cap=1), 2, 1),
+    ]
+    for call, used, budget in cases:
+        with pytest.raises(BudgetError) as exc:
+            call()
+        assert (exc.value.used, exc.value.budget) == (used, budget)
 
 
 def test_coreflect_drops_irreflexive_state():
