@@ -7,7 +7,9 @@ searches for mediating maps and emits refutation certificates.
 Reports are JSON on stdout with a fixed envelope (schema version, tool
 version, effective config and its hash).  With a fixed seed the bytes are
 reproducible; `elapsed` stays null unless --timing is given, precisely so
-that repeated runs compare equal.
+that repeated runs compare equal.  One encoder, `finord._json.dumps`,
+writes every report and exported tower; its bytes equal
+`json.dumps(..., indent=2, sort_keys=True)`.
 
 Exit codes: 0 success / no violations / all candidates refuted; 1 invalid
 configuration or violations found; 2 budget exhausted.
@@ -22,7 +24,7 @@ from itertools import combinations, tee
 from pathlib import Path
 from random import Random
 
-from finord import __version__
+from finord import __version__, _json
 from finord import heyting as heyting_mod
 from finord import hierarchy as hierarchy_mod
 from finord import hsets
@@ -128,7 +130,7 @@ def _render(command: str, config: dict, payload: dict, elapsed) -> str:
         "elapsed": elapsed,
     }
     body.update(payload)
-    return json.dumps(body, indent=2, sort_keys=True) + "\n"
+    return _json.dumps(body) + "\n"
 
 
 def _resolve_base(spec: str):

@@ -16,10 +16,9 @@ restricting the base restricts the tower, and pairing a stage with an outside
 element produces antichains ("fans") that witness unbounded growth.
 """
 
-import json
 from dataclasses import dataclass, field
 
-from finord import kernels
+from finord import _json, kernels
 from finord import order as order_mod
 from finord.errors import BudgetError, FormatError, HypothesisError
 from finord.hsets import Universe, is_antichain, is_nontrivial_antichain, load
@@ -430,7 +429,7 @@ def from_json(data: dict, base_poset=None) -> Hierarchy:
 
 
 def dumps(h: Hierarchy) -> str:
-    return json.dumps(to_json(h), indent=2, sort_keys=True) + "\n"
+    return _json.dumps(to_json(h)) + "\n"
 
 
 def level_dot(h: Hierarchy, alpha: int) -> str:

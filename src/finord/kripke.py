@@ -14,7 +14,7 @@ algebras the round trip is the identity up to isomorphism.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import permutations, product as iproduct
 
 from finord import kernels
@@ -49,8 +49,13 @@ class KripkeFrame:
         return bool(self.succ[i] >> j & 1)
 
 
+@lru_cache(maxsize=1024)
 def opposite_frame(p: FinitePreorder) -> KripkeFrame:
-    """x R y iff y <= x; open maps of preorders are p-morphisms of these."""
+    """x R y iff y <= x; open maps of preorders are p-morphisms of these.
+
+    Cached: the coreflection checks ask for the same preorders' frames once
+    per frame they test, and frames are immutable.
+    """
     return KripkeFrame(p.n, p.down)
 
 

@@ -182,20 +182,27 @@ def poset_iso(p: FinitePreorder, q: FinitePreorder):
 def canonical_form(p: FinitePreorder) -> str:
     """Least leq bit string over all relabelings; equal iff isomorphic.
 
-    Each relabeling's bit string is built as an integer; strings of equal
-    length compare like their integer values, so the minimum is the same.
+    Each relabeling's bit string is built as an integer, row by row; strings
+    of equal length compare like their integer values, so the minimum is the
+    same.  Every key has n*n bits, so once the rows built so far exceed the
+    same-length prefix of the best key, the relabeling cannot win and the
+    rest of its rows are skipped.
     """
     n = p.n
     if n == 0:
         return ""
-    best = None
+    best = 1 << n * n  # above every key
     for perm in permutations(range(n)):
         key = 0
+        left = n * n
         for i in perm:
             row = p.up[i]
             for j in perm:
                 key = key << 1 | row >> j & 1
-        if best is None or key < best:
+            left -= n
+            if key > best >> left:
+                break
+        else:
             best = key
     return format(best, f"0{n * n}b")
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -216,7 +217,9 @@ def test_obstruct_certificates_golden(size, capsys):
 
 # digests of whole reports: coreflect as produced before verify_coreflection
 # took every preorder of a frame in one call, duality and bao before the
-# isomorphism tests and cha_morphisms ran on the map-search kernel
+# isomorphism tests and cha_morphisms ran on the map-search kernel, obstruct
+# and export as written by the stdlib's indenting JSON encoder, so they pin
+# the formatting of a whole report and of a whole exported document
 REPORT_DIGESTS = {
     "coreflect": (["verify", "coreflect", "--states", "3"],
                   "097112765b1344d77c28cdf3a1a545c8e660a2e39c31cc8e46f25e0fe8b45228"),
@@ -224,6 +227,10 @@ REPORT_DIGESTS = {
                 "05bd613d188e3d3ee82378ab95dd1b24e5c0157493fa7ab84ed965478fe06d68"),
     "bao": (["verify", "bao"],
             "d63f8c80faba17bbdde98e2ed4cb2cecc8994e9c15b3e51c93040297ecc099a6"),
+    "obstruct5": (["obstruct", "--all-posets", "5"],
+                  "c0e94d495ce060bc6b01eb9a9e0b35db336b49c1820e3bc91570fbda13176fa1"),
+    "export2": (["hierarchy", "export", "--depth", "2"],
+                "ff873aaa887128865953d3e837a662bd9c88ca1a8688c6ea2d7e6fdc14e5dc13"),
 }
 
 
@@ -249,6 +256,29 @@ def test_coreflect_suite_coreflects_each_frame_once(monkeypatch, capsys):
     assert doc["frames"] == 530 and doc["preorders"] == 5
     assert len(calls) == 530
     assert len({(f.n, f.succ) for f in calls}) == 530
+
+
+def test_coreflect_suite_builds_each_opposite_frame_once(monkeypatch, capsys):
+    built = []
+
+    class CountingFrame(kripke.KripkeFrame):
+        def __post_init__(self):
+            super().__post_init__()
+            # frame 1 is the dataclass __init__, frame 2 its caller
+            if sys._getframe(2).f_code.co_name == "opposite_frame":
+                built.append(self)
+
+    clear = getattr(kripke.opposite_frame, "cache_clear", lambda: None)
+    monkeypatch.setattr(kripke, "KripkeFrame", CountingFrame)
+    clear()
+    try:
+        code, doc = run_json(["verify", "coreflect", "--states", "3"], capsys)
+    finally:
+        clear()
+    assert code == 0
+    assert doc["frames"] == 530 and doc["preorders"] == 5
+    # at most one per coreflected preorder plus one per checked preorder
+    assert 0 < len(built) <= 530 + 5
 
 
 def test_obstruct_timing_fills_every_elapsed(capsys):
