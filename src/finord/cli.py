@@ -144,12 +144,17 @@ def _resolve_base(spec: str):
     if spec.startswith("file:"):
         data = _read_json(spec[5:])
         try:
-            atoms = data["atoms"]
-            pairs = [tuple(pair) for pair in data["leq"]]
-            chosen = data["base"]
+            atoms, leq, chosen = data["atoms"], data["leq"], data["base"]
         except (KeyError, TypeError) as exc:
             raise FormatError(
                 "base file needs 'atoms', 'leq', and 'base'") from exc
+        if not (_is_label_list(atoms) and _is_label_list(chosen)
+                and isinstance(leq, list)
+                and all(_is_label_list(pair) and len(pair) == 2
+                        for pair in leq)):
+            raise FormatError("base file needs 'atoms' and 'base' as lists "
+                              "of labels and 'leq' as a list of label pairs")
+        pairs = [tuple(pair) for pair in leq]
         unknown = sorted({lbl for pair in pairs for lbl in pair
                           if lbl not in atoms})
         if unknown:
@@ -163,6 +168,10 @@ def _resolve_base(spec: str):
             raise FormatError(f"base labels not among atoms: {missing}")
         return u, tuple(u.atom(lbl) for lbl in chosen)
     raise FormatError(f"unknown base {spec!r}")
+
+
+def _is_label_list(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def _resolve_poset(spec: str) -> order_mod.FinitePreorder:

@@ -52,27 +52,34 @@ class Hierarchy:
         return self.levels[alpha] - self.levels[alpha - 1]
 
 
-def enumerate_nontrivial_antichains(ids, u: Universe) -> list[tuple[int, ...]]:
-    """All >= 2-element antichains of `ids`, as sorted id tuples.
+def _local_rows(ids, u: Universe) -> tuple[list[int], list[int]]:
+    """The universe order on a list of distinct ids, as rows over positions.
 
-    Independent sets of the comparability graph, lexicographic DFS order over
-    the sorted elements; deterministic.
+    Bit j of down[i] is set iff ids[j] < ids[i], and bit j of up[i] iff
+    ids[i] < ids[j].
     """
-    elems = sorted(set(ids))
-    comp = _comparability_masks(elems, u)
-    masks, _ = kernels.antichains(len(elems), comp, min_size=2)
-    return [tuple(elems[i] for i in bits(m)) for m in masks]
+    pos = {x: i for i, x in enumerate(ids)}
+    scope = sum(1 << x for x in ids)
+    down = [0] * len(ids)
+    up = [0] * len(ids)
+    for i, x in enumerate(ids):
+        for y in bits(u.below(x) & scope):
+            j = pos[y]
+            down[i] |= 1 << j
+            up[j] |= 1 << i
+    return down, up
 
 
-def _comparability_masks(elems, u):
-    n = len(elems)
-    comp = [0] * n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if u.comparable(elems[i], elems[j]):
-                comp[i] |= 1 << j
-                comp[j] |= 1 << i
-    return comp
+def _comparability_masks(ids, u: Universe) -> list[int]:
+    down, up = _local_rows(ids, u)
+    return [d | a for d, a in zip(down, up)]
+
+
+def _comparable_pairs(ids, u: Universe):
+    """(ids[i], ids[j]) for every comparable pair with i < j, in order."""
+    for i, row in enumerate(_comparability_masks(ids, u)):
+        for j in bits(row >> i + 1):
+            yield ids[i], ids[i + 1 + j]
 
 
 def build(base_ids, depth: int, u: Universe, budget: int = DEFAULT_BUDGET) -> Hierarchy:
@@ -124,13 +131,9 @@ def materialize(h: Hierarchy, alpha: int):
     the universe order.  The result is always a poset.
     """
     ids = tuple(sorted(h.levels[alpha]))
-    n = len(ids)
-    up = [1 << i for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and h.universe.lt(ids[i], ids[j]):
-                up[i] |= 1 << j
-    return order_mod.FinitePreorder(n, tuple(up)), ids
+    _, above = _local_rows(ids, h.universe)
+    up = tuple(row | 1 << i for i, row in enumerate(above))
+    return order_mod.FinitePreorder(len(ids), up), ids
 
 
 # ---------------------------------------------------------------------------
@@ -172,25 +175,26 @@ def verify_stage_properties(h: Hierarchy) -> StageReport:
     """
     u = h.universe
     top = h.levels[-1]
+    top_mask = sum(1 << y for y in top)
     checks = []
     for alpha in range(len(h.levels)):
         level = h.levels[alpha]
         violations = []
 
         downset_ok = True
+        outside = top_mask & ~sum(1 << x for x in level)
         for x in level:
-            for y in top:
-                if y not in level and u.lt(y, x):
-                    downset_ok = False
-                    violations.append(("not_downset", alpha, y, x))
+            escaped = u.below(x) & outside
+            if escaped:
+                downset_ok = False
+                violations.extend(("not_downset", alpha, y, x)
+                                  for y in top if escaped >> y & 1)
 
         fresh = sorted(h.new_at(alpha)) if alpha > 0 else []
         fresh_ok = True
-        for i in range(len(fresh)):
-            for j in range(i + 1, len(fresh)):
-                if u.comparable(fresh[i], fresh[j]):
-                    fresh_ok = False
-                    violations.append(("fresh_comparable", alpha, fresh[i], fresh[j]))
+        for x, y in _comparable_pairs(fresh, u):
+            fresh_ok = False
+            violations.append(("fresh_comparable", alpha, x, y))
 
         freshness_ok = True
         if alpha >= 2:
@@ -333,11 +337,9 @@ def fan(a_ids, outside: int, u: Universe, h: Hierarchy | None = None) -> FanRepo
             pairs_ok = False
             violations.append(("bad_pair", x, outside))
     fan_ok = True
-    for i in range(len(pair_ids)):
-        for j in range(i + 1, len(pair_ids)):
-            if u.comparable(pair_ids[i], pair_ids[j]):
-                fan_ok = False
-                violations.append(("fan_comparable", pair_ids[i], pair_ids[j]))
+    for p, q in _comparable_pairs(pair_ids, u):
+        fan_ok = False
+        violations.append(("fan_comparable", p, q))
     return FanReport(tuple(pair_ids), pairs_ok, fan_ok, violations)
 
 

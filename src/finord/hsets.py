@@ -7,8 +7,11 @@ id), so structural equality is id equality.
 
 The strict order is membership in the transitive closure: for sets that is
 the hereditary unfolding of the children, for atoms it is the base order.
-Equivalently, x < y iff x <= c for some child c of y; both routes are
-implemented and tests hold them to agreement.
+Each id's row, the mask of ids strictly below it, is computed once when the
+id is interned (an atom's from the base relation, a set's as the union of
+its children and their rows), so every order query is a mask read.  The
+recursive characterization, x < y iff x <= c for some child c of y, is kept
+as the test oracle.
 """
 
 import re
@@ -72,20 +75,21 @@ class Universe:
     """Append-only store of interned hereditary sets and atoms.
 
     With a base, every base atom is interned up front (ids 0..k-1 in label
-    order) so transitive closures of atoms are always id sets.
+    order).  Every id carries its row, the mask of the ids strictly below
+    it; rows are filled at intern time and never change.
     """
 
-    def __init__(self, base: BasePoset | None = None, _defer_atoms=False):
+    def __init__(self, base: BasePoset | None = None):
         self.base = base
         self._kind: list[str] = []
         self._label: list[str | None] = []
         self._children: list[tuple[int, ...] | None] = []
+        self._below: list[int] = []
         self._index: dict = {}
-        self._lt_memo: dict[tuple[int, int], bool] = {}
-        self._tc_memo: dict[int, frozenset[int]] = {}
-        if base is not None and not _defer_atoms:
-            for lab in base.labels:
-                self._add_atom(lab)
+        if base is not None:
+            for i, lab in enumerate(base.labels):
+                self._insert((ATOM, lab), ATOM, lab, None,
+                             base.relation.down[i] & ~(1 << i))
 
     def __len__(self) -> int:
         return len(self._kind)
@@ -93,21 +97,12 @@ class Universe:
     def ids(self) -> range:
         return range(len(self._kind))
 
-    def _add_atom(self, label: str) -> int:
-        if self.base is None:
-            raise ValueError("universe has no atom base")
-        if label not in self.base.labels:
-            raise ValueError(f"label {label!r} is not in the base")
-        key = (ATOM, label)
-        if key in self._index:
-            raise ValueError(f"atom {label!r} already interned")
-        return self._insert(key, ATOM, label, None)
-
-    def _insert(self, key, kind, label, children) -> int:
+    def _insert(self, key, kind, label, children, below) -> int:
         xid = len(self._kind)
         self._kind.append(kind)
         self._label.append(label)
         self._children.append(children)
+        self._below.append(below)
         self._index[key] = xid
         return xid
 
@@ -128,7 +123,10 @@ class Universe:
         got = self._index.get(key)
         if got is not None:
             return got
-        return self._insert(key, SET, None, kids)
+        below = 0
+        for c in kids:
+            below |= 1 << c | self._below[c]
+        return self._insert(key, SET, None, kids, below)
 
     def peek(self, children):
         """Id the set would get if already interned, else None. No insertion."""
@@ -147,53 +145,18 @@ class Universe:
             raise ValueError(f"{x} is not a set")
         return self._children[x]
 
-    # strict order, recursive characterization
+    def below(self, x: int) -> int:
+        """Mask of the ids strictly below x."""
+        return self._below[x]
+
     def lt(self, x: int, y: int) -> bool:
-        """x < y: for sets y, x <= some child of y; for atoms, base order."""
-        if x == y:
-            return False
-        key = (x, y)
-        got = self._lt_memo.get(key)
-        if got is not None:
-            return got
-        if self._kind[y] == ATOM:
-            out = (self._kind[x] == ATOM
-                   and self.base.lt(self._label[x], self._label[y]))
-        else:
-            out = any(x == c or self.lt(x, c) for c in self._children[y])
-        self._lt_memo[key] = out
-        return out
+        return bool(self._below[y] >> x & 1)
 
     def leq(self, x: int, y: int) -> bool:
-        return x == y or self.lt(x, y)
-
-    def transitive_closure(self, x: int) -> frozenset[int]:
-        """Everything strictly below x: hereditary members for sets, smaller
-        atoms for atoms."""
-        got = self._tc_memo.get(x)
-        if got is not None:
-            return got
-        if self._kind[x] == ATOM:
-            lab = self._label[x]
-            out = frozenset(
-                self.atom(other) for other in self.base.labels
-                if self.base.lt(other, lab)
-            )
-        else:
-            acc = set()
-            for c in self._children[x]:
-                acc.add(c)
-                acc |= self.transitive_closure(c)
-            out = frozenset(acc)
-        self._tc_memo[x] = out
-        return out
-
-    def lt_via_closure(self, x: int, y: int) -> bool:
-        """Alternative route: x < y iff x is in the transitive closure of y."""
-        return x in self.transitive_closure(y)
+        return x == y or bool(self._below[y] >> x & 1)
 
     def comparable(self, x: int, y: int) -> bool:
-        return self.lt(x, y) or self.lt(y, x)
+        return bool(self._below[y] >> x & 1 or self._below[x] >> y & 1)
 
     def dump_line(self, x: int) -> str:
         if self._kind[x] == ATOM:
@@ -216,8 +179,14 @@ _SET_LINE = re.compile(r"(\d+) := \{ ?((?:\d+(?:, \d+)*)?) ?\}\Z")
 
 
 def load(text: str, base: BasePoset | None = None) -> Universe:
-    """Rebuild a Universe from dump() output; ids are preserved exactly."""
-    u = Universe(base, _defer_atoms=True)
+    """Rebuild a Universe from dump() output; ids are preserved exactly.
+
+    Universe(base) already holds the base atoms at ids 0..k-1, so atom lines
+    may only come first and in label order: an atom line must name the atom
+    whose id is the line's position among the non-blank lines.
+    """
+    u = Universe(base)
+    pos = 0
     for lineno, line in enumerate(text.splitlines()):
         line = line.strip()
         if not line:
@@ -225,10 +194,13 @@ def load(text: str, base: BasePoset | None = None) -> Universe:
         m = _ATOM_LINE.match(line)
         if m:
             xid, lab = int(m.group(1)), m.group(2)
-            try:
-                got = u._add_atom(lab)
-            except ValueError as exc:
-                raise FormatError(f"line {lineno + 1}: {exc}") from exc
+            if base is None or lab not in base.labels:
+                raise FormatError(
+                    f"line {lineno + 1}: atom {lab!r} is not in the base")
+            if u.atom(lab) != pos:
+                raise FormatError(f"line {lineno + 1}: atom lines must "
+                                  "come first, in label order")
+            got = pos
         else:
             m = _SET_LINE.match(line)
             if not m:
@@ -249,6 +221,7 @@ def load(text: str, base: BasePoset | None = None) -> Universe:
         if got != xid:
             raise FormatError(
                 f"line {lineno + 1}: expected id {got}, found {xid}")
+        pos += 1
     return u
 
 

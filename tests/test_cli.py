@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
+import finord
 from finord import cli, hierarchy, kripke, order
 
 
@@ -242,6 +245,36 @@ def test_coreflect_report_golden(suite, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# whole reports over the depth-3 towers (top stages of 16,739 and 16,740
+# elements), run in a child process under a 1 GB address-space cap: the
+# order queries of every check must stay within it
+DEEP_TOWER_DIGESTS = {
+    "lemma23": "b0e057b325f5ad85d3d640ea2e3fc2744b76eb05f286c4760a8ad4ae9b98f9f1",
+    "lemma24": "90ede6af525b8442ba4c0012792f10ade851bf78bd552fdfc921df014b9046a3",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(DEEP_TOWER_DIGESTS))
+def test_deep_tower_verifies_under_memory_cap(suite):
+    import resource
+
+    cap = 1 << 30
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = os.path.dirname(os.path.dirname(finord.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "finord.cli", "verify", suite, "--depth", "3"],
+        capture_output=True, env=env, preexec_fn=limit, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()[-500:]
+    assert json.loads(proc.stdout)["violations"] == []
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEEP_TOWER_DIGESTS[suite]
+
+
 def test_coreflect_suite_coreflects_each_frame_once(monkeypatch, capsys):
     calls = []
     original = kripke.coreflect
@@ -300,15 +333,24 @@ def test_obstruct_timing_fills_every_elapsed(capsys):
     ["hierarchy", "build", "--budget", "1"],
     ["verify", "thm26", "--budget", "2"],
     ["hierarchy", "build", "--base", "file:{unknown_label}"],
+    ["hierarchy", "build", "--base", "file:{atoms_not_list}"],
+    ["hierarchy", "build", "--base", "file:{base_is_string}"],
+    ["hierarchy", "build", "--base", "file:{leq_triple}"],
 ])
 def test_config_errors_exit_one_with_a_line(argv, tmp_path, capsys):
-    base = tmp_path / "base.json"
-    base.write_text(json.dumps({
-        "atoms": ["p", "q"],
-        "leq": [["p", "nope"]],
-        "base": ["p", "q"],
-    }))
-    argv = [arg.format(unknown_label=base) for arg in argv]
+    files = {
+        "unknown_label": {"atoms": ["p", "q"], "leq": [["p", "nope"]],
+                          "base": ["p", "q"]},
+        "atoms_not_list": {"atoms": 5, "leq": [], "base": []},
+        "base_is_string": {"atoms": ["a", "b"], "leq": [], "base": "ab"},
+        "leq_triple": {"atoms": ["p", "q"], "leq": [["p", "q", "p"]],
+                       "base": ["p"]},
+    }
+    paths = {}
+    for name, data in files.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(data))
+    argv = [arg.format(**paths) for arg in argv]
     code, out, err = run(argv, capsys)
     assert code == 1
     assert out == ""

@@ -1,15 +1,39 @@
-"""Hereditary-set universes: interning, the recursive order, serialization."""
+"""Hereditary-set universes: interning, the order rows, serialization."""
+
+import random
 
 import pytest
 
 from finord import hsets
 from finord.errors import FormatError, HypothesisError
 from finord.hsets import Universe
+from finord.kernels import bits
 
 
 def claw_universe():
     u = Universe()
     return u, hsets.concrete_claw(u)
+
+
+def lt_oracle(u, x, y):
+    """The recursive characterization of the order, read off the structure
+    alone: for a set y, x < y iff x <= some child of y; for atoms, the base
+    order."""
+    if u.kind(y) == "atom":
+        return u.kind(x) == "atom" and u.base.lt(u.label(x), u.label(y))
+    return any(x == c or lt_oracle(u, x, c) for c in u.children(y))
+
+
+def assert_matches_oracle(u, pairs):
+    for x, y in pairs:
+        below, above = lt_oracle(u, x, y), lt_oracle(u, y, x)
+        assert u.lt(x, y) == below, (x, y)
+        assert u.leq(x, y) == (x == y or below), (x, y)
+        assert u.comparable(x, y) == (below or above), (x, y)
+
+
+def all_pairs(u):
+    return [(x, y) for x in u.ids() for y in u.ids()]
 
 
 def test_ordinals_nest():
@@ -55,7 +79,7 @@ def test_claw_base_facts():
 def test_transitive_closure_of_first_claw_element():
     u, (m0, _, _, _) = claw_universe()
     # m0 = {1} where 1 = {0}: members all the way down are 1 and 0
-    assert u.transitive_closure(m0) == frozenset({0, 1})
+    assert u.below(m0) == 1 << 0 | 1 << 1
 
 
 def test_sets_never_sit_below_atoms():
@@ -65,14 +89,45 @@ def test_sets_never_sit_below_atoms():
     assert u.lt(a, s)
 
 
-def test_order_routes_agree_on_generated_universe():
+def test_order_rows_match_oracle_on_generated_universe():
+    from finord import hierarchy
+    for u, base in (claw_universe(), hsets.abstract_antichain(3)):
+        hierarchy.build(base, 2, u)
+        assert_matches_oracle(u, all_pairs(u))
+
+
+def test_order_rows_match_oracle_when_labels_are_not_a_linear_extension():
+    # b < a1, b < a2 and a2 < c, but a1 precedes b in label order
+    base = hsets.base_poset(["a1", "b", "a2", "c"],
+                            [("b", "a1"), ("b", "a2"), ("a2", "c")])
+    u = Universe(base)
+    a1, b, a2, c = (u.atom(lab) for lab in base.labels)
+    assert u.lt(b, a1) and u.lt(b, c) and not u.comparable(a1, c)
+    from finord import hierarchy
+    hierarchy.build([a1, c], 2, u)
+    u.intern([b, c])
+    assert_matches_oracle(u, all_pairs(u))
+    v = hsets.load(u.dump(), base)
+    assert v.dump() == u.dump()
+    assert_matches_oracle(v, all_pairs(v))
+
+
+def test_order_rows_match_oracle_on_sampled_deep_stage():
     u, base = claw_universe()
     from finord import hierarchy
-    hierarchy.build(base, 2, u)
-    ids = list(u.ids())
-    for x in ids:
-        for y in ids:
-            assert u.lt(x, y) == u.lt_via_closure(x, y), (x, y)
+    h = hierarchy.build(base, 3, u)
+    assert h.complete and len(u) > 16_000
+    rng = random.Random(20240611)
+    n = len(u)
+    pairs = []
+    for _ in range(2000):
+        # half the samples draw x from below y, so both verdicts occur
+        y = rng.randrange(n)
+        below = list(bits(u.below(y)))
+        x = rng.choice(below) if below and rng.random() < 0.5 else rng.randrange(n)
+        pairs.append((x, y))
+    assert sum(u.lt(x, y) for x, y in pairs) > 500
+    assert_matches_oracle(u, pairs)
 
 
 def test_chains_and_convexity():
@@ -96,22 +151,28 @@ def test_dump_load_round_trip():
     text = u.dump()
     v = hsets.load(text)
     assert v.dump() == text
-    for x in u.ids():
-        for y in u.ids():
-            assert u.lt(x, y) == v.lt(x, y)
+    assert_matches_oracle(v, all_pairs(v))
 
 
 def test_load_rejects_malformed_lines():
-    with pytest.raises(FormatError):
-        hsets.load("0 := atom a\n1 := {0}\n")      # missing inner spaces
-    with pytest.raises(FormatError):
-        hsets.load("0 := atom a\n2 := { 0 }\n")    # id gap
-    with pytest.raises(FormatError):
-        hsets.load("0 := atom a\n1 := { 0, 0 }\n")  # duplicate child
-    with pytest.raises(FormatError):
-        hsets.load("0 := atom a\n1 := { 5 }\n")    # unknown child
-    with pytest.raises(FormatError):
-        hsets.load("0 := atom a\n0 := atom b\n")   # repeated id
+    ab = hsets.base_poset(["a", "b"], [])
+    cases = [
+        ("0 := atom a\n1 := atom b\n2 := { 0 1 }\n", 3),  # missing comma
+        ("0 := atom a\n1 := atom b\n3 := { 0 }\n", 3),  # id gap
+        ("0 := atom a\n1 := atom b\n2 := { 0, 0 }\n", 3),  # duplicate child
+        ("0 := atom a\n1 := atom b\n2 := { 5 }\n", 3),  # unknown child
+        ("0 := atom a\n0 := atom b\n", 2),              # repeated id
+        ("0 := atom b\n1 := atom a\n", 1),              # out of label order
+        ("0 := atom a\n1 := atom a\n", 2),              # repeated atom
+        ("0 := atom a\n1 := atom b\n2 := { 0 }\n1 := atom b\n", 4),
+        # an atom line after a set line
+        ("0 := atom a\n1 := atom z\n", 2),              # label not in the base
+    ]
+    for text, line in cases:
+        with pytest.raises(FormatError, match=rf"^line {line}: "):
+            hsets.load(text, ab)
+    with pytest.raises(FormatError, match=r"^line 1: "):
+        hsets.load("0 := atom a\n")                      # atom line, no base
 
 
 def test_load_accepts_empty_set_line():
