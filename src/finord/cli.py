@@ -20,7 +20,7 @@ import hashlib
 import json
 import sys
 import time
-from itertools import combinations, tee
+from itertools import combinations
 from pathlib import Path
 from random import Random
 
@@ -190,7 +190,7 @@ def _read_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -303,10 +303,7 @@ def _suite_lemma24(args, rng):
 
 def _suite_lemma31(args, rng):
     """The three openness characterizations agree on every function."""
-    max_size = _pick(args.max_size, 3)
-    preorders = []
-    for n in range(1, max_size + 1):
-        preorders += order_mod.enumerate_preorders(n)
+    preorders = order_mod.enumerate_preorders(_pick(args.max_size, 3))
     functions = 0
     violations = []
 
@@ -340,24 +337,20 @@ def _suite_lemma31(args, rng):
 def _suite_lemma32(args, rng):
     """Open maps injective on the base stay injective on the stage."""
     depth = _pick(args.depth, 1)
-    max_size = _pick(args.max_size, 4)
     u, base = _resolve_base("thm33")
     h = _build(base, depth, u, args.budget)
     _require_complete(h)
+    posets = order_mod.enumerate_posets(_pick(args.max_size, 4))
     open_maps = injective = 0
     violations = []
-    posets = 0
-    for n in range(1, max_size + 1):
-        for p in order_mod.enumerate_posets(n):
-            posets += 1
-            rep = maps_mod.injectivity_report(h, depth, p)
-            open_maps += rep.open_maps
-            injective += rep.injective_on_base
-            violations += [["injectivity", n, list(t)]
-                           for t in rep.violations]
-    return {"suite": args.suite, "posets": posets, "open_maps": open_maps,
-            "injective_on_base": injective, "checks": open_maps,
-            "violations": violations}
+    for p in posets:
+        rep = maps_mod.injectivity_report(h, depth, p)
+        open_maps += rep.open_maps
+        injective += rep.injective_on_base
+        violations += [["injectivity", p.n, list(t)] for t in rep.violations]
+    return {"suite": args.suite, "posets": len(posets),
+            "open_maps": open_maps, "injective_on_base": injective,
+            "checks": open_maps, "violations": violations}
 
 
 def _suite_thm26(args, rng):
@@ -382,16 +375,13 @@ def _suite_thm26(args, rng):
 def _suite_coreflect(args, rng):
     """Definitional vs fixpoint coreflection, then the universal property."""
     states = _pick(args.states, 3)
-    max_size = _pick(args.max_size, 2)
     checks = 0
     frames = []
     for n in range(1, states + 1):
         batch = (kripke_mod.enumerate_frames(n) if n <= 3
                  else kripke_mod.frames_up_to_iso(n))
         frames += batch
-    preorders = []
-    for n in range(1, max_size + 1):
-        preorders += order_mod.enumerate_preorders(n)
+    preorders = order_mod.enumerate_preorders(_pick(args.max_size, 2))
     mismatches = []
     universal = []
     for i, f in enumerate(frames):
@@ -411,12 +401,9 @@ def _suite_coreflect(args, rng):
 
 def _suite_duality(args, rng):
     """Unit isomorphism and fullness of the downset functor."""
-    max_size = _pick(args.max_size, 4)
+    posets = order_mod.enumerate_posets(_pick(args.max_size, 4))
     checks = 0
     violations = []
-    posets = []
-    for n in range(1, max_size + 1):
-        posets += order_mod.enumerate_posets(n)
     for i, p in enumerate(posets):
         checks += 1
         if not heyting_mod.verify_adjunction_unit(p):
@@ -522,29 +509,19 @@ def cmd_obstruct(args):
     u, base = _resolve_base("thm33")
     h = _build(base, args.depth, u, args.budget)
     _require_complete(h)
-    s = sierpinski()
     if args.poset is not None:
-        posets = [(args.poset, _resolve_poset(args.poset))]
+        posets = [_resolve_poset(args.poset)]
+        names = [args.poset]
     else:
-        posets = []
-        for n in range(1, args.all_posets + 1):
-            posets += [(f"poset{n}.{i}", p) for i, p in
-                       enumerate(order_mod.enumerate_posets(n))]
-
-    def candidates():
-        for name, p in posets:
-            opens = maps_mod.enumerate_open_maps(p, s)
-            for p1 in opens:
-                for p2 in opens:
-                    yield name, p, p1, p2
-
-    labelled, searched = tee(candidates())
-    verdicts = maps_mod.product_obstructions(
-        h, ((p, p1, p2) for _, p, p1, p2 in searched), args.depth)
+        posets = order_mod.enumerate_posets(args.all_posets)
+        first = {}  # size -> index of the first poset of that size
+        names = [f"poset{p.n}.{i - first.setdefault(p.n, i)}"
+                 for i, p in enumerate(posets)]
     certificates = []
     refuted = 0
     tick = time.perf_counter()
-    for (name, p, p1, p2), verdict in zip(labelled, verdicts):
+    for i, p1, p2, verdict in maps_mod.product_obstructions(h, posets,
+                                                            args.depth):
         refuted += verdict.refuted
         elapsed = None
         if args.timing:
@@ -553,8 +530,8 @@ def cmd_obstruct(args):
             now = time.perf_counter()
             elapsed, tick = round(now - tick, 6), now
         certificates.append({
-            "poset": name,
-            "size": p.n,
+            "poset": names[i],
+            "size": posets[i].n,
             "p1": list(p1.table),
             "p2": list(p2.table),
             "certificate_kind": verdict.certificate_kind,
@@ -585,7 +562,9 @@ def main(argv=None) -> int:
     try:
         code, payload, document = args.func(args)
     except BudgetError as exc:
-        code, payload, document = EXIT_BUDGET, {"error": str(exc)}, None
+        error = {"message": str(exc), "stage": exc.stage, "used": exc.used,
+                 "budget": exc.budget}
+        code, payload, document = EXIT_BUDGET, {"error": error}, None
     except FinordError as exc:
         print(f"finord: error: {exc}", file=sys.stderr)
         return EXIT_FAIL

@@ -513,7 +513,10 @@ def frame_from_json(data: dict) -> KripkeFrame:
         bits = data["relation"]
     except (TypeError, KeyError) as exc:
         raise FormatError("frame JSON needs 'size' and 'relation'") from exc
-    if not isinstance(n, int) or n < 0 or len(bits) != n * n:
+    if type(n) is not int or not isinstance(bits, str):
+        raise FormatError("frame JSON needs an integer 'size' and a string "
+                          "'relation'")
+    if n < 0 or len(bits) != n * n:
         raise FormatError("relation bit string must have size*size characters")
     succ = []
     for i in range(n):

@@ -15,7 +15,8 @@ The obstruction machinery drives the package's headline computation: for a
 candidate product object P with projections to the two-point chain, search
 each tower stage for an open mediating map compatible with the stage's two
 coordinate maps, and certify failure either by exhaustive emptiness or by a
-cardinality bound via injectivity.  A sweep over many candidates does the
+cardinality bound via injectivity.  A sweep over many posets builds each
+candidate from a pair of open maps into the two-point chain and does the
 stage work (materializing a stage, building and checking its coordinate
 maps) once per sweep, not once per candidate.
 """
@@ -306,7 +307,8 @@ def product_obstruction(p: FinitePreorder, p1: PointMap, p2: PointMap,
                         node_budget: int = 10_000_000) -> ObstructionVerdict:
     """Certify that (p, p1, p2) cannot mediate the stage coordinate maps.
 
-    Walks stages 1..max_alpha.  An exhaustively empty mediating set refutes
+    Checks that p1 and p2 are open maps from p to the two-point chain, then
+    walks stages 1..max_alpha.  An exhaustively empty mediating set refutes
     at that stage ("empty_mediating_set").  If every searched stage still
     admits mediating maps, they are all injective on the stage (checked; the
     coordinate pairing is injective on the base and injectivity propagates),
@@ -314,69 +316,74 @@ def product_obstruction(p: FinitePreorder, p1: PointMap, p2: PointMap,
     ("cardinality_bound").  Raises BudgetError when the tower is too shallow
     to reach either certificate.
     """
-    return next(product_obstructions(h, [(p, p1, p2)], max_alpha, node_budget))
+    for f, name in ((p1, "p1"), (p2, "p2")):
+        _check_into_sierpinski(f, name)
+    if p1.dom != p or p2.dom != p:
+        raise HypothesisError("map domains must match the given preorders")
+    return _verdict(h, _stages(h, max_alpha), p, p1, p2, node_budget)
 
 
-def product_obstructions(h, candidates, max_alpha: int | None = None,
+def product_obstructions(h, posets, max_alpha: int | None = None,
                          node_budget: int = 10_000_000):
-    """Yield product_obstruction's verdict for each (p, p1, p2), in order.
+    """Yield (i, p1, p2, verdict) for every pair of open maps posets[i] -> S.
 
+    S is the two-point chain; the pairs of each poset come in the order of
+    `enumerate_open_maps`, p1 outer.  The verdict is product_obstruction's.
+    The projections are open by construction, so none is checked again.
     The first time a search reaches stage alpha, the stage is materialized
-    and its two coordinate maps are built and checked open; each distinct
-    projection map is checked open once.  Per candidate only the fiber
-    masks, the pinned kernel search and the checks on the maps it finds
-    remain.  Prepared stages live for this call only.
+    and its two coordinate maps are built and checked open; prepared stages
+    live for this call only.
+    """
+    stages = _stages(h, max_alpha)
+    s = sierpinski()
+    for i, p in enumerate(posets):
+        opens = enumerate_open_maps(p, s, node_budget=node_budget)
+        for p1 in opens:
+            for p2 in opens:
+                yield i, p1, p2, _verdict(h, stages, p, p1, p2, node_budget)
+
+
+def _stages(h, max_alpha):
+    """A walk over (alpha, stage, f1, f2) for alpha in 1..max_alpha.
+
+    Each stage is materialized, and its coordinate maps built and checked
+    open, when a walk first reaches it; later walks reuse it.
     """
     if max_alpha is None:
         max_alpha = h.depth
     if max_alpha > h.depth:
         raise ValueError("tower not built that deep")
-    s = sierpinski()
-    stages = {}  # alpha -> (stage, f1, f2)
-    open_projections = set()  # (dom, table) of projections checked open
+    prepared = []  # (stage, f1, f2) for alpha = 1, 2, ...
 
-    def stage_at(alpha):
-        got = stages.get(alpha)
-        if got is None:
-            materialized = hierarchy_mod.materialize(h, alpha)
-            f1 = coordinate_map(h, alpha, 1, materialized)
-            f2 = coordinate_map(h, alpha, 2, materialized)
-            _check_into_sierpinski(f1, "f1")
-            _check_into_sierpinski(f2, "f2")
-            got = stages[alpha] = (materialized[0], f1, f2)
-        return got
-
-    def check_projection(f, name):
-        if f.cod != s:
-            raise HypothesisError(f"{name} must land in the two-point chain")
-        key = (f.dom, f.table)
-        if key not in open_projections:
-            if not is_open_v2(f):
-                raise HypothesisError(f"{name} must be open")
-            open_projections.add(key)
-
-    def verdict(p, p1, p2):
-        searches = []
+    def walk():
         for alpha in range(1, max_alpha + 1):
-            stage, f1, f2 = stage_at(alpha)
-            check_projection(p1, "p1")
-            check_projection(p2, "p2")
-            if p1.dom != p or p2.dom != p:
-                raise HypothesisError("map domains must match the given preorders")
-            found, nodes = _mediating(stage, f1, f2, p, p1, p2, node_budget)
-            injective_ok = all(len(set(f.table)) == stage.n for f in found)
-            searches.append(StageSearch(alpha, stage.n, nodes, len(found),
-                                        injective_ok))
-            if not found:
-                return ObstructionVerdict("empty_mediating_set", alpha, searches)
-            if not injective_ok:
-                return ObstructionVerdict("non_injective_mediating", alpha,
-                                          searches)
-        for alpha, level in enumerate(h.levels):
-            if len(level) > p.n:
-                return ObstructionVerdict("cardinality_bound", alpha, searches)
-        raise BudgetError("no stage within the tower outgrows the candidate",
-                          stage=h.depth, budget=h.budget)
+            if len(prepared) < alpha:
+                materialized = hierarchy_mod.materialize(h, alpha)
+                f1 = coordinate_map(h, alpha, 1, materialized)
+                f2 = coordinate_map(h, alpha, 2, materialized)
+                _check_into_sierpinski(f1, "f1")
+                _check_into_sierpinski(f2, "f2")
+                prepared.append((materialized[0], f1, f2))
+            yield (alpha, *prepared[alpha - 1])
 
-    for p, p1, p2 in candidates:
-        yield verdict(p, p1, p2)
+    return walk
+
+
+def _verdict(h, stages, p, p1, p2, node_budget):
+    """product_obstruction's verdict, on projections already checked."""
+    searches = []
+    for alpha, stage, f1, f2 in stages():
+        found, nodes = _mediating(stage, f1, f2, p, p1, p2, node_budget)
+        injective_ok = all(len(set(f.table)) == stage.n for f in found)
+        searches.append(StageSearch(alpha, stage.n, nodes, len(found),
+                                    injective_ok))
+        if not found:
+            return ObstructionVerdict("empty_mediating_set", alpha, searches)
+        if not injective_ok:
+            return ObstructionVerdict("non_injective_mediating", alpha,
+                                      searches)
+    for alpha, level in enumerate(h.levels):
+        if len(level) > p.n:
+            return ObstructionVerdict("cardinality_bound", alpha, searches)
+    raise BudgetError("no stage within the tower outgrows the candidate",
+                      stage=h.depth, budget=h.budget)

@@ -208,26 +208,28 @@ def canonical_form(p: FinitePreorder) -> str:
 
 
 def enumerate_posets(n: int) -> list[FinitePreorder]:
-    """All posets on n elements up to isomorphism, canonical representatives.
+    """All posets on 1..n points up to isomorphism, canonical representatives.
 
-    Grown by repeatedly adjoining a new maximal element above a chosen
-    downset; intended for n <= 5 (counts 1, 2, 5, 16, 63).  The first poset
-    generated in each isomorphism class is its representative: a candidate
-    is kept only if `poset_iso` finds no earlier kept one with the same
-    multiset of (up size, down size) isomorphic to it.  `canonical_form` is
-    computed once per representative and the list is sorted by it.
+    The list runs by size, and each size is sorted by `canonical_form`; it
+    is empty for n < 1.  Size k is grown from size k - 1 by adjoining a new
+    maximal element above a chosen downset (counts 1, 2, 5, 16, 63, 318).
+    The first poset generated in each isomorphism class is its
+    representative: a candidate is kept only if `poset_iso` finds no earlier
+    kept one with the same multiset of (up size, down size) isomorphic to
+    it.  `canonical_form` is computed once per representative.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
     if n > MAX_POSET_SIZE:
         raise ValueError("enumeration by relabeling is impractical beyond "
                          f"{MAX_POSET_SIZE}")
+    if n < 1:
+        return []
     reps = [singleton()]
+    out = list(reps)
     for k in range(2, n + 1):
         buckets = {}
         for p in reps:
             for d in all_downsets(p):
-                up = [row for row in p.up]
+                up = list(p.up)
                 for i in bits(d):
                     up[i] |= 1 << (k - 1)
                 up.append(1 << (k - 1))
@@ -237,7 +239,8 @@ def enumerate_posets(n: int) -> list[FinitePreorder]:
                     bucket.append(q)
         reps = sorted((r for bucket in buckets.values() for r in bucket),
                       key=canonical_form)
-    return reps
+        out += reps
+    return out
 
 
 def _degree_multiset(p: FinitePreorder) -> tuple:
@@ -247,19 +250,23 @@ def _degree_multiset(p: FinitePreorder) -> tuple:
 
 
 def enumerate_preorders(n: int) -> list[FinitePreorder]:
-    """All labeled preorders on n elements (counts 1, 4, 29, 355); n <= 4."""
-    if not 1 <= n <= MAX_PREORDER_SIZE:
+    """All labeled preorders on 1..n elements, by size; empty for n < 1.
+
+    Counts per size 1, 4, 29, 355; n <= 4.
+    """
+    if n > MAX_PREORDER_SIZE:
         raise ValueError("labeled preorder enumeration supported for "
-                         f"1 <= n <= {MAX_PREORDER_SIZE}")
+                         f"n <= {MAX_PREORDER_SIZE}")
     out = []
-    off_diag = [(i, j) for i in range(n) for j in range(n) if i != j]
-    for combo in iproduct((0, 1), repeat=len(off_diag)):
-        up = [1 << i for i in range(n)]
-        for (i, j), bit in zip(off_diag, combo):
-            if bit:
-                up[i] |= 1 << j
-        if _transitive_rows(n, up) == up:
-            out.append(FinitePreorder(n, tuple(up)))
+    for k in range(1, n + 1):
+        off_diag = [(i, j) for i in range(k) for j in range(k) if i != j]
+        for combo in iproduct((0, 1), repeat=len(off_diag)):
+            up = [1 << i for i in range(k)]
+            for (i, j), bit in zip(off_diag, combo):
+                if bit:
+                    up[i] |= 1 << j
+            if _transitive_rows(k, up) == up:
+                out.append(FinitePreorder(k, tuple(up)))
     return out
 
 
@@ -299,7 +306,10 @@ def from_json(data: dict) -> FinitePreorder:
         bits = data["leq"]
     except (TypeError, KeyError) as exc:
         raise FormatError("preorder JSON needs 'size' and 'leq'") from exc
-    if not isinstance(n, int) or n < 0 or len(bits) != n * n:
+    if type(n) is not int or not isinstance(bits, str):
+        raise FormatError("preorder JSON needs an integer 'size' and a string "
+                          "'leq'")
+    if n < 0 or len(bits) != n * n:
         raise FormatError("leq bit string must have size*size characters")
     if any(c not in "01" for c in bits):
         raise FormatError("leq bit string must be over {'0', '1'}")

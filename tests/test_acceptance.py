@@ -180,9 +180,7 @@ def test_criterion_04(capsys):
 # -- 5: the three openness conditions agree ----------------------------------
 
 def _openness_equivalence():
-    preorders = []
-    for n in (1, 2, 3):
-        preorders.extend(order.enumerate_preorders(n))
+    preorders = order.enumerate_preorders(3)
     monotone_seen = 0
     for p in preorders:
         for q in preorders:
@@ -212,11 +210,10 @@ def test_criterion_05(capsys):
 def _injectivity_experiment():
     _, _, h = _claw_tower(depth=1)
     total_open = 0
-    for n in range(1, 6):
-        for p in order.enumerate_posets(n):
-            rep = maps.injectivity_report(h, 1, p)
-            assert rep.ok, (n, rep.violations)
-            total_open += rep.open_maps
+    for p in order.enumerate_posets(5):
+        rep = maps.injectivity_report(h, 1, p)
+        assert rep.ok, (p.n, rep.violations)
+        total_open += rep.open_maps
     assert total_open > 0
 
 
@@ -246,12 +243,11 @@ def test_criterion_07(capsys):
 # -- 8: residuation in closed form -------------------------------------------
 
 def _residuation():
-    for n in (1, 2, 3, 4):
-        for p in order.enumerate_posets(n):
-            alg = heyting.downset_algebra(p)
-            for a in alg.elements:
-                for b in alg.elements:
-                    assert alg.implies(a, b) == alg.implies_bruteforce(a, b)
+    for p in order.enumerate_posets(4):
+        alg = heyting.downset_algebra(p)
+        for a in alg.elements:
+            for b in alg.elements:
+                assert alg.implies(a, b) == alg.implies_bruteforce(a, b)
     alg = heyting.downset_algebra(sierpinski())
     assert alg.neg(alg.neg(0b01)) == alg.top
 
@@ -263,10 +259,9 @@ def test_criterion_08(capsys):
 # -- 9: the finite duality ----------------------------------------------------
 
 def _duality():
-    for n in range(1, 6):
-        for p in order.enumerate_posets(n):
-            assert heyting.verify_adjunction_unit(p)
-    small = [p for n in (1, 2, 3) for p in order.enumerate_posets(n)]
+    for p in order.enumerate_posets(5):
+        assert heyting.verify_adjunction_unit(p)
+    small = order.enumerate_posets(3)
     for p in small:
         for q in small:
             rep = heyting.fullness_report(p, q)
@@ -281,14 +276,14 @@ def test_criterion_09(capsys):
 # -- 10: frames, coreflection, complex algebras -------------------------------
 
 def _preorder_classes(max_n):
+    # canonical forms of different sizes differ in length, so one set serves
     classes = []
-    for n in range(1, max_n + 1):
-        seen = set()
-        for p in order.enumerate_preorders(n):
-            canon = order.canonical_form(p)
-            if canon not in seen:
-                seen.add(canon)
-                classes.append(p)
+    seen = set()
+    for p in order.enumerate_preorders(max_n):
+        canon = order.canonical_form(p)
+        if canon not in seen:
+            seen.add(canon)
+            classes.append(p)
     return classes
 
 
@@ -308,7 +303,7 @@ def _kripke_suite():
 
     # coreflection universal property: frame classes on up to four states
     # against every labeled preorder on up to three
-    preorders = [p for n in (1, 2, 3) for p in order.enumerate_preorders(n)]
+    preorders = order.enumerate_preorders(3)
     frames = (kripke.frames_up_to_iso(1) + kripke.frames_up_to_iso(2)
               + kripke.frames_up_to_iso(3) + kripke.frames_up_to_iso(4))
     for f in frames:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -275,6 +276,47 @@ def test_deep_tower_verifies_under_memory_cap(suite):
     assert hashlib.sha256(proc.stdout).hexdigest() == DEEP_TOWER_DIGESTS[suite]
 
 
+# digests of whole reports whose --max-size leaves the enumerated family
+# empty, as produced when each suite looped over the sizes itself
+EMPTY_FAMILY_DIGESTS = {
+    ("lemma31", "0"): "d2174d799c7fe90f7c31f55a9b1d77a47df44c8b39c0e36d2a3f506f1bd6748a",
+    ("lemma31", "-1"): "20892d7e39989504a33f68431a096445f61d6e6a0e1c7bc2e4106ed8b89f4bde",
+    ("lemma32", "0"): "3fc38ec23a39d804d1383646e09efe021f48ff945e03962bbe6ff8a1df29811b",
+    ("lemma32", "-1"): "daee690c6bfd4e2627755724dc112a02b2993321851fe7baad9e5656d5affb08",
+    ("duality", "0"): "45bf854db2903ae4939f8956b781bff53095fe4b797933522a863f4b4d3713e6",
+    ("duality", "-1"): "b3cfd318f03ddeeceffc576bd3f95c5b428e798bf35ac196b0982aa97f849fb8",
+    ("coreflect", "0"): "b170d4a46d10c088d0dc32376315f375d91aa7414a3796bbff8ed7878409151b",
+    ("coreflect", "-1"): "9f3f607873b7b2b72ab6208b8d9b0488315cbe1025d4ef9424c9c8816e431dc8",
+}
+
+
+@pytest.mark.parametrize("suite,max_size", list(EMPTY_FAMILY_DIGESTS))
+def test_empty_family_reports_golden(suite, max_size, capsys):
+    code, out, _ = run(["verify", suite, "--max-size", max_size], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        EMPTY_FAMILY_DIGESTS[suite, max_size])
+
+
+def test_obstruct_enumerates_each_size_once(monkeypatch, capsys):
+    calls = Counter()
+
+    def counted(name):
+        original = getattr(order, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        return wrapper
+
+    for name in ("canonical_form", "poset_iso"):
+        monkeypatch.setattr(order, name, counted(name))
+    code, doc = run_json(["obstruct", "--all-posets", "5"], capsys)
+    assert code == 0 and doc["posets"] == 87
+    # one pass over sizes 2..5: one canonical form per class found there
+    assert calls == {"canonical_form": 86, "poset_iso": 86}
+
+
 def test_coreflect_suite_coreflects_each_frame_once(monkeypatch, capsys):
     calls = []
     original = kripke.coreflect
@@ -336,6 +378,10 @@ def test_obstruct_timing_fills_every_elapsed(capsys):
     ["hierarchy", "build", "--base", "file:{atoms_not_list}"],
     ["hierarchy", "build", "--base", "file:{base_is_string}"],
     ["hierarchy", "build", "--base", "file:{leq_triple}"],
+    ["hierarchy", "build", "--base", "file:{not_utf8}"],
+    ["obstruct", "--poset", "file:{not_utf8}"],
+    ["obstruct", "--poset", "file:{leq_not_string}"],
+    ["obstruct", "--poset", "file:{size_is_bool}"],
 ])
 def test_config_errors_exit_one_with_a_line(argv, tmp_path, capsys):
     files = {
@@ -345,11 +391,15 @@ def test_config_errors_exit_one_with_a_line(argv, tmp_path, capsys):
         "base_is_string": {"atoms": ["a", "b"], "leq": [], "base": "ab"},
         "leq_triple": {"atoms": ["p", "q"], "leq": [["p", "q", "p"]],
                        "base": ["p"]},
+        "leq_not_string": {"size": 1, "leq": 5},
+        "size_is_bool": {"size": True, "leq": "1"},
     }
     paths = {}
     for name, data in files.items():
         paths[name] = tmp_path / f"{name}.json"
         paths[name].write_text(json.dumps(data))
+    paths["not_utf8"] = tmp_path / "not_utf8.json"
+    paths["not_utf8"].write_bytes(b'{"size": 1, "leq": "\xff"}')
     argv = [arg.format(**paths) for arg in argv]
     code, out, err = run(argv, capsys)
     assert code == 1
@@ -370,7 +420,17 @@ def test_budget_error_in_verify_exits_two(capsys):
     code, doc = run_json(
         ["verify", "thm26", "--budget", "10"], capsys)
     assert code == 2
-    assert "error" in doc
+    # a field the error does not set is null
+    assert doc["error"] == {"message": "doubleton tower exceeded budget",
+                            "stage": 2, "used": None, "budget": 10}
+
+
+def test_budget_error_reports_usage(capsys):
+    # enumerate_frames' relation count against its budget
+    code, doc = run_json(["verify", "bao", "--states", "5"], capsys)
+    assert code == 2
+    assert doc["error"] == {"message": "too many relations", "stage": None,
+                            "used": 33554432, "budget": 1048576}
 
 
 def test_timing_fills_elapsed(capsys):

@@ -30,12 +30,11 @@ def test_sierpinski_algebra():
 
 
 def test_implies_closed_form_exhaustive():
-    for n in (1, 2, 3, 4):
-        for p in order.enumerate_posets(n):
-            alg = heyting.downset_algebra(p)
-            for a in alg.elements:
-                for b in alg.elements:
-                    assert alg.implies(a, b) == alg.implies_bruteforce(a, b)
+    for p in order.enumerate_posets(4):
+        alg = heyting.downset_algebra(p)
+        for a in alg.elements:
+            for b in alg.elements:
+                assert alg.implies(a, b) == alg.implies_bruteforce(a, b)
 
 
 def test_implies_closed_form_on_samples():
@@ -50,7 +49,8 @@ def test_implies_closed_form_on_samples():
 
 
 def test_residuation_law():
-    alg = heyting.downset_algebra(order.enumerate_posets(3)[4])
+    three = [p for p in order.enumerate_posets(3) if p.n == 3]
+    alg = heyting.downset_algebra(three[4])
     for a, b, x in iproduct(alg.elements, repeat=3):
         assert alg.le(x, alg.implies(a, b)) == alg.le(alg.meet(x, a), b)
 
@@ -67,9 +67,8 @@ def test_claw_tower_algebra_counts():
 
 
 def test_adjunction_unit_small_posets():
-    for n in (1, 2, 3, 4):
-        for p in order.enumerate_posets(n):
-            assert heyting.verify_adjunction_unit(p)
+    for p in order.enumerate_posets(4):
+        assert heyting.verify_adjunction_unit(p)
 
 
 def test_adjunction_unit_rejects_preorder():
@@ -80,11 +79,10 @@ def test_adjunction_unit_rejects_preorder():
 
 def test_preimage_of_open_maps():
     s = sierpinski()
-    for n in (1, 2, 3):
-        for p in order.enumerate_posets(n):
-            for f in maps.enumerate_open_maps(p, s):
-                phi = heyting.preimage_morphism(f)
-                assert heyting.is_complete_ha_morphism(phi)
+    for p in order.enumerate_posets(3):
+        for f in maps.enumerate_open_maps(p, s):
+            phi = heyting.preimage_morphism(f)
+            assert heyting.is_complete_ha_morphism(phi)
 
 
 def test_preimage_of_coordinate_map():
@@ -161,10 +159,9 @@ def test_monotone_assignments_match_the_lexicographic_search():
     # every poset up to 4 points, and every labeled one up to 3: for some of
     # those, index order is not the kernel's assignment order, so the
     # kernel's own output order differs from the reference's
-    algebras = [heyting.downset_algebra(q)
-                for n in (1, 2, 3) for q in order.enumerate_posets(n)]
-    posets = [p for n in (1, 2, 3) for p in order.enumerate_preorders(n)
-              if p.is_poset] + order.enumerate_posets(4)
+    algebras = [heyting.downset_algebra(q) for q in order.enumerate_posets(3)]
+    posets = ([p for p in order.enumerate_preorders(3) if p.is_poset]
+              + [p for p in order.enumerate_posets(4) if p.n == 4])
     for p in posets:
         ji_poset, _ = heyting.join_irreducibles(heyting.downset_algebra(p))
         for b in algebras:
@@ -173,9 +170,7 @@ def test_monotone_assignments_match_the_lexicographic_search():
 
 
 def test_fullness_small_pairs():
-    posets = []
-    for n in (1, 2, 3):
-        posets.extend(order.enumerate_posets(n))
+    posets = order.enumerate_posets(3)
     for p in posets:
         for q in posets:
             rep = heyting.fullness_report(p, q)

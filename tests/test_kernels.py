@@ -159,7 +159,7 @@ def relabel_rows(rows, perm):
 
 
 def test_isomorphisms_are_the_least_permutation():
-    preorders = [p for n in (1, 2, 3) for p in order.enumerate_preorders(n)]
+    preorders = order.enumerate_preorders(3)
     for p in preorders:
         for q in preorders:
             assert order.poset_iso(p, q) == brute_iso(p.n, p.leq, q.n, q.leq)

@@ -30,13 +30,12 @@ def test_pred_and_rel():
 
 
 def test_opposite_frame_round_trip():
-    for n in (1, 2, 3):
-        for p in order.enumerate_preorders(n):
-            f = kripke.opposite_frame(p)
-            assert f.succ == p.down
-            assert kripke.frame_is_preorder(f)
-            back = kripke.preorder_from_frame(f)
-            assert back.down == p.up
+    for p in order.enumerate_preorders(3):
+        f = kripke.opposite_frame(p)
+        assert f.succ == p.down
+        assert kripke.frame_is_preorder(f)
+        back = kripke.preorder_from_frame(f)
+        assert back.down == p.up
 
 
 def test_preorder_from_frame_rejects_irreflexive():
@@ -45,9 +44,7 @@ def test_preorder_from_frame_rejects_irreflexive():
 
 
 def test_open_maps_are_pmorphisms_of_opposite_frames():
-    preorders = []
-    for n in (1, 2, 3):
-        preorders.extend(order.enumerate_preorders(n))
+    preorders = order.enumerate_preorders(3)
     for p in preorders:
         fp = kripke.opposite_frame(p)
         for q in preorders:
@@ -120,11 +117,10 @@ def test_coreflect_drops_irreflexive_state():
 
 
 def test_coreflect_fixes_preorder_frames():
-    for n in (1, 2, 3):
-        for p in order.enumerate_preorders(n):
-            cor = kripke.coreflect(kripke.opposite_frame(p))
-            assert cor.member_mask == (1 << n) - 1
-            assert cor.preorder == p
+    for p in order.enumerate_preorders(3):
+        cor = kripke.coreflect(kripke.opposite_frame(p))
+        assert cor.member_mask == (1 << p.n) - 1
+        assert cor.preorder == p
 
 
 def test_fixpoint_matches_definition_exhaustively():
@@ -134,9 +130,7 @@ def test_fixpoint_matches_definition_exhaustively():
 
 
 def test_coreflection_universal_property_small():
-    preorders = []
-    for n in (1, 2):
-        preorders.extend(order.enumerate_preorders(n))
+    preorders = order.enumerate_preorders(2)
     for f in all_frames(2):
         cor, reports = kripke.verify_coreflection(f, preorders)
         assert cor == kripke.coreflect(f)
@@ -262,6 +256,11 @@ def test_frame_from_json_rejects_malformed():
         kripke.frame_from_json({"size": 2, "relation": "10x1"})
     with pytest.raises(FormatError):
         kripke.frame_from_json(None)
+    # a bool is not a size, and the relation must be one string
+    for bad in ({"size": True, "relation": "1"}, {"size": 1, "relation": 5},
+                {"size": 1, "relation": ["1"]}):
+        with pytest.raises(FormatError):
+            kripke.frame_from_json(bad)
 
 
 def test_bao_to_json_shape():

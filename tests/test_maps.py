@@ -32,7 +32,7 @@ def test_identity_and_constants_on_sierpinski():
 
 
 def test_openness_conditions_agree_exhaustively_small():
-    preorders = order.enumerate_preorders(1) + order.enumerate_preorders(2)
+    preorders = order.enumerate_preorders(2)
     for p in preorders:
         for q in preorders:
             for f in maps.all_functions(p, q):
@@ -185,14 +185,13 @@ def test_obstruction_budget_when_tower_too_shallow():
 def test_all_small_posets_refuted_by_stage_one():
     _, _, h = claw_tower()
     s = sierpinski()
-    for n in (1, 2, 3):
-        for p in order.enumerate_posets(n):
-            opens = maps.enumerate_open_maps(p, s)
-            for p1 in opens:
-                for p2 in opens:
-                    verdict = maps.product_obstruction(p, p1, p2, h)
-                    assert verdict.refuted
-                    assert verdict.stage == 1
+    for p in order.enumerate_posets(3):
+        opens = maps.enumerate_open_maps(p, s)
+        for p1 in opens:
+            for p2 in opens:
+                verdict = maps.product_obstruction(p, p1, p2, h)
+                assert verdict.refuted
+                assert verdict.stage == 1
 
 
 def oracle_verdict(p, p1, p2, h):
@@ -219,42 +218,45 @@ def oracle_verdict(p, p1, p2, h):
 def test_sweep_matches_oracle_on_small_posets():
     _, _, h = claw_tower(depth=2)
     s = sierpinski()
-    candidates = []
-    for n in (1, 2, 3):
-        for p in order.enumerate_posets(n):
-            opens = maps.enumerate_open_maps(p, s)
-            candidates += [(p, p1, p2) for p1 in opens for p2 in opens]
-    # stage 1 with its own coordinate maps mediates at stage 1, not at 2
+    # stage 1 is a candidate too: with its own coordinate maps as the
+    # projections it mediates at stage 1, not at 2
     stage, _ = hierarchy.materialize(h, 1)
-    candidates.append((stage, maps.coordinate_map(h, 1, 1),
-                       maps.coordinate_map(h, 1, 2)))
-    swept = list(maps.product_obstructions(h, iter(candidates)))
-    assert len(swept) == len(candidates)
-    for (p, p1, p2), verdict in zip(candidates, swept):
-        assert verdict == oracle_verdict(p, p1, p2, h), (p, p1.table, p2.table)
-    last = swept[-1]
-    assert (last.certificate_kind, last.stage) == ("empty_mediating_set", 2)
-    assert last.searches[0].mediating_found == 1
+    posets = order.enumerate_posets(3) + [stage]
+    expected = []
+    for i, p in enumerate(posets):
+        opens = maps.enumerate_open_maps(p, s)
+        expected += [(i, p1, p2) for p1 in opens for p2 in opens]
+    swept = list(maps.product_obstructions(h, posets))
+    assert [(i, p1, p2) for i, p1, p2, _ in swept] == expected
+    for i, p1, p2, verdict in swept:
+        assert verdict == oracle_verdict(posets[i], p1, p2, h), (
+            i, p1.table, p2.table)
+    coordinates = (maps.coordinate_map(h, 1, 1), maps.coordinate_map(h, 1, 2))
+    mediated = [v for _, p1, p2, v in swept if (p1, p2) == coordinates]
+    assert len(mediated) == 1
+    assert (mediated[0].certificate_kind, mediated[0].stage) == (
+        "empty_mediating_set", 2)
+    assert mediated[0].searches[0].mediating_found == 1
 
 
-def test_sweep_rejects_non_open_projection():
+def test_obstruction_rejects_non_open_projection():
     _, _, h = claw_tower()
     s = sierpinski()
     p = order.chain(2)
     p1 = PointMap(p, s, (0, 1))
     not_open = PointMap(p, s, (1, 0))
-    verdicts = maps.product_obstructions(h, [(p, p1, p1), (p, p1, not_open)])
-    assert next(verdicts).refuted
+    assert maps.product_obstruction(p, p1, p1, h).refuted
     with pytest.raises(HypothesisError):
-        next(verdicts)
+        maps.product_obstruction(p, p1, not_open, h)
+    with pytest.raises(HypothesisError):
+        maps.product_obstruction(order.chain(3), p1, p1, h)
 
 
 def test_injectivity_propagates_small():
     _, _, h = claw_tower()
-    for n in (1, 2, 3, 4):
-        for p in order.enumerate_posets(n):
-            rep = maps.injectivity_report(h, 1, p)
-            assert rep.ok, (n, rep.violations)
+    for p in order.enumerate_posets(4):
+        rep = maps.injectivity_report(h, 1, p)
+        assert rep.ok, (p.n, rep.violations)
 
 
 def test_injectivity_requires_hypotheses():

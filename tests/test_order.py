@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from collections import Counter
 from itertools import permutations
 
 import pytest
@@ -103,25 +104,35 @@ def test_canonical_form_permutation_invariant():
 def test_canonical_form_is_least_bit_string():
     # labeled preorders up to 4 points, non-antisymmetric ones included, so
     # relabelings tie on prefixes and the early exit meets equal rows
-    for n in (1, 2, 3, 4):
-        for p in order.enumerate_preorders(n):
-            strings = [
-                "".join("1" if p.leq(i, j) else "0" for i in perm for j in perm)
-                for perm in permutations(range(n))
-            ]
-            assert order.canonical_form(p) == min(strings)
+    for p in order.enumerate_preorders(4):
+        strings = [
+            "".join("1" if p.leq(i, j) else "0" for i in perm for j in perm)
+            for perm in permutations(range(p.n))
+        ]
+        assert order.canonical_form(p) == min(strings)
 
 
 def test_enumerate_posets_counts():
-    for n, count in POSETS_UP_TO_ISO.items():
-        got = order.enumerate_posets(n)
-        assert len(got) == count
-        assert all(p.is_poset and p.n == n for p in got)
+    got = order.enumerate_posets(max(POSETS_UP_TO_ISO))
+    assert Counter(p.n for p in got) == POSETS_UP_TO_ISO
+    assert all(p.is_poset for p in got)
+    # by size, smallest first
+    assert [p.n for p in got] == sorted(p.n for p in got)
+
+
+def test_enumerators_bound_their_sizes():
+    assert order.enumerate_posets(0) == order.enumerate_posets(-1) == []
+    assert order.enumerate_preorders(0) == order.enumerate_preorders(-1) == []
+    with pytest.raises(ValueError):
+        order.enumerate_posets(order.MAX_POSET_SIZE + 1)
+    with pytest.raises(ValueError):
+        order.enumerate_preorders(order.MAX_PREORDER_SIZE + 1)
 
 
 def reference_posets(n):
     """enumerate_posets by a canonical form per generated candidate."""
     reps = [order.singleton()]
+    out = list(reps)
     for k in range(2, n + 1):
         seen = {}
         for p in reps:
@@ -134,35 +145,36 @@ def reference_posets(n):
                 q = FinitePreorder(k, tuple(up))
                 seen.setdefault(order.canonical_form(q), q)
         reps = [seen[key] for key in sorted(seen)]
-    return reps
+        out += reps
+    return out
 
 
 def test_enumerate_posets_matches_reference_route():
     # same representatives, same labelings, same order
-    for n in POSETS_UP_TO_ISO:
-        got = [p.up for p in order.enumerate_posets(n)]
-        assert got == [p.up for p in reference_posets(n)]
+    n = max(POSETS_UP_TO_ISO)
+    got = [p.up for p in order.enumerate_posets(n)]
+    assert got == [p.up for p in reference_posets(n)]
 
 
 def test_enumerate_posets_six_digest():
-    # digest of the up rows as the reference route produced them
-    got = [p.up for p in order.enumerate_posets(6)]
+    # digest of the six-point up rows as the reference route produced them
+    got = [p.up for p in order.enumerate_posets(6) if p.n == 6]
     assert len(got) == 318
     assert hashlib.sha256(repr(got).encode()).hexdigest() == (
         "bd40db4d01f4f9baba5fb3d4fa56155b3302d509ec1e68f042e7a55bfbaac3cc")
 
 
 def test_enumerate_posets_no_duplicate_classes():
-    got = order.enumerate_posets(4)
+    got = [p for p in order.enumerate_posets(4) if p.n == 4]
     for i in range(len(got)):
         for j in range(i + 1, len(got)):
             assert order.poset_iso(got[i], got[j]) is None
 
 
 def test_enumerate_preorders_counts():
-    for n, count in LABELED_PREORDERS.items():
-        got = order.enumerate_preorders(n)
-        assert len(got) == count
+    got = order.enumerate_preorders(max(LABELED_PREORDERS))
+    assert Counter(p.n for p in got) == LABELED_PREORDERS
+    assert [p.n for p in got] == sorted(p.n for p in got)
 
 
 def test_sampling_produces_valid_preorders():
@@ -188,6 +200,11 @@ def test_from_json_rejects_garbage():
         order.from_json({"size": 2, "leq": "10x0"})
     with pytest.raises(FormatError):
         order.from_json({"size": 2, "leq": "10"})
+    # a bool is not a size, and leq must be one string
+    for bad in ({"size": True, "leq": "1"}, {"size": 1, "leq": 5},
+                {"size": 1, "leq": ["1"]}):
+        with pytest.raises(FormatError):
+            order.from_json(bad)
 
 
 def test_to_dot_hasse_edges():
