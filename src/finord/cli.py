@@ -375,6 +375,8 @@ def _suite_thm26(args, rng):
 def _suite_coreflect(args, rng):
     """Definitional vs fixpoint coreflection, then the universal property."""
     states = _pick(args.states, 3)
+    if states >= 1:
+        kripke_mod.check_relation_budget(states)
     checks = 0
     frames = []
     for n in range(1, states + 1):
@@ -424,6 +426,8 @@ def _suite_duality(args, rng):
 def _suite_bao(args, rng):
     """Closure-algebra bridge, modal inequality, and the frame round trip."""
     states = _pick(args.states, 3)
+    if states >= 1:
+        kripke_mod.check_relation_budget(states)
     checks = 0
     violations = []
     for n in range(1, states + 1):
@@ -532,8 +536,8 @@ def cmd_obstruct(args):
         certificates.append({
             "poset": names[i],
             "size": posets[i].n,
-            "p1": list(p1.table),
-            "p2": list(p2.table),
+            "p1": p1.table,
+            "p2": p2.table,
             "certificate_kind": verdict.certificate_kind,
             "stage": verdict.stage,
             "candidates_examined": sum(

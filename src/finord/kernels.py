@@ -6,7 +6,9 @@ or injective maps between finite relations given by rows, which serves open
 maps, both isomorphism tests (`relation_iso`) and `heyting.cha_morphisms`.
 The map search prepares its plan once per domain and keeps it in a bounded
 cache, since callers such as the obstruction sweep search from the same
-domain many times.  It also holds `bits`, the mask iterator the other
+domain many times, and backtracks in one loop over a per-depth stack, not
+by recursion: most of its calls try a handful of assignments, so the cost
+of a call is mostly fixed cost.  It also holds `bits`, the mask iterator the other
 modules share; it imports only `errors` and the standard library, so any
 module can import it without a cycle.
 
@@ -72,8 +74,10 @@ def enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed, require_open,
     Elements are assigned by (row size, index) and candidate values are
     tried in ascending order, so output order is deterministic.  The
     per-domain part of the search (see `_plan`) is prepared once per domain
-    and reused.  Raises BudgetError when more than node_budget assignments
-    are attempted.
+    and reused.  The search is depth-first, in one loop that keeps per depth
+    the values still to try and the undo list of its forward checks.
+    Raises BudgetError when more than node_budget assignments are
+    attempted, at the first assignment past it.
 
     Returns (maps, nodes) where nodes is the number of assignments tried.
     """
@@ -83,64 +87,74 @@ def enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed, require_open,
     order, check_at, later, down_bits = _plan(tuple(p_down), tuple(p_up),
                                               require_open)
     full_q = (1 << n_q) - 1
-    cand = [allowed[i] & full_q for i in range(n_p)]
+    cand = [a & full_q for a in allowed]
     f = [-1] * n_p
     out = []
     nodes = 0
     used = 0
-
-    def backtrack(k):
-        nonlocal nodes, used
-        if k == n_p:
-            out.append(tuple(f))
-            return
-        x = order[k]
-        m = cand[x] & ~used
-        while m:
-            bit = m & -m
-            m ^= bit
-            v = bit.bit_length() - 1
-            nodes += 1
-            if nodes > node_budget:
-                raise BudgetError("map search exceeded node budget",
-                                  used=nodes, budget=node_budget)
-            f[x] = v
-            up_v, down_v = q_up[v], q_down[v]
-            undo = []
-            ok = True
-            # only elements related to x can lose candidates
-            for z, above, below in later[k]:
-                old = cand[z]
-                new = old
-                if above:
-                    new &= up_v
-                if below:
-                    new &= down_v
-                if new != old:
-                    cand[z] = new
-                    undo.append((z, old))
-                    if not new:
-                        ok = False
-                        break
-            if ok:
-                for w in check_at[k]:
-                    img = 0
-                    for z in down_bits[w]:
-                        img |= 1 << f[z]
-                    if img != q_down[f[w]]:
-                        ok = False
-                        break
-            if ok:
-                if injective:
-                    used |= bit
-                backtrack(k + 1)
-                used &= ~bit
-            for z, old in undo:
+    last = n_p - 1
+    # per depth below k: the values still to try and the (z, old mask)
+    # pairs that undo the forward checks of the value assigned there
+    rest = [0] * n_p
+    undos = [None] * n_p
+    k = 0
+    m = cand[order[0]]
+    while True:
+        if not m:
+            # depth k is exhausted: go back to the previous depth
+            k -= 1
+            if k < 0:
+                return out, nodes
+            for z, old in undos[k]:
                 cand[z] = old
-        f[x] = -1
-
-    backtrack(0)
-    return out, nodes
+            used &= ~(1 << f[order[k]])
+            m = rest[k]
+            continue
+        bit = m & -m
+        m ^= bit
+        nodes += 1
+        if nodes > node_budget:
+            raise BudgetError("map search exceeded node budget",
+                              used=nodes, budget=node_budget)
+        v = bit.bit_length() - 1
+        f[order[k]] = v
+        up_v, down_v = q_up[v], q_down[v]
+        undo = []
+        ok = True
+        # only elements related to order[k] can lose candidates
+        for z, above, below in later[k]:
+            old = cand[z]
+            new = old
+            if above:
+                new &= up_v
+            if below:
+                new &= down_v
+            if new != old:
+                cand[z] = new
+                undo.append((z, old))
+                if not new:
+                    ok = False
+                    break
+        if ok:
+            for w in check_at[k]:
+                img = 0
+                for z in down_bits[w]:
+                    img |= 1 << f[z]
+                if img != q_down[f[w]]:
+                    ok = False
+                    break
+        if ok and k < last:
+            rest[k] = m
+            undos[k] = undo
+            if injective:
+                used |= bit
+            k += 1
+            m = cand[order[k]] & ~used
+            continue
+        if ok:
+            out.append(tuple(f))
+        for z, old in undo:
+            cand[z] = old
 
 
 def relation_iso(a_down, a_up, b_down, b_up):

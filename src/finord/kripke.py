@@ -385,11 +385,21 @@ def frame_iso(f: KripkeFrame, g: KripkeFrame):
     return kernels.relation_iso(f.succ, f.pred, g.succ, g.pred)
 
 
-def enumerate_frames(n: int, budget: int = 1 << 20):
-    """All labeled frames on n states, relation bits ascending."""
+def check_relation_budget(n: int, budget: int = 1 << 20):
+    """Raise the BudgetError that enumerating the frames on n states would.
+
+    `enumerate_frames` and `frames_up_to_iso` raise it before they build
+    any frame; a caller walking sizes 1..n checks n first, so no smaller
+    size is enumerated in vain.
+    """
     if (1 << n * n) > budget:
         raise BudgetError("too many relations", used=1 << n * n,
                           budget=budget)
+
+
+def enumerate_frames(n: int, budget: int = 1 << 20):
+    """All labeled frames on n states, relation bits ascending."""
+    check_relation_budget(n, budget)
     out = []
     for bits in range(1 << n * n):
         succ = tuple((bits >> i * n) & ((1 << n) - 1) for i in range(n))
@@ -405,9 +415,7 @@ def frames_up_to_iso(n: int, budget: int = 1 << 20):
     whole relabeling orbit.  Classes are listed by their canonical key, the
     least row tuple in the orbit.
     """
-    if (1 << n * n) > budget:
-        raise BudgetError("too many relations", used=1 << n * n,
-                          budget=budget)
+    check_relation_budget(n, budget)
     full = (1 << n) - 1
     # per relabeling p: the row map (state j of the image is state p[j])
     # and the row order (image row i is source row p[i])

@@ -262,15 +262,36 @@ def mediating_search(q: FinitePreorder, f1: PointMap, f2: PointMap,
         _check_into_sierpinski(f, name)
     if f1.dom != q or f2.dom != q or p1.dom != p or p2.dom != p:
         raise HypothesisError("map domains must match the given preorders")
-    return _mediating(q, f1, f2, p, p1, p2, node_budget)
+    return _mediating(q, f1, f2, _classes(f1, f2), p, p1, p2,
+                      _fibers(_split(p1), _split(p2)), node_budget)
 
 
-def _mediating(q, f1, f2, p, p1, p2, node_budget):
-    """mediating_search on maps already checked open and on matching domains."""
-    fibers = [0, 0, 0, 0]  # points of p by (p1, p2) value pair, at 2*a + b
-    for v, (a, b) in enumerate(zip(p1.table, p2.table)):
-        fibers[2 * a + b] |= 1 << v
-    allowed = [fibers[2 * a + b] for a, b in zip(f1.table, f2.table)]
+def _split(f: PointMap):
+    """(points f sends to 0, points f sends to 1) for f into the chain."""
+    return f.preimage_mask(1), f.preimage_mask(2)
+
+
+def _fibers(split1, split2):
+    """The points of p by (p1, p2) value pair (a, b), at index 2 * a + b.
+
+    split1 and split2 are `_split(p1)` and `_split(p2)`.
+    """
+    (zero1, one1), (zero2, one2) = split1, split2
+    return zero1 & zero2, zero1 & one2, one1 & zero2, one1 & one2
+
+
+def _classes(f1: PointMap, f2: PointMap):
+    """Each point's (f1, f2) value pair (a, b), as the fiber index 2 * a + b."""
+    return tuple(2 * a + b for a, b in zip(f1.table, f2.table))
+
+
+def _mediating(q, f1, f2, classes, p, p1, p2, fibers, node_budget):
+    """mediating_search on maps already checked open and on matching domains.
+
+    classes is `_classes(f1, f2)` and fibers is p1 and p2's `_fibers`, so a
+    sweep computes each once, not once per search.
+    """
+    allowed = [fibers[k] for k in classes]
     tables, nodes = kernels.enumerate_maps(
         q.n, p.n, q.down, q.up, p.down, p.up, allowed, True, node_budget)
     out = []
@@ -320,7 +341,8 @@ def product_obstruction(p: FinitePreorder, p1: PointMap, p2: PointMap,
         _check_into_sierpinski(f, name)
     if p1.dom != p or p2.dom != p:
         raise HypothesisError("map domains must match the given preorders")
-    return _verdict(h, _stages(h, max_alpha), p, p1, p2, node_budget)
+    return _verdict(h, _stages(h, max_alpha), p, p1, p2,
+                    _fibers(_split(p1), _split(p2)), node_budget)
 
 
 def product_obstructions(h, posets, max_alpha: int | None = None,
@@ -330,50 +352,62 @@ def product_obstructions(h, posets, max_alpha: int | None = None,
     S is the two-point chain; the pairs of each poset come in the order of
     `enumerate_open_maps`, p1 outer.  The verdict is product_obstruction's.
     The projections are open by construction, so none is checked again.
-    The first time a search reaches stage alpha, the stage is materialized
-    and its two coordinate maps are built and checked open; prepared stages
-    live for this call only.
+    Each projection's zero and one masks are computed once per poset, so a
+    candidate's fibers are four mask intersections.  The first time a search
+    reaches stage alpha, the stage is materialized, its two coordinate maps
+    are built and checked open and their class vector is computed; prepared
+    stages live for this call only.  Each candidate then costs one pinned
+    kernel search per stage it reaches.
     """
     stages = _stages(h, max_alpha)
     s = sierpinski()
     for i, p in enumerate(posets):
         opens = enumerate_open_maps(p, s, node_budget=node_budget)
-        for p1 in opens:
-            for p2 in opens:
-                yield i, p1, p2, _verdict(h, stages, p, p1, p2, node_budget)
+        splits = [_split(f) for f in opens]
+        for p1, split1 in zip(opens, splits):
+            for p2, split2 in zip(opens, splits):
+                yield i, p1, p2, _verdict(h, stages, p, p1, p2,
+                                          _fibers(split1, split2),
+                                          node_budget)
 
 
 def _stages(h, max_alpha):
-    """A walk over (alpha, stage, f1, f2) for alpha in 1..max_alpha.
+    """A walk over (alpha, stage, f1, f2, classes) for alpha in 1..max_alpha.
 
-    Each stage is materialized, and its coordinate maps built and checked
-    open, when a walk first reaches it; later walks reuse it.
+    Each stage is materialized, its coordinate maps built and checked open
+    and their `_classes` computed when a walk first reaches it; later walks
+    reuse it.
     """
     if max_alpha is None:
         max_alpha = h.depth
     if max_alpha > h.depth:
         raise ValueError("tower not built that deep")
-    prepared = []  # (stage, f1, f2) for alpha = 1, 2, ...
+    prepared = []  # (alpha, stage, f1, f2, classes) for alpha = 1, 2, ...
 
     def walk():
-        for alpha in range(1, max_alpha + 1):
-            if len(prepared) < alpha:
-                materialized = hierarchy_mod.materialize(h, alpha)
-                f1 = coordinate_map(h, alpha, 1, materialized)
-                f2 = coordinate_map(h, alpha, 2, materialized)
-                _check_into_sierpinski(f1, "f1")
-                _check_into_sierpinski(f2, "f2")
-                prepared.append((materialized[0], f1, f2))
-            yield (alpha, *prepared[alpha - 1])
+        yield from prepared
+        for alpha in range(len(prepared) + 1, max_alpha + 1):
+            materialized = hierarchy_mod.materialize(h, alpha)
+            f1 = coordinate_map(h, alpha, 1, materialized)
+            f2 = coordinate_map(h, alpha, 2, materialized)
+            _check_into_sierpinski(f1, "f1")
+            _check_into_sierpinski(f2, "f2")
+            prepared.append((alpha, materialized[0], f1, f2,
+                             _classes(f1, f2)))
+            yield prepared[-1]
 
     return walk
 
 
-def _verdict(h, stages, p, p1, p2, node_budget):
-    """product_obstruction's verdict, on projections already checked."""
+def _verdict(h, stages, p, p1, p2, fibers, node_budget):
+    """product_obstruction's verdict, on projections already checked.
+
+    fibers is p1 and p2's `_fibers`.
+    """
     searches = []
-    for alpha, stage, f1, f2 in stages():
-        found, nodes = _mediating(stage, f1, f2, p, p1, p2, node_budget)
+    for alpha, stage, f1, f2, classes in stages():
+        found, nodes = _mediating(stage, f1, f2, classes, p, p1, p2, fibers,
+                                  node_budget)
         injective_ok = all(len(set(f.table)) == stage.n for f in found)
         searches.append(StageSearch(alpha, stage.n, nodes, len(found),
                                     injective_ok))

@@ -223,7 +223,9 @@ def test_obstruct_certificates_golden(size, capsys):
 # took every preorder of a frame in one call, duality and bao before the
 # isomorphism tests and cha_morphisms ran on the map-search kernel, obstruct
 # and export as written by the stdlib's indenting JSON encoder, so they pin
-# the formatting of a whole report and of a whole exported document
+# the formatting of a whole report and of a whole exported document;
+# obstruct6 as written before the map kernel became a loop, with its 28,835
+# pinned searches and their node counts (`candidates_examined`)
 REPORT_DIGESTS = {
     "coreflect": (["verify", "coreflect", "--states", "3"],
                   "097112765b1344d77c28cdf3a1a545c8e660a2e39c31cc8e46f25e0fe8b45228"),
@@ -233,6 +235,8 @@ REPORT_DIGESTS = {
             "d63f8c80faba17bbdde98e2ed4cb2cecc8994e9c15b3e51c93040297ecc099a6"),
     "obstruct5": (["obstruct", "--all-posets", "5"],
                   "c0e94d495ce060bc6b01eb9a9e0b35db336b49c1820e3bc91570fbda13176fa1"),
+    "obstruct6": (["obstruct", "--all-posets", "6"],
+                  "c37d49a432beaa28ee4da3d43ebe171858060b4167bffbdcd88b20fba7d24240"),
     "export2": (["hierarchy", "export", "--depth", "2"],
                 "ff873aaa887128865953d3e837a662bd9c88ca1a8688c6ea2d7e6fdc14e5dc13"),
 }
@@ -425,12 +429,20 @@ def test_budget_error_in_verify_exits_two(capsys):
                             "stage": 2, "used": None, "budget": 10}
 
 
-def test_budget_error_reports_usage(capsys):
-    # enumerate_frames' relation count against its budget
-    code, doc = run_json(["verify", "bao", "--states", "5"], capsys)
-    assert code == 2
-    assert doc["error"] == {"message": "too many relations", "stage": None,
-                            "used": 33554432, "budget": 1048576}
+def test_budget_error_reports_usage(capsys, monkeypatch):
+    # the relation count of the largest size against its budget, checked
+    # before any frame of a smaller size is built
+    built = []
+    check = kripke.KripkeFrame.__post_init__
+    monkeypatch.setattr(kripke.KripkeFrame, "__post_init__",
+                        lambda f: built.append(f) or check(f))
+    for suite in ("bao", "coreflect"):
+        code, doc = run_json(["verify", suite, "--states", "5"], capsys)
+        assert code == 2
+        assert doc["error"] == {"message": "too many relations",
+                                "stage": None, "used": 33554432,
+                                "budget": 1048576}
+        assert built == [], suite
 
 
 def test_timing_fills_elapsed(capsys):

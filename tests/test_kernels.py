@@ -138,6 +138,130 @@ def test_enumerate_maps_on_relation_rows():
                               for y in bits(f.succ[x]))], (f, g)
 
 
+def recursive_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed,
+                   require_open, node_budget=10_000_000, injective=False):
+    """The recursive form of `kernels.enumerate_maps`, plan included.
+
+    Kept as the oracle for the loop kernel: same output, same order, same
+    node count and the same BudgetError at the same node.
+    """
+    if n_p == 0:
+        return [()], 0
+    order = sorted(range(n_p), key=lambda i: (p_down[i].bit_count(), i))
+    pos = [0] * n_p
+    for k, x in enumerate(order):
+        pos[x] = k
+    check_at = [[] for _ in range(n_p)]
+    if require_open:
+        for w in range(n_p):
+            check_at[max(pos[z] for z in bits(p_down[w] | 1 << w))].append(w)
+    later = [[(z, bool(p_up[x] >> z & 1), bool(p_down[x] >> z & 1))
+              for z in order[k + 1:] if (p_up[x] | p_down[x]) >> z & 1]
+             for k, x in enumerate(order)]
+    cand = [allowed[i] & ((1 << n_q) - 1) for i in range(n_p)]
+    f = [-1] * n_p
+    out = []
+    nodes = 0
+    used = 0
+
+    def backtrack(k):
+        nonlocal nodes, used
+        if k == n_p:
+            out.append(tuple(f))
+            return
+        x = order[k]
+        m = cand[x] & ~used
+        while m:
+            bit = m & -m
+            m ^= bit
+            v = bit.bit_length() - 1
+            nodes += 1
+            if nodes > node_budget:
+                raise BudgetError("map search exceeded node budget",
+                                  used=nodes, budget=node_budget)
+            f[x] = v
+            undo = []
+            ok = True
+            for z, above, below in later[k]:
+                old = cand[z]
+                new = old
+                if above:
+                    new &= q_up[v]
+                if below:
+                    new &= q_down[v]
+                if new != old:
+                    cand[z] = new
+                    undo.append((z, old))
+                    if not new:
+                        ok = False
+                        break
+            if ok:
+                for w in check_at[k]:
+                    img = 0
+                    for z in bits(p_down[w]):
+                        img |= 1 << f[z]
+                    if img != q_down[f[w]]:
+                        ok = False
+                        break
+            if ok:
+                if injective:
+                    used |= bit
+                backtrack(k + 1)
+                used &= ~bit
+            for z, old in undo:
+                cand[z] = old
+        f[x] = -1
+
+    backtrack(0)
+    return out, nodes
+
+
+def random_rows(rng):
+    """Rows of a random preorder or of a random frame, as (n, down, up)."""
+    if rng.random() < 0.5:
+        p = order.sample_preorder(rng.randrange(1, 6), rng)
+        return p.n, p.down, p.up
+    f = kripke.sample_frame(rng.randrange(1, 6), rng)
+    return f.n, f.succ, f.pred
+
+
+def test_loop_kernel_matches_the_recursive_oracle():
+    rng = random.Random(53)
+    budget_cases = 0
+    for _ in range(300):
+        n_p, p_down, p_up = random_rows(rng)
+        n_q, q_down, q_up = random_rows(rng)
+        full = (1 << n_q) - 1
+        allowed = [full if rng.random() < 0.6 else rng.getrandbits(n_q)
+                   for _ in range(n_p)]
+        for require_open in (False, True):
+            for injective in (False, True):
+                args = (n_p, n_q, p_down, p_up, q_down, q_up, allowed,
+                        require_open)
+                expected = recursive_maps(*args, injective=injective)
+                assert kernels.enumerate_maps(
+                    *args, injective=injective) == expected, args
+                # at the boundary: exactly the nodes used pass, one fewer
+                # fails at the same node
+                nodes = expected[1]
+                assert kernels.enumerate_maps(
+                    *args, node_budget=nodes, injective=injective) == expected
+                if not nodes:
+                    continue
+                budget_cases += 1
+                for budget in {nodes - 1, rng.randrange(nodes)}:
+                    with pytest.raises(BudgetError) as want:
+                        recursive_maps(*args, node_budget=budget,
+                                       injective=injective)
+                    with pytest.raises(BudgetError) as got:
+                        kernels.enumerate_maps(*args, node_budget=budget,
+                                               injective=injective)
+                    assert (got.value.used, got.value.budget) == (
+                        want.value.used, want.value.budget) == (budget + 1,
+                                                                budget)
+    assert budget_cases > 500
+
+
 def brute_iso(n_a, rel_a, n_b, rel_b):
     """Least permutation p with rel_a(i, j) == rel_b(p[i], p[j]), or None."""
     if n_a != n_b:

@@ -14,20 +14,29 @@ text = st.text(st.sampled_from('"\\/\n\r\t\x00\x1f\x7fé€😀a') | st.characte
 scalars = (st.none() | st.booleans() | st.integers()
            | st.integers(-2 ** 200, 2 ** 200) | st.floats() | text)
 
-trees = st.recursive(
-    scalars,
-    lambda children: (st.lists(children)
-                      | st.lists(children).map(tuple)
-                      | st.dictionaries(text, children)
-                      | st.dictionaries(st.integers(), children)),
-    max_leaves=20)
+# small tuples of values equal to 0 or 1 (ints, bools and floats alike)
+small_tuples = st.lists(st.integers(0, 1) | st.booleans()
+                        | st.sampled_from([0.0, 1.0]), max_size=3).map(tuple)
+
+
+@st.composite
+def trees(draw):
+    """JSON-like trees whose leaves reuse a few tuple objects anywhere."""
+    pool = draw(st.lists(small_tuples, min_size=1, max_size=3))
+    return draw(st.recursive(
+        scalars | st.sampled_from(pool),
+        lambda children: (st.lists(children)
+                          | st.lists(children).map(tuple)
+                          | st.dictionaries(text, children)
+                          | st.dictionaries(st.integers(), children)),
+        max_leaves=20))
 
 
 def reference(value):
     return json.dumps(value, indent=2, sort_keys=True)
 
 
-@given(trees)
+@given(trees())
 def test_encoder_matches_the_stdlib(value):
     assert _json.dumps(value) == reference(value)
 
@@ -45,6 +54,17 @@ class Level(enum.IntEnum):
 ])
 def test_encoder_matches_the_stdlib_on_edge_cases(value):
     assert _json.dumps(value) == reference(value)
+
+
+def test_equal_tuples_of_other_types_are_rendered_apart():
+    # equal as tuples, so a memo keyed by value alone would alias them
+    shared = (0, 1, 1)
+    value = {"a": [(1,), (True,), (1.0,), [1], (Level.LOW,), shared],
+             "b": {"c": [shared, (1,), (True,)]},
+             "d": shared}
+    text = _json.dumps(value)
+    assert text == reference(value)
+    assert text.count("true") == 2 and text.count("1.0") == 1
 
 
 def test_unserializable_value_raises_type_error():
