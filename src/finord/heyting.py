@@ -19,7 +19,6 @@ from finord import kernels
 from finord import maps as maps_mod
 from finord import order as order_mod
 from finord.errors import BudgetError, HypothesisError
-from finord.kernels import bits
 from finord.order import FinitePreorder
 
 
@@ -62,8 +61,9 @@ class DownsetAlgebra:
         return out
 
     def implies_bruteforce(self, a: int, b: int) -> int:
-        """Oracle route: scan every downset; the candidates are closed under
-        union so their union is the maximum."""
+        """Oracle route for `implies`, kept for the tests: scan every
+        downset; the candidates are closed under union so their union is the
+        maximum."""
         out = 0
         for x in self.elements:
             if a & x & ~b == 0:
@@ -240,83 +240,3 @@ def fullness_report(p: FinitePreorder, q: FinitePreorder) -> FullnessReport:
         violations.append("preimage images differ from enumerated morphisms")
     return FullnessReport(len(opens), len(morphs),
                           len(opens) == len(morphs), violations)
-
-
-def from_lattice_order(le: FinitePreorder) -> DownsetAlgebra:
-    """Represent a finite distributive lattice by downsets of its
-    join-irreducible poset.
-
-    `le` must be a lattice order: a poset with all binary meets/joins and
-    bounds, satisfying distributivity; checked exhaustively.
-    """
-    if not le.is_poset:
-        raise HypothesisError("lattice order must be a poset")
-    n = le.n
-    if n == 0:
-        raise HypothesisError("lattice must be nonempty")
-
-    def meet_of(i, j):
-        commons = le.down[i] & le.down[j]
-        best = None
-        for k in bits(commons):
-            if commons & ~le.down[k] == 0:
-                best = k
-        return best
-
-    def join_of(i, j):
-        commons = le.up[i] & le.up[j]
-        best = None
-        for k in bits(commons):
-            if commons & ~le.up[k] == 0:
-                best = k
-        return best
-
-    meets = {}
-    joins = {}
-    for i in range(n):
-        for j in range(n):
-            m, jo = meet_of(i, j), join_of(i, j)
-            if m is None or jo is None:
-                raise HypothesisError("order is not a lattice")
-            meets[i, j] = m
-            joins[i, j] = jo
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                lhs = meets[x, joins[y, z]]
-                rhs = joins[meets[x, y], meets[x, z]]
-                if lhs != rhs:
-                    raise HypothesisError("lattice is not distributive")
-
-    # join-irreducible elements of the lattice, ordered by le
-    irr = [x for x in range(n) if _is_ji(le, joins, x)]
-    k = len(irr)
-    up = [sum(1 << j for j in range(k) if le.leq(irr[i], irr[j]))
-          for i in range(k)]
-    return downset_algebra(FinitePreorder(k, tuple(up)))
-
-
-def _is_ji(le, joins, x):
-    below = [y for y in bits(le.down[x]) if y != x]
-    if not below:
-        return x != _bottom_of(le)
-    acc = below[0]
-    for y in below[1:]:
-        acc = joins[acc, y]
-    return acc != x
-
-
-def _bottom_of(le):
-    for i in range(le.n):
-        if le.up[i] == (1 << le.n) - 1:
-            return i
-    return None
-
-
-def to_json(alg: DownsetAlgebra) -> dict:
-    return {
-        "base": order_mod.to_json(alg.base),
-        "downsets": ["".join("1" if m >> i & 1 else "0"
-                             for i in range(alg.base.n))
-                     for m in alg.elements],
-    }

@@ -418,6 +418,7 @@ def to_json(h: Hierarchy) -> dict:
 
 
 def from_json(data: dict, base_poset=None) -> Hierarchy:
+    """Reload `to_json` output; the round-trip oracle of `hierarchy export`."""
     try:
         u = load(data["universe"], base_poset)
         levels = [frozenset(level) for level in data["levels"]]

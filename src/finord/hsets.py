@@ -276,7 +276,7 @@ def chain_hypothesis(ids, u: Universe) -> bool:
 # standard constructions
 
 def ordinal(u: Universe, k: int) -> int:
-    """Id of the von Neumann ordinal k = {0, 1, ..., k-1}."""
+    """Id of the von Neumann ordinal k = {0, 1, ..., k-1}; a test input."""
     cur = u.intern([])
     below = [cur]
     for _ in range(k):
@@ -306,7 +306,8 @@ def concrete_claw(u: Universe) -> list[int]:
 
 
 def abstract_claw() -> tuple[Universe, list[int]]:
-    """Same shape as concrete_claw but with four base atoms b < a1, a2, a3."""
+    """Same shape as concrete_claw but with four base atoms b < a1, a2, a3;
+    a test input."""
     base = base_poset(
         ["b", "a1", "a2", "a3"],
         [("b", "a1"), ("b", "a2"), ("b", "a3")],

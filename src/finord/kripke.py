@@ -20,7 +20,7 @@ from itertools import permutations, product as iproduct
 from finord import kernels
 from finord import maps as maps_mod
 from finord import order as order_mod
-from finord.errors import BudgetError, FormatError, HypothesisError
+from finord.errors import BudgetError
 from finord.kernels import bits
 from finord.order import FinitePreorder
 
@@ -68,13 +68,6 @@ def frame_is_preorder(f: KripkeFrame) -> bool:
     )
 
 
-def preorder_from_frame(f: KripkeFrame) -> FinitePreorder:
-    """The frame's relation read as a preorder; raises when it is not one."""
-    if not frame_is_preorder(f):
-        raise HypothesisError("relation is not reflexive-transitive")
-    return FinitePreorder(f.n, f.succ)
-
-
 # ---------------------------------------------------------------------------
 # p-morphisms
 
@@ -90,7 +83,8 @@ def is_pmorphism(table, f: KripkeFrame, g: KripkeFrame) -> bool:
 
 
 def is_pmorphism_via_preimages(table, f: KripkeFrame, g: KripkeFrame) -> bool:
-    """Equivalent route: preimage of predecessors = predecessors of preimage."""
+    """Oracle route for `is_pmorphism`, kept for the tests: preimage of
+    predecessors = predecessors of preimage."""
     fibers = [0] * g.n
     for x, v in enumerate(table):
         fibers[v] |= 1 << x
@@ -514,47 +508,3 @@ def frame_to_json(f: KripkeFrame) -> dict:
     )
     return {"size": f.n, "relation": bits}
 
-
-def frame_from_json(data: dict) -> KripkeFrame:
-    try:
-        n = data["size"]
-        bits = data["relation"]
-    except (TypeError, KeyError) as exc:
-        raise FormatError("frame JSON needs 'size' and 'relation'") from exc
-    if type(n) is not int or not isinstance(bits, str):
-        raise FormatError("frame JSON needs an integer 'size' and a string "
-                          "'relation'")
-    if n < 0 or len(bits) != n * n:
-        raise FormatError("relation bit string must have size*size characters")
-    succ = []
-    for i in range(n):
-        row = 0
-        for j in range(n):
-            c = bits[i * n + j]
-            if c not in "01":
-                raise FormatError("relation bits must be over {'0', '1'}")
-            if c == "1":
-                row |= 1 << j
-        succ.append(row)
-    return KripkeFrame(n, tuple(succ))
-
-
-def bao_to_json(a: FiniteBAO) -> dict:
-    return {
-        "atoms": a.atoms,
-        "diamond": ["".join("1" if row >> i & 1 else "0"
-                            for i in range(a.atoms))
-                    for row in a.dia_atom],
-    }
-
-
-def frame_to_dot(f: KripkeFrame, labels=None) -> str:
-    name = labels or {i: str(i) for i in range(f.n)}
-    lines = ["digraph frame {"]
-    for i in range(f.n):
-        lines.append(f'  s{i} [label="{name[i]}"];')
-    for i in range(f.n):
-        for j in bits(f.succ[i]):
-            lines.append(f"  s{i} -> s{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -62,10 +62,6 @@ class PointMap:
         return out
 
 
-def identity_map(p: FinitePreorder) -> PointMap:
-    return PointMap(p, p, tuple(range(p.n)))
-
-
 def compose(g: PointMap, f: PointMap) -> PointMap:
     """g after f."""
     if f.cod != g.dom:
@@ -118,37 +114,19 @@ def is_open_v3(f: PointMap) -> bool:
     )
 
 
-def enumerate_monotone_maps(p: FinitePreorder, q: FinitePreorder,
-                            allowed=None, node_budget=10_000_000):
-    return _enumerate(p, q, allowed, False, node_budget)
-
-
 def enumerate_open_maps(p: FinitePreorder, q: FinitePreorder,
                         allowed=None, node_budget=10_000_000):
     """All open maps p -> q, deterministic order; see kernels.enumerate_maps."""
-    return _enumerate(p, q, allowed, True, node_budget)
-
-
-def _enumerate(p, q, allowed, require_open, node_budget):
     if allowed is None:
         allowed = [(1 << q.n) - 1] * p.n
     tables, _ = kernels.enumerate_maps(
-        p.n, q.n, p.down, p.up, q.down, q.up, list(allowed), require_open,
+        p.n, q.n, p.down, p.up, q.down, q.up, list(allowed), True,
         node_budget)
     return [PointMap(p, q, t) for t in tables]
 
 
 # ---------------------------------------------------------------------------
 # coordinate maps out of a tower stage
-
-def downset_indicator(p: FinitePreorder, downset_mask: int) -> PointMap:
-    """Map to the two-point chain: 0 inside the downset, 1 outside."""
-    if not order_mod.is_downset(p, downset_mask):
-        raise HypothesisError("mask is not a downset")
-    s = sierpinski()
-    return PointMap(p, s, tuple(
-        0 if downset_mask >> i & 1 else 1 for i in range(p.n)))
-
 
 def coordinate_map(h, alpha: int, branch: int, materialized=None) -> PointMap:
     """The branch indicator used in the product obstruction.
@@ -171,16 +149,6 @@ def coordinate_map(h, alpha: int, branch: int, materialized=None) -> PointMap:
     s = sierpinski()
     return PointMap(stage, s, tuple(
         0 if ids[i] in chosen else 1 for i in range(stage.n)))
-
-
-def pairing_values(h, alpha: int = 0):
-    """(f1(m), f2(m)) for each base element m, in base order."""
-    materialized = hierarchy_mod.materialize(h, alpha)
-    f1 = coordinate_map(h, alpha, 1, materialized)
-    f2 = coordinate_map(h, alpha, 2, materialized)
-    _, ids = materialized
-    pos = {x: i for i, x in enumerate(ids)}
-    return [(f1(pos[m]), f2(pos[m])) for m in h.base]
 
 
 # ---------------------------------------------------------------------------
@@ -233,14 +201,6 @@ def injectivity_report(h, alpha: int, p: FinitePreorder,
 
 # ---------------------------------------------------------------------------
 # mediating maps and the product obstruction
-
-def product_with_projections(p: FinitePreorder, q: FinitePreorder):
-    """Componentwise product and its two projection maps."""
-    prod = order_mod.product(p, q)
-    proj1 = PointMap(prod, p, tuple(i // q.n for i in range(prod.n)))
-    proj2 = PointMap(prod, q, tuple(i % q.n for i in range(prod.n)))
-    return prod, proj1, proj2
-
 
 def _check_into_sierpinski(f: PointMap, name: str):
     if f.cod != sierpinski():

@@ -94,6 +94,7 @@ def chain(n: int) -> FinitePreorder:
 
 
 def antichain(n: int) -> FinitePreorder:
+    """The discrete order on n points; a test input."""
     return FinitePreorder(n, tuple(1 << i for i in range(n)))
 
 
@@ -147,15 +148,6 @@ def all_downsets(p: FinitePreorder) -> list[int]:
     """
     masks, _ = kernels.antichains(p.n, p.comparability)
     return sorted({down_closure(p, m) for m in masks})
-
-
-def is_wellfounded(p: FinitePreorder) -> bool:
-    """Whether the strict order admits no infinite descent.
-
-    On a finite carrier a strict descending sequence must revisit an element,
-    which forces a nontrivial equivalence; so this is exactly `is_poset`.
-    """
-    return p.is_poset
 
 
 def covers(p: FinitePreorder) -> list[tuple[int, int]]:
@@ -281,7 +273,8 @@ def sample_preorder(n: int, rng, density: float = 0.3) -> FinitePreorder:
 
 
 def sample_poset(n: int, rng, density: float = 0.3) -> FinitePreorder:
-    """Random poset: random DAG along a shuffled order, then closure."""
+    """Random poset: random DAG along a shuffled order, then closure; a
+    random test input."""
     perm = list(range(n))
     rng.shuffle(perm)
     up = [1 << i for i in range(n)]

@@ -1,4 +1,4 @@
-"""Downset algebras: residuation, duality with open maps, Birkhoff form."""
+"""Downset algebras: residuation, duality with open maps, the adjunction unit."""
 
 import random
 from itertools import product as iproduct
@@ -9,7 +9,7 @@ from finord import heyting, hierarchy, hsets, maps, order
 from finord.errors import BudgetError, HypothesisError
 from finord.hsets import Universe
 from finord.maps import PointMap
-from finord.order import antichain, chain, from_pairs, product, sierpinski
+from finord.order import antichain, chain, sierpinski
 
 
 def claw_stage(alpha):
@@ -176,39 +176,3 @@ def test_fullness_small_pairs():
             rep = heyting.fullness_report(p, q)
             assert rep.ok, (p, q, rep.violations)
             assert rep.open_maps == rep.morphisms
-
-
-def test_from_lattice_order_square():
-    alg = heyting.from_lattice_order(product(chain(2), chain(2)))
-    assert len(alg.elements) == 4
-    assert order.poset_iso(alg.base, antichain(2)) is not None
-
-
-def test_from_lattice_order_chain():
-    alg = heyting.from_lattice_order(chain(3))
-    assert len(alg.elements) == 3
-    assert order.poset_iso(alg.base, chain(2)) is not None
-
-
-def test_from_lattice_order_rejects_diamond():
-    m3 = from_pairs(5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)])
-    with pytest.raises(HypothesisError, match="distributive"):
-        heyting.from_lattice_order(m3)
-
-
-def test_from_lattice_order_rejects_pentagon():
-    n5 = from_pairs(5, [(0, 1), (1, 2), (2, 4), (0, 3), (3, 4)])
-    with pytest.raises(HypothesisError, match="distributive"):
-        heyting.from_lattice_order(n5)
-
-
-def test_from_lattice_order_rejects_non_lattice():
-    with pytest.raises(HypothesisError, match="lattice"):
-        heyting.from_lattice_order(antichain(2))
-
-
-def test_to_json_shape():
-    alg = heyting.downset_algebra(sierpinski())
-    doc = heyting.to_json(alg)
-    assert set(doc) == {"base", "downsets"}
-    assert doc["downsets"] == ["00", "10", "11"]

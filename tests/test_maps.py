@@ -1,11 +1,10 @@
 """Monotone and open maps, coordinate indicators, the product obstruction."""
 
 import random
-from itertools import product as iproduct
 
 import pytest
 
-from finord import hierarchy, hsets, maps, order
+from finord import hierarchy, hsets, kernels, maps, order
 from finord.errors import BudgetError, HypothesisError
 from finord.hsets import Universe
 from finord.maps import PointMap
@@ -22,9 +21,17 @@ def all_openness_verdicts(f):
     return (maps.is_open_v1(f, cap=25), maps.is_open_v2(f), maps.is_open_v3(f))
 
 
+def product_with_projections(p, q):
+    """Componentwise product and its two projection maps."""
+    prod = order.product(p, q)
+    proj1 = PointMap(prod, p, tuple(i // q.n for i in range(prod.n)))
+    proj2 = PointMap(prod, q, tuple(i % q.n for i in range(prod.n)))
+    return prod, proj1, proj2
+
+
 def test_identity_and_constants_on_sierpinski():
     s = sierpinski()
-    assert all(all_openness_verdicts(maps.identity_map(s)))
+    assert all(all_openness_verdicts(PointMap(s, s, tuple(range(s.n)))))
     const0 = PointMap(s, s, (0, 0))
     const1 = PointMap(s, s, (1, 1))
     assert all(all_openness_verdicts(const0))
@@ -70,14 +77,6 @@ def test_enumerations_respect_composition():
             assert maps.is_open_v2(maps.compose(g, f))
 
 
-def test_downset_indicator_requires_downset():
-    p = order.chain(3)
-    f = maps.downset_indicator(p, 0b011)
-    assert f.table == (0, 0, 1)
-    with pytest.raises(HypothesisError):
-        maps.downset_indicator(p, 0b010)
-
-
 def test_coordinate_maps_are_open_at_every_stage():
     _, _, h = claw_tower()
     for alpha in (0, 1, 2):
@@ -94,7 +93,12 @@ def test_coordinate_map_rejects_bad_branch():
 
 def test_pairing_values_separate_the_base():
     _, _, h = claw_tower()
-    assert maps.pairing_values(h) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    _, ids = hierarchy.materialize(h, 0)
+    f1 = maps.coordinate_map(h, 0, 1)
+    f2 = maps.coordinate_map(h, 0, 2)
+    pos = {x: i for i, x in enumerate(ids)}
+    assert [(f1(pos[m]), f2(pos[m])) for m in h.base] == [
+        (0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_base_pairing_is_monotone_but_not_open():
@@ -102,7 +106,7 @@ def test_base_pairing_is_monotone_but_not_open():
     # pair; it is monotone yet fails openness at the third top
     _, base, h = claw_tower()
     s = sierpinski()
-    prod, p1, p2 = maps.product_with_projections(s, s)
+    prod, p1, p2 = product_with_projections(s, s)
     stage, ids = hierarchy.materialize(h, 0)
     f1 = maps.coordinate_map(h, 0, 1)
     f2 = maps.coordinate_map(h, 0, 2)
@@ -123,7 +127,7 @@ def test_mediating_search_finds_identity_on_self():
     f2 = maps.coordinate_map(h, 1, 2)
     found, _ = maps.mediating_search(stage, f1, f2, stage, f1, f2)
     tables = {f.table for f in found}
-    assert maps.identity_map(stage).table in tables
+    assert PointMap(stage, stage, tuple(range(stage.n))).table in tables
 
 
 def test_mediating_search_validates_inputs():
@@ -132,7 +136,7 @@ def test_mediating_search_validates_inputs():
     stage, _ = hierarchy.materialize(h, 1)
     f1 = maps.coordinate_map(h, 1, 1)
     not_open = PointMap(stage, s, tuple(1 for _ in range(stage.n)))
-    prod, p1, p2 = maps.product_with_projections(s, s)
+    prod, p1, p2 = product_with_projections(s, s)
     with pytest.raises(HypothesisError):
         maps.mediating_search(stage, f1, not_open, prod, p1, p2)
 
@@ -140,7 +144,7 @@ def test_mediating_search_validates_inputs():
 def test_obstruction_square_refuted_at_stage_one():
     _, _, h = claw_tower()
     s = sierpinski()
-    prod, p1, p2 = maps.product_with_projections(s, s)
+    prod, p1, p2 = product_with_projections(s, s)
     verdict = maps.product_obstruction(prod, p1, p2, h)
     assert verdict.certificate_kind == "empty_mediating_set"
     assert verdict.stage == 1
@@ -273,4 +277,8 @@ def test_enumerate_open_counts_to_sierpinski():
     s = sierpinski()
     stage1, _ = hierarchy.materialize(h, 1)
     assert len(maps.enumerate_open_maps(stage1, s)) == 26
-    assert len(maps.enumerate_monotone_maps(stage1, s)) == 27
+    # monotone maps: the kernel route of heyting's monotone assignments
+    tables, _ = kernels.enumerate_maps(
+        stage1.n, s.n, stage1.down, stage1.up, s.down, s.up,
+        [(1 << s.n) - 1] * stage1.n, require_open=False)
+    assert len(tables) == 27

@@ -68,12 +68,6 @@ def test_all_downsets_deduplicates_equivalent_elements():
     assert downs == sorted(set(downs)) == [0b00, 0b11]
 
 
-def test_is_wellfounded_matches_poset():
-    assert order.is_wellfounded(order.chain(3))
-    cyc = FinitePreorder(2, (0b11, 0b11))
-    assert not order.is_wellfounded(cyc)
-
-
 def test_covers_of_chain():
     assert order.covers(order.chain(3)) == [(0, 1), (1, 2)]
 

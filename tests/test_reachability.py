@@ -1,0 +1,111 @@
+"""Every public function in `finord` is reached, or is a named oracle.
+
+A public top-level function of a `src/finord` module counts as reached when
+another `finord` module refers to it (`from finord.m import f`, or `m.f`
+through `from finord import m [as alias]`), when its own module refers to it
+outside its `def`, or when `perfbench/*.py` does (`m.f`, or the string pair
+`("m", "f")` that the tracer resolves with `getattr`).  A function nothing
+reaches must be listed in ORACLES with the reason it is kept; anything else
+is dead code and should be deleted with the tests that check only it.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "finord"
+BENCH = ROOT / "perfbench"
+
+ORACLES = {
+    ("kripke", "is_pmorphism_via_preimages"): "oracle for `is_pmorphism`",
+    ("hierarchy", "from_json"): "round-trip oracle of `hierarchy export`",
+    ("hsets", "abstract_claw"): "test input: the claw on base atoms",
+    ("hsets", "ordinal"): "test input: the von Neumann ordinals, a chain",
+    ("order", "antichain"): "test input: the discrete order",
+    ("order", "sample_poset"): "random test input",
+}
+
+
+def _module_refs(tree, modules):
+    """(module, name) pairs a parsed file refers to through finord imports."""
+    aliases = {}
+    refs = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom) or node.module is None:
+            continue
+        for a in node.names:
+            if node.module == "finord" and a.name in modules:
+                aliases[a.asname or a.name] = a.name
+            elif node.module.startswith("finord."):
+                refs.add((node.module.removeprefix("finord."), a.name))
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases):
+            refs.add((aliases[node.value.id], node.attr))
+    return refs
+
+
+def _string_pairs(tree, modules):
+    """("module", "name") tuple literals, the form `perfbench/spans.py`
+    lists its wrapped entry points in."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Tuple) and len(node.elts) >= 2:
+            mod, name = node.elts[:2]
+            if (isinstance(mod, ast.Constant) and mod.value in modules
+                    and isinstance(name, ast.Constant)
+                    and isinstance(name.value, str)):
+                refs.add((mod.value, name.value))
+    return refs
+
+
+def _own_refs(tree, skip):
+    """Names the module's own code uses, outside the function `skip`."""
+    out = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def _public_functions(trees):
+    for mod, tree in sorted(trees.items()):
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef)
+                    and not node.name.startswith("_")):
+                yield mod, node
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_public_function_is_reached_or_an_oracle():
+    trees = {path.stem: _parse(path) for path in SRC.glob("*.py")}
+    modules = set(trees)
+    reached = set()
+    for mod, tree in trees.items():
+        reached |= {ref for ref in _module_refs(tree, modules)
+                    if ref[0] != mod}
+    for path in BENCH.glob("*.py"):
+        tree = _parse(path)
+        reached |= _module_refs(tree, modules) | _string_pairs(tree, modules)
+    defined = {(mod, fn.name) for mod, fn in _public_functions(trees)}
+    for key, reason in ORACLES.items():
+        assert key in defined and reason.strip(), key
+    orphans = [
+        f"{mod}.{fn.name}"
+        for mod, fn in _public_functions(trees)
+        if (mod, fn.name) not in reached
+        and (mod, fn.name) not in ORACLES
+        and fn.name not in _own_refs(trees[mod], fn)
+    ]
+    assert orphans == [], (
+        "public functions that neither the CLI, another module, the "
+        f"benchmark nor an ORACLES entry reaches: {orphans}")
