@@ -70,9 +70,6 @@ class DownsetAlgebra:
                 out |= x
         return out
 
-    def neg(self, a: int) -> int:
-        return self.implies(a, 0)
-
 
 def downset_algebra(p: FinitePreorder, cap: int = 20) -> DownsetAlgebra:
     if p.n > cap:

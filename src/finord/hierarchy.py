@@ -52,7 +52,7 @@ class Hierarchy:
         return self.levels[alpha] - self.levels[alpha - 1]
 
 
-def _local_rows(ids, u: Universe) -> tuple[list[int], list[int]]:
+def _local_rows(ids, u: Universe) -> tuple[list[int], tuple[int, ...]]:
     """The universe order on a list of distinct ids, as rows over positions.
 
     Bit j of down[i] is set iff ids[j] < ids[i], and bit j of up[i] iff
@@ -61,13 +61,10 @@ def _local_rows(ids, u: Universe) -> tuple[list[int], list[int]]:
     pos = {x: i for i, x in enumerate(ids)}
     scope = sum(1 << x for x in ids)
     down = [0] * len(ids)
-    up = [0] * len(ids)
     for i, x in enumerate(ids):
         for y in bits(u.below(x) & scope):
-            j = pos[y]
-            down[i] |= 1 << j
-            up[j] |= 1 << i
-    return down, up
+            down[i] |= 1 << pos[y]
+    return down, kernels.transpose(down)
 
 
 def _comparability_masks(ids, u: Universe) -> list[int]:

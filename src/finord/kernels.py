@@ -3,14 +3,16 @@
 The two hot loops of the package: independent-set (antichain) enumeration
 over a comparability mask table, and backtracking search for monotone, open
 or injective maps between finite relations given by rows, which serves open
-maps, both isomorphism tests (`relation_iso`) and `heyting.cha_morphisms`.
+maps, p-morphisms of Kripke frames, both isomorphism tests (`relation_iso`)
+and `heyting.cha_morphisms`.
 The map search prepares its plan once per domain and keeps it in a bounded
 cache, since callers such as the obstruction sweep search from the same
 domain many times, and backtracks in one loop over a per-depth stack, not
 by recursion: most of its calls try a handful of assignments, so the cost
 of a call is mostly fixed cost.  It also holds `bits`, the mask iterator the other
-modules share; it imports only `errors` and the standard library, so any
-module can import it without a cycle.
+modules share, and `transpose`, which turns the rows of a relation into its
+columns; it imports only `errors` and the standard library, so any module
+can import it without a cycle.
 
 All subsets are bitmasks (bit i = element i), held in Python ints, so there
 is no limit on the number of elements.  Output order is deterministic.
@@ -217,3 +219,19 @@ def bits(mask):
         bit = mask & -mask
         mask ^= bit
         yield bit.bit_length() - 1
+
+
+def transpose(rows):
+    """The converse of a relation on range(len(rows)) given by rows.
+
+    Bit i of the result's row j is bit j of rows[i]: the predecessor rows of
+    a successor relation, the down rows of an up relation, and back.
+    """
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit_i = 1 << i
+        while row:
+            low = row & -row
+            row ^= low
+            cols[low.bit_length() - 1] |= bit_i
+    return tuple(cols)

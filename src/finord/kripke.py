@@ -13,8 +13,9 @@ algebra's reflexive-transitive core recovers a frame, and for powerset
 algebras the round trip is the identity up to isomorphism.
 """
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import permutations, product as iproduct
 
 from finord import kernels
@@ -29,6 +30,9 @@ from finord.order import FinitePreorder
 class KripkeFrame:
     n: int
     succ: tuple[int, ...]  # succ[i] = {j : i R j}
+    # pred[j] = {i : i R j}; every map search and complex algebra reads it,
+    # so it is built with the frame
+    pred: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.succ) != self.n:
@@ -36,14 +40,7 @@ class KripkeFrame:
         full = (1 << self.n) - 1
         if any(row & ~full for row in self.succ):
             raise ValueError("relation mentions states outside the carrier")
-
-    @cached_property
-    def pred(self) -> tuple[int, ...]:
-        cols = [0] * self.n
-        for i in range(self.n):
-            for j in bits(self.succ[i]):
-                cols[j] |= 1 << i
-        return tuple(cols)
+        object.__setattr__(self, "pred", kernels.transpose(self.succ))
 
     def rel(self, i: int, j: int) -> bool:
         return bool(self.succ[i] >> j & 1)
@@ -101,27 +98,27 @@ def is_pmorphism_via_preimages(table, f: KripkeFrame, g: KripkeFrame) -> bool:
     return True
 
 
-def pmorphisms(f: KripkeFrame, g: KripkeFrame, budget: int = 10_000_000):
-    """All p-morphisms f -> g by exhaustive function search, ascending order.
-
-    The test per function is `is_pmorphism`'s, with each state's successor
-    list read off its mask once per call.
-    """
+def _check_function_space(f: KripkeFrame, g: KripkeFrame, budget: int):
+    """Raise a BudgetError when there are more than `budget` functions f -> g."""
     if g.n ** f.n > budget:
         raise BudgetError("function space too large", used=g.n ** f.n,
                           budget=budget)
-    succs = [tuple(bits(row)) for row in f.succ]
-    found = []
-    for table in iproduct(range(g.n), repeat=f.n):
-        for x, succ in enumerate(succs):
-            img = 0
-            for y in succ:
-                img |= 1 << table[y]
-            if img != g.succ[table[x]]:
-                break
-        else:
-            found.append(table)
-    return found
+
+
+def pmorphisms(f: KripkeFrame, g: KripkeFrame, budget: int = 10_000_000):
+    """All p-morphisms f -> g, ascending, by the map kernel.
+
+    A p-morphism is a map with f[R[x]] = S[f(x)] for every state x, which is
+    the kernel's openness test with successor rows as the down rows.  The
+    budget bounds the function space g.n ** f.n before the search starts,
+    and with it the search tree (at most f.n * g.n ** f.n nodes), so the
+    kernel runs without a node budget of its own.
+    """
+    _check_function_space(f, g, budget)
+    tables, _ = kernels.enumerate_maps(
+        f.n, g.n, f.succ, f.pred, g.succ, g.pred, [(1 << g.n) - 1] * f.n,
+        True, node_budget=math.inf)
+    return sorted(tables)
 
 
 # ---------------------------------------------------------------------------
@@ -469,11 +466,12 @@ def fullness_frames_report(f: KripkeFrame, g: KripkeFrame,
     For every function f -> g: the preimage map powerset(g) -> powerset(f)
     is always a complete Boolean morphism, so membership in the BAO-morphism
     side reduces to preserving the diamond on every element; that must
-    coincide with being a p-morphism, function by function.
+    coincide with being a p-morphism, function by function.  The loop over
+    all functions is the check itself: the two definitions are compared on
+    the functions that are not p-morphisms too, so no map search can stand
+    in for it.
     """
-    if g.n ** f.n > budget:
-        raise BudgetError("function space too large", used=g.n ** f.n,
-                          budget=budget)
+    _check_function_space(f, g, budget)
     ca_f, ca_g = complex_algebra(f), complex_algebra(g)
     count = pm = bm = 0
     violations = []

@@ -45,11 +45,7 @@ class FinitePreorder:
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        cols = [0] * self.n
-        for i in range(self.n):
-            for j in bits(self.up[i]):
-                cols[j] |= 1 << i
-        return tuple(cols)
+        return kernels.transpose(self.up)
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)

@@ -249,7 +249,7 @@ def _residuation():
             for b in alg.elements:
                 assert alg.implies(a, b) == alg.implies_bruteforce(a, b)
     alg = heyting.downset_algebra(sierpinski())
-    assert alg.neg(alg.neg(0b01)) == alg.top
+    assert alg.implies(alg.implies(0b01, 0), 0) == alg.top
 
 
 def test_criterion_08(capsys):

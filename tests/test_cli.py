@@ -302,6 +302,24 @@ def test_empty_family_reports_golden(suite, max_size, capsys):
         EMPTY_FAMILY_DIGESTS[suite, max_size])
 
 
+# the same policy for --states: a non-positive bound enumerates no frame and
+# exits 0 (bao still runs its sampled checks)
+EMPTY_STATES_DIGESTS = {
+    ("coreflect", "0"): "3c784ee0bbf6f55bea84dffaea9a0d4561bb1af6540d3143598e4d36388c6d8a",
+    ("coreflect", "-1"): "943aa3d0b17171d0e9cf2aa13b4b8099325c330fee314151fe362c60619d55a8",
+    ("bao", "0"): "295b1efd1460c66e20e706251ecf985d0214a83b9d1fe450ef156cbf54231d3b",
+    ("bao", "-1"): "9abe1eed6c34036c4aa4283bab4f15ea900c38641a216497d1e411fb659520e1",
+}
+
+
+@pytest.mark.parametrize("suite,states", list(EMPTY_STATES_DIGESTS))
+def test_empty_frame_family_reports_golden(suite, states, capsys):
+    code, out, _ = run(["verify", suite, "--states", states], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        EMPTY_STATES_DIGESTS[suite, states])
+
+
 def test_obstruct_enumerates_each_size_once(monkeypatch, capsys):
     calls = Counter()
 

@@ -79,6 +79,24 @@ def test_pmorphisms_match_the_is_pmorphism_filter():
             expected = [t for t in iproduct(range(g.n), repeat=f.n)
                         if kripke.is_pmorphism(t, f, g)]
             assert kripke.pmorphisms(f, g) == expected, (f, g)
+    # seeded 3- and 4-state sources, where the search prunes, into targets
+    # on 1..3 states; the sample must hold irreflexive states,
+    # non-transitive relations and pairs with p-morphisms
+    rng = random.Random(73)
+    irreflexive = intransitive = found = 0
+    for _ in range(300):
+        f = kripke.sample_frame(rng.choice((3, 4)), rng,
+                                rng.choice((0.3, 0.6, 0.9)))
+        g = kripke.sample_frame(rng.randint(1, 3), rng,
+                                rng.choice((0.3, 0.6, 0.9)))
+        expected = [t for t in iproduct(range(g.n), repeat=f.n)
+                    if kripke.is_pmorphism(t, f, g)]
+        assert kripke.pmorphisms(f, g) == expected, (f, g)
+        irreflexive += any(not f.rel(x, x) for x in range(f.n))
+        intransitive += any(f.succ[y] & ~f.succ[x] for x in range(f.n)
+                            for y in range(f.n) if f.rel(x, y))
+        found += bool(expected)
+    assert irreflexive and intransitive and found
     # empty relations: every one of the 3**2 functions is a p-morphism
     f, g = all_frames(2)[0], all_frames(3)[0]
     assert len(kripke.pmorphisms(f, g, budget=9)) == 9

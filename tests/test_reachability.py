@@ -1,15 +1,21 @@
-"""Every public function in `finord` is reached, or is a named oracle.
+"""Every public function and method in `finord` is reached, or is a named
+oracle.
 
 A public top-level function of a `src/finord` module counts as reached when
 another `finord` module refers to it (`from finord.m import f`, or `m.f`
 through `from finord import m [as alias]`), when its own module refers to it
 outside its `def`, or when `perfbench/*.py` does (`m.f`, or the string pair
-`("m", "f")` that the tracer resolves with `getattr`).  A function nothing
-reaches must be listed in ORACLES with the reason it is kept; anything else
-is dead code and should be deleted with the tests that check only it.
+`("m", "f")` that the tracer resolves with `getattr`).  A public method (or
+property) of a public class counts as reached when any `finord` module or
+`perfbench/*.py` reads an attribute of its name outside its own `def`, or
+when `perfbench/*.py` names it as `("m", "Class.method")`.  A function or
+method nothing reaches must be listed in ORACLES with the reason it is kept;
+anything else is dead code and should be deleted with the tests that check
+only it.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -18,6 +24,10 @@ BENCH = ROOT / "perfbench"
 
 ORACLES = {
     ("kripke", "is_pmorphism_via_preimages"): "oracle for `is_pmorphism`",
+    ("heyting", "DownsetAlgebra.implies_bruteforce"):
+        "oracle for the closed-form `implies`",
+    ("hsets", "Universe.label"):
+        "read by the recursive-order oracle of tests/test_hsets.py",
     ("hierarchy", "from_json"): "round-trip oracle of `hierarchy export`",
     ("hsets", "abstract_claw"): "test input: the claw on base atoms",
     ("hsets", "ordinal"): "test input: the von Neumann ordinals, a chain",
@@ -74,6 +84,23 @@ def _own_refs(tree, skip):
     return out
 
 
+def _attribute_reads(node):
+    """How often each attribute name is read under node."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute))
+
+
+def _public_methods(trees):
+    """(module, "Class.method", def node) for public classes' methods."""
+    for mod, tree in sorted(trees.items()):
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+                for node in cls.body:
+                    if (isinstance(node, ast.FunctionDef)
+                            and not node.name.startswith("_")):
+                        yield mod, f"{cls.name}.{node.name}", node
+
+
 def _public_functions(trees):
     for mod, tree in sorted(trees.items()):
         for node in tree.body:
@@ -89,14 +116,15 @@ def _parse(path):
 def test_every_public_function_is_reached_or_an_oracle():
     trees = {path.stem: _parse(path) for path in SRC.glob("*.py")}
     modules = set(trees)
+    bench = [_parse(path) for path in BENCH.glob("*.py")]
     reached = set()
     for mod, tree in trees.items():
         reached |= {ref for ref in _module_refs(tree, modules)
                     if ref[0] != mod}
-    for path in BENCH.glob("*.py"):
-        tree = _parse(path)
+    for tree in bench:
         reached |= _module_refs(tree, modules) | _string_pairs(tree, modules)
     defined = {(mod, fn.name) for mod, fn in _public_functions(trees)}
+    defined |= {(mod, name) for mod, name, _ in _public_methods(trees)}
     for key, reason in ORACLES.items():
         assert key in defined and reason.strip(), key
     orphans = [
@@ -106,6 +134,14 @@ def test_every_public_function_is_reached_or_an_oracle():
         and (mod, fn.name) not in ORACLES
         and fn.name not in _own_refs(trees[mod], fn)
     ]
+    reads = sum(map(_attribute_reads, [*trees.values(), *bench]), Counter())
+    orphans += [
+        f"{mod}.{name}"
+        for mod, name, fn in _public_methods(trees)
+        if (mod, name) not in reached
+        and (mod, name) not in ORACLES
+        and reads[fn.name] == _attribute_reads(fn)[fn.name]
+    ]
     assert orphans == [], (
-        "public functions that neither the CLI, another module, the "
-        f"benchmark nor an ORACLES entry reaches: {orphans}")
+        "public functions and methods that neither the CLI, another module, "
+        f"the benchmark nor an ORACLES entry reaches: {orphans}")
