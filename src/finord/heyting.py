@@ -211,12 +211,7 @@ def _monotone_assignments(ji_poset: FinitePreorder, b: DownsetAlgebra):
 class FullnessReport:
     open_maps: int
     morphisms: int
-    bijection_ok: bool
     violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.bijection_ok and not self.violations
 
 
 def fullness_report(p: FinitePreorder, q: FinitePreorder) -> FullnessReport:
@@ -231,9 +226,10 @@ def fullness_report(p: FinitePreorder, q: FinitePreorder) -> FullnessReport:
     alg_p = downset_algebra(p)
     morphs = [phi.table for phi in cha_morphisms(alg_q, alg_p)]
     violations = []
+    if len(opens) != len(morphs):
+        violations.append("open maps and morphisms differ in number")
     if len(set(images)) != len(images):
         violations.append("preimage functor not injective on open maps")
     if set(images) != set(morphs):
         violations.append("preimage images differ from enumerated morphisms")
-    return FullnessReport(len(opens), len(morphs),
-                          len(opens) == len(morphs), violations)
+    return FullnessReport(len(opens), len(morphs), violations)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from finord import _json, kernels
 from finord import order as order_mod
 from finord.errors import BudgetError, FormatError, HypothesisError
-from finord.hsets import Universe, is_antichain, is_nontrivial_antichain, load
+from finord.hsets import Universe, is_antichain, load
 from finord.kernels import bits
 
 DEFAULT_BUDGET = 200_000
@@ -137,29 +137,9 @@ def materialize(h: Hierarchy, alpha: int):
 # verification suites
 
 @dataclass
-class StageCheck:
-    stage: int
-    downset_ok: bool
-    fresh_antichain_ok: bool
-    freshness_ok: bool
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.downset_ok and self.fresh_antichain_ok and self.freshness_ok
-
-
-@dataclass
 class StageReport:
-    checks: list[StageCheck]
-
-    @property
-    def ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    @property
-    def violations(self) -> list:
-        return [v for c in self.checks for v in c.violations]
+    stages: int
+    violations: list = field(default_factory=list)
 
 
 def verify_stage_properties(h: Hierarchy) -> StageReport:
@@ -173,52 +153,33 @@ def verify_stage_properties(h: Hierarchy) -> StageReport:
     u = h.universe
     top = h.levels[-1]
     top_mask = sum(1 << y for y in top)
-    checks = []
+    violations = []
     for alpha in range(len(h.levels)):
         level = h.levels[alpha]
-        violations = []
-
-        downset_ok = True
         outside = top_mask & ~sum(1 << x for x in level)
         for x in level:
             escaped = u.below(x) & outside
-            if escaped:
-                downset_ok = False
-                violations.extend(("not_downset", alpha, y, x)
-                                  for y in top if escaped >> y & 1)
+            violations.extend(("not_downset", alpha, y, x)
+                              for y in top if escaped >> y & 1)
 
         fresh = sorted(h.new_at(alpha)) if alpha > 0 else []
-        fresh_ok = True
-        for x, y in _comparable_pairs(fresh, u):
-            fresh_ok = False
-            violations.append(("fresh_comparable", alpha, x, y))
+        violations.extend(("fresh_comparable", alpha, x, y)
+                          for x, y in _comparable_pairs(fresh, u))
 
-        freshness_ok = True
         if alpha >= 2:
             prev_fresh = h.new_at(alpha - 1)
-            for x in fresh:
-                if u.kind(x) == "set" and not set(u.children(x)) & prev_fresh:
-                    freshness_ok = False
-                    violations.append(("stale_children", alpha, x))
-
-        checks.append(StageCheck(alpha, downset_ok, fresh_ok, freshness_ok,
-                                 violations))
-    return StageReport(checks)
+            violations.extend(
+                ("stale_children", alpha, x) for x in fresh
+                if u.kind(x) == "set" and not set(u.children(x)) & prev_fresh)
+    return StageReport(len(h.levels), violations)
 
 
 @dataclass
 class RestrictionReport:
     equality_checked: bool
-    equality_ok: bool
     offset_checked: bool
     offset: int | None
-    containment_ok: bool
     violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return ((not self.equality_checked or self.equality_ok)
-                and (not self.offset_checked or self.containment_ok))
 
 
 def verify_restriction(m_ids, mprime_ids, depth: int, u: Universe,
@@ -242,13 +203,11 @@ def verify_restriction(m_ids, mprime_ids, depth: int, u: Universe,
     violations = []
 
     equality_applicable = (m <= mp and is_antichain(m, u) and is_antichain(mp, u))
-    equality_ok = True
     if equality_applicable:
         top = hm.levels[-1]
         for alpha in range(min(len(hm.levels), len(hp.levels))):
             expected = hp.levels[alpha] & top
             if hm.levels[alpha] != expected:
-                equality_ok = False
                 violations.append(("stage_mismatch", alpha,
                                    sorted(hm.levels[alpha] ^ expected)))
 
@@ -257,87 +216,44 @@ def verify_restriction(m_ids, mprime_ids, depth: int, u: Universe,
         if m <= lev:
             offset = c
             break
-    containment_ok = True
     if offset is not None:
         for alpha in range(len(hm.levels)):
             if alpha + offset >= len(hp.levels):
                 break
             extra = hm.levels[alpha] - hp.levels[alpha + offset]
             if extra:
-                containment_ok = False
                 violations.append(("not_contained", alpha, offset, sorted(extra)))
 
     if not equality_applicable and offset is None:
         raise HypothesisError(
             "need M inside M' (both antichains) or M inside some stage of M'")
-    return RestrictionReport(equality_applicable, equality_ok,
-                             offset is not None, offset, containment_ok,
+    return RestrictionReport(equality_applicable, offset is not None, offset,
                              violations)
-
-
-@dataclass
-class PairResult:
-    pair_id: int
-    claim_ok: bool  # {x, outside} really is a nontrivial antichain
-
-
-def pair_with(x: int, outside: int, u: Universe,
-              h: Hierarchy | None = None) -> PairResult:
-    """Intern {x, outside} and verify it is a nontrivial antichain.
-
-    Hypotheses are raised on: `outside` must differ from x, and when a
-    hierarchy is supplied it must avoid the tower, be incomparable to the
-    whole base, and x must belong to the top stage.  The antichain claim
-    itself is what the construction asserts, so its failure is reported in
-    the result rather than raised.
-    """
-    if x == outside:
-        raise HypothesisError("the outside element coincides with x")
-    if h is not None:
-        if outside in h.levels[-1]:
-            raise HypothesisError("the outside element lies in the tower")
-        if not is_antichain(set(h.base) | {outside}, u):
-            raise HypothesisError("base plus outside element is not an antichain")
-        if x not in h.levels[-1]:
-            raise HypothesisError("x does not belong to the tower")
-    pair = u.intern([x, outside])
-    return PairResult(pair, is_nontrivial_antichain([x, outside], u))
 
 
 @dataclass
 class FanReport:
     pair_ids: tuple[int, ...]
-    pairs_ok: bool
-    fan_is_antichain: bool
     violations: list = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return self.pairs_ok and self.fan_is_antichain
 
-
-def fan(a_ids, outside: int, u: Universe, h: Hierarchy | None = None) -> FanReport:
+def fan(a_ids, outside: int, u: Universe) -> FanReport:
     """Pair every element of A with one fixed outside element.
 
     Verifies the claims the growth argument rests on: each {x, outside} is a
     nontrivial antichain and the pairs are pairwise incomparable.  Violations
-    are reported, not raised; hypothesis failures raise HypothesisError.
+    are reported, not raised; an outside element inside A raises
+    HypothesisError.
     """
     xs = sorted(set(a_ids))
-    violations = []
-    pair_ids = []
-    pairs_ok = True
-    for x in xs:
-        result = pair_with(x, outside, u, h)
-        pair_ids.append(result.pair_id)
-        if not result.claim_ok:
-            pairs_ok = False
-            violations.append(("bad_pair", x, outside))
-    fan_ok = True
-    for p, q in _comparable_pairs(pair_ids, u):
-        fan_ok = False
-        violations.append(("fan_comparable", p, q))
-    return FanReport(tuple(pair_ids), pairs_ok, fan_ok, violations)
+    if outside in xs:
+        raise HypothesisError("the outside element lies in A")
+    violations = [("bad_pair", x, outside) for x in xs
+                  if u.comparable(x, outside)]
+    pair_ids = [u.intern([x, outside]) for x in xs]
+    violations += [("fan_comparable", p, q)
+                   for p, q in _comparable_pairs(pair_ids, u)]
+    return FanReport(tuple(pair_ids), violations)
 
 
 def growth_stats(h: Hierarchy) -> list[int]:
@@ -348,17 +264,10 @@ def growth_stats(h: Hierarchy) -> list[int]:
 
 @dataclass
 class GrowthReport:
-    doubleton_ids: tuple[int, ...]
-    triple_id: int
     level_sizes: list[int]
     growth: list[int]
     fan_sizes: list[int]
-    fans_ok: bool
-    min_growth: int
-
-    @property
-    def ok(self) -> bool:
-        return self.fans_ok and self.min_growth >= 3
+    violations: list = field(default_factory=list)
 
 
 def growth_witness(triple, depth: int, u: Universe,
@@ -369,9 +278,10 @@ def growth_witness(triple, depth: int, u: Universe,
     base, build their tower, and fan each stage whose growth is measured
     against the interned triple {x, y, z} (which stays incomparable to
     everything the doubleton tower generates).  Reports per-stage growth
-    (each must be >= 3) and the fan verifications.  The deepest stage is
-    counted but not fanned; its pairwise check would be quadratic in a size
-    that only matters as a cardinality.
+    (each must be >= 3, which the caller reads off `growth`) and the fan
+    violations, tagged with their stage.  The deepest stage is counted but
+    not fanned; its pairwise check would be quadratic in a size that only
+    matters as a cardinality.
     """
     trip = sorted(set(triple))
     if len(trip) != 3:
@@ -387,17 +297,16 @@ def growth_witness(triple, depth: int, u: Universe,
                           stage=h.truncated_at, budget=budget)
 
     fan_sizes = []
-    fans_ok = True
+    violations = []
     for alpha in range(len(h.levels) - 1):
-        report = fan(h.levels[alpha], triple_id, u, None)
+        report = fan(h.levels[alpha], triple_id, u)
         fan_sizes.append(len(report.pair_ids))
-        if not report.ok or len(report.pair_ids) != len(h.levels[alpha]):
-            fans_ok = False
+        violations += [("fan", alpha, *v) for v in report.violations]
+        if len(report.pair_ids) != len(h.levels[alpha]):
+            violations.append(("fan_size", alpha))
 
-    growth = growth_stats(h)
-    return GrowthReport(doubles, triple_id, [len(l) for l in h.levels],
-                        growth, fan_sizes, fans_ok,
-                        min(growth) if growth else 0)
+    return GrowthReport([len(l) for l in h.levels], growth_stats(h),
+                        fan_sizes, violations)
 
 
 # ---------------------------------------------------------------------------

@@ -48,9 +48,6 @@ class BasePoset:
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
-    def leq(self, a: str, b: str) -> bool:
-        return self.relation.leq(self.index(a), self.index(b))
-
     def lt(self, a: str, b: str) -> bool:
         return self.relation.lt(self.index(a), self.index(b))
 
@@ -234,10 +231,6 @@ def is_antichain(ids, u: Universe) -> bool:
         u.comparable(xs[i], xs[j])
         for i in range(len(xs)) for j in range(i + 1, len(xs))
     )
-
-
-def is_nontrivial_antichain(ids, u: Universe) -> bool:
-    return len(set(ids)) >= 2 and is_antichain(ids, u)
 
 
 def is_chain(ids, u: Universe) -> bool:

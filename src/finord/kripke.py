@@ -207,10 +207,6 @@ class CoreflectionReport:
     pmorphisms: int
     violations: list = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
 
 def verify_coreflection(f: KripkeFrame, preorders, budget: int = 10_000_000
                         ) -> tuple[Coreflection, list[CoreflectionReport]]:
@@ -307,10 +303,6 @@ def closure_iff_preorder(f: KripkeFrame) -> bool:
 class BoxDiamondReport:
     pairs_checked: int
     violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def box_diamond_report(a: FiniteBAO, rng=None, samples: int = 4096,
@@ -450,13 +442,7 @@ def sample_frame(n: int, rng, density: float = 0.4) -> KripkeFrame:
 @dataclass
 class FrameFullnessReport:
     functions: int
-    pmorphisms: int
-    bao_morphisms: int
     violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.pmorphisms == self.bao_morphisms and not self.violations
 
 
 def fullness_frames_report(f: KripkeFrame, g: KripkeFrame,
@@ -473,20 +459,17 @@ def fullness_frames_report(f: KripkeFrame, g: KripkeFrame,
     """
     _check_function_space(f, g, budget)
     ca_f, ca_g = complex_algebra(f), complex_algebra(g)
-    count = pm = bm = 0
+    count = 0
     violations = []
     for table in iproduct(range(g.n), repeat=f.n):
         count += 1
-        is_pm = is_pmorphism(table, f, g)
         preserves = all(
             _preimage(table, f.n, ca_g.dia(b)) == ca_f.dia(_preimage(table, f.n, b))
             for b in range(1 << g.n)
         )
-        pm += is_pm
-        bm += preserves
-        if is_pm != preserves:
+        if is_pmorphism(table, f, g) != preserves:
             violations.append(table)
-    return FrameFullnessReport(count, pm, bm, violations)
+    return FrameFullnessReport(count, violations)
 
 
 def _preimage(table, n, mask):

@@ -156,15 +156,10 @@ def coordinate_map(h, alpha: int, branch: int, materialized=None) -> PointMap:
 
 @dataclass
 class InjectivityReport:
-    stage: int
     open_maps: int
     injective_on_base: int
     violations: list = field(default_factory=list)
     hypotheses_hold: bool = True
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def injectivity_report(h, alpha: int, p: FinitePreorder,
@@ -196,7 +191,7 @@ def injectivity_report(h, alpha: int, p: FinitePreorder,
         injective += 1
         if len(set(f.table)) != stage.n:
             violations.append(f.table)
-    return InjectivityReport(alpha, len(maps), injective, violations, hypotheses)
+    return InjectivityReport(len(maps), injective, violations, hypotheses)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +264,7 @@ class StageSearch:
     stage_size: int
     candidates_examined: int
     mediating_found: int
-    injective_ok: bool
+    all_injective: bool
 
 
 @dataclass
@@ -368,12 +363,12 @@ def _verdict(h, stages, p, p1, p2, fibers, node_budget):
     for alpha, stage, f1, f2, classes in stages():
         found, nodes = _mediating(stage, f1, f2, classes, p, p1, p2, fibers,
                                   node_budget)
-        injective_ok = all(len(set(f.table)) == stage.n for f in found)
+        all_injective = all(len(set(f.table)) == stage.n for f in found)
         searches.append(StageSearch(alpha, stage.n, nodes, len(found),
-                                    injective_ok))
+                                    all_injective))
         if not found:
             return ObstructionVerdict("empty_mediating_set", alpha, searches)
-        if not injective_ok:
+        if not all_injective:
             return ObstructionVerdict("non_injective_mediating", alpha,
                                       searches)
     for alpha, level in enumerate(h.levels):

@@ -320,6 +320,25 @@ def test_empty_frame_family_reports_golden(suite, states, capsys):
         EMPTY_STATES_DIGESTS[suite, states])
 
 
+# the same policy for --depth 0 in thm26: no growth measured, no violation
+THM26_DEPTH_ZERO_DIGEST = (
+    "9d3d806e115bf76f314f9ba84beccd257cf753a64a12244f197afeff1a5cbe10")
+
+
+def test_thm26_depth_zero_reports_golden(capsys):
+    code, out, _ = run(["verify", "thm26", "--depth", "0"], capsys)
+    assert code == 0
+    assert json.loads(out)["violations"] == []
+    assert hashlib.sha256(out.encode()).hexdigest() == THM26_DEPTH_ZERO_DIGEST
+
+
+def test_lemma23_depth_zero_names_the_bound(capsys):
+    code, out, err = run(["verify", "lemma23", "--depth", "0"], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("finord: error: lemma23 needs --depth >= 1: its shifted "
+                   "base lies in stage 1\n")
+
+
 def test_obstruct_enumerates_each_size_once(monkeypatch, capsys):
     calls = Counter()
 

@@ -129,7 +129,7 @@ def test_restriction_equality_clause():
     for m in ((ids[0],), (ids[0], ids[1]), tuple(ids)):
         rep = hierarchy.verify_restriction(m, ids, 2, u)
         assert rep.equality_checked
-        assert rep.ok, rep.violations
+        assert not rep.violations, rep.violations
 
 
 def test_restriction_offset_clause():
@@ -139,7 +139,7 @@ def test_restriction_offset_clause():
     rep = hierarchy.verify_restriction(shifted, ids, 2, u)
     assert not rep.equality_checked
     assert rep.offset == 1
-    assert rep.ok, rep.violations
+    assert not rep.violations, rep.violations
 
 
 def test_restriction_requires_a_relation():
@@ -148,16 +148,16 @@ def test_restriction_requires_a_relation():
         hierarchy.verify_restriction((ids[0],), (ids[1],), 1, u)
 
 
-def test_pair_with_rejects_identical_elements():
+def test_fan_rejects_outside_element_in_a():
     u, ids = hsets.abstract_antichain(3)
     with pytest.raises(HypothesisError):
-        hierarchy.pair_with(ids[0], ids[0], u)
+        hierarchy.fan([ids[0]], ids[0], u)
 
 
-def test_pair_with_reports_comparable_claim():
+def test_fan_reports_comparable_pair():
     u, base, _ = claw_tower(depth=0)
-    res = hierarchy.pair_with(base[0], base[1], u)
-    assert not res.claim_ok
+    rep = hierarchy.fan([base[0]], base[1], u)
+    assert ("bad_pair", base[0], base[1]) in rep.violations
 
 
 def test_fan_over_free_antichain():
@@ -165,7 +165,7 @@ def test_fan_over_free_antichain():
     h = hierarchy.build(ids[:3], 2, u)
     for alpha in range(3):
         rep = hierarchy.fan(h.levels[alpha], ids[3], u)
-        assert rep.ok
+        assert not rep.violations
         assert len(rep.pair_ids) == len(h.levels[alpha])
 
 
@@ -175,7 +175,7 @@ def test_growth_witness_frozen_values():
     assert rep.level_sizes == [3, 7, 21]
     assert rep.growth == [4, 14]
     assert rep.fan_sizes == [3, 7]
-    assert rep.ok
+    assert not rep.violations and min(rep.growth) >= 3
 
 
 def test_budget_truncation_keeps_prefix():

@@ -149,7 +149,7 @@ def test_coreflection_universal_property_small():
         assert cor == kripke.coreflect(f)
         assert len(reports) == len(preorders)
         for p, report in zip(preorders, reports):
-            assert report.ok, (f, p, report.violations)
+            assert not report.violations, (f, p, report.violations)
 
 
 def test_closure_iff_preorder_exhaustive():
@@ -176,7 +176,7 @@ def test_box_diamond_exhaustive():
     for _ in range(30):
         a = FiniteBAO(3, tuple(rng.getrandbits(3) for _ in range(3)))
         report = kripke.box_diamond_report(a)
-        assert report.ok
+        assert not report.violations
         assert report.pairs_checked == 64
 
 
@@ -186,7 +186,7 @@ def test_box_diamond_sampled_above_cutoff():
     with pytest.raises(ValueError):
         kripke.box_diamond_report(a)
     report = kripke.box_diamond_report(a, rng=rng, samples=200)
-    assert report.ok
+    assert not report.violations
     assert report.pairs_checked == 200
 
 
@@ -251,7 +251,7 @@ def test_fullness_all_two_state_pairs():
     for f in all_frames(2):
         for g in all_frames(2):
             report = kripke.fullness_frames_report(f, g)
-            assert report.ok, (f, g, report.violations)
+            assert not report.violations, (f, g, report.violations)
             assert report.functions == 4
 
 

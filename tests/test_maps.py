@@ -260,15 +260,18 @@ def test_injectivity_propagates_small():
     _, _, h = claw_tower()
     for p in order.enumerate_posets(4):
         rep = maps.injectivity_report(h, 1, p)
-        assert rep.ok, (p.n, rep.violations)
+        assert not rep.violations, (p.n, rep.violations)
 
 
 def test_injectivity_requires_hypotheses():
-    u, ids = hsets.abstract_antichain(3)
-    h = hierarchy.build(ids, 1, u)
+    # a, b < c with a and b incomparable: what lies below c is no chain
+    u = Universe(hsets.base_poset("abc", [("a", "c"), ("b", "c")]))
+    h = hierarchy.build([u.atom(x) for x in "abc"], 1, u)
     p = order.chain(2)
     rep = maps.injectivity_report(h, 1, p, require_hypotheses=False)
-    assert isinstance(rep.ok, bool)
+    assert rep.hypotheses_hold is False
+    with pytest.raises(HypothesisError):
+        maps.injectivity_report(h, 1, p)
 
 
 def test_enumerate_open_counts_to_sierpinski():

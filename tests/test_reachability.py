@@ -8,10 +8,15 @@ outside its `def`, or when `perfbench/*.py` does (`m.f`, or the string pair
 `("m", "f")` that the tracer resolves with `getattr`).  A public method (or
 property) of a public class counts as reached when any `finord` module or
 `perfbench/*.py` reads an attribute of its name outside its own `def`, or
-when `perfbench/*.py` names it as `("m", "Class.method")`.  A function or
-method nothing reaches must be listed in ORACLES with the reason it is kept;
-anything else is dead code and should be deleted with the tests that check
-only it.
+when `perfbench/*.py` names it as `("m", "Class.method")`.  A method whose
+name another public class also defines is not told apart by an attribute
+read, so it counts as reached only through that perfbench pair, an ORACLES
+entry, or a SHARED entry naming the `finord` function (or "Class.method")
+that reads it.  A function or method nothing reaches must be listed in
+ORACLES with the reason it is kept; anything else is dead code and should be
+deleted with the tests that check only it.
+
+A second check finds names a `src/finord` module imports and never uses.
 """
 
 import ast
@@ -28,11 +33,21 @@ ORACLES = {
         "oracle for the closed-form `implies`",
     ("hsets", "Universe.label"):
         "read by the recursive-order oracle of tests/test_hsets.py",
+    ("hsets", "BasePoset.lt"):
+        "read by the recursive-order oracle of tests/test_hsets.py",
     ("hierarchy", "from_json"): "round-trip oracle of `hierarchy export`",
     ("hsets", "abstract_claw"): "test input: the claw on base atoms",
     ("hsets", "ordinal"): "test input: the von Neumann ordinals, a chain",
     ("order", "antichain"): "test input: the discrete order",
     ("order", "sample_poset"): "random test input",
+}
+
+# method defined by several public classes -> the definition reading it
+SHARED = {
+    ("order", "FinitePreorder.leq"): ("order", "to_json"),
+    ("order", "FinitePreorder.lt"): ("order", "covers"),
+    ("heyting", "DownsetAlgebra.top"): ("heyting", "is_complete_ha_morphism"),
+    ("kripke", "FiniteBAO.top"): ("kripke", "FiniteBAO.box"),
 }
 
 
@@ -101,6 +116,20 @@ def _public_methods(trees):
                         yield mod, f"{cls.name}.{node.name}", node
 
 
+def _definitions(trees):
+    """(module, name or "Class.method") -> def node, private ones included."""
+    defs = {}
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[mod, node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defs[mod, f"{node.name}.{item.name}"] = item
+    return defs
+
+
 def _public_functions(trees):
     for mod, tree in sorted(trees.items()):
         for node in tree.body:
@@ -134,14 +163,55 @@ def test_every_public_function_is_reached_or_an_oracle():
         and (mod, fn.name) not in ORACLES
         and fn.name not in _own_refs(trees[mod], fn)
     ]
+    defs = _definitions(trees)
+    for (mod, name), reader in SHARED.items():
+        attr = name.split(".")[1]
+        assert (mod, name) in defined, (mod, name)
+        assert _attribute_reads(defs[reader])[attr], (mod, name, reader)
     reads = sum(map(_attribute_reads, [*trees.values(), *bench]), Counter())
+    owners = Counter(fn.name for _, _, fn in _public_methods(trees))
     orphans += [
         f"{mod}.{name}"
         for mod, name, fn in _public_methods(trees)
         if (mod, name) not in reached
         and (mod, name) not in ORACLES
-        and reads[fn.name] == _attribute_reads(fn)[fn.name]
+        and (mod, name) not in SHARED
+        and (owners[fn.name] > 1
+             or reads[fn.name] == _attribute_reads(fn)[fn.name])
     ]
     assert orphans == [], (
         "public functions and methods that neither the CLI, another module, "
         f"the benchmark nor an ORACLES entry reaches: {orphans}")
+
+
+def _imported_names(tree):
+    """The names a module's imports bind."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out |= {a.asname or a.name for a in node.names}
+    return out
+
+
+def _exported(tree):
+    """The string entries of a module-level `__all__` list or tuple."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return {e.value for e in node.value.elts
+                    if isinstance(e, ast.Constant)}
+    return set()
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = _parse(path)
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        exempt = _exported(tree) if path.name == "__init__.py" else set()
+        unused += [f"{path.stem}: {name}"
+                   for name in sorted(_imported_names(tree) - used - exempt)]
+    assert unused == [], f"imported names never used: {unused}"
