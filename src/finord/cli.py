@@ -194,14 +194,6 @@ def _read_json(path: str) -> dict:
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _build(base, depth: int, u, budget: int) -> hierarchy_mod.Hierarchy:
-    """hierarchy.build, with a budget below the base size a config error."""
-    size = len(set(base))
-    if size > budget:
-        raise FormatError(f"budget {budget} is below the base size {size}")
-    return hierarchy_mod.build(base, depth, u, budget)
-
-
 def _require_complete(h: hierarchy_mod.Hierarchy):
     if not h.complete:
         raise BudgetError("level budget exhausted",
@@ -219,7 +211,7 @@ def cmd_hierarchy(args):
     if args.depth < 0 or args.budget <= 0:
         raise FormatError("depth must be >= 0 and budget positive")
     u, base = _resolve_base(args.base)
-    h = _build(base, args.depth, u, args.budget)
+    h = hierarchy_mod.build(base, args.depth, u, args.budget)
     payload = {
         "action": args.action,
         "levels": [len(level) for level in h.levels],
@@ -255,7 +247,7 @@ def _suite_lemma23(args, rng):
 
     for name in ("thm33", "antichain3"):
         u, base = _resolve_base(name)
-        h = _build(base, depth, u, args.budget)
+        h = hierarchy_mod.build(base, depth, u, args.budget)
         _require_complete(h)
         rep = hierarchy_mod.verify_stage_properties(h)
         checks += rep.stages
@@ -277,7 +269,7 @@ def _suite_lemma23(args, rng):
     rep = hierarchy_mod.verify_restriction(shifted, base, depth, u,
                                            args.budget)
     checks += 1
-    if not rep.offset_checked or rep.offset != 1:
+    if rep.offset != 1:
         violations.append(["restriction_offset", str(rep.offset)])
     violations += [["restriction_shifted", *map(str, v)]
                    for v in rep.violations]
@@ -289,7 +281,7 @@ def _suite_lemma24(args, rng):
     """Pairing every stage element with an incomparable outsider."""
     depth = _pick(args.depth, 2)
     u, ids = hsets.abstract_antichain(4)
-    h = _build(ids[:3], depth, u, args.budget)
+    h = hierarchy_mod.build(ids[:3], depth, u, args.budget)
     _require_complete(h)
     checks = 0
     violations = []
@@ -298,8 +290,6 @@ def _suite_lemma24(args, rng):
         checks += len(rep.pair_ids)
         violations += [["fan", str(alpha), *map(str, v)]
                        for v in rep.violations]
-        if len(rep.pair_ids) != len(h.levels[alpha]):
-            violations.append(["fan_size", str(alpha)])
     return {"suite": args.suite, "checks": checks, "violations": violations}
 
 
@@ -340,7 +330,7 @@ def _suite_lemma32(args, rng):
     """Open maps injective on the base stay injective on the stage."""
     depth = _pick(args.depth, 1)
     u, base = _resolve_base("thm33")
-    h = _build(base, depth, u, args.budget)
+    h = hierarchy_mod.build(base, depth, u, args.budget)
     _require_complete(h)
     posets = order_mod.enumerate_posets(_pick(args.max_size, 4))
     open_maps = injective = 0
@@ -359,8 +349,6 @@ def _suite_thm26(args, rng):
     """Strict growth of the doubleton tower, fanned against the triple."""
     depth = _pick(args.depth, 3)
     # growth_witness builds its own base, the three doubletons
-    if args.budget < 3:
-        raise FormatError(f"budget {args.budget} is below the base size 3")
     u, ids = hsets.abstract_antichain(3)
     rep = hierarchy_mod.growth_witness(ids, depth, u, args.budget)
     violations = []
@@ -513,7 +501,7 @@ def cmd_obstruct(args):
     if args.all_posets is not None and not 1 <= args.all_posets <= bound:
         raise FormatError(f"--all-posets needs a bound in 1..{bound}")
     u, base = _resolve_base("thm33")
-    h = _build(base, args.depth, u, args.budget)
+    h = hierarchy_mod.build(base, args.depth, u, args.budget)
     _require_complete(h)
     if args.poset is not None:
         posets = [_resolve_poset(args.poset)]
@@ -526,8 +514,7 @@ def cmd_obstruct(args):
     certificates = []
     refuted = 0
     tick = time.perf_counter()
-    for i, p1, p2, verdict in maps_mod.product_obstructions(h, posets,
-                                                            args.depth):
+    for i, p1, p2, verdict in maps_mod.product_obstructions(h, posets):
         refuted += verdict.refuted
         elapsed = None
         if args.timing:

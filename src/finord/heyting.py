@@ -71,10 +71,9 @@ class DownsetAlgebra:
         return out
 
 
-def downset_algebra(p: FinitePreorder, cap: int = 20) -> DownsetAlgebra:
-    if p.n > cap:
-        raise BudgetError("downset enumeration beyond the size cap",
-                          used=p.n, budget=cap)
+def downset_algebra(p: FinitePreorder) -> DownsetAlgebra:
+    """All downsets of p; more than `order.MAX_DOWNSET_SIZE` points raise
+    the BudgetError of `order.all_downsets`."""
     return DownsetAlgebra(p, tuple(order_mod.all_downsets(p)))
 
 
@@ -164,21 +163,22 @@ def verify_adjunction_unit(p: FinitePreorder) -> bool:
     return order_mod.poset_iso(ji, p) is not None
 
 
-def cha_morphisms(a: DownsetAlgebra, b: DownsetAlgebra,
-                  node_budget: int = 10_000_000):
+def cha_morphisms(a: DownsetAlgebra, b: DownsetAlgebra):
     """Every complete Heyting morphism a -> b, deterministic order.
 
     A complete morphism is fixed by its values on join-irreducibles, and in a
     distributive lattice those values must be assigned monotonically; each
     monotone assignment extends by joins and is then verified against the
     full definition.  A brute-force cross-check over all tables lives in the
-    test suite for the smallest algebras.
+    test suite for the smallest algebras.  More than `kernels.NODE_BUDGET`
+    candidate assignments raise BudgetError before the search starts.
     """
     ji_poset, ji = join_irreducibles(a)
     k = len(ji)
-    if len(b.elements) ** k > node_budget:
+    if len(b.elements) ** k > kernels.NODE_BUDGET:
         raise BudgetError("too many candidate assignments",
-                          used=len(b.elements) ** k, budget=node_budget)
+                          used=len(b.elements) ** k,
+                          budget=kernels.NODE_BUDGET)
     out = []
     for assign in _monotone_assignments(ji_poset, b):
         table = []

@@ -18,7 +18,7 @@ import re
 from dataclasses import dataclass
 
 from finord import order as order_mod
-from finord.errors import FormatError, HypothesisError
+from finord.errors import FormatError
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.+\-]+\Z")
 
@@ -241,18 +241,14 @@ def is_chain(ids, u: Universe) -> bool:
     )
 
 
-def is_convex(ids, u: Universe, scope=None) -> bool:
-    """No scope element strictly between two members of `ids`.
+def is_convex(ids, u: Universe) -> bool:
+    """No interned element strictly between two members of `ids`.
 
-    Default scope is every interned element; each element's transitive
-    closure is interned, so this is the union of the closures together with
-    the elements themselves.
+    Each element's transitive closure is interned, so the interned elements
+    include everything between two members.
     """
     m = set(ids)
-    scope_ids = u.ids() if scope is None else set(scope)
-    if scope is not None and not m <= scope_ids:
-        raise HypothesisError("ids must lie inside the scope")
-    for q in scope_ids:
+    for q in u.ids():
         if q in m:
             continue
         if any(u.lt(p, q) for p in m) and any(u.lt(q, r) for r in m):

@@ -25,6 +25,11 @@ from finord.errors import BudgetError
 # stamped into benchmark records; the only implementation
 ACTIVE = "pure"
 
+# the search bound of every map search: the node budget of `enumerate_maps`,
+# and the function-space bound of `kripke.pmorphisms`,
+# `kripke.fullness_frames_report` and `heyting.cha_morphisms`
+NODE_BUDGET = 10_000_000
+
 
 def antichains(n, comp, min_size=0, limit=None):
     """Enumerate subsets of range(n) with no two members comparable.
@@ -59,7 +64,7 @@ def antichains(n, comp, min_size=0, limit=None):
 
 
 def enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed, require_open,
-                   node_budget=10_000_000, injective=False):
+                   node_budget=NODE_BUDGET, injective=False):
     """Enumerate monotone maps P -> Q as value tuples, openness optional.
 
     P and Q are relations given by rows: p_down[i] is the mask of the points

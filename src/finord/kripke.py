@@ -25,6 +25,14 @@ from finord.errors import BudgetError
 from finord.kernels import bits
 from finord.order import FinitePreorder
 
+# most relations `enumerate_frames` and `frames_up_to_iso` may walk; there
+# are 2 ** (n * n) on n states, so n <= 4
+RELATION_BUDGET = 1 << 20
+# largest algebra whose 2 ** atoms elements `bao_L` scans
+MAX_BAO_ATOMS = 16
+# largest algebra whose 4 ** atoms element pairs `box_diamond_report` checks
+MAX_BOX_DIAMOND_ATOMS = 8
+
 
 @dataclass(frozen=True)
 class KripkeFrame:
@@ -98,23 +106,24 @@ def is_pmorphism_via_preimages(table, f: KripkeFrame, g: KripkeFrame) -> bool:
     return True
 
 
-def _check_function_space(f: KripkeFrame, g: KripkeFrame, budget: int):
-    """Raise a BudgetError when there are more than `budget` functions f -> g."""
-    if g.n ** f.n > budget:
+def _check_function_space(f: KripkeFrame, g: KripkeFrame):
+    """Raise a BudgetError when there are more than `kernels.NODE_BUDGET`
+    functions f -> g."""
+    if g.n ** f.n > kernels.NODE_BUDGET:
         raise BudgetError("function space too large", used=g.n ** f.n,
-                          budget=budget)
+                          budget=kernels.NODE_BUDGET)
 
 
-def pmorphisms(f: KripkeFrame, g: KripkeFrame, budget: int = 10_000_000):
+def pmorphisms(f: KripkeFrame, g: KripkeFrame):
     """All p-morphisms f -> g, ascending, by the map kernel.
 
     A p-morphism is a map with f[R[x]] = S[f(x)] for every state x, which is
-    the kernel's openness test with successor rows as the down rows.  The
-    budget bounds the function space g.n ** f.n before the search starts,
-    and with it the search tree (at most f.n * g.n ** f.n nodes), so the
-    kernel runs without a node budget of its own.
+    the kernel's openness test with successor rows as the down rows.
+    `kernels.NODE_BUDGET` bounds the function space g.n ** f.n before the
+    search starts, and with it the search tree (at most f.n * g.n ** f.n
+    nodes), so the kernel runs without a node budget of its own.
     """
-    _check_function_space(f, g, budget)
+    _check_function_space(f, g)
     tables, _ = kernels.enumerate_maps(
         f.n, g.n, f.succ, f.pred, g.succ, g.pred, [(1 << g.n) - 1] * f.n,
         True, node_budget=math.inf)
@@ -153,15 +162,14 @@ def _is_good_upset(f: KripkeFrame, u: int) -> bool:
     return True
 
 
-def coreflect(f: KripkeFrame, cap: int = 20) -> Coreflection:
+def coreflect(f: KripkeFrame) -> Coreflection:
     """The largest R-upset on which R is a preorder, ordered by converse R.
 
     Computed straight from the definition: union every good upset.  The
-    union is verified to be good itself and to contain each good upset.
+    union is verified to be good itself and to contain each good upset.  A
+    frame on more than `order.MAX_DOWNSET_SIZE` states raises the
+    BudgetError of `order.all_downsets`.
     """
-    if f.n > cap:
-        raise BudgetError("exhaustive upset enumeration beyond the cap",
-                          used=f.n, budget=cap)
     good = [u for u in _upsets(f) if _is_good_upset(f, u)]
     y = 0
     for u in good:
@@ -208,7 +216,7 @@ class CoreflectionReport:
     violations: list = field(default_factory=list)
 
 
-def verify_coreflection(f: KripkeFrame, preorders, budget: int = 10_000_000
+def verify_coreflection(f: KripkeFrame, preorders
                         ) -> tuple[Coreflection, list[CoreflectionReport]]:
     """Universal property at desk scale, by exhausting all p-morphisms.
 
@@ -228,7 +236,7 @@ def verify_coreflection(f: KripkeFrame, preorders, budget: int = 10_000_000
         frame_p = opposite_frame(p)
         violations = []
         count = 0
-        for table in pmorphisms(frame_p, f, budget):
+        for table in pmorphisms(frame_p, f):
             count += 1
             if any(not cor.member_mask >> v & 1 for v in table):
                 violations.append(("image_escapes", table))
@@ -305,41 +313,35 @@ class BoxDiamondReport:
     violations: list = field(default_factory=list)
 
 
-def box_diamond_report(a: FiniteBAO, rng=None, samples: int = 4096,
-                       exhaustive_cutoff: int = 8) -> BoxDiamondReport:
-    """box(x) & dia(y) <= dia(x & y) over all pairs (or a seeded sample).
+def box_diamond_report(a: FiniteBAO) -> BoxDiamondReport:
+    """box(x) & dia(y) <= dia(x & y) over all pairs.
 
     The inequality holds in every BAO, so any violation is an implementation
-    bug surfacing.
+    bug surfacing.  Above MAX_BOX_DIAMOND_ATOMS atoms raises BudgetError.
     """
+    if a.atoms > MAX_BOX_DIAMOND_ATOMS:
+        raise BudgetError("pair scan beyond the cap", used=a.atoms,
+                          budget=MAX_BOX_DIAMOND_ATOMS)
     violations = []
-    if a.atoms <= exhaustive_cutoff:
-        space = range(1 << a.atoms)
-        pairs = ((x, y) for x in space for y in space)
-        count = (1 << a.atoms) ** 2
-    else:
-        if rng is None:
-            raise ValueError("need an rng above the exhaustive cutoff")
-        pairs = ((rng.getrandbits(a.atoms), rng.getrandbits(a.atoms))
-                 for _ in range(samples))
-        count = samples
-    for x, y in pairs:
-        lhs = a.box(x) & a.dia(y)
-        if lhs & ~a.dia(x & y):
-            violations.append((x, y))
-    return BoxDiamondReport(count, violations)
+    space = range(1 << a.atoms)
+    for x in space:
+        for y in space:
+            if a.box(x) & a.dia(y) & ~a.dia(x & y):
+                violations.append((x, y))
+    return BoxDiamondReport(len(space) ** 2, violations)
 
 
-def bao_L(a: FiniteBAO, cap: int = 16) -> KripkeFrame:
+def bao_L(a: FiniteBAO) -> KripkeFrame:
     """Frame recovered from the algebra's reflexive part.
 
     s joins every element below its own box (finite carriers make the
     spatiality side conditions automatic); the frame lives on the atoms
-    under s with x R y iff x <= s & dia(y).
+    under s with x R y iff x <= s & dia(y).  Above MAX_BAO_ATOMS atoms
+    raises BudgetError.
     """
-    if a.atoms > cap:
+    if a.atoms > MAX_BAO_ATOMS:
         raise BudgetError("element scan beyond the cap", used=a.atoms,
-                          budget=cap)
+                          budget=MAX_BAO_ATOMS)
     s = 0
     for x in range(1 << a.atoms):
         if x & ~a.box(x) == 0:
@@ -368,21 +370,23 @@ def frame_iso(f: KripkeFrame, g: KripkeFrame):
     return kernels.relation_iso(f.succ, f.pred, g.succ, g.pred)
 
 
-def check_relation_budget(n: int, budget: int = 1 << 20):
+def check_relation_budget(n: int):
     """Raise the BudgetError that enumerating the frames on n states would.
 
-    `enumerate_frames` and `frames_up_to_iso` raise it before they build
-    any frame; a caller walking sizes 1..n checks n first, so no smaller
-    size is enumerated in vain.
+    There are 2 ** (n * n) relations on n states, and more than
+    RELATION_BUDGET of them raise.  `enumerate_frames` and
+    `frames_up_to_iso` raise it before they build any frame; a caller
+    walking sizes 1..n checks n first, so no smaller size is enumerated in
+    vain.
     """
-    if (1 << n * n) > budget:
+    if (1 << n * n) > RELATION_BUDGET:
         raise BudgetError("too many relations", used=1 << n * n,
-                          budget=budget)
+                          budget=RELATION_BUDGET)
 
 
-def enumerate_frames(n: int, budget: int = 1 << 20):
+def enumerate_frames(n: int):
     """All labeled frames on n states, relation bits ascending."""
-    check_relation_budget(n, budget)
+    check_relation_budget(n)
     out = []
     for bits in range(1 << n * n):
         succ = tuple((bits >> i * n) & ((1 << n) - 1) for i in range(n))
@@ -390,7 +394,7 @@ def enumerate_frames(n: int, budget: int = 1 << 20):
     return out
 
 
-def frames_up_to_iso(n: int, budget: int = 1 << 20):
+def frames_up_to_iso(n: int):
     """One representative per isomorphism class of n-state frames.
 
     The representative is the class's first labeled frame in relation-bit
@@ -398,7 +402,7 @@ def frames_up_to_iso(n: int, budget: int = 1 << 20):
     whole relabeling orbit.  Classes are listed by their canonical key, the
     least row tuple in the orbit.
     """
-    check_relation_budget(n, budget)
+    check_relation_budget(n)
     full = (1 << n) - 1
     # per relabeling p: the row map (state j of the image is state p[j])
     # and the row order (image row i is source row p[i])
@@ -445,8 +449,8 @@ class FrameFullnessReport:
     violations: list = field(default_factory=list)
 
 
-def fullness_frames_report(f: KripkeFrame, g: KripkeFrame,
-                           budget: int = 10_000_000) -> FrameFullnessReport:
+def fullness_frames_report(f: KripkeFrame, g: KripkeFrame
+                           ) -> FrameFullnessReport:
     """Preimages of p-morphisms are exactly the diamond-preserving preimages.
 
     For every function f -> g: the preimage map powerset(g) -> powerset(f)
@@ -455,9 +459,9 @@ def fullness_frames_report(f: KripkeFrame, g: KripkeFrame,
     coincide with being a p-morphism, function by function.  The loop over
     all functions is the check itself: the two definitions are compared on
     the functions that are not p-morphisms too, so no map search can stand
-    in for it.
+    in for it.  `kernels.NODE_BUDGET` bounds the function space.
     """
-    _check_function_space(f, g, budget)
+    _check_function_space(f, g)
     ca_f, ca_g = complex_algebra(f), complex_algebra(g)
     count = 0
     violations = []

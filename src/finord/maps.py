@@ -82,11 +82,12 @@ def is_monotone(f: PointMap) -> bool:
     )
 
 
-def is_open_v1(f: PointMap, cap: int = 20) -> bool:
-    """Monotone and images of downsets are downsets."""
-    if f.dom.n > cap:
-        raise BudgetError("v1 enumerates all downsets; domain too large",
-                          used=f.dom.n, budget=cap)
+def is_open_v1(f: PointMap) -> bool:
+    """Monotone and images of downsets are downsets.
+
+    A monotone map on more than `order.MAX_DOWNSET_SIZE` points raises the
+    BudgetError of `order.all_downsets`.
+    """
     if not is_monotone(f):
         return False
     return all(
@@ -114,14 +115,10 @@ def is_open_v3(f: PointMap) -> bool:
     )
 
 
-def enumerate_open_maps(p: FinitePreorder, q: FinitePreorder,
-                        allowed=None, node_budget=10_000_000):
+def enumerate_open_maps(p: FinitePreorder, q: FinitePreorder):
     """All open maps p -> q, deterministic order; see kernels.enumerate_maps."""
-    if allowed is None:
-        allowed = [(1 << q.n) - 1] * p.n
     tables, _ = kernels.enumerate_maps(
-        p.n, q.n, p.down, p.up, q.down, q.up, list(allowed), True,
-        node_budget)
+        p.n, q.n, p.down, p.up, q.down, q.up, [(1 << q.n) - 1] * p.n, True)
     return [PointMap(p, q, t) for t in tables]
 
 
@@ -159,29 +156,23 @@ class InjectivityReport:
     open_maps: int
     injective_on_base: int
     violations: list = field(default_factory=list)
-    hypotheses_hold: bool = True
 
 
-def injectivity_report(h, alpha: int, p: FinitePreorder,
-                       require_hypotheses: bool = True,
-                       node_budget: int = 10_000_000) -> InjectivityReport:
+def injectivity_report(h, alpha: int, p: FinitePreorder) -> InjectivityReport:
     """Check that open maps injective on the base stay injective on the stage.
 
     Enumerates every open map from stage alpha to p; for those whose
     restriction to the base is injective, verifies injectivity on the whole
     stage.  The property is proved under convexity of the base and the chain
-    hypothesis; `require_hypotheses=False` lets negative-control experiments
-    run on bases that break them, reporting instead of raising.
+    hypothesis, so a base that breaks either raises HypothesisError.
     """
     u = h.universe
-    hypotheses = (is_convex(h.base, u)
-                  and chain_hypothesis(h.base, u))
-    if require_hypotheses and not hypotheses:
+    if not (is_convex(h.base, u) and chain_hypothesis(h.base, u)):
         raise HypothesisError("base must be convex and satisfy the chain hypothesis")
     stage, ids = hierarchy_mod.materialize(h, alpha)
     pos = {x: i for i, x in enumerate(ids)}
     base_pos = [pos[m] for m in h.base]
-    maps = enumerate_open_maps(stage, p, node_budget=node_budget)
+    maps = enumerate_open_maps(stage, p)
     injective = 0
     violations = []
     for f in maps:
@@ -191,7 +182,7 @@ def injectivity_report(h, alpha: int, p: FinitePreorder,
         injective += 1
         if len(set(f.table)) != stage.n:
             violations.append(f.table)
-    return InjectivityReport(len(maps), injective, violations, hypotheses)
+    return InjectivityReport(len(maps), injective, violations)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +196,7 @@ def _check_into_sierpinski(f: PointMap, name: str):
 
 
 def mediating_search(q: FinitePreorder, f1: PointMap, f2: PointMap,
-                     p: FinitePreorder, p1: PointMap, p2: PointMap,
-                     node_budget: int = 10_000_000):
+                     p: FinitePreorder, p1: PointMap, p2: PointMap):
     """All open f: q -> p with p1 o f = f1 and p2 o f = f2.
 
     Every point's value is pinned to the fiber of its (f1, f2) pair under
@@ -218,7 +208,7 @@ def mediating_search(q: FinitePreorder, f1: PointMap, f2: PointMap,
     if f1.dom != q or f2.dom != q or p1.dom != p or p2.dom != p:
         raise HypothesisError("map domains must match the given preorders")
     return _mediating(q, f1, f2, _classes(f1, f2), p, p1, p2,
-                      _fibers(_split(p1), _split(p2)), node_budget)
+                      _fibers(_split(p1), _split(p2)))
 
 
 def _split(f: PointMap):
@@ -240,7 +230,7 @@ def _classes(f1: PointMap, f2: PointMap):
     return tuple(2 * a + b for a, b in zip(f1.table, f2.table))
 
 
-def _mediating(q, f1, f2, classes, p, p1, p2, fibers, node_budget):
+def _mediating(q, f1, f2, classes, p, p1, p2, fibers):
     """mediating_search on maps already checked open and on matching domains.
 
     classes is `_classes(f1, f2)` and fibers is p1 and p2's `_fibers`, so a
@@ -248,7 +238,7 @@ def _mediating(q, f1, f2, classes, p, p1, p2, fibers, node_budget):
     """
     allowed = [fibers[k] for k in classes]
     tables, nodes = kernels.enumerate_maps(
-        q.n, p.n, q.down, q.up, p.down, p.up, allowed, True, node_budget)
+        q.n, p.n, q.down, q.up, p.down, p.up, allowed, True)
     out = []
     for t in tables:
         f = PointMap(q, p, t)
@@ -260,11 +250,8 @@ def _mediating(q, f1, f2, classes, p, p1, p2, fibers, node_budget):
 
 @dataclass
 class StageSearch:
-    stage: int
-    stage_size: int
     candidates_examined: int
     mediating_found: int
-    all_injective: bool
 
 
 @dataclass
@@ -279,34 +266,37 @@ class ObstructionVerdict:
 
 
 def product_obstruction(p: FinitePreorder, p1: PointMap, p2: PointMap,
-                        h, max_alpha: int | None = None,
-                        node_budget: int = 10_000_000) -> ObstructionVerdict:
+                        h, max_alpha: int | None = None) -> ObstructionVerdict:
     """Certify that (p, p1, p2) cannot mediate the stage coordinate maps.
 
     Checks that p1 and p2 are open maps from p to the two-point chain, then
-    walks stages 1..max_alpha.  An exhaustively empty mediating set refutes
-    at that stage ("empty_mediating_set").  If every searched stage still
-    admits mediating maps, they are all injective on the stage (checked; the
-    coordinate pairing is injective on the base and injectivity propagates),
-    so the first stage outgrowing |p| refutes by counting
-    ("cardinality_bound").  Raises BudgetError when the tower is too shallow
-    to reach either certificate.
+    walks stages 1..max_alpha (default: the tower's depth).  An exhaustively
+    empty mediating set refutes at that stage ("empty_mediating_set").  If
+    every searched stage still admits mediating maps, they are all injective
+    on the stage (checked; the coordinate pairing is injective on the base
+    and injectivity propagates), so the first stage outgrowing |p| refutes by
+    counting ("cardinality_bound").  Raises BudgetError when the tower is too
+    shallow to reach either certificate.
     """
     for f, name in ((p1, "p1"), (p2, "p2")):
         _check_into_sierpinski(f, name)
     if p1.dom != p or p2.dom != p:
         raise HypothesisError("map domains must match the given preorders")
+    if max_alpha is None:
+        max_alpha = h.depth
+    if max_alpha > h.depth:
+        raise ValueError("tower not built that deep")
     return _verdict(h, _stages(h, max_alpha), p, p1, p2,
-                    _fibers(_split(p1), _split(p2)), node_budget)
+                    _fibers(_split(p1), _split(p2)))
 
 
-def product_obstructions(h, posets, max_alpha: int | None = None,
-                         node_budget: int = 10_000_000):
+def product_obstructions(h, posets):
     """Yield (i, p1, p2, verdict) for every pair of open maps posets[i] -> S.
 
     S is the two-point chain; the pairs of each poset come in the order of
-    `enumerate_open_maps`, p1 outer.  The verdict is product_obstruction's.
-    The projections are open by construction, so none is checked again.
+    `enumerate_open_maps`, p1 outer.  The verdict is product_obstruction's
+    over every stage of the tower.  The projections are open by
+    construction, so none is checked again.
     Each projection's zero and one masks are computed once per poset, so a
     candidate's fibers are four mask intersections.  The first time a search
     reaches stage alpha, the stage is materialized, its two coordinate maps
@@ -314,16 +304,15 @@ def product_obstructions(h, posets, max_alpha: int | None = None,
     stages live for this call only.  Each candidate then costs one pinned
     kernel search per stage it reaches.
     """
-    stages = _stages(h, max_alpha)
+    stages = _stages(h, h.depth)
     s = sierpinski()
     for i, p in enumerate(posets):
-        opens = enumerate_open_maps(p, s, node_budget=node_budget)
+        opens = enumerate_open_maps(p, s)
         splits = [_split(f) for f in opens]
         for p1, split1 in zip(opens, splits):
             for p2, split2 in zip(opens, splits):
                 yield i, p1, p2, _verdict(h, stages, p, p1, p2,
-                                          _fibers(split1, split2),
-                                          node_budget)
+                                          _fibers(split1, split2))
 
 
 def _stages(h, max_alpha):
@@ -333,10 +322,6 @@ def _stages(h, max_alpha):
     and their `_classes` computed when a walk first reaches it; later walks
     reuse it.
     """
-    if max_alpha is None:
-        max_alpha = h.depth
-    if max_alpha > h.depth:
-        raise ValueError("tower not built that deep")
     prepared = []  # (alpha, stage, f1, f2, classes) for alpha = 1, 2, ...
 
     def walk():
@@ -354,21 +339,18 @@ def _stages(h, max_alpha):
     return walk
 
 
-def _verdict(h, stages, p, p1, p2, fibers, node_budget):
+def _verdict(h, stages, p, p1, p2, fibers):
     """product_obstruction's verdict, on projections already checked.
 
     fibers is p1 and p2's `_fibers`.
     """
     searches = []
     for alpha, stage, f1, f2, classes in stages():
-        found, nodes = _mediating(stage, f1, f2, classes, p, p1, p2, fibers,
-                                  node_budget)
-        all_injective = all(len(set(f.table)) == stage.n for f in found)
-        searches.append(StageSearch(alpha, stage.n, nodes, len(found),
-                                    all_injective))
+        found, nodes = _mediating(stage, f1, f2, classes, p, p1, p2, fibers)
+        searches.append(StageSearch(nodes, len(found)))
         if not found:
             return ObstructionVerdict("empty_mediating_set", alpha, searches)
-        if not all_injective:
+        if any(len(set(f.table)) != stage.n for f in found):
             return ObstructionVerdict("non_injective_mediating", alpha,
                                       searches)
     for alpha, level in enumerate(h.levels):

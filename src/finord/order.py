@@ -10,12 +10,14 @@ from functools import cached_property
 from itertools import permutations, product as iproduct
 
 from finord import kernels
-from finord.errors import FormatError
+from finord.errors import BudgetError, FormatError
 from finord.kernels import bits
 
 # largest carriers enumerate_posets and enumerate_preorders accept
 MAX_POSET_SIZE = 6
 MAX_PREORDER_SIZE = 4
+# largest carrier whose downsets `all_downsets` enumerates
+MAX_DOWNSET_SIZE = 20
 
 
 @dataclass(frozen=True)
@@ -140,8 +142,13 @@ def all_downsets(p: FinitePreorder) -> list[int]:
 
     Downsets arise as down closures of antichains, so the enumeration kernel
     does the walking and only the closure remains.  For preorders two
-    equivalent generators close to the same downset, hence the set.
+    equivalent generators close to the same downset, hence the set.  A
+    carrier above MAX_DOWNSET_SIZE raises BudgetError before any downset is
+    built.
     """
+    if p.n > MAX_DOWNSET_SIZE:
+        raise BudgetError("downset enumeration beyond the size cap",
+                          used=p.n, budget=MAX_DOWNSET_SIZE)
     masks, _ = kernels.antichains(p.n, p.comparability)
     return sorted({down_closure(p, m) for m in masks})
 
@@ -258,25 +265,26 @@ def enumerate_preorders(n: int) -> list[FinitePreorder]:
     return out
 
 
-def sample_preorder(n: int, rng, density: float = 0.3) -> FinitePreorder:
-    """Random preorder: random digraph, then reflexive-transitive closure."""
+def sample_preorder(n: int, rng) -> FinitePreorder:
+    """Random preorder: random digraph with edge density 0.3, then
+    reflexive-transitive closure."""
     up = [1 << i for i in range(n)]
     for i in range(n):
         for j in range(n):
-            if i != j and rng.random() < density:
+            if i != j and rng.random() < 0.3:
                 up[i] |= 1 << j
     return FinitePreorder(n, tuple(_transitive_rows(n, up)))
 
 
-def sample_poset(n: int, rng, density: float = 0.3) -> FinitePreorder:
-    """Random poset: random DAG along a shuffled order, then closure; a
-    random test input."""
+def sample_poset(n: int, rng) -> FinitePreorder:
+    """Random poset: random DAG with edge density 0.3 along a shuffled
+    order, then closure; a random test input."""
     perm = list(range(n))
     rng.shuffle(perm)
     up = [1 << i for i in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            if rng.random() < density:
+            if rng.random() < 0.3:
                 up[perm[a]] |= 1 << perm[b]
     return FinitePreorder(n, tuple(_transitive_rows(n, up)))
 

@@ -5,7 +5,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from finord import heyting, hierarchy, hsets, maps, order
+from finord import heyting, hierarchy, hsets, kernels, maps, order
 from finord.errors import BudgetError, HypothesisError
 from finord.hsets import Universe
 from finord.maps import PointMap
@@ -100,17 +100,33 @@ def test_preimage_rejects_non_open():
 
 
 def test_budget_errors_carry_usage_and_budget():
-    one = heyting.downset_algebra(chain(1))
+    # the downsets of a 6-antichain have 6 join-irreducibles, each with 16
+    # candidate values among the downsets of a 4-antichain
+    six = heyting.downset_algebra(antichain(6))
+    four = heyting.downset_algebra(antichain(4))
     cases = [
-        (lambda: heyting.downset_algebra(chain(3), cap=2), 3, 2),
-        (lambda: heyting.cha_morphisms(one, one, node_budget=1), 2, 1),
-        (lambda: maps.is_open_v1(PointMap(chain(2), chain(1), (0, 0)), cap=1),
-         2, 1),
+        (lambda: heyting.downset_algebra(chain(21)), 21, 20),
+        (lambda: heyting.cha_morphisms(six, four), 16 ** 6,
+         kernels.NODE_BUDGET),
+        (lambda: maps.is_open_v1(PointMap(chain(21), chain(1), (0,) * 21)),
+         21, 20),
     ]
     for call, used, budget in cases:
         with pytest.raises(BudgetError) as exc:
             call()
         assert (exc.value.used, exc.value.budget) == (used, budget)
+
+
+def test_budgets_fire_just_past_their_bound(monkeypatch):
+    assert len(heyting.downset_algebra(chain(20)).elements) == 21
+    one = heyting.downset_algebra(chain(1))
+    # two candidate values for the one join-irreducible
+    monkeypatch.setattr(kernels, "NODE_BUDGET", 2)
+    assert len(heyting.cha_morphisms(one, one)) == 1
+    monkeypatch.setattr(kernels, "NODE_BUDGET", 1)
+    with pytest.raises(BudgetError) as exc:
+        heyting.cha_morphisms(one, one)
+    assert (exc.value.used, exc.value.budget) == (2, 1)
 
 
 def test_cha_morphisms_match_bruteforce():

@@ -127,8 +127,10 @@ def test_corrupted_dump_rejected():
 def test_restriction_equality_clause():
     u, ids = hsets.abstract_antichain(3)
     for m in ((ids[0],), (ids[0], ids[1]), tuple(ids)):
+        # the clause's hypothesis: M inside M', both antichains
+        assert set(m) <= set(ids)
+        assert hsets.is_antichain(m, u) and hsets.is_antichain(ids, u)
         rep = hierarchy.verify_restriction(m, ids, 2, u)
-        assert rep.equality_checked
         assert not rep.violations, rep.violations
 
 
@@ -136,8 +138,9 @@ def test_restriction_offset_clause():
     u, ids = hsets.abstract_antichain(3)
     a, b, c = ids
     shifted = (u.intern([a, b]), u.intern([b, c]))
+    # the equality clause does not apply: M is not inside M'
+    assert not set(shifted) <= set(ids)
     rep = hierarchy.verify_restriction(shifted, ids, 2, u)
-    assert not rep.equality_checked
     assert rep.offset == 1
     assert not rep.violations, rep.violations
 
@@ -176,6 +179,14 @@ def test_growth_witness_frozen_values():
     assert rep.growth == [4, 14]
     assert rep.fan_sizes == [3, 7]
     assert not rep.violations and min(rep.growth) >= 3
+
+
+def test_budget_below_the_base_size_is_a_hypothesis_error():
+    u, ids = hsets.abstract_antichain(3)
+    with pytest.raises(HypothesisError, match="budget 2 is below the base "
+                                              "size 3"):
+        hierarchy.build(ids, 1, u, budget=2)
+    assert len(hierarchy.build(ids, 0, u, budget=3).levels[0]) == 3
 
 
 def test_budget_truncation_keeps_prefix():

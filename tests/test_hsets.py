@@ -5,7 +5,7 @@ import random
 import pytest
 
 from finord import hsets
-from finord.errors import FormatError, HypothesisError
+from finord.errors import FormatError
 from finord.hsets import Universe
 from finord.kernels import bits
 
@@ -136,12 +136,6 @@ def test_chains_and_convexity():
     assert hsets.is_chain(chain, u)
     assert not hsets.is_convex([chain[0], chain[3]], u)
     assert hsets.is_convex(chain, u)
-
-
-def test_convexity_scope_validation():
-    u, base = claw_universe()
-    with pytest.raises(HypothesisError):
-        hsets.is_convex(base, u, scope=base[:2])
 
 
 def test_dump_load_round_trip():

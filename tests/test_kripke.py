@@ -5,7 +5,7 @@ from itertools import permutations, product as iproduct
 
 import pytest
 
-from finord import kripke, maps, order
+from finord import kernels, kripke, maps, order
 from finord.errors import BudgetError
 from finord.kripke import FiniteBAO, KripkeFrame
 from finord.maps import PointMap
@@ -66,11 +66,9 @@ def test_pmorphisms_enumeration():
     tables = kripke.pmorphisms(f, f)
     assert (0, 1) in tables
     assert all(kripke.is_pmorphism(t, f, f) for t in tables)
-    with pytest.raises(BudgetError):
-        kripke.pmorphisms(f, f, budget=3)
 
 
-def test_pmorphisms_match_the_is_pmorphism_filter():
+def test_pmorphisms_match_the_is_pmorphism_filter(monkeypatch):
     # every labeled frame on up to two states into every one on up to three
     sources = [f for n in (1, 2) for f in all_frames(n)]
     targets = sources + all_frames(3)
@@ -99,21 +97,27 @@ def test_pmorphisms_match_the_is_pmorphism_filter():
     assert irreflexive and intransitive and found
     # empty relations: every one of the 3**2 functions is a p-morphism
     f, g = all_frames(2)[0], all_frames(3)[0]
-    assert len(kripke.pmorphisms(f, g, budget=9)) == 9
+    monkeypatch.setattr(kernels, "NODE_BUDGET", 9)
+    assert len(kripke.pmorphisms(f, g)) == 9
+    monkeypatch.setattr(kernels, "NODE_BUDGET", 8)
     with pytest.raises(BudgetError) as exc:
-        kripke.pmorphisms(f, g, budget=8)
+        kripke.pmorphisms(f, g)
     assert (exc.value.used, exc.value.budget) == (9, 8)
 
 
 def test_budget_errors_carry_usage_and_budget():
-    f = KripkeFrame(2, (0b00, 0b00))
-    g = KripkeFrame(3, (0, 0, 0))
+    # 8 ** 8 functions between 8-state frames
+    f8 = KripkeFrame(8, (0,) * 8)
+    f21 = KripkeFrame(21, (0,) * 21)
     cases = [
-        (lambda: kripke.fullness_frames_report(f, g, budget=8), 9, 8),
-        (lambda: kripke.enumerate_frames(2, budget=15), 16, 15),
-        (lambda: kripke.frames_up_to_iso(2, budget=15), 16, 15),
-        (lambda: kripke.coreflect(f, cap=1), 2, 1),
-        (lambda: kripke.bao_L(kripke.complex_algebra(f), cap=1), 2, 1),
+        (lambda: kripke.pmorphisms(f8, f8), 8 ** 8, kernels.NODE_BUDGET),
+        (lambda: kripke.fullness_frames_report(f8, f8), 8 ** 8,
+         kernels.NODE_BUDGET),
+        (lambda: kripke.enumerate_frames(5), 1 << 25, 1 << 20),
+        (lambda: kripke.frames_up_to_iso(5), 1 << 25, 1 << 20),
+        (lambda: kripke.coreflect(f21), 21, 20),
+        (lambda: kripke.bao_L(FiniteBAO(17, (0,) * 17)), 17, 16),
+        (lambda: kripke.box_diamond_report(FiniteBAO(9, (0,) * 9)), 9, 8),
     ]
     for call, used, budget in cases:
         with pytest.raises(BudgetError) as exc:
@@ -180,14 +184,12 @@ def test_box_diamond_exhaustive():
         assert report.pairs_checked == 64
 
 
-def test_box_diamond_sampled_above_cutoff():
+def test_box_diamond_refuses_above_cutoff():
     rng = random.Random(59)
     a = FiniteBAO(9, tuple(rng.getrandbits(9) for _ in range(9)))
-    with pytest.raises(ValueError):
+    with pytest.raises(BudgetError) as exc:
         kripke.box_diamond_report(a)
-    report = kripke.box_diamond_report(a, rng=rng, samples=200)
-    assert not report.violations
-    assert report.pairs_checked == 200
+    assert (exc.value.used, exc.value.budget) == (9, 8)
 
 
 def test_bao_round_trip_exhaustive():
@@ -228,11 +230,15 @@ def _permuted_row(row, p, n):
     return sum(1 << j for j in range(n) if row >> p[j] & 1)
 
 
-def test_frames_up_to_iso_matches_the_key_route():
+def test_frames_up_to_iso_matches_the_key_route(monkeypatch):
     for n in (1, 2, 3):
         assert kripke.frames_up_to_iso(n) == _frames_up_to_iso_by_key(n)
-    with pytest.raises(BudgetError):
-        kripke.frames_up_to_iso(3, budget=511)
+    monkeypatch.setattr(kripke, "RELATION_BUDGET", 512)
+    assert len(kripke.enumerate_frames(3)) == 512
+    monkeypatch.setattr(kripke, "RELATION_BUDGET", 511)
+    with pytest.raises(BudgetError) as exc:
+        kripke.frames_up_to_iso(3)
+    assert (exc.value.used, exc.value.budget) == (512, 511)
 
 
 def test_enumeration_counts():

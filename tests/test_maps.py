@@ -18,7 +18,7 @@ def claw_tower(depth=2):
 
 
 def all_openness_verdicts(f):
-    return (maps.is_open_v1(f, cap=25), maps.is_open_v2(f), maps.is_open_v3(f))
+    return (maps.is_open_v1(f), maps.is_open_v2(f), maps.is_open_v3(f))
 
 
 def product_with_projections(p, q):
@@ -77,8 +77,10 @@ def test_enumerations_respect_composition():
             assert maps.is_open_v2(maps.compose(g, f))
 
 
-def test_coordinate_maps_are_open_at_every_stage():
+def test_coordinate_maps_are_open_at_every_stage(monkeypatch):
     _, _, h = claw_tower()
+    # v1 enumerates the downsets of stage 2, which has 22 points
+    monkeypatch.setattr(order, "MAX_DOWNSET_SIZE", 22)
     for alpha in (0, 1, 2):
         for branch in (1, 2, 3):
             f = maps.coordinate_map(h, alpha, branch)
@@ -207,8 +209,7 @@ def oracle_verdict(p, p1, p2, h):
         f2 = maps.coordinate_map(h, alpha, 2)
         found, nodes = maps.mediating_search(stage, f1, f2, p, p1, p2)
         injective = all(len(set(f.table)) == stage.n for f in found)
-        searches.append(maps.StageSearch(alpha, stage.n, nodes, len(found),
-                                         injective))
+        searches.append(maps.StageSearch(nodes, len(found)))
         if not found:
             return maps.ObstructionVerdict("empty_mediating_set", alpha,
                                            searches)
@@ -267,11 +268,9 @@ def test_injectivity_requires_hypotheses():
     # a, b < c with a and b incomparable: what lies below c is no chain
     u = Universe(hsets.base_poset("abc", [("a", "c"), ("b", "c")]))
     h = hierarchy.build([u.atom(x) for x in "abc"], 1, u)
-    p = order.chain(2)
-    rep = maps.injectivity_report(h, 1, p, require_hypotheses=False)
-    assert rep.hypotheses_hold is False
+    assert not hsets.chain_hypothesis(h.base, u)
     with pytest.raises(HypothesisError):
-        maps.injectivity_report(h, 1, p)
+        maps.injectivity_report(h, 1, order.chain(2))
 
 
 def test_enumerate_open_counts_to_sierpinski():

@@ -17,6 +17,15 @@ ORACLES with the reason it is kept; anything else is dead code and should be
 deleted with the tests that check only it.
 
 A second check finds names a `src/finord` module imports and never uses.
+
+A third check finds optional parameters that only one value serves.  An
+optional parameter of a `src/finord` function (or method, or `__init__`)
+counts as passed when a call in `src/finord` or `perfbench/*.py` supplies it
+by keyword or by position.  A call that supplies it as the bare name of the
+calling function's own parameter of that name only forwards it and does not
+count.  A parameter no call passes must be listed in UNPASSED with the
+reason it is kept; otherwise its one value belongs in the body or in a named
+constant.
 """
 
 import ast
@@ -42,6 +51,15 @@ ORACLES = {
     ("order", "sample_poset"): "random test input",
 }
 
+# optional parameters that no package or benchmark call passes
+UNPASSED = {
+    ("hsets", "load", "base"): "test round trips of atom universes",
+    ("kripke", "sample_frame", "density"):
+        "random test input; the p-morphism tests vary the density",
+    ("maps", "product_obstruction", "max_alpha"):
+        "the only route to a cardinality_bound certificate",
+}
+
 # method defined by several public classes -> the definition reading it
 SHARED = {
     ("order", "FinitePreorder.leq"): ("order", "to_json"),
@@ -51,10 +69,13 @@ SHARED = {
 }
 
 
-def _module_refs(tree, modules):
-    """(module, name) pairs a parsed file refers to through finord imports."""
-    aliases = {}
-    refs = set()
+def _finord_imports(tree, modules):
+    """(aliases, names) a parsed file binds by importing from finord.
+
+    aliases maps each name bound by `from finord import m [as alias]` to m,
+    and names each name bound by `from finord.m import f [as g]` to (m, f).
+    """
+    aliases, names = {}, {}
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom) or node.module is None:
             continue
@@ -62,7 +83,15 @@ def _module_refs(tree, modules):
             if node.module == "finord" and a.name in modules:
                 aliases[a.asname or a.name] = a.name
             elif node.module.startswith("finord."):
-                refs.add((node.module.removeprefix("finord."), a.name))
+                names[a.asname or a.name] = (
+                    node.module.removeprefix("finord."), a.name)
+    return aliases, names
+
+
+def _module_refs(tree, modules):
+    """(module, name) pairs a parsed file refers to through finord imports."""
+    aliases, names = _finord_imports(tree, modules)
+    refs = set(names.values())
     for node in ast.walk(tree):
         if (isinstance(node, ast.Attribute)
                 and isinstance(node.value, ast.Name)
@@ -215,3 +244,114 @@ def test_every_import_is_used():
         unused += [f"{path.stem}: {name}"
                    for name in sorted(_imported_names(tree) - used - exempt)]
     assert unused == [], f"imported names never used: {unused}"
+
+
+def _optional_params(trees):
+    """(module, callee) -> [(parameter, position or None)] for every def in
+    `src/finord` with optional parameters.
+
+    The callee is the function's name, "Class.method" for a method, and the
+    class name for an `__init__`, which is how a call names it.  Positions
+    count the arguments a call writes, so a method's `self` is skipped; a
+    keyword-only parameter has no position.
+    """
+    out = {}
+    for mod, tree in trees.items():
+        methods = {}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for item in cls.body:
+                    if isinstance(item, ast.FunctionDef):
+                        methods[item] = (cls.name if item.name == "__init__"
+                                         else f"{cls.name}.{item.name}")
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            skip = 1 if fn in methods else 0
+            first = len(positional) - len(args.defaults)
+            params = [(a.arg, i - skip)
+                      for i, a in enumerate(positional) if i >= first]
+            params += [(a.arg, None) for a, d
+                       in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            if params:
+                out[mod, methods.get(fn, fn.name)] = params
+    return out
+
+
+def _calls(tree, mod, modules, defined, methods):
+    """(callee keys, call, enclosing function's parameter names) for every
+    call in a parsed file.
+
+    A callee resolves through `from finord.m import f`, a finord module
+    alias, or a name in `defined`, the callees of the file's own module
+    (empty outside `src/finord`).  Any other `x.f(...)` is a call of every
+    method f in `methods` (attribute name -> keys).
+    """
+    aliases, names = _finord_imports(tree, modules)
+
+    def callees(func):
+        if isinstance(func, ast.Name):
+            if func.id in names:
+                return [names[func.id]]
+            return [(mod, func.id)] if func.id in defined else []
+        if isinstance(func, ast.Attribute):
+            if isinstance(func.value, ast.Name) and func.value.id in aliases:
+                return [(aliases[func.value.id], func.attr)]
+            return methods.get(func.attr, [])
+        return []
+
+    def visit(node, params):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            a = node.args
+            params = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs}
+        if isinstance(node, ast.Call):
+            yield callees(node.func), node, params
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, params)
+
+    yield from visit(tree, set())
+
+
+def _passes(call, name, position, params):
+    """Whether call supplies the parameter, other than by forwarding the
+    caller's own parameter of the same name."""
+    if any(kw.arg is None for kw in call.keywords):
+        return True
+    supplied = [kw.value for kw in call.keywords if kw.arg == name]
+    if position is not None:
+        if any(isinstance(a, ast.Starred) for a in call.args[:position + 1]):
+            return True
+        supplied += call.args[position:position + 1]
+    return any(not (isinstance(v, ast.Name) and v.id == name
+                    and name in params) for v in supplied)
+
+
+def test_every_optional_parameter_is_passed_or_listed():
+    trees = {path.stem: _parse(path) for path in SRC.glob("*.py")}
+    modules = set(trees)
+    optional = _optional_params(trees)
+    methods = {}
+    for mod, callee in optional:
+        if "." in callee:
+            methods.setdefault(callee.split(".")[1], []).append((mod, callee))
+    files = list(trees.items())
+    files += [(None, _parse(path)) for path in BENCH.glob("*.py")]
+    passed = set()
+    for mod, tree in files:
+        defined = {callee for m, callee in optional if m == mod}
+        for keys, call, params in _calls(tree, mod, modules, defined, methods):
+            for key in keys:
+                for name, position in optional.get(key, ()):
+                    if _passes(call, name, position, params):
+                        passed.add((*key, name))
+    declared = {(*key, name) for key, params in optional.items()
+                for name, _ in params}
+    unpassed = sorted(declared - passed - UNPASSED.keys())
+    assert unpassed == [], (
+        "optional parameters no package or benchmark call passes; make the "
+        f"one value a constant or list the parameter in UNPASSED: {unpassed}")
+    for entry, reason in UNPASSED.items():
+        assert entry in declared and reason.strip(), entry
+        assert entry not in passed, f"{entry} is passed; drop its entry"
