@@ -40,9 +40,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BUDGET = 2
 
-SUITES = ("lemma23", "lemma24", "lemma31", "lemma32", "thm26",
-          "coreflect", "duality", "bao")
-
 NAMED_POSETS = ("singleton", "sierpinski", "product2x2")
 
 
@@ -274,7 +271,7 @@ def _suite_lemma23(args, rng):
     violations += [["restriction_shifted", *map(str, v)]
                    for v in rep.violations]
 
-    return {"suite": args.suite, "checks": checks, "violations": violations}
+    return {"checks": checks, "violations": violations}
 
 
 def _suite_lemma24(args, rng):
@@ -290,7 +287,7 @@ def _suite_lemma24(args, rng):
         checks += len(rep.pair_ids)
         violations += [["fan", str(alpha), *map(str, v)]
                        for v in rep.violations]
-    return {"suite": args.suite, "checks": checks, "violations": violations}
+    return {"checks": checks, "violations": violations}
 
 
 def _suite_lemma31(args, rng):
@@ -321,7 +318,7 @@ def _suite_lemma31(args, rng):
         table = tuple(rng.randrange(q.n) for _ in range(p.n))
         samples += 1
         check(p, q, table, "sampled")
-    return {"suite": args.suite, "pairs": len(preorders) ** 2,
+    return {"pairs": len(preorders) ** 2,
             "functions": functions, "samples": samples,
             "checks": functions + samples, "violations": violations}
 
@@ -340,7 +337,7 @@ def _suite_lemma32(args, rng):
         open_maps += rep.open_maps
         injective += rep.injective_on_base
         violations += [["injectivity", p.n, list(t)] for t in rep.violations]
-    return {"suite": args.suite, "posets": len(posets),
+    return {"posets": len(posets),
             "open_maps": open_maps, "injective_on_base": injective,
             "checks": open_maps, "violations": violations}
 
@@ -356,7 +353,7 @@ def _suite_thm26(args, rng):
         violations.append(["growth_below_three", rep.growth])
     if rep.violations:
         violations.append(["fans"])
-    return {"suite": args.suite, "level_sizes": rep.level_sizes,
+    return {"level_sizes": rep.level_sizes,
             "growth": rep.growth, "fan_sizes": rep.fan_sizes,
             "checks": len(rep.growth) + len(rep.fan_sizes),
             "violations": violations}
@@ -386,7 +383,7 @@ def _suite_coreflect(args, rng):
             if rep.violations:
                 universal.append(["universal", i, order_mod.to_json(p)["leq"],
                                   [list(map(str, v)) for v in rep.violations]])
-    return {"suite": args.suite, "frames": len(frames),
+    return {"frames": len(frames),
             "preorders": len(preorders), "checks": checks,
             "violations": mismatches + universal}
 
@@ -408,7 +405,7 @@ def _suite_duality(args, rng):
             if rep.violations:
                 violations.append(["fullness", i, j, rep.open_maps,
                                    rep.morphisms])
-    return {"suite": args.suite, "posets": len(posets),
+    return {"posets": len(posets),
             "fullness_pairs": len(small) ** 2, "checks": checks,
             "violations": violations}
 
@@ -452,27 +449,21 @@ def _suite_bao(args, rng):
                 violations.append(["powerset_fullness",
                                    kripke_mod.frame_to_json(f)["relation"],
                                    kripke_mod.frame_to_json(g)["relation"]])
-    return {"suite": args.suite, "frames_sampled": sampled,
+    return {"frames_sampled": sampled,
             "baos_sampled": baos, "checks": checks, "violations": violations}
 
 
-# suites whose --max-size feeds a structure enumeration, and its bound
-_MAX_SIZE_BOUNDS = {
-    "lemma31": order_mod.MAX_PREORDER_SIZE,
-    "lemma32": order_mod.MAX_POSET_SIZE,
-    "coreflect": order_mod.MAX_PREORDER_SIZE,
-    "duality": order_mod.MAX_POSET_SIZE,
-}
-
-_SUITE_FUNCS = {
-    "lemma23": _suite_lemma23,
-    "lemma24": _suite_lemma24,
-    "lemma31": _suite_lemma31,
-    "lemma32": _suite_lemma32,
-    "thm26": _suite_thm26,
-    "coreflect": _suite_coreflect,
-    "duality": _suite_duality,
-    "bao": _suite_bao,
+# suite -> (its function, the bound on the --max-size of the structure
+# enumeration it feeds, or None when it enumerates by no --max-size)
+SUITES = {
+    "lemma23": (_suite_lemma23, None),
+    "lemma24": (_suite_lemma24, None),
+    "lemma31": (_suite_lemma31, order_mod.MAX_PREORDER_SIZE),
+    "lemma32": (_suite_lemma32, order_mod.MAX_POSET_SIZE),
+    "thm26": (_suite_thm26, None),
+    "coreflect": (_suite_coreflect, order_mod.MAX_PREORDER_SIZE),
+    "duality": (_suite_duality, order_mod.MAX_POSET_SIZE),
+    "bao": (_suite_bao, None),
 }
 
 
@@ -481,12 +472,11 @@ def cmd_verify(args):
         raise FormatError("budget must be positive and samples nonnegative")
     if args.depth is not None and args.depth < 0:
         raise FormatError("depth must be >= 0")
-    bound = _MAX_SIZE_BOUNDS.get(args.suite)
+    suite, bound = SUITES[args.suite]
     if bound is not None and _pick(args.max_size, 0) > bound:
         raise FormatError(
             f"--max-size for {args.suite} must be at most {bound}")
-    rng = Random(args.seed)
-    payload = _SUITE_FUNCS[args.suite](args, rng)
+    payload = {"suite": args.suite, **suite(args, Random(args.seed))}
     code = EXIT_OK if not payload["violations"] else EXIT_FAIL
     return code, payload, None
 
@@ -529,10 +519,8 @@ def cmd_obstruct(args):
             "p2": p2.table,
             "certificate_kind": verdict.certificate_kind,
             "stage": verdict.stage,
-            "candidates_examined": sum(
-                st.candidates_examined for st in verdict.searches),
-            "mediating_found": sum(
-                st.mediating_found for st in verdict.searches),
+            "candidates_examined": verdict.candidates_examined,
+            "mediating_found": verdict.mediating_found,
             "elapsed": elapsed,
         })
     payload = {

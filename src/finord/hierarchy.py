@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from finord import _json, kernels
 from finord import order as order_mod
 from finord.errors import BudgetError, FormatError, HypothesisError
-from finord.hsets import Universe, is_antichain, load
+from finord.hsets import BasePoset, Universe, is_antichain, load
 from finord.kernels import bits
 
 DEFAULT_BUDGET = 200_000
@@ -52,18 +52,13 @@ class Hierarchy:
         return self.levels[alpha] - self.levels[alpha - 1]
 
 
-def _local_rows(ids, u: Universe) -> tuple[list[int], tuple[int, ...]]:
+def _local_rows(ids, u: Universe) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The universe order on a list of distinct ids, as rows over positions.
 
     Bit j of down[i] is set iff ids[j] < ids[i], and bit j of up[i] iff
     ids[i] < ids[j].
     """
-    pos = {x: i for i, x in enumerate(ids)}
-    scope = sum(1 << x for x in ids)
-    down = [0] * len(ids)
-    for i, x in enumerate(ids):
-        for y in bits(u.below(x) & scope):
-            down[i] |= 1 << pos[y]
+    down = kernels.restrict([u.below(x) for x in ids], ids)
     return down, kernels.transpose(down)
 
 
@@ -309,7 +304,9 @@ def growth_witness(triple, depth: int, u: Universe,
 # export
 
 def to_json(h: Hierarchy) -> dict:
-    return {
+    """The tower as a JSON document; a universe with atoms adds its base
+    poset, labels and `order.to_json` relation, under `base_poset`."""
+    data = {
         "base": list(h.base),
         "levels": [sorted(level) for level in h.levels],
         "budget": h.budget,
@@ -317,16 +314,20 @@ def to_json(h: Hierarchy) -> dict:
         "truncated_at": h.truncated_at,
         "universe": h.universe.dump(),
     }
+    base = h.universe.base
+    if base is not None:
+        data["base_poset"] = {"labels": list(base.labels),
+                              "order": order_mod.to_json(base.relation)}
+    return data
 
 
 def from_json(data: dict) -> Hierarchy:
-    """Reload `to_json` output; the round-trip oracle of `hierarchy export`.
-
-    The universe is reloaded without a base poset, so a tower whose universe
-    holds atoms raises FormatError; `hsets.load` takes the base for those.
-    """
+    """Reload `to_json` output; the round-trip oracle of `hierarchy export`."""
     try:
-        u = load(data["universe"])
+        base = None
+        if "base_poset" in data:
+            base = _base_poset(data["base_poset"])
+        u = load(data["universe"], base)
         levels = [frozenset(level) for level in data["levels"]]
         h = Hierarchy(u, tuple(data["base"]), levels, data["budget"],
                       data["requested_depth"], data.get("truncated_at"))
@@ -335,6 +336,14 @@ def from_json(data: dict) -> Hierarchy:
     if not levels or levels[0] != frozenset(h.base):
         raise FormatError("levels[0] must equal the base")
     return h
+
+
+def _base_poset(data: dict) -> BasePoset:
+    try:
+        return BasePoset(tuple(data["labels"]),
+                         order_mod.from_json(data["order"]))
+    except ValueError as exc:
+        raise FormatError(f"bad base poset: {exc}") from exc
 
 
 def dumps(h: Hierarchy) -> str:

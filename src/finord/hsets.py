@@ -9,9 +9,11 @@ The strict order is membership in the transitive closure: for sets that is
 the hereditary unfolding of the children, for atoms it is the base order.
 Each id's row, the mask of ids strictly below it, is computed once when the
 id is interned (an atom's from the base relation, a set's as the union of
-its children and their rows), so every order query is a mask read.  The
-recursive characterization, x < y iff x <= c for some child c of y, is kept
-as the test oracle.
+its children and their rows), so every order query is a mask read, and
+the predicates on sets of ids (antichain, chain, convexity) read the rows
+of the members instead of comparing pairs.  The recursive
+characterization, x < y iff x <= c for some child c of y, is kept as the
+test oracle.
 """
 
 import re
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 from finord import order as order_mod
 from finord.errors import FormatError
+from finord.kernels import bits
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.+\-]+\Z")
 
@@ -64,81 +67,70 @@ def base_poset(labels, pairs) -> BasePoset:
     return BasePoset(labels, rel)
 
 
-ATOM = "atom"
-SET = "set"
-
-
 class Universe:
     """Append-only store of interned hereditary sets and atoms.
 
-    With a base, every base atom is interned up front (ids 0..k-1 in label
-    order).  Every id carries its row, the mask of the ids strictly below
-    it; rows are filled at intern time and never change.
+    With a base, every base atom is interned up front, so the atoms are
+    exactly ids 0..k-1 in label order and an atom's label is its base label.
+    Every id carries its row, the mask of the ids strictly below it; rows
+    are filled at intern time and never change.
     """
 
     def __init__(self, base: BasePoset | None = None):
         self.base = base
-        self._kind: list[str] = []
-        self._label: list[str | None] = []
-        self._children: list[tuple[int, ...] | None] = []
-        self._below: list[int] = []
-        self._index: dict = {}
-        if base is not None:
-            for i, lab in enumerate(base.labels):
-                self._insert((ATOM, lab), ATOM, lab, None,
-                             base.relation.down[i] & ~(1 << i))
+        self._atoms = 0 if base is None else len(base.labels)
+        self._children: list[tuple[int, ...] | None] = [None] * self._atoms
+        self._below: list[int] = [base.relation.down[i] & ~(1 << i)
+                                  for i in range(self._atoms)]
+        self._index: dict[tuple[int, ...], int] = {}
 
     def __len__(self) -> int:
-        return len(self._kind)
+        return len(self._below)
 
     def ids(self) -> range:
-        return range(len(self._kind))
-
-    def _insert(self, key, kind, label, children, below) -> int:
-        xid = len(self._kind)
-        self._kind.append(kind)
-        self._label.append(label)
-        self._children.append(children)
-        self._below.append(below)
-        self._index[key] = xid
-        return xid
+        return range(len(self._below))
 
     def atom(self, label: str) -> int:
         """Id of an interned atom."""
-        try:
-            return self._index[(ATOM, label)]
-        except KeyError:
-            raise KeyError(f"atom {label!r} not in this universe") from None
+        labels = () if self.base is None else self.base.labels
+        if label not in labels:
+            raise KeyError(f"atom {label!r} not in this universe")
+        return labels.index(label)
 
     def intern(self, children) -> int:
         """Id of the set with the given children, interning it if new."""
         kids = tuple(sorted(set(children)))
         for c in kids:
-            if not 0 <= c < len(self._kind):
+            if not 0 <= c < len(self._below):
                 raise ValueError(f"child id {c} is not interned")
-        key = (SET, kids)
-        got = self._index.get(key)
+        got = self._index.get(kids)
         if got is not None:
             return got
         below = 0
         for c in kids:
             below |= 1 << c | self._below[c]
-        return self._insert(key, SET, None, kids, below)
+        xid = len(self._below)
+        self._children.append(kids)
+        self._below.append(below)
+        self._index[kids] = xid
+        return xid
 
     def peek(self, children):
         """Id the set would get if already interned, else None. No insertion."""
-        return self._index.get((SET, tuple(sorted(set(children)))))
+        return self._index.get(tuple(sorted(set(children))))
 
     def kind(self, x: int) -> str:
-        return self._kind[x]
+        if not 0 <= x < len(self._below):
+            raise IndexError(f"id {x} is not interned")
+        return "atom" if x < self._atoms else "set"
 
     def label(self, x: int) -> str:
-        if self._kind[x] != ATOM:
+        if self.kind(x) != "atom":
             raise ValueError(f"{x} is not an atom")
-        return self._label[x]
+        return self.base.labels[x]
 
     def children(self, x: int) -> tuple[int, ...]:
-        if self._kind[x] != SET:
+        if self.kind(x) != "set":
             raise ValueError(f"{x} is not a set")
         return self._children[x]
 
@@ -156,8 +148,8 @@ class Universe:
         return bool(self._below[y] >> x & 1 or self._below[x] >> y & 1)
 
     def dump_line(self, x: int) -> str:
-        if self._kind[x] == ATOM:
-            return f"{x} := atom {self._label[x]}"
+        if self.kind(x) == "atom":
+            return f"{x} := atom {self.base.labels[x]}"
         inner = ", ".join(str(c) for c in self._children[x])
         return f"{x} := {{ {inner} }}" if inner else f"{x} := {{ }}"
 
@@ -222,44 +214,53 @@ def load(text: str, base: BasePoset | None = None) -> Universe:
     return u
 
 
-# predicates on id collections
+# predicates on id collections, each read off the rows of its members
+
+def _mask(ids) -> int:
+    m = 0
+    for x in ids:
+        m |= 1 << x
+    return m
+
 
 def is_antichain(ids, u: Universe) -> bool:
-    """No two distinct members comparable."""
-    xs = sorted(set(ids))
-    return not any(
-        u.comparable(xs[i], xs[j])
-        for i in range(len(xs)) for j in range(i + 1, len(xs))
-    )
+    """No two distinct members comparable: no member's row meets the set."""
+    m = _mask(ids)
+    return not any(u.below(x) & m for x in bits(m))
 
 
 def is_chain(ids, u: Universe) -> bool:
-    xs = sorted(set(ids))
-    return all(
-        u.leq(xs[i], xs[j]) or u.leq(xs[j], xs[i])
-        for i in range(len(xs)) for j in range(i + 1, len(xs))
-    )
+    """Every two members comparable.
+
+    The order is strict, so each comparable pair of members shows up in
+    exactly one member's row: k members form a chain exactly when their rows
+    hold k(k-1)/2 members in all.
+    """
+    m = _mask(ids)
+    k = m.bit_count()
+    pairs = sum((u.below(x) & m).bit_count() for x in bits(m))
+    return pairs == k * (k - 1) // 2
 
 
 def is_convex(ids, u: Universe) -> bool:
     """No interned element strictly between two members of `ids`.
 
-    Each element's transitive closure is interned, so the interned elements
-    include everything between two members.
+    Whatever lies below a member is in that member's row, so the candidates
+    are the non-members in the union of the members' rows, and one lies
+    between two members exactly when its own row meets the set.
     """
-    m = set(ids)
-    for q in u.ids():
-        if q in m:
-            continue
-        if any(u.lt(p, q) for p in m) and any(u.lt(q, r) for r in m):
-            return False
-    return True
+    m = _mask(ids)
+    under = 0
+    for x in bits(m):
+        under |= u.below(x)
+    return not any(u.below(q) & m for q in bits(under & ~m))
 
 
 def chain_hypothesis(ids, u: Universe) -> bool:
     """Every {x in ids : x <= m} is a chain, for m in ids."""
-    m = set(ids)
-    return all(is_chain([x for x in m if u.leq(x, top)], u) for top in m)
+    m = _mask(ids)
+    return all(is_chain(bits(u.below(top) & m | 1 << top), u)
+               for top in bits(m))
 
 
 # standard constructions

@@ -9,10 +9,11 @@ The map search prepares its plan once per domain and keeps it in a bounded
 cache, since callers such as the obstruction sweep search from the same
 domain many times, and backtracks in one loop over a per-depth stack, not
 by recursion: most of its calls try a handful of assignments, so the cost
-of a call is mostly fixed cost.  It also holds `bits`, the mask iterator the other
-modules share, and `transpose`, which turns the rows of a relation into its
-columns; it imports only `errors` and the standard library, so any module
-can import it without a cycle.
+of a call is mostly fixed cost.  It also holds `bits`, the mask iterator
+the other modules share, `transpose`, which turns the rows of a relation
+into its columns, and `restrict`, which cuts a relation down to a subset
+and renumbers it; it imports only `errors` and the standard library, so
+any module can import it without a cycle.
 
 All subsets are bitmasks (bit i = element i), held in Python ints, so there
 is no limit on the number of elements.  Output order is deterministic.
@@ -240,3 +241,23 @@ def transpose(rows):
             row ^= low
             cols[low.bit_length() - 1] |= bit_i
     return tuple(cols)
+
+
+def restrict(rows, members):
+    """A relation restricted to `members` and renumbered by position.
+
+    rows[i] is the row of members[i] over the original numbering; bit j of
+    the result's row i is bit members[j] of rows[i].  Bits outside
+    `members` are dropped.
+    """
+    pos = {x: i for i, x in enumerate(members)}
+    scope = 0
+    for x in members:
+        scope |= 1 << x
+    out = []
+    for row in rows:
+        local = 0
+        for y in bits(row & scope):
+            local |= 1 << pos[y]
+        out.append(local)
+    return tuple(out)

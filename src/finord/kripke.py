@@ -64,15 +64,6 @@ def opposite_frame(p: FinitePreorder) -> KripkeFrame:
     return KripkeFrame(p.n, p.down)
 
 
-def frame_is_preorder(f: KripkeFrame) -> bool:
-    if any(not f.succ[i] >> i & 1 for i in range(f.n)):
-        return False
-    return all(
-        f.succ[j] & ~f.succ[i] == 0
-        for i in range(f.n) for j in bits(f.succ[i])
-    )
-
-
 # ---------------------------------------------------------------------------
 # p-morphisms
 
@@ -151,13 +142,13 @@ def _upsets(f: KripkeFrame) -> list[int]:
     return [full ^ d for d in order_mod.all_downsets(pre)]
 
 
-def _is_good_upset(f: KripkeFrame, u: int) -> bool:
-    """R restricted to u is reflexive and transitive."""
-    for x in bits(u):
+def is_preorder_on(f: KripkeFrame, mask: int) -> bool:
+    """R restricted to the states in mask is reflexive and transitive."""
+    for x in bits(mask):
         if not f.succ[x] >> x & 1:
             return False
-        for y in bits(f.succ[x] & u):
-            if f.succ[y] & u & ~f.succ[x]:
+        for y in bits(f.succ[x] & mask):
+            if f.succ[y] & mask & ~f.succ[x]:
                 return False
     return True
 
@@ -170,21 +161,16 @@ def coreflect(f: KripkeFrame) -> Coreflection:
     frame on more than `order.MAX_DOWNSET_SIZE` states raises the
     BudgetError of `order.all_downsets`.
     """
-    good = [u for u in _upsets(f) if _is_good_upset(f, u)]
+    good = [u for u in _upsets(f) if is_preorder_on(f, u)]
     y = 0
     for u in good:
         y |= u
-    assert _is_good_upset(f, y), "union of good upsets must be good"
+    assert is_preorder_on(f, y), "union of good upsets must be good"
     assert all(u & ~y == 0 for u in good)
     members = tuple(bits(y))
-    pos = {x: i for i, x in enumerate(members)}
-    up = [0] * len(members)
     # converse: a <= b in the coreflection iff b R a
-    for a in members:
-        for b in members:
-            if f.succ[b] >> a & 1:
-                up[pos[a]] |= 1 << pos[b]
-    return Coreflection(members, FinitePreorder(len(members), tuple(up)), y)
+    up = kernels.restrict([f.pred[a] for a in members], members)
+    return Coreflection(members, FinitePreorder(len(members), up), y)
 
 
 def coreflect_fixpoint(f: KripkeFrame) -> int:
@@ -304,7 +290,8 @@ def is_closure_algebra(a: FiniteBAO) -> bool:
 
 def closure_iff_preorder(f: KripkeFrame) -> bool:
     """The biconditional itself; True means the two sides agree."""
-    return frame_is_preorder(f) == is_closure_algebra(complex_algebra(f))
+    return (is_preorder_on(f, (1 << f.n) - 1)
+            == is_closure_algebra(complex_algebra(f)))
 
 
 @dataclass
@@ -348,13 +335,10 @@ def bao_L(a: FiniteBAO) -> KripkeFrame:
             s |= x
     assert s & ~a.box(s) == 0, "the join of the family must stay in it"
     members = tuple(bits(s))
-    pos = {x: i for i, x in enumerate(members)}
-    succ = [0] * len(members)
-    for x in members:
-        for y in members:
-            if (s & a.dia(1 << y)) >> x & 1:
-                succ[pos[x]] |= 1 << pos[y]
-    return KripkeFrame(len(members), tuple(succ))
+    # x R y iff x lies in dia of the atom y: a column of the diamond table
+    cols = kernels.transpose(a.dia_atom)
+    succ = kernels.restrict([cols[x] for x in members], members)
+    return KripkeFrame(len(members), succ)
 
 
 def verify_bao_adjunction(f: KripkeFrame) -> bool:

@@ -62,13 +62,6 @@ class PointMap:
         return out
 
 
-def compose(g: PointMap, f: PointMap) -> PointMap:
-    """g after f."""
-    if f.cod != g.dom:
-        raise ValueError("codomain/domain mismatch")
-    return PointMap(f.dom, g.cod, tuple(g.table[v] for v in f.table))
-
-
 def all_functions(p: FinitePreorder, q: FinitePreorder):
     """Every function p -> q, ascending table order."""
     for table in iproduct(range(q.n), repeat=p.n):
@@ -207,8 +200,9 @@ def mediating_search(q: FinitePreorder, f1: PointMap, f2: PointMap,
         _check_into_sierpinski(f, name)
     if f1.dom != q or f2.dom != q or p1.dom != p or p2.dom != p:
         raise HypothesisError("map domains must match the given preorders")
-    return _mediating(q, f1, f2, _classes(f1, f2), p, p1, p2,
-                      _fibers(_split(p1), _split(p2)))
+    tables, nodes = _mediating(q, f1, f2, _classes(f1, f2), p, p1, p2,
+                               _fibers(_split(p1), _split(p2)))
+    return [PointMap(q, p, t) for t in tables], nodes
 
 
 def _split(f: PointMap):
@@ -231,7 +225,8 @@ def _classes(f1: PointMap, f2: PointMap):
 
 
 def _mediating(q, f1, f2, classes, p, p1, p2, fibers):
-    """mediating_search on maps already checked open and on matching domains.
+    """mediating_search's tables, on maps already checked open and on
+    matching domains.
 
     classes is `_classes(f1, f2)` and fibers is p1 and p2's `_fibers`, so a
     sweep computes each once, not once per search.
@@ -239,26 +234,19 @@ def _mediating(q, f1, f2, classes, p, p1, p2, fibers):
     allowed = [fibers[k] for k in classes]
     tables, nodes = kernels.enumerate_maps(
         q.n, p.n, q.down, q.up, p.down, p.up, allowed, True)
-    out = []
     for t in tables:
-        f = PointMap(q, p, t)
-        assert compose(p1, f).table == f1.table
-        assert compose(p2, f).table == f2.table
-        out.append(f)
-    return out, nodes
-
-
-@dataclass
-class StageSearch:
-    candidates_examined: int
-    mediating_found: int
+        assert all(p1.table[v] == a for v, a in zip(t, f1.table))
+        assert all(p2.table[v] == b for v, b in zip(t, f2.table))
+    return tables, nodes
 
 
 @dataclass
 class ObstructionVerdict:
     certificate_kind: str  # empty_mediating_set | cardinality_bound | non_injective_mediating
     stage: int
-    searches: list[StageSearch]
+    # summed over the stages searched
+    candidates_examined: int
+    mediating_found: int
 
     @property
     def refuted(self) -> bool:
@@ -344,17 +332,20 @@ def _verdict(h, stages, p, p1, p2, fibers):
 
     fibers is p1 and p2's `_fibers`.
     """
-    searches = []
+    examined = found_total = 0
     for alpha, stage, f1, f2, classes in stages():
         found, nodes = _mediating(stage, f1, f2, classes, p, p1, p2, fibers)
-        searches.append(StageSearch(nodes, len(found)))
+        examined += nodes
+        found_total += len(found)
         if not found:
-            return ObstructionVerdict("empty_mediating_set", alpha, searches)
-        if any(len(set(f.table)) != stage.n for f in found):
+            return ObstructionVerdict("empty_mediating_set", alpha, examined,
+                                      found_total)
+        if any(len(set(t)) != stage.n for t in found):
             return ObstructionVerdict("non_injective_mediating", alpha,
-                                      searches)
+                                      examined, found_total)
     for alpha, level in enumerate(h.levels):
         if len(level) > p.n:
-            return ObstructionVerdict("cardinality_bound", alpha, searches)
+            return ObstructionVerdict("cardinality_bound", alpha, examined,
+                                      found_total)
     raise BudgetError("no stage within the tower outgrows the candidate",
                       stage=h.depth, budget=h.budget)

@@ -10,7 +10,7 @@ from collections import Counter
 import pytest
 
 import finord
-from finord import cli, hierarchy, kripke, order
+from finord import cli, hierarchy, hsets, kripke, order
 
 
 def run(argv, capsys):
@@ -85,6 +85,36 @@ def test_export_json_round_trips(tmp_path, capsys):
     assert json.loads(out)["command"] == "hierarchy"
     h = hierarchy.from_json(json.loads(target.read_text()))
     assert [len(level) for level in h.levels] == [4, 8, 22]
+
+
+@pytest.mark.parametrize("base", ["antichain3", "file"])
+def test_export_json_of_atom_base_reloads(base, tmp_path, capsys):
+    # labels out of order: p sits below both r and q
+    poset = hsets.base_poset(["r", "p", "q"], [("p", "q"), ("p", "r")])
+    if base == "file":
+        path = tmp_path / "base.json"
+        path.write_text(json.dumps({
+            "atoms": list(poset.labels),
+            "leq": [["p", "q"], ["p", "r"]],
+            "base": ["q", "r"],
+        }))
+        base = f"file:{path}"
+    else:
+        poset = hsets.abstract_antichain(3)[0].base
+    target = tmp_path / "tower.json"
+    code, _, _ = run(["hierarchy", "export", "--base", base, "--depth", "1",
+                      "--out", str(target)], capsys)
+    assert code == 0
+    data = json.loads(target.read_text())
+    h = hierarchy.from_json(data)
+    assert h.universe.base == poset
+    assert [sorted(level) for level in h.levels] == data["levels"]
+    _, text, _ = run(["hierarchy", "export", "--base", base, "--depth", "1",
+                      "--format", "text"], capsys)
+    assert h.universe.dump() == text
+    _, dot, _ = run(["hierarchy", "export", "--base", base, "--depth", "1",
+                     "--format", "dot"], capsys)
+    assert hierarchy.level_dot(h, 1) == dot
 
 
 def test_file_base(tmp_path, capsys):

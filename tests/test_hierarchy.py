@@ -224,6 +224,18 @@ def test_from_json_requires_base_level():
         hierarchy.from_json(data)
 
 
+def test_from_json_rejects_bad_base_poset():
+    import json
+    u, ids = hsets.abstract_antichain(2)
+    data = json.loads(hierarchy.dumps(hierarchy.build(ids, 1, u)))
+    data["base_poset"]["labels"] = ["a0", "a0"]
+    with pytest.raises(FormatError, match="^bad base poset: "):
+        hierarchy.from_json(data)
+    data["base_poset"] = {"labels": ["a0", "a1"]}
+    with pytest.raises(FormatError, match="^bad hierarchy JSON: "):
+        hierarchy.from_json(data)
+
+
 def test_level_dot_mentions_every_member():
     _, _, h = claw_tower()
     dot = hierarchy.level_dot(h, 1)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from finord import hsets
+from finord import hsets, kernels
 from finord.errors import FormatError
 from finord.hsets import Universe
 from finord.kernels import bits
@@ -57,6 +57,22 @@ def test_intern_dedupes_and_sorts():
     y = u.intern([a, b])
     assert x == y
     assert u.children(x) == (a, b)
+
+
+def test_atoms_are_the_first_ids():
+    u, (a, b) = flat_universe("a", "b")
+    s = u.intern([a, b])
+    assert [u.kind(x) for x in u.ids()] == ["atom", "atom", "set"]
+    assert (u.atom("b"), u.label(b)) == (b, "b")
+    with pytest.raises(ValueError, match="is not an atom"):
+        u.label(s)
+    with pytest.raises(ValueError, match="is not a set"):
+        u.children(a)
+    with pytest.raises(IndexError):
+        u.kind(3)
+    for universe in (u, Universe()):
+        with pytest.raises(KeyError, match="not in this universe"):
+            universe.atom("c")
 
 
 def test_peek_never_inserts():
@@ -136,6 +152,86 @@ def test_chains_and_convexity():
     assert hsets.is_chain(chain, u)
     assert not hsets.is_convex([chain[0], chain[3]], u)
     assert hsets.is_convex(chain, u)
+
+
+def random_universe(rng, atoms):
+    """A universe on `atoms` atoms, ordered at random with labels that are
+    not a linear extension, and about 30 sets of earlier ids on top."""
+    base = None
+    if atoms:
+        labels = [f"a{i}" for i in range(atoms)]
+        rank = rng.sample(labels, atoms)
+        base = hsets.base_poset(labels, [
+            (rank[i], rank[j]) for i in range(atoms)
+            for j in range(i + 1, atoms) if rng.random() < 0.3])
+    u = Universe(base)
+    for _ in range(30):
+        u.intern(rng.sample(list(u.ids()), min(len(u), rng.randrange(4))))
+    return u
+
+
+def random_id_set(rng, u):
+    """Random ids, half the time all at or below one id, so that chains and
+    convex sets occur as often as their failures."""
+    if rng.random() < 0.5:
+        top = rng.randrange(len(u))
+        pool = list(bits(u.below(top))) + [top]
+    else:
+        pool = list(u.ids())
+    return rng.sample(pool, min(len(pool), rng.randrange(6)))
+
+
+def pairwise_antichain(ids, u):
+    return not any(u.comparable(x, y) for x in ids for y in ids if x != y)
+
+
+def pairwise_chain(ids, u):
+    return all(u.comparable(x, y) for x in ids for y in ids if x != y)
+
+
+def pairwise_convex(ids, u):
+    return not any(
+        any(u.lt(p, q) for p in ids) and any(u.lt(q, r) for r in ids)
+        for q in u.ids() if q not in ids)
+
+
+def pairwise_chain_hypothesis(ids, u):
+    return all(pairwise_chain([x for x in ids if u.leq(x, top)], u)
+               for top in ids)
+
+
+def test_row_predicates_match_pairwise_definitions():
+    rng = random.Random(20261019)
+    cases = [(hsets.is_antichain, pairwise_antichain),
+             (hsets.is_chain, pairwise_chain),
+             (hsets.is_convex, pairwise_convex),
+             (hsets.chain_hypothesis, pairwise_chain_hypothesis)]
+    verdicts = [set() for _ in cases]
+    for trial in range(200):
+        u = random_universe(rng, rng.choice((0, 3, 5)))
+        for _ in range(20):
+            ids = random_id_set(rng, u)
+            for (rows, pairwise), seen in zip(cases, verdicts):
+                expected = pairwise(ids, u)
+                assert rows(ids, u) == expected, (rows.__name__, trial, ids)
+                seen.add(expected)
+    assert all(seen == {False, True} for seen in verdicts)
+
+
+def test_restrict_matches_brute_force():
+    rng = random.Random(20261020)
+    for _ in range(200):
+        u = random_universe(rng, rng.choice((0, 3, 5)))
+        n = len(u)
+        members = rng.sample(range(n), rng.randrange(n + 1))
+        # the universe order, and an arbitrary relation with bits outside
+        # the members
+        for rows in ([u.below(x) for x in members],
+                     [rng.getrandbits(n) for _ in members]):
+            expected = tuple(
+                sum(1 << j for j, y in enumerate(members) if row >> y & 1)
+                for row in rows)
+            assert kernels.restrict(rows, members) == expected
 
 
 def test_dump_load_round_trip():

@@ -33,7 +33,7 @@ def test_opposite_frame_round_trip():
     for p in order.enumerate_preorders(3):
         f = kripke.opposite_frame(p)
         assert f.succ == p.down
-        assert kripke.frame_is_preorder(f)
+        assert kripke.is_preorder_on(f, (1 << f.n) - 1)
         back = order.FinitePreorder(f.n, f.succ)
         assert back.down == p.up
 

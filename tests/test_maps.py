@@ -21,6 +21,12 @@ def all_openness_verdicts(f):
     return (maps.is_open_v1(f), maps.is_open_v2(f), maps.is_open_v3(f))
 
 
+def compose(g, f):
+    """g after f."""
+    assert f.cod == g.dom
+    return PointMap(f.dom, g.cod, tuple(g.table[v] for v in f.table))
+
+
 def product_with_projections(p, q):
     """Componentwise product and its two projection maps."""
     prod = order.product(p, q)
@@ -74,7 +80,7 @@ def test_enumerations_respect_composition():
     assert all(maps.is_open_v2(f) for f in opens)
     for f in opens:
         for g in maps.enumerate_open_maps(s, s):
-            assert maps.is_open_v2(maps.compose(g, f))
+            assert maps.is_open_v2(compose(g, f))
 
 
 def test_coordinate_maps_are_open_at_every_stage(monkeypatch):
@@ -114,8 +120,8 @@ def test_base_pairing_is_monotone_but_not_open():
     f2 = maps.coordinate_map(h, 0, 2)
     pairing = PointMap(stage, prod,
                        tuple(f1(i) * 2 + f2(i) for i in range(stage.n)))
-    assert maps.compose(p1, pairing).table == f1.table
-    assert maps.compose(p2, pairing).table == f2.table
+    assert compose(p1, pairing).table == f1.table
+    assert compose(p2, pairing).table == f2.table
     assert maps.is_monotone(pairing)
     assert not maps.is_open_v2(pairing)
     found, _ = maps.mediating_search(stage, f1, f2, prod, p1, p2)
@@ -174,7 +180,7 @@ def test_obstruction_cardinality_bound():
     assert verdict.certificate_kind == "cardinality_bound"
     assert verdict.stage == 2
     assert verdict.refuted
-    assert verdict.searches[0].mediating_found == 1
+    assert verdict.mediating_found == 1
 
 
 def test_obstruction_budget_when_tower_too_shallow():
@@ -202,22 +208,24 @@ def test_all_small_posets_refuted_by_stage_one():
 
 def oracle_verdict(p, p1, p2, h):
     """The obstruction verdict rebuilt stage by stage from public calls."""
-    searches = []
+    examined = found_total = 0
     for alpha in range(1, h.depth + 1):
         stage, _ = hierarchy.materialize(h, alpha)
         f1 = maps.coordinate_map(h, alpha, 1)
         f2 = maps.coordinate_map(h, alpha, 2)
         found, nodes = maps.mediating_search(stage, f1, f2, p, p1, p2)
         injective = all(len(set(f.table)) == stage.n for f in found)
-        searches.append(maps.StageSearch(nodes, len(found)))
+        examined += nodes
+        found_total += len(found)
         if not found:
             return maps.ObstructionVerdict("empty_mediating_set", alpha,
-                                           searches)
+                                           examined, found_total)
         if not injective:
             return maps.ObstructionVerdict("non_injective_mediating", alpha,
-                                           searches)
+                                           examined, found_total)
     alpha = next(a for a, level in enumerate(h.levels) if len(level) > p.n)
-    return maps.ObstructionVerdict("cardinality_bound", alpha, searches)
+    return maps.ObstructionVerdict("cardinality_bound", alpha, examined,
+                                   found_total)
 
 
 def test_sweep_matches_oracle_on_small_posets():
@@ -241,7 +249,7 @@ def test_sweep_matches_oracle_on_small_posets():
     assert len(mediated) == 1
     assert (mediated[0].certificate_kind, mediated[0].stage) == (
         "empty_mediating_set", 2)
-    assert mediated[0].searches[0].mediating_found == 1
+    assert mediated[0].mediating_found == 1
 
 
 def test_obstruction_rejects_non_open_projection():

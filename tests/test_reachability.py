@@ -53,7 +53,6 @@ ORACLES = {
 
 # optional parameters that no package or benchmark call passes
 UNPASSED = {
-    ("hsets", "load", "base"): "test round trips of atom universes",
     ("kripke", "sample_frame", "density"):
         "random test input; the p-morphism tests vary the density",
     ("maps", "product_obstruction", "max_alpha"):
