@@ -250,12 +250,13 @@ def _suite_lemma23(args, rng):
         checks += rep.stages
         violations += [[name, *map(str, v)] for v in rep.violations]
 
-    # sub-antichains of the free 3-antichain against the full base
-    u, base = _resolve_base("antichain3")
+    # sub-antichains of the free 3-antichain against the full base, whose
+    # tower h the loop above left built
     for r in (1, 2, 3):
         for m in combinations(base, r):
-            rep = hierarchy_mod.verify_restriction(m, base, depth, u,
-                                                   args.budget)
+            hm = h if m == base else hierarchy_mod.build(m, depth, u,
+                                                         args.budget)
+            rep = hierarchy_mod.verify_restriction(hm, h)
             checks += 1
             violations += [["restriction", str(m), *map(str, v)]
                            for v in rep.violations]
@@ -263,8 +264,8 @@ def _suite_lemma23(args, rng):
     # a base living one stage up: offset containment must kick in
     a, b, c = base
     shifted = (u.intern([a, b]), u.intern([b, c]))
-    rep = hierarchy_mod.verify_restriction(shifted, base, depth, u,
-                                           args.budget)
+    rep = hierarchy_mod.verify_restriction(
+        hierarchy_mod.build(shifted, depth, u, args.budget), h)
     checks += 1
     if rep.offset != 1:
         violations.append(["restriction_offset", str(rep.offset)])
@@ -546,25 +547,21 @@ def main(argv=None) -> int:
         error = {"message": str(exc), "stage": exc.stage, "used": exc.used,
                  "budget": exc.budget}
         code, payload, document = EXIT_BUDGET, {"error": error}, None
-    except FinordError as exc:
-        print(f"finord: error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except OSError as exc:
+    except (FinordError, OSError) as exc:
         print(f"finord: error: {exc}", file=sys.stderr)
         return EXIT_FAIL
 
     elapsed = round(time.perf_counter() - start, 6) if args.timing else None
     report = _render(args.command, _config_of(args), payload, elapsed)
-    if document is not None:
-        if args.out:
-            args.out.write_text(document, encoding="utf-8")
-            sys.stdout.write(report)
-        else:
-            sys.stdout.write(document)
-    else:
-        if args.out:
-            args.out.write_text(report, encoding="utf-8")
-        sys.stdout.write(report)
+    if args.out:
+        try:
+            args.out.write_text(report if document is None else document,
+                                encoding="utf-8")
+        except OSError as exc:
+            print(f"finord: error: {exc}", file=sys.stderr)
+            return EXIT_FAIL
+    sys.stdout.write(document if document is not None and not args.out
+                     else report)
     return code
 
 

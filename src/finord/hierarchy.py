@@ -62,16 +62,14 @@ def _local_rows(ids, u: Universe) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return down, kernels.transpose(down)
 
 
-def _comparability_masks(ids, u: Universe) -> list[int]:
-    down, up = _local_rows(ids, u)
-    return [d | a for d, a in zip(down, up)]
+def _comparable_pairs(m: int, u: Universe) -> list[tuple[int, int]]:
+    """Every comparable pair of members of the id mask m, as (smaller id,
+    larger id), in ascending order.
 
-
-def _comparable_pairs(ids, u: Universe):
-    """(ids[i], ids[j]) for every comparable pair with i < j, in order."""
-    for i, row in enumerate(_comparability_masks(ids, u)):
-        for j in bits(row >> i + 1):
-            yield ids[i], ids[i + 1 + j]
+    The order is strict, so each pair shows up in exactly one member's row.
+    """
+    return sorted((min(x, y), max(x, y))
+                  for x in bits(m) for y in bits(u.below(x) & m))
 
 
 def build(base_ids, depth: int, u: Universe, budget: int = DEFAULT_BUDGET) -> Hierarchy:
@@ -97,7 +95,8 @@ def build(base_ids, depth: int, u: Universe, budget: int = DEFAULT_BUDGET) -> Hi
     for stage in range(1, depth + 1):
         level = h.levels[-1]
         elems = sorted(level)
-        comp = _comparability_masks(elems, u)
+        down, up = _local_rows(elems, u)
+        comp = [d | a for d, a in zip(down, up)]
         masks, hit = kernels.antichains(len(elems), comp, min_size=2,
                                         limit=budget + 1)
         if hit:
@@ -143,30 +142,31 @@ def verify_stage_properties(h: Hierarchy) -> StageReport:
 
     Per stage alpha: levels[alpha] is a downset of the top level; the fresh
     elements of stage alpha form an antichain; and (for alpha >= 2) every
-    fresh element has a child fresh at the previous stage.  Failures come
-    back as report entries, never exceptions.
+    fresh element has a child fresh at the previous stage.  Each check reads
+    the `below` rows of the members against the mask of a level, so none
+    compares pairs.  Failures come back as report entries, never
+    exceptions, listed by stage and then by ascending id.
     """
     u = h.universe
-    top = h.levels[-1]
-    top_mask = sum(1 << y for y in top)
+    masks = [kernels.mask(level) for level in h.levels]
     violations = []
-    for alpha in range(len(h.levels)):
-        level = h.levels[alpha]
-        outside = top_mask & ~sum(1 << x for x in level)
-        for x in level:
-            escaped = u.below(x) & outside
-            violations.extend(("not_downset", alpha, y, x)
-                              for y in top if escaped >> y & 1)
+    prev_fresh = 0
+    for alpha, level in enumerate(masks):
+        outside = masks[-1] & ~level
+        for x in bits(level):
+            violations += [("not_downset", alpha, y, x)
+                           for y in bits(u.below(x) & outside)]
 
-        fresh = sorted(h.new_at(alpha)) if alpha > 0 else []
-        violations.extend(("fresh_comparable", alpha, x, y)
-                          for x, y in _comparable_pairs(fresh, u))
+        fresh = level & ~masks[alpha - 1] if alpha > 0 else 0
+        violations += [("fresh_comparable", alpha, x, y)
+                       for x, y in _comparable_pairs(fresh, u)]
 
         if alpha >= 2:
-            prev_fresh = h.new_at(alpha - 1)
-            violations.extend(
-                ("stale_children", alpha, x) for x in fresh
-                if u.kind(x) == "set" and not set(u.children(x)) & prev_fresh)
+            violations += [
+                ("stale_children", alpha, x) for x in bits(fresh)
+                if u.kind(x) == "set"
+                and not kernels.mask(u.children(x)) & prev_fresh]
+        prev_fresh = fresh
     return StageReport(len(h.levels), violations)
 
 
@@ -176,9 +176,8 @@ class RestrictionReport:
     violations: list = field(default_factory=list)
 
 
-def verify_restriction(m_ids, mprime_ids, depth: int, u: Universe,
-                       budget: int = DEFAULT_BUDGET) -> RestrictionReport:
-    """Compare the towers of a base M and an enlarged base M'.
+def verify_restriction(hm: Hierarchy, hp: Hierarchy) -> RestrictionReport:
+    """Compare the built towers of a base M and an enlarged base M'.
 
     Two checks, each run when its hypothesis holds:
 
@@ -188,12 +187,12 @@ def verify_restriction(m_ids, mprime_ids, depth: int, u: Universe,
       c with M inside levels_M'[c] makes levels_M[alpha] a subset of
       levels_M'[alpha + c] wherever both are built.
 
-    Raises HypothesisError when neither hypothesis holds.
+    Both towers must live in one universe.  Raises HypothesisError when
+    neither hypothesis holds.
     """
-    m = frozenset(m_ids)
-    mp = frozenset(mprime_ids)
-    hm = build(m, depth, u, budget)
-    hp = build(mp, depth, u, budget)
+    u = hm.universe
+    m = frozenset(hm.base)
+    mp = frozenset(hp.base)
     violations = []
 
     equality_applicable = (m <= mp and is_antichain(m, u) and is_antichain(mp, u))
@@ -205,15 +204,9 @@ def verify_restriction(m_ids, mprime_ids, depth: int, u: Universe,
                 violations.append(("stage_mismatch", alpha,
                                    sorted(hm.levels[alpha] ^ expected)))
 
-    offset = None
-    for c, lev in enumerate(hp.levels):
-        if m <= lev:
-            offset = c
-            break
+    offset = next((c for c, lev in enumerate(hp.levels) if m <= lev), None)
     if offset is not None:
-        for alpha in range(len(hm.levels)):
-            if alpha + offset >= len(hp.levels):
-                break
+        for alpha in range(min(len(hm.levels), len(hp.levels) - offset)):
             extra = hm.levels[alpha] - hp.levels[alpha + offset]
             if extra:
                 violations.append(("not_contained", alpha, offset, sorted(extra)))
@@ -245,7 +238,7 @@ def fan(a_ids, outside: int, u: Universe) -> FanReport:
                   if u.comparable(x, outside)]
     pair_ids = [u.intern([x, outside]) for x in xs]
     violations += [("fan_comparable", p, q)
-                   for p, q in _comparable_pairs(pair_ids, u)]
+                   for p, q in _comparable_pairs(kernels.mask(pair_ids), u)]
     return FanReport(tuple(pair_ids), violations)
 
 
@@ -273,8 +266,8 @@ def growth_witness(triple, depth: int, u: Universe,
     everything the doubleton tower generates).  Reports per-stage growth
     (each must be >= 3, which the caller reads off `growth`) and the fan
     violations, tagged with their stage.  The deepest stage is counted but
-    not fanned; its pairwise check would be quadratic in a size that only
-    matters as a cardinality.
+    not fanned: fanning it would intern one pair per element of a stage
+    whose size only matters as a cardinality.
     """
     trip = sorted(set(triple))
     if len(trip) != 3:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from finord import order as order_mod
 from finord.errors import FormatError
-from finord.kernels import bits
+from finord.kernels import bits, mask
 
 _LABEL_RE = re.compile(r"[A-Za-z0-9_.+\-]+\Z")
 
@@ -216,16 +216,9 @@ def load(text: str, base: BasePoset | None = None) -> Universe:
 
 # predicates on id collections, each read off the rows of its members
 
-def _mask(ids) -> int:
-    m = 0
-    for x in ids:
-        m |= 1 << x
-    return m
-
-
 def is_antichain(ids, u: Universe) -> bool:
     """No two distinct members comparable: no member's row meets the set."""
-    m = _mask(ids)
+    m = mask(ids)
     return not any(u.below(x) & m for x in bits(m))
 
 
@@ -236,7 +229,7 @@ def is_chain(ids, u: Universe) -> bool:
     exactly one member's row: k members form a chain exactly when their rows
     hold k(k-1)/2 members in all.
     """
-    m = _mask(ids)
+    m = mask(ids)
     k = m.bit_count()
     pairs = sum((u.below(x) & m).bit_count() for x in bits(m))
     return pairs == k * (k - 1) // 2
@@ -249,7 +242,7 @@ def is_convex(ids, u: Universe) -> bool:
     are the non-members in the union of the members' rows, and one lies
     between two members exactly when its own row meets the set.
     """
-    m = _mask(ids)
+    m = mask(ids)
     under = 0
     for x in bits(m):
         under |= u.below(x)
@@ -258,7 +251,7 @@ def is_convex(ids, u: Universe) -> bool:
 
 def chain_hypothesis(ids, u: Universe) -> bool:
     """Every {x in ids : x <= m} is a chain, for m in ids."""
-    m = _mask(ids)
+    m = mask(ids)
     return all(is_chain(bits(u.below(top) & m | 1 << top), u)
                for top in bits(m))
 

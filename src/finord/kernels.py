@@ -10,10 +10,10 @@ cache, since callers such as the obstruction sweep search from the same
 domain many times, and backtracks in one loop over a per-depth stack, not
 by recursion: most of its calls try a handful of assignments, so the cost
 of a call is mostly fixed cost.  It also holds `bits`, the mask iterator
-the other modules share, `transpose`, which turns the rows of a relation
-into its columns, and `restrict`, which cuts a relation down to a subset
-and renumbers it; it imports only `errors` and the standard library, so
-any module can import it without a cycle.
+the other modules share, and `mask`, its inverse; `transpose`, which turns
+the rows of a relation into its columns; and `restrict`, which cuts a
+relation down to a subset and renumbers it.  It imports only `errors` and
+the standard library, so any module can import it without a cycle.
 
 All subsets are bitmasks (bit i = element i), held in Python ints, so there
 is no limit on the number of elements.  Output order is deterministic.
@@ -227,6 +227,14 @@ def bits(mask):
         yield bit.bit_length() - 1
 
 
+def mask(ids):
+    """The mask with exactly the bits of ids set; the inverse of `bits`."""
+    m = 0
+    for x in ids:
+        m |= 1 << x
+    return m
+
+
 def transpose(rows):
     """The converse of a relation on range(len(rows)) given by rows.
 
@@ -251,9 +259,7 @@ def restrict(rows, members):
     `members` are dropped.
     """
     pos = {x: i for i, x in enumerate(members)}
-    scope = 0
-    for x in members:
-        scope |= 1 << x
+    scope = mask(members)
     out = []
     for row in rows:
         local = 0

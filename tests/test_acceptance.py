@@ -130,13 +130,14 @@ def _stage_suite():
         # the clause's hypothesis: M inside M', both antichains
         assert set(sub) <= set(ids)
         assert hsets.is_antichain(sub, ua) and hsets.is_antichain(ids, ua)
-        rep = hierarchy.verify_restriction(sub, ids, 2, ua)
+        rep = hierarchy.verify_restriction(hierarchy.build(sub, 2, ua),
+                                           hfree)
         assert not rep.violations, rep.violations
 
     # restriction, offset clause: doubleton base sits one stage up
     a, b, c = ids
     doubles = (ua.intern([a, b]), ua.intern([a, c]), ua.intern([b, c]))
-    rep = hierarchy.verify_restriction(doubles, ids, 2, ua)
+    rep = hierarchy.verify_restriction(hierarchy.build(doubles, 2, ua), hfree)
     assert rep.offset == 1
     assert not rep.violations, rep.violations
 

@@ -255,7 +255,8 @@ def test_obstruct_certificates_golden(size, capsys):
 # and export as written by the stdlib's indenting JSON encoder, so they pin
 # the formatting of a whole report and of a whole exported document;
 # obstruct6 as written before the map kernel became a loop, with its 28,835
-# pinned searches and their node counts (`candidates_examined`)
+# pinned searches and their node counts (`candidates_examined`); lemma23 at
+# depths 1 and 2 as written while the stage check still compared pairs
 REPORT_DIGESTS = {
     "coreflect": (["verify", "coreflect", "--states", "3"],
                   "097112765b1344d77c28cdf3a1a545c8e660a2e39c31cc8e46f25e0fe8b45228"),
@@ -269,6 +270,10 @@ REPORT_DIGESTS = {
                   "c37d49a432beaa28ee4da3d43ebe171858060b4167bffbdcd88b20fba7d24240"),
     "export2": (["hierarchy", "export", "--depth", "2"],
                 "ff873aaa887128865953d3e837a662bd9c88ca1a8688c6ea2d7e6fdc14e5dc13"),
+    "lemma23_1": (["verify", "lemma23", "--depth", "1"],
+                  "db44e789394103c5622cf6cbe0e8482585294435f5a1b0b5ffc697b8c8f5e252"),
+    "lemma23_2": (["verify", "lemma23", "--depth", "2"],
+                  "f0fa0dccbfd75fb249125a93388be3f5aef124da44d898f80d52b9cef6014a4c"),
 }
 
 
@@ -524,6 +529,18 @@ def test_out_duplicates_report(tmp_path, capsys):
     _, out, _ = run(
         ["verify", "lemma24", "--depth", "1", "--out", str(target)], capsys)
     assert target.read_text() == out
+
+
+# --out naming a directory, and --out under a missing directory
+@pytest.mark.parametrize("argv, target", [
+    (["hierarchy", "build"], "."),
+    (["verify", "lemma24", "--depth", "1"], "missing/report.json"),
+])
+def test_unwritable_out_is_a_one_line_error(argv, target, tmp_path, capsys):
+    code, out, err = run([*argv, "--out", str(tmp_path / target)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("finord: error: ") and err.count("\n") == 1
 
 
 def test_reports_are_byte_identical_across_runs(capsys):

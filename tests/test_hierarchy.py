@@ -1,5 +1,9 @@
 """Antichain towers: frozen level contents, stage checks, negative controls."""
 
+import dataclasses
+from collections import Counter
+from random import Random
+
 import pytest
 
 from finord import hierarchy, hsets, order
@@ -116,6 +120,63 @@ def test_smuggled_element_fails_antichain():
     assert any(v[0] == "fresh_comparable" for v in report.violations)
 
 
+def test_stage_one_set_dropped_fails_stale_children():
+    # d12 turns fresh at stage 2 with only base children a1, a2
+    u, base, h = claw_tower()
+    d12 = u.peek([base[1], base[2]])
+    h.levels[1] = h.levels[1] - {d12}
+    report = hierarchy.verify_stage_properties(h)
+    assert ("stale_children", 2, d12) in report.violations
+
+
+def pairwise_stage_violations(h):
+    """The stage check by comparing pairs; the oracle of the row-based one."""
+    u = h.universe
+    top = h.levels[-1]
+    violations = []
+    for alpha, level in enumerate(h.levels):
+        for x in level:
+            violations += [("not_downset", alpha, y, x) for y in top
+                           if y not in level and u.lt(y, x)]
+        fresh = sorted(h.new_at(alpha)) if alpha > 0 else []
+        violations += [("fresh_comparable", alpha, x, y)
+                       for i, x in enumerate(fresh) for y in fresh[i + 1:]
+                       if u.comparable(x, y)]
+        if alpha >= 2:
+            prev_fresh = h.new_at(alpha - 1)
+            violations += [
+                ("stale_children", alpha, x) for x in fresh
+                if u.kind(x) == "set" and not set(u.children(x)) & prev_fresh]
+    return violations
+
+
+def test_stage_check_agrees_with_pairwise_oracle_on_corruptions():
+    rng = Random(23)
+    towers = [claw_tower()[2]]
+    u, ids = hsets.abstract_antichain(3)
+    towers.append(hierarchy.build(ids, 2, u))
+    failing = 0
+    kinds = set()
+    for trial in range(300):
+        h = towers[trial % 2]
+        levels = list(h.levels)
+        for _ in range(rng.randint(1, 2)):
+            alpha = rng.randrange(len(levels))
+            x = rng.randrange(len(h.universe))
+            if x in levels[alpha] and len(levels[alpha]) > 1:
+                levels[alpha] = levels[alpha] - {x}
+            else:
+                levels[alpha] = levels[alpha] | {x}
+        bad = dataclasses.replace(h, levels=levels)
+        got = hierarchy.verify_stage_properties(bad).violations
+        assert Counter(got) == Counter(pairwise_stage_violations(bad))
+        failing += bool(got)
+        kinds.update(v[0] for v in got)
+    # the corruptions must exercise every failing route, not only pass
+    assert failing >= 100
+    assert kinds == {"not_downset", "fresh_comparable", "stale_children"}
+
+
 def test_corrupted_dump_rejected():
     u, base, h = claw_tower()
     text = hierarchy.dumps(h)
@@ -130,7 +191,8 @@ def test_restriction_equality_clause():
         # the clause's hypothesis: M inside M', both antichains
         assert set(m) <= set(ids)
         assert hsets.is_antichain(m, u) and hsets.is_antichain(ids, u)
-        rep = hierarchy.verify_restriction(m, ids, 2, u)
+        rep = hierarchy.verify_restriction(hierarchy.build(m, 2, u),
+                                           hierarchy.build(ids, 2, u))
         assert not rep.violations, rep.violations
 
 
@@ -140,7 +202,8 @@ def test_restriction_offset_clause():
     shifted = (u.intern([a, b]), u.intern([b, c]))
     # the equality clause does not apply: M is not inside M'
     assert not set(shifted) <= set(ids)
-    rep = hierarchy.verify_restriction(shifted, ids, 2, u)
+    rep = hierarchy.verify_restriction(hierarchy.build(shifted, 2, u),
+                                       hierarchy.build(ids, 2, u))
     assert rep.offset == 1
     assert not rep.violations, rep.violations
 
@@ -148,7 +211,8 @@ def test_restriction_offset_clause():
 def test_restriction_requires_a_relation():
     u, ids = hsets.abstract_antichain(3)
     with pytest.raises(HypothesisError):
-        hierarchy.verify_restriction((ids[0],), (ids[1],), 1, u)
+        hierarchy.verify_restriction(hierarchy.build((ids[0],), 1, u),
+                                     hierarchy.build((ids[1],), 1, u))
 
 
 def test_fan_rejects_outside_element_in_a():
