@@ -297,28 +297,27 @@ def _suite_lemma31(args, rng):
     functions = 0
     violations = []
 
-    def check(p, q, table, tag):
-        f = maps_mod.PointMap(p, q, table)
+    def check(f, tag):
         v1 = maps_mod.is_open_v1(f)
         v2 = maps_mod.is_open_v2(f)
         v3 = maps_mod.is_open_v3(f)
         if not v1 == v2 == v3:
-            violations.append([tag, order_mod.to_json(p)["leq"],
-                               order_mod.to_json(q)["leq"], list(table),
+            violations.append([tag, order_mod.to_json(f.dom)["leq"],
+                               order_mod.to_json(f.cod)["leq"], list(f.table),
                                int(v1), int(v2), int(v3)])
 
     for p in preorders:
         for q in preorders:
             for f in maps_mod.all_functions(p, q):
                 functions += 1
-                check(p, q, f.table, "exhaustive")
+                check(f, "exhaustive")
     samples = 0
     for _ in range(args.samples):
         p = order_mod.sample_preorder(rng.choice((4, 5)), rng)
         q = order_mod.sample_preorder(rng.choice((4, 5)), rng)
         table = tuple(rng.randrange(q.n) for _ in range(p.n))
         samples += 1
-        check(p, q, table, "sampled")
+        check(maps_mod.PointMap(p, q, table), "sampled")
     return {"pairs": len(preorders) ** 2,
             "functions": functions, "samples": samples,
             "checks": functions + samples, "violations": violations}
@@ -435,7 +434,7 @@ def _suite_bao(args, rng):
     checks += sampled
     baos = 0
     for _ in range(64):
-        dia = tuple(rng.getrandbits(4) | 0 for _ in range(4))
+        dia = tuple(rng.getrandbits(4) for _ in range(4))
         a = kripke_mod.FiniteBAO(4, dia)
         rep = kripke_mod.box_diamond_report(a)
         baos += 1

@@ -60,16 +60,6 @@ class DownsetAlgebra:
                 out |= 1 << p
         return out
 
-    def implies_bruteforce(self, a: int, b: int) -> int:
-        """Oracle route for `implies`, kept for the tests: scan every
-        downset; the candidates are closed under union so their union is the
-        maximum."""
-        out = 0
-        for x in self.elements:
-            if a & x & ~b == 0:
-                out |= x
-        return out
-
 
 def downset_algebra(p: FinitePreorder) -> DownsetAlgebra:
     """All downsets of p; more than `order.MAX_DOWNSET_SIZE` points raise

@@ -48,12 +48,6 @@ class BasePoset:
         if not self.relation.is_poset:
             raise ValueError("base relation is not antisymmetric")
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
-    def lt(self, a: str, b: str) -> bool:
-        return self.relation.lt(self.index(a), self.index(b))
-
 
 def base_poset(labels, pairs) -> BasePoset:
     """BasePoset from labels and generating pairs (a, b) meaning a <= b.
@@ -123,11 +117,6 @@ class Universe:
         if not 0 <= x < len(self._below):
             raise IndexError(f"id {x} is not interned")
         return "atom" if x < self._atoms else "set"
-
-    def label(self, x: int) -> str:
-        if self.kind(x) != "atom":
-            raise ValueError(f"{x} is not an atom")
-        return self.base.labels[x]
 
     def children(self, x: int) -> tuple[int, ...]:
         if self.kind(x) != "set":
@@ -258,16 +247,6 @@ def chain_hypothesis(ids, u: Universe) -> bool:
 
 # standard constructions
 
-def ordinal(u: Universe, k: int) -> int:
-    """Id of the von Neumann ordinal k = {0, 1, ..., k-1}; a test input."""
-    cur = u.intern([])
-    below = [cur]
-    for _ in range(k):
-        cur = u.intern(below)
-        below.append(cur)
-    return cur
-
-
 def concrete_claw(u: Universe) -> list[int]:
     """The four-element claw realized with genuine hereditary sets.
 
@@ -286,17 +265,6 @@ def concrete_claw(u: Universe) -> list[int]:
         u.intern([bottom, two]),
         u.intern([bottom, three]),
     ]
-
-
-def abstract_claw() -> tuple[Universe, list[int]]:
-    """Same shape as concrete_claw but with four base atoms b < a1, a2, a3;
-    a test input."""
-    base = base_poset(
-        ["b", "a1", "a2", "a3"],
-        [("b", "a1"), ("b", "a2"), ("b", "a3")],
-    )
-    u = Universe(base)
-    return u, [u.atom(lab) for lab in base.labels]
 
 
 def abstract_antichain(k: int) -> tuple[Universe, list[int]]:

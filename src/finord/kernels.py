@@ -20,6 +20,7 @@ is no limit on the number of elements.  Output order is deterministic.
 """
 
 from functools import lru_cache
+from itertools import islice
 
 from finord.errors import BudgetError
 
@@ -41,27 +42,46 @@ def antichains(n, comp, min_size=0, limit=None):
     advancing.  Subsets smaller than min_size are skipped but still extended.
 
     Returns (masks, hit_limit): hit_limit is True exactly when more than
-    `limit` results exist; the list is then the first `limit` of them, a
-    deterministic prefix of the full enumeration.
+    `limit` results exist, and the list is then empty.  The results are
+    counted up to limit + 1 before any is kept, so an overflowing call holds
+    one frame per depth and no result.
     """
-    out = []
-    hit_limit = False
+    if limit is not None and sum(
+            1 for _ in islice(_walk(n, comp, min_size), limit + 1)) > limit:
+        return [], True
+    return list(_walk(n, comp, min_size)), False
 
-    # stack entries: (mask, size, next_index, blocked)
-    stack = [(0, 0, 0, 0)]
-    while stack:
-        mask, size, start, blocked = stack.pop()
-        if size >= min_size:
-            if limit is not None and len(out) >= limit:
-                hit_limit = True
-                break
-            out.append(mask)
-        # push in reverse so lower indices are explored first
-        for j in range(n - 1, start - 1, -1):
-            bit = 1 << j
-            if not blocked & bit:
-                stack.append((mask | bit, size + 1, j + 1, blocked | comp[j]))
-    return out, hit_limit
+
+def _walk(n, comp, min_size):
+    """The antichains of `antichains`, lazily, in its order.
+
+    One (mask, free) frame per depth: free holds the indices still to try
+    as the frame's next member, all above its last index and comparable to
+    none of its members.  The next child is the lowest bit j of free, and
+    the child's free is what then remains of it minus comp[j], so no frame
+    scans all n indices.
+    """
+    if min_size <= 0:
+        yield 0
+    masks = [0]
+    frees = [(1 << n) - 1]
+    while frees:
+        free = frees[-1]
+        if not free:
+            masks.pop()
+            frees.pop()
+            continue
+        low = free & -free
+        free ^= low
+        frees[-1] = free
+        m = masks[-1] | low
+        # the child has one member per frame on the stack
+        if len(masks) >= min_size:
+            yield m
+        free &= ~comp[low.bit_length() - 1]
+        if free:
+            masks.append(m)
+            frees.append(free)
 
 
 def enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed, require_open,

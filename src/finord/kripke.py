@@ -78,25 +78,6 @@ def is_pmorphism(table, f: KripkeFrame, g: KripkeFrame) -> bool:
     return True
 
 
-def is_pmorphism_via_preimages(table, f: KripkeFrame, g: KripkeFrame) -> bool:
-    """Oracle route for `is_pmorphism`, kept for the tests: preimage of
-    predecessors = predecessors of preimage."""
-    fibers = [0] * g.n
-    for x, v in enumerate(table):
-        fibers[v] |= 1 << x
-    for y in range(g.n):
-        lhs = 0
-        for x, v in enumerate(table):
-            if g.pred[y] >> v & 1:
-                lhs |= 1 << x
-        rhs = 0
-        for x in bits(fibers[y]):
-            rhs |= f.pred[x]
-        if lhs != rhs:
-            return False
-    return True
-
-
 def _check_function_space(f: KripkeFrame, g: KripkeFrame):
     """Raise a BudgetError when there are more than `kernels.NODE_BUDGET`
     functions f -> g."""

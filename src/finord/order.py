@@ -91,11 +91,6 @@ def chain(n: int) -> FinitePreorder:
     return FinitePreorder(n, tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n)))
 
 
-def antichain(n: int) -> FinitePreorder:
-    """The discrete order on n points; a test input."""
-    return FinitePreorder(n, tuple(1 << i for i in range(n)))
-
-
 def singleton() -> FinitePreorder:
     return chain(1)
 
@@ -273,19 +268,6 @@ def sample_preorder(n: int, rng) -> FinitePreorder:
         for j in range(n):
             if i != j and rng.random() < 0.3:
                 up[i] |= 1 << j
-    return FinitePreorder(n, tuple(_transitive_rows(n, up)))
-
-
-def sample_poset(n: int, rng) -> FinitePreorder:
-    """Random poset: random DAG with edge density 0.3 along a shuffled
-    order, then closure; a random test input."""
-    perm = list(range(n))
-    rng.shuffle(perm)
-    up = [1 << i for i in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            if rng.random() < 0.3:
-                up[perm[a]] |= 1 << perm[b]
     return FinitePreorder(n, tuple(_transitive_rows(n, up)))
 
 

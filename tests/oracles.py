@@ -1,0 +1,71 @@
+"""Oracle routes and test inputs that the package itself never runs.
+
+Each oracle reaches the same answer as a package routine by a different
+route, so a test can compare the two; each input builds a structure only the
+tests use.
+"""
+
+from finord import order
+from finord.hsets import Universe, base_poset
+from finord.kernels import bits
+
+
+def is_pmorphism_via_preimages(table, f, g) -> bool:
+    """Oracle for `kripke.is_pmorphism`: preimage of predecessors =
+    predecessors of preimage."""
+    fibers = [0] * g.n
+    for x, v in enumerate(table):
+        fibers[v] |= 1 << x
+    for y in range(g.n):
+        lhs = 0
+        for x, v in enumerate(table):
+            if g.pred[y] >> v & 1:
+                lhs |= 1 << x
+        rhs = 0
+        for x in bits(fibers[y]):
+            rhs |= f.pred[x]
+        if lhs != rhs:
+            return False
+    return True
+
+
+def implies_bruteforce(alg, a: int, b: int) -> int:
+    """Oracle for the closed-form `DownsetAlgebra.implies`: scan every
+    downset; the candidates are closed under union so their union is the
+    maximum."""
+    out = 0
+    for x in alg.elements:
+        if a & x & ~b == 0:
+            out |= x
+    return out
+
+
+def ordinal(u: Universe, k: int) -> int:
+    """Id of the von Neumann ordinal k = {0, 1, ..., k-1}, a chain."""
+    cur = u.intern([])
+    below = [cur]
+    for _ in range(k):
+        cur = u.intern(below)
+        below.append(cur)
+    return cur
+
+
+def abstract_claw() -> tuple[Universe, list[int]]:
+    """Same shape as `hsets.concrete_claw` but with four base atoms
+    b < a1, a2, a3."""
+    base = base_poset(
+        ["b", "a1", "a2", "a3"],
+        [("b", "a1"), ("b", "a2"), ("b", "a3")],
+    )
+    u = Universe(base)
+    return u, [u.atom(lab) for lab in base.labels]
+
+
+def sample_poset(n: int, rng) -> order.FinitePreorder:
+    """Random poset: random DAG with edge density 0.3 along a shuffled
+    order, then closure."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return order.from_pairs(n, [(perm[a], perm[b])
+                                for a in range(n) for b in range(a + 1, n)
+                                if rng.random() < 0.3])

@@ -256,7 +256,8 @@ def test_obstruct_certificates_golden(size, capsys):
 # the formatting of a whole report and of a whole exported document;
 # obstruct6 as written before the map kernel became a loop, with its 28,835
 # pinned searches and their node counts (`candidates_examined`); lemma23 at
-# depths 1 and 2 as written while the stage check still compared pairs
+# depths 1 and 2 as written while the stage check still compared pairs;
+# lemma31 as written while each check built a second PointMap from the table
 REPORT_DIGESTS = {
     "coreflect": (["verify", "coreflect", "--states", "3"],
                   "097112765b1344d77c28cdf3a1a545c8e660a2e39c31cc8e46f25e0fe8b45228"),
@@ -274,6 +275,8 @@ REPORT_DIGESTS = {
                   "db44e789394103c5622cf6cbe0e8482585294435f5a1b0b5ffc697b8c8f5e252"),
     "lemma23_2": (["verify", "lemma23", "--depth", "2"],
                   "f0fa0dccbfd75fb249125a93388be3f5aef124da44d898f80d52b9cef6014a4c"),
+    "lemma31": (["verify", "lemma31"],
+                "64ab1e6afeb1286590c881fbace2b53c8d76e1803fbd234b75eee4c52a56e9d6"),
 }
 
 
@@ -294,11 +297,9 @@ DEEP_TOWER_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("suite", sorted(DEEP_TOWER_DIGESTS))
-def test_deep_tower_verifies_under_memory_cap(suite):
+def run_capped(argv, cap, timeout):
+    """Run the CLI in a child process under an address-space cap."""
     import resource
-
-    cap = 1 << 30
 
     def limit():
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -307,12 +308,35 @@ def test_deep_tower_verifies_under_memory_cap(suite):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "finord.cli", "verify", suite, "--depth", "3"],
-        capture_output=True, env=env, preexec_fn=limit, timeout=120)
+    return subprocess.run([sys.executable, "-m", "finord.cli", *argv],
+                          capture_output=True, env=env, preexec_fn=limit,
+                          timeout=timeout)
+
+
+@pytest.mark.parametrize("suite", sorted(DEEP_TOWER_DIGESTS))
+def test_deep_tower_verifies_under_memory_cap(suite):
+    proc = run_capped(["verify", suite, "--depth", "3"], 1 << 30, 120)
     assert proc.returncode == 0, proc.stderr.decode()[-500:]
     assert json.loads(proc.stdout)["violations"] == []
     assert hashlib.sha256(proc.stdout).hexdigest() == DEEP_TOWER_DIGESTS[suite]
+
+
+# each of these towers has more than the default 200,000 candidate
+# antichains at stage 4; the level budget must stop the walk before their
+# masks are kept, so the exit-2 report comes within a 256 MB cap
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "thm26", "--depth", "4"], "doubleton tower exceeded budget"),
+    (["verify", "lemma23", "--depth", "4"], "level budget exhausted"),
+    (["verify", "lemma24", "--depth", "5"], "level budget exhausted"),
+    (["obstruct", "--all-posets", "3", "--depth", "5"],
+     "level budget exhausted"),
+], ids=["thm26", "lemma23", "lemma24", "obstruct"])
+def test_stage_four_budget_exit_under_memory_cap(argv, message):
+    proc = run_capped(argv, 256 << 20, 60)
+    assert proc.returncode == 2, proc.stderr.decode()[-500:]
+    assert proc.stderr == b""
+    assert json.loads(proc.stdout)["error"] == {
+        "message": message, "stage": 4, "used": None, "budget": 200000}
 
 
 # digests of whole reports whose --max-size leaves the enumerated family

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from finord import heyting, kernels, kripke, maps, order
 from finord.kripke import FiniteBAO, KripkeFrame
 from finord.maps import PointMap
+from oracles import implies_bruteforce, is_pmorphism_via_preimages
 
 
 @st.composite
@@ -68,7 +69,7 @@ def test_residuation_is_an_adjunction(p, data):
     a = data.draw(st.sampled_from(alg.elements))
     b = data.draw(st.sampled_from(alg.elements))
     imp = alg.implies(a, b)
-    assert imp == alg.implies_bruteforce(a, b)
+    assert imp == implies_bruteforce(alg, a, b)
     for x in alg.elements:
         assert alg.le(x, imp) == alg.le(alg.meet(x, a), b)
 
@@ -91,7 +92,7 @@ def test_open_maps_are_pmorphisms_of_opposites(p, q, data):
     fp, fq = kripke.opposite_frame(p), kripke.opposite_frame(q)
     assert (maps.is_open_v2(PointMap(p, q, table))
             == kripke.is_pmorphism(table, fp, fq)
-            == kripke.is_pmorphism_via_preimages(table, fp, fq))
+            == is_pmorphism_via_preimages(table, fp, fq))
 
 
 @given(frames())
