@@ -13,6 +13,7 @@ duality that the verification suites exercise.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from finord import kernels
@@ -37,7 +38,6 @@ class DownsetAlgebra:
 
     def position(self, a: int) -> int:
         """Index of a downset in `elements`."""
-        from bisect import bisect_left
         i = bisect_left(self.elements, a)
         if i == len(self.elements) or self.elements[i] != a:
             raise ValueError(f"{a:b} is not a downset of the base")
@@ -111,8 +111,9 @@ def preimage_morphism(f: maps_mod.PointMap) -> HAMorphism:
         witness = None
         for a in dom_alg.elements:
             for b in dom_alg.elements:
-                lhs = f.preimage_mask(dom_alg.implies(a, b))
-                pa, pb = f.preimage_mask(a), f.preimage_mask(b)
+                lhs = kernels.preimage(f.table, dom_alg.implies(a, b))
+                pa = kernels.preimage(f.table, a)
+                pb = kernels.preimage(f.table, b)
                 if (not order_mod.is_downset(f.dom, pa)
                         or lhs != cod_alg.implies(pa, pb)):
                     witness = (a, b)
@@ -120,7 +121,7 @@ def preimage_morphism(f: maps_mod.PointMap) -> HAMorphism:
             if witness:
                 break
         raise HypothesisError(f"map is not open; witness pair: {witness}")
-    table = tuple(f.preimage_mask(a) for a in dom_alg.elements)
+    table = tuple(kernels.preimage(f.table, a) for a in dom_alg.elements)
     return HAMorphism(dom_alg, cod_alg, table)
 
 
@@ -192,7 +193,7 @@ def _monotone_assignments(ji_poset: FinitePreorder, b: DownsetAlgebra):
     above = [sum(1 << u for u in range(m) if b.le(x, elems[u])) for x in elems]
     # cha_morphisms bounds the search before it starts
     tables, _ = kernels.enumerate_maps(
-        ji_poset.n, m, ji_poset.down, ji_poset.up, below, above,
+        ji_poset.down, ji_poset.up, below, above,
         [(1 << m) - 1] * ji_poset.n, False, node_budget=math.inf)
     return sorted(tuple(elems[v] for v in t) for t in tables)
 

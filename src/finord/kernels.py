@@ -9,10 +9,11 @@ The map search prepares its plan once per domain and keeps it in a bounded
 cache, since callers such as the obstruction sweep search from the same
 domain many times, and backtracks in one loop over a per-depth stack, not
 by recursion: most of its calls try a handful of assignments, so the cost
-of a call is mostly fixed cost.  It also holds `bits`, the mask iterator
-the other modules share, and `mask`, its inverse; `transpose`, which turns
-the rows of a relation into its columns; and `restrict`, which cuts a
-relation down to a subset and renumbers it.  It imports only `errors` and
+of a call is mostly fixed cost.  It also holds every operation on relation
+rows the modules share: `bits` and its inverse `mask`; `union` of the rows
+a mask selects; `image` and `preimage` under a table; `transpose`;
+transitive `closure`; `restrict` to a subset; and `row_string`, the JSON
+bit string.  Sizes are read off the rows.  It imports only `errors` and
 the standard library, so any module can import it without a cycle.
 
 All subsets are bitmasks (bit i = element i), held in Python ints, so there
@@ -33,8 +34,8 @@ ACTIVE = "pure"
 NODE_BUDGET = 10_000_000
 
 
-def antichains(n, comp, min_size=0, limit=None):
-    """Enumerate subsets of range(n) with no two members comparable.
+def antichains(comp, min_size=0, limit=None):
+    """Enumerate subsets of range(len(comp)) with no two members comparable.
 
     comp[i] is the bitmask of elements comparable to i; i's own bit is
     ignored.  Emits masks in lexicographic order over sorted index tuples:
@@ -47,24 +48,24 @@ def antichains(n, comp, min_size=0, limit=None):
     one frame per depth and no result.
     """
     if limit is not None and sum(
-            1 for _ in islice(_walk(n, comp, min_size), limit + 1)) > limit:
+            1 for _ in islice(_walk(comp, min_size), limit + 1)) > limit:
         return [], True
-    return list(_walk(n, comp, min_size)), False
+    return list(_walk(comp, min_size)), False
 
 
-def _walk(n, comp, min_size):
+def _walk(comp, min_size):
     """The antichains of `antichains`, lazily, in its order.
 
     One (mask, free) frame per depth: free holds the indices still to try
     as the frame's next member, all above its last index and comparable to
     none of its members.  The next child is the lowest bit j of free, and
     the child's free is what then remains of it minus comp[j], so no frame
-    scans all n indices.
+    scans all len(comp) indices.
     """
     if min_size <= 0:
         yield 0
     masks = [0]
-    frees = [(1 << n) - 1]
+    frees = [(1 << len(comp)) - 1]
     while frees:
         free = frees[-1]
         if not free:
@@ -84,14 +85,14 @@ def _walk(n, comp, min_size):
             frees.append(free)
 
 
-def enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed, require_open,
+def enumerate_maps(p_down, p_up, q_down, q_up, allowed, require_open,
                    node_budget=NODE_BUDGET, injective=False):
     """Enumerate monotone maps P -> Q as value tuples, openness optional.
 
     P and Q are relations given by rows: p_down[i] is the mask of the points
     below i in a preorder (i's successors in a Kripke frame) and p_up[i] its
     transpose, likewise q_down/q_up.  allowed[i] restricts the values of
-    element i (a mask over range(n_q)).  Monotonicity is forward-checked
+    element i (a mask over the points of Q).  Monotonicity is forward-checked
     between distinct elements only, so without require_open Q is assumed
     reflexive, as every preorder is.  With require_open, a map is emitted
     only if the image of every p_down[w] equals q_down of the image of w,
@@ -109,12 +110,13 @@ def enumerate_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed, require_open,
 
     Returns (maps, nodes) where nodes is the number of assignments tried.
     """
+    n_p = len(p_down)
     if n_p == 0:
         return [()], 0
 
     order, check_at, later, down_bits = _plan(tuple(p_down), tuple(p_up),
                                               require_open)
-    full_q = (1 << n_q) - 1
+    full_q = (1 << len(q_down)) - 1
     cand = [a & full_q for a in allowed]
     f = [-1] * n_p
     out = []
@@ -203,7 +205,7 @@ def relation_iso(a_down, a_up, b_down, b_up):
     sig_b = signatures(b_down, b_up)
     allowed = [sum(1 << j for j, t in enumerate(sig_b) if t == s)
                for s in signatures(a_down, a_up)]
-    maps, _ = enumerate_maps(n, n, a_down, a_up, b_down, b_up, allowed, True,
+    maps, _ = enumerate_maps(a_down, a_up, b_down, b_up, allowed, True,
                              injective=True)
     return min(maps, default=None)
 
@@ -287,3 +289,49 @@ def restrict(rows, members):
             local |= 1 << pos[y]
         out.append(local)
     return tuple(out)
+
+
+def union(rows, m):
+    """The union of rows[i] over the members i of mask m (the down closure
+    of m for down rows)."""
+    out = 0
+    for i in bits(m):
+        out |= rows[i]
+    return out
+
+
+def image(table, m):
+    """The mask of the values table[i] over the members i of mask m."""
+    out = 0
+    for i in bits(m):
+        out |= 1 << table[i]
+    return out
+
+
+def preimage(table, m):
+    """The mask of the i in range(len(table)) with table[i] in mask m."""
+    out = 0
+    for i, v in enumerate(table):
+        if m >> v & 1:
+            out |= 1 << i
+    return out
+
+
+def closure(rows):
+    """The transitive closure of a relation given by rows, by Warshall's
+    algorithm: row i holds every j reachable from i in one or more steps."""
+    out = list(rows)
+    n = len(out)
+    for k in range(n):
+        bit = 1 << k
+        for i in range(n):
+            if out[i] & bit:
+                out[i] |= out[k]
+    return tuple(out)
+
+
+def row_string(rows):
+    """Row-major bit string of a relation on range(len(rows)): character
+    i * n + j is '1' iff bit j of rows[i] is set."""
+    n = len(rows)
+    return "".join(format(row, f"0{n}b")[::-1] for row in rows)

@@ -50,9 +50,6 @@ class KripkeFrame:
             raise ValueError("relation mentions states outside the carrier")
         object.__setattr__(self, "pred", kernels.transpose(self.succ))
 
-    def rel(self, i: int, j: int) -> bool:
-        return bool(self.succ[i] >> j & 1)
-
 
 @lru_cache(maxsize=1024)
 def opposite_frame(p: FinitePreorder) -> KripkeFrame:
@@ -69,13 +66,8 @@ def opposite_frame(p: FinitePreorder) -> KripkeFrame:
 
 def is_pmorphism(table, f: KripkeFrame, g: KripkeFrame) -> bool:
     """f[R[x]] = S[f(x)] for every state x."""
-    for x in range(f.n):
-        img = 0
-        for y in bits(f.succ[x]):
-            img |= 1 << table[y]
-        if img != g.succ[table[x]]:
-            return False
-    return True
+    return all(kernels.image(table, f.succ[x]) == g.succ[table[x]]
+               for x in range(f.n))
 
 
 def _check_function_space(f: KripkeFrame, g: KripkeFrame):
@@ -97,8 +89,8 @@ def pmorphisms(f: KripkeFrame, g: KripkeFrame):
     """
     _check_function_space(f, g)
     tables, _ = kernels.enumerate_maps(
-        f.n, g.n, f.succ, f.pred, g.succ, g.pred, [(1 << g.n) - 1] * f.n,
-        True, node_budget=math.inf)
+        f.succ, f.pred, g.succ, g.pred, [(1 << g.n) - 1] * f.n, True,
+        node_budget=math.inf)
     return sorted(tables)
 
 
@@ -114,11 +106,8 @@ class Coreflection:
 
 def _upsets(f: KripkeFrame) -> list[int]:
     """All R-upsets, via downsets of the reachability preorder."""
-    reach = list(f.succ)
-    for i in range(f.n):
-        reach[i] |= 1 << i
-    reach = order_mod._transitive_rows(f.n, reach)
-    pre = FinitePreorder(f.n, tuple(reach))
+    reach = kernels.closure([row | 1 << i for i, row in enumerate(f.succ)])
+    pre = FinitePreorder(f.n, reach)
     full = (1 << f.n) - 1
     return [full ^ d for d in order_mod.all_downsets(pre)]
 
@@ -243,10 +232,7 @@ class FiniteBAO:
         return (1 << self.atoms) - 1
 
     def dia(self, a: int) -> int:
-        out = 0
-        for u in bits(a):
-            out |= self.dia_atom[u]
-        return out
+        return kernels.union(self.dia_atom, a)
 
     def box(self, a: int) -> int:
         return self.dia(self.top & ~a) ^ self.top
@@ -353,8 +339,8 @@ def enumerate_frames(n: int):
     """All labeled frames on n states, relation bits ascending."""
     check_relation_budget(n)
     out = []
-    for bits in range(1 << n * n):
-        succ = tuple((bits >> i * n) & ((1 << n) - 1) for i in range(n))
+    for code in range(1 << n * n):
+        succ = tuple((code >> i * n) & ((1 << n) - 1) for i in range(n))
         out.append(KripkeFrame(n, succ))
     return out
 
@@ -381,10 +367,10 @@ def frames_up_to_iso(n: int):
         perms.append((p, row_map))
     marked = bytearray(1 << n * n)
     classes = []
-    for bits in range(1 << n * n):
-        if marked[bits]:
+    for code in range(1 << n * n):
+        if marked[code]:
             continue
-        succ = [(bits >> i * n) & full for i in range(n)]
+        succ = [(code >> i * n) & full for i in range(n)]
         images = [tuple(row_map[succ[p[i]]] for i in range(n))
                   for p, row_map in perms]
         for image in images:
@@ -433,7 +419,8 @@ def fullness_frames_report(f: KripkeFrame, g: KripkeFrame
     for table in iproduct(range(g.n), repeat=f.n):
         count += 1
         preserves = all(
-            _preimage(table, f.n, ca_g.dia(b)) == ca_f.dia(_preimage(table, f.n, b))
+            kernels.preimage(table, ca_g.dia(b))
+            == ca_f.dia(kernels.preimage(table, b))
             for b in range(1 << g.n)
         )
         if is_pmorphism(table, f, g) != preserves:
@@ -441,20 +428,10 @@ def fullness_frames_report(f: KripkeFrame, g: KripkeFrame
     return FrameFullnessReport(count, violations)
 
 
-def _preimage(table, n, mask):
-    out = 0
-    for x in range(n):
-        if mask >> table[x] & 1:
-            out |= 1 << x
-    return out
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
 def frame_to_json(f: KripkeFrame) -> dict:
-    bits = "".join(
-        "1" if f.rel(i, j) else "0" for i in range(f.n) for j in range(f.n)
-    )
-    return {"size": f.n, "relation": bits}
+    """Row-major relation bit string; char i*n+j is '1' iff i R j."""
+    return {"size": f.n, "relation": kernels.row_string(f.succ)}
 

@@ -48,19 +48,6 @@ class PointMap:
     def __call__(self, i: int) -> int:
         return self.table[i]
 
-    def image_mask(self, mask: int) -> int:
-        out = 0
-        for i in bits(mask):
-            out |= 1 << self.table[i]
-        return out
-
-    def preimage_mask(self, mask: int) -> int:
-        out = 0
-        for i, v in enumerate(self.table):
-            if mask >> v & 1:
-                out |= 1 << i
-        return out
-
 
 def all_functions(p: FinitePreorder, q: FinitePreorder):
     """Every function p -> q, ascending table order."""
@@ -84,7 +71,7 @@ def is_open_v1(f: PointMap) -> bool:
     if not is_monotone(f):
         return False
     return all(
-        order_mod.is_downset(f.cod, f.image_mask(d))
+        order_mod.is_downset(f.cod, kernels.image(f.table, d))
         for d in order_mod.all_downsets(f.dom)
     )
 
@@ -93,7 +80,7 @@ def is_open_v2(f: PointMap) -> bool:
     """Pointwise: image of each principal downset is the principal downset
     of the image point."""
     return all(
-        f.image_mask(f.dom.down[i]) == f.cod.down[f.table[i]]
+        kernels.image(f.table, f.dom.down[i]) == f.cod.down[f.table[i]]
         for i in range(f.dom.n)
     )
 
@@ -102,8 +89,8 @@ def is_open_v3(f: PointMap) -> bool:
     """Pointwise on the codomain: preimage of up(q) is the up closure of the
     preimage of q."""
     return all(
-        f.preimage_mask(f.cod.up[q]) ==
-        order_mod.up_closure(f.dom, f.preimage_mask(1 << q))
+        kernels.preimage(f.table, f.cod.up[q]) ==
+        kernels.union(f.dom.up, kernels.preimage(f.table, 1 << q))
         for q in range(f.cod.n)
     )
 
@@ -111,7 +98,7 @@ def is_open_v3(f: PointMap) -> bool:
 def enumerate_open_maps(p: FinitePreorder, q: FinitePreorder):
     """All open maps p -> q, deterministic order; see kernels.enumerate_maps."""
     tables, _ = kernels.enumerate_maps(
-        p.n, q.n, p.down, p.up, q.down, q.up, [(1 << q.n) - 1] * p.n, True)
+        p.down, p.up, q.down, q.up, [(1 << q.n) - 1] * p.n, True)
     return [PointMap(p, q, t) for t in tables]
 
 
@@ -207,7 +194,7 @@ def mediating_search(q: FinitePreorder, f1: PointMap, f2: PointMap,
 
 def _split(f: PointMap):
     """(points f sends to 0, points f sends to 1) for f into the chain."""
-    return f.preimage_mask(1), f.preimage_mask(2)
+    return kernels.preimage(f.table, 1), kernels.preimage(f.table, 2)
 
 
 def _fibers(split1, split2):
@@ -233,7 +220,7 @@ def _mediating(q, f1, f2, classes, p, p1, p2, fibers):
     """
     allowed = [fibers[k] for k in classes]
     tables, nodes = kernels.enumerate_maps(
-        q.n, p.n, q.down, q.up, p.down, p.up, allowed, True)
+        q.down, q.up, p.down, p.up, allowed, True)
     for t in tables:
         assert all(p1.table[v] == a for v, a in zip(t, f1.table))
         assert all(p2.table[v] == b for v, b in zip(t, f2.table))

@@ -1,8 +1,8 @@
 """Finite preorders and posets over range(n), bitmask representation.
 
 Subsets of the carrier are bitmasks (bit i = element i).  A FinitePreorder
-stores, for every element, the mask of elements above and below it; downsets,
-upsets and closures are mask operations.
+stores, for every element, the mask of elements above and below it; downsets
+and upsets are unions of those rows, taken by `kernels.union`.
 """
 
 from dataclasses import dataclass
@@ -74,17 +74,7 @@ def from_pairs(n: int, pairs) -> FinitePreorder:
     up = [1 << i for i in range(n)]
     for a, b in pairs:
         up[a] |= 1 << b
-    return FinitePreorder(n, tuple(_transitive_rows(n, up)))
-
-
-def _transitive_rows(n, up):
-    rows = list(up)
-    for k in range(n):
-        bit = 1 << k
-        for i in range(n):
-            if rows[i] & bit:
-                rows[i] |= rows[k]
-    return rows
+    return FinitePreorder(n, kernels.closure(up))
 
 
 def chain(n: int) -> FinitePreorder:
@@ -114,22 +104,8 @@ def product(p: FinitePreorder, q: FinitePreorder) -> FinitePreorder:
     return FinitePreorder(n, tuple(up))
 
 
-def down_closure(p: FinitePreorder, mask: int) -> int:
-    out = 0
-    for i in bits(mask):
-        out |= p.down[i]
-    return out
-
-
-def up_closure(p: FinitePreorder, mask: int) -> int:
-    out = 0
-    for i in bits(mask):
-        out |= p.up[i]
-    return out
-
-
 def is_downset(p: FinitePreorder, mask: int) -> bool:
-    return down_closure(p, mask) == mask
+    return kernels.union(p.down, mask) == mask
 
 
 def all_downsets(p: FinitePreorder) -> list[int]:
@@ -144,8 +120,8 @@ def all_downsets(p: FinitePreorder) -> list[int]:
     if p.n > MAX_DOWNSET_SIZE:
         raise BudgetError("downset enumeration beyond the size cap",
                           used=p.n, budget=MAX_DOWNSET_SIZE)
-    masks, _ = kernels.antichains(p.n, p.comparability)
-    return sorted({down_closure(p, m) for m in masks})
+    masks, _ = kernels.antichains(p.comparability)
+    return sorted({kernels.union(p.down, m) for m in masks})
 
 
 def covers(p: FinitePreorder) -> list[tuple[int, int]]:
@@ -255,8 +231,9 @@ def enumerate_preorders(n: int) -> list[FinitePreorder]:
             for (i, j), bit in zip(off_diag, combo):
                 if bit:
                     up[i] |= 1 << j
-            if _transitive_rows(k, up) == up:
-                out.append(FinitePreorder(k, tuple(up)))
+            up = tuple(up)
+            if kernels.closure(up) == up:
+                out.append(FinitePreorder(k, up))
     return out
 
 
@@ -268,35 +245,32 @@ def sample_preorder(n: int, rng) -> FinitePreorder:
         for j in range(n):
             if i != j and rng.random() < 0.3:
                 up[i] |= 1 << j
-    return FinitePreorder(n, tuple(_transitive_rows(n, up)))
+    return FinitePreorder(n, kernels.closure(up))
 
 
 def to_json(p: FinitePreorder) -> dict:
     """Row-major leq bit string; char i*n+j is '1' iff i <= j."""
-    bits = "".join(
-        "1" if p.leq(i, j) else "0" for i in range(p.n) for j in range(p.n)
-    )
-    return {"size": p.n, "leq": bits}
+    return {"size": p.n, "leq": kernels.row_string(p.up)}
 
 
 def from_json(data: dict) -> FinitePreorder:
     try:
         n = data["size"]
-        bits = data["leq"]
+        leq = data["leq"]
     except (TypeError, KeyError) as exc:
         raise FormatError("preorder JSON needs 'size' and 'leq'") from exc
-    if type(n) is not int or not isinstance(bits, str):
+    if type(n) is not int or not isinstance(leq, str):
         raise FormatError("preorder JSON needs an integer 'size' and a string "
                           "'leq'")
-    if n < 0 or len(bits) != n * n:
+    if n < 0 or len(leq) != n * n:
         raise FormatError("leq bit string must have size*size characters")
-    if any(c not in "01" for c in bits):
+    if any(c not in "01" for c in leq):
         raise FormatError("leq bit string must be over {'0', '1'}")
     up = []
     for i in range(n):
         row = 0
         for j in range(n):
-            if bits[i * n + j] == "1":
+            if leq[i * n + j] == "1":
                 row |= 1 << j
         up.append(row)
     try:

@@ -257,7 +257,11 @@ def test_obstruct_certificates_golden(size, capsys):
 # obstruct6 as written before the map kernel became a loop, with its 28,835
 # pinned searches and their node counts (`candidates_examined`); lemma23 at
 # depths 1 and 2 as written while the stage check still compared pairs;
-# lemma31 as written while each check built a second PointMap from the table
+# lemma31 as written while each check built a second PointMap from the table;
+# coreflect4, lemma32, thm26 and lemma24 as written while order, maps and
+# kripke each kept their own copies of the row unions, images, preimages and
+# transitive closure (coreflect4 classifies frames up to isomorphism and
+# closes each frame's reachability rows)
 REPORT_DIGESTS = {
     "coreflect": (["verify", "coreflect", "--states", "3"],
                   "097112765b1344d77c28cdf3a1a545c8e660a2e39c31cc8e46f25e0fe8b45228"),
@@ -277,6 +281,14 @@ REPORT_DIGESTS = {
                   "f0fa0dccbfd75fb249125a93388be3f5aef124da44d898f80d52b9cef6014a4c"),
     "lemma31": (["verify", "lemma31"],
                 "64ab1e6afeb1286590c881fbace2b53c8d76e1803fbd234b75eee4c52a56e9d6"),
+    "coreflect4": (["verify", "coreflect", "--states", "4"],
+                   "34d38c749709f909947e60aee5e37dd077bbead4ca48f571a64d6424c6f7ed25"),
+    "lemma32": (["verify", "lemma32"],
+                "0c7846f1d5c891bce20848f34c74ca3496292ad287cf818f596c37d4b6c7487a"),
+    "thm26": (["verify", "thm26"],
+              "d9963e8dbb0b0ed877ae2c2e439c653cde1891f37754bba46e5bb47f80665a17"),
+    "lemma24": (["verify", "lemma24"],
+                "fd33404ce44a15e6607eabcfc2149ab151c8fc9fc06f2103d0337f527b3fb3ba"),
 }
 
 

@@ -4,6 +4,7 @@ import random
 from itertools import permutations, product as iproduct
 
 import pytest
+from hypothesis import given, strategies as st
 
 from finord import kernels, kripke, maps, order
 from finord.errors import BudgetError
@@ -41,7 +42,7 @@ def test_antichains_brute_force_agreement():
         for _ in range(8):
             comp = random_comparability(n, rng)
             for min_size in (0, 2):
-                masks, hit = kernels.antichains(n, comp, min_size=min_size)
+                masks, hit = kernels.antichains(comp, min_size=min_size)
                 assert not hit
                 # documented order: lexicographic over sorted index tuples
                 assert masks == sorted(brute_antichains(n, comp, min_size),
@@ -51,17 +52,17 @@ def test_antichains_brute_force_agreement():
 def test_antichains_limit_keeps_nothing_on_overflow():
     rng = random.Random(5)
     comp = random_comparability(9, rng)
-    full, _ = kernels.antichains(9, comp, min_size=2)
+    full, _ = kernels.antichains(comp, min_size=2)
     for limit in (0, len(full) - 1, len(full), len(full) + 1):
-        got, hit = kernels.antichains(9, comp, min_size=2, limit=limit)
+        got, hit = kernels.antichains(comp, min_size=2, limit=limit)
         assert hit == (len(full) > limit)
         assert got == ([] if hit else full)
 
 
 def test_antichains_empty_graph_counts():
-    masks, hit = kernels.antichains(4, [0, 0, 0, 0], min_size=0)
+    masks, hit = kernels.antichains([0, 0, 0, 0], min_size=0)
     assert not hit and len(masks) == 16
-    masks, hit = kernels.antichains(4, [0, 0, 0, 0], min_size=2)
+    masks, hit = kernels.antichains([0, 0, 0, 0], min_size=2)
     assert len(masks) == 16 - 1 - 4
 
 
@@ -93,9 +94,8 @@ def test_enumerate_maps_brute_force_agreement():
             allowed = [full if rng.random() < 0.8 else rng.getrandbits(q.n)
                        for _ in range(p.n)]
             for require_open in (False, True):
-                got, _ = kernels.enumerate_maps(p.n, q.n, p.down, p.up,
-                                                q.down, q.up, allowed,
-                                                require_open)
+                got, _ = kernels.enumerate_maps(p.down, p.up, q.down, q.up,
+                                                allowed, require_open)
                 assert got == sorted(brute_maps(p, q, allowed, require_open),
                                      key=lambda t: [t[x] for x in ext])
 
@@ -105,8 +105,8 @@ def test_enumerate_maps_budget():
     q = order.from_pairs(8, ())
     full = (1 << q.n) - 1
     with pytest.raises(BudgetError):
-        kernels.enumerate_maps(p.n, q.n, p.down, p.up, q.down, q.up,
-                               [full] * p.n, False, node_budget=10)
+        kernels.enumerate_maps(p.down, p.up, q.down, q.up, [full] * p.n,
+                               False, node_budget=10)
 
 
 def test_enumerate_maps_on_relation_rows():
@@ -123,18 +123,18 @@ def test_enumerate_maps_on_relation_rows():
                         key=lambda t: [t[x] for x in ext])
         full = [(1 << g.n) - 1] * f.n
         pm = [t for t in tables if kripke.is_pmorphism(t, f, g)]
-        got, _ = kernels.enumerate_maps(f.n, g.n, f.succ, f.pred, g.succ,
-                                        g.pred, full, True)
+        got, _ = kernels.enumerate_maps(f.succ, f.pred, g.succ, g.pred, full,
+                                        True)
         assert got == pm, (f, g)
-        got, _ = kernels.enumerate_maps(f.n, g.n, f.succ, f.pred, g.succ,
-                                        g.pred, full, True, injective=True)
+        got, _ = kernels.enumerate_maps(f.succ, f.pred, g.succ, g.pred, full,
+                                        True, injective=True)
         assert got == [t for t in pm if len(set(t)) == f.n], (f, g)
         refl = kripke.KripkeFrame(g.n, tuple(row | 1 << j
                                              for j, row in enumerate(g.succ)))
-        got, _ = kernels.enumerate_maps(f.n, g.n, f.succ, f.pred, refl.succ,
-                                        refl.pred, full, False)
+        got, _ = kernels.enumerate_maps(f.succ, f.pred, refl.succ, refl.pred,
+                                        full, False)
         assert got == [t for t in tables
-                       if all(refl.rel(t[x], t[y]) for x in range(f.n)
+                       if all(refl.succ[t[x]] >> t[y] & 1 for x in range(f.n)
                               for y in bits(f.succ[x]))], (f, g)
 
 
@@ -236,9 +236,9 @@ def test_loop_kernel_matches_the_recursive_oracle():
                    for _ in range(n_p)]
         for require_open in (False, True):
             for injective in (False, True):
-                args = (n_p, n_q, p_down, p_up, q_down, q_up, allowed,
-                        require_open)
-                expected = recursive_maps(*args, injective=injective)
+                args = (p_down, p_up, q_down, q_up, allowed, require_open)
+                expected = recursive_maps(n_p, n_q, *args,
+                                          injective=injective)
                 assert kernels.enumerate_maps(
                     *args, injective=injective) == expected, args
                 # at the boundary: exactly the nodes used pass, one fewer
@@ -251,7 +251,7 @@ def test_loop_kernel_matches_the_recursive_oracle():
                 budget_cases += 1
                 for budget in {nodes - 1, rng.randrange(nodes)}:
                     with pytest.raises(BudgetError) as want:
-                        recursive_maps(*args, node_budget=budget,
+                        recursive_maps(n_p, n_q, *args, node_budget=budget,
                                        injective=injective)
                     with pytest.raises(BudgetError) as got:
                         kernels.enumerate_maps(*args, node_budget=budget,
@@ -262,13 +262,15 @@ def test_loop_kernel_matches_the_recursive_oracle():
     assert budget_cases > 500
 
 
-def brute_iso(n_a, rel_a, n_b, rel_b):
-    """Least permutation p with rel_a(i, j) == rel_b(p[i], p[j]), or None."""
-    if n_a != n_b:
+def brute_iso(a, b):
+    """Least permutation p with bit j of a[i] == bit p[j] of b[p[i]] for
+    all i and j, or None; a and b are the rows of two relations."""
+    n = len(a)
+    if n != len(b):
         return None
-    for perm in permutations(range(n_a)):  # lexicographic order
-        if all(rel_a(i, j) == rel_b(perm[i], perm[j])
-               for i in range(n_a) for j in range(n_a)):
+    for perm in permutations(range(n)):  # lexicographic order
+        if all(a[i] >> j & 1 == b[perm[i]] >> perm[j] & 1
+               for i in range(n) for j in range(n)):
             return perm
     return None
 
@@ -286,11 +288,11 @@ def test_isomorphisms_are_the_least_permutation():
     preorders = order.enumerate_preorders(3)
     for p in preorders:
         for q in preorders:
-            assert order.poset_iso(p, q) == brute_iso(p.n, p.leq, q.n, q.leq)
+            assert order.poset_iso(p, q) == brute_iso(p.up, q.up)
     frames = [f for n in (1, 2) for f in kripke.enumerate_frames(n)]
     for f in frames:
         for g in frames:
-            assert kripke.frame_iso(f, g) == brute_iso(f.n, f.rel, g.n, g.rel)
+            assert kripke.frame_iso(f, g) == brute_iso(f.succ, g.succ)
     rng = random.Random(41)
     nones = 0
     for _ in range(200):
@@ -300,12 +302,56 @@ def test_isomorphisms_are_the_least_permutation():
         f = kripke.sample_frame(5, rng)
         for q in (order.FinitePreorder(5, relabel_rows(p.up, perm)),
                   order.sample_preorder(5, rng)):
-            expected = brute_iso(5, p.leq, 5, q.leq)
+            expected = brute_iso(p.up, q.up)
             assert order.poset_iso(p, q) == expected
             nones += expected is None
         for g in (kripke.KripkeFrame(5, relabel_rows(f.succ, perm)),
                   kripke.sample_frame(5, rng)):
-            expected = brute_iso(5, f.rel, 5, g.rel)
+            expected = brute_iso(f.succ, g.succ)
             assert kripke.frame_iso(f, g) == expected
             nones += expected is None
     assert nones > 0
+
+
+@st.composite
+def rows_and_tables(draw, max_n=7):
+    """Rows of a relation on range(n), a mask over it, a table from range(n)
+    into range(k) and a mask over range(k)."""
+    n = draw(st.integers(0, max_n))
+    k = draw(st.integers(1, max_n))
+    rows = tuple(draw(st.integers(0, (1 << n) - 1)) for _ in range(n))
+    table = tuple(draw(st.integers(0, k - 1)) for _ in range(n))
+    return (rows, draw(st.integers(0, (1 << n) - 1)), table,
+            draw(st.integers(0, (1 << k) - 1)))
+
+
+def reachable(rows, i):
+    """The j reachable from i in one or more steps, by depth-first search."""
+    seen = set()
+    stack = [i]
+    while stack:
+        x = stack.pop()
+        for j in range(len(rows)):
+            if rows[x] >> j & 1 and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return seen
+
+
+@given(rows_and_tables())
+def test_row_helpers_match_their_definitions(case):
+    rows, m, table, target = case
+    n = len(rows)
+    chosen = [i for i in range(n) if m >> i & 1]
+    assert kernels.union(rows, m) == sum(
+        1 << j for j in range(n) if any(rows[i] >> j & 1 for i in chosen))
+    assert kernels.image(table, m) == sum(
+        1 << v for v in {table[i] for i in chosen})
+    assert kernels.preimage(table, target) == sum(
+        1 << i for i in range(n) if target >> table[i] & 1)
+    closed = kernels.closure(rows)
+    assert closed == tuple(sum(1 << j for j in reachable(rows, i))
+                           for i in range(n))
+    assert kernels.closure(closed) == closed
+    assert kernels.row_string(rows) == "".join(
+        "1" if rows[i] >> j & 1 else "0" for i in range(n) for j in range(n))

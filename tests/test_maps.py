@@ -289,6 +289,6 @@ def test_enumerate_open_counts_to_sierpinski():
     assert len(maps.enumerate_open_maps(stage1, s)) == 26
     # monotone maps: the kernel route of heyting's monotone assignments
     tables, _ = kernels.enumerate_maps(
-        stage1.n, s.n, stage1.down, stage1.up, s.down, s.up,
-        [(1 << s.n) - 1] * stage1.n, require_open=False)
+        stage1.down, stage1.up, s.down, s.up, [(1 << s.n) - 1] * stage1.n,
+        require_open=False)
     assert len(tables) == 27

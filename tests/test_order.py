@@ -7,7 +7,7 @@ from itertools import permutations
 
 import pytest
 
-from finord import order
+from finord import kernels, order
 from finord.errors import FormatError
 from finord.order import FinitePreorder
 from oracles import sample_poset
@@ -50,8 +50,8 @@ def test_product_orders_componentwise():
 
 def test_down_closure_and_is_downset():
     p = order.chain(4)
-    assert order.down_closure(p, 0b0100) == 0b0111
-    assert order.up_closure(p, 0b0010) == 0b1110
+    assert kernels.union(p.down, 0b0100) == 0b0111
+    assert kernels.union(p.up, 0b0010) == 0b1110
     assert order.is_downset(p, 0b0011)
     assert not order.is_downset(p, 0b0100)
 

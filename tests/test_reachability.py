@@ -20,7 +20,13 @@ oracle only the tests run belongs in `tests/oracles.py`, not in `src/`.
 
 A second check finds names a `src/finord` module imports and never uses.
 
-A third check finds optional parameters that only one value serves.  An
+Another check finds a `src/finord` module reading a private name (one
+with a leading underscore, not a dunder) of another `finord` module, through
+a module alias or `from finord.m import _name`; what one module keeps
+private is shared through a public name, or moved to `kernels`.  Importing
+the private module `_json` itself is allowed.
+
+A fourth check finds optional parameters that only one value serves.  An
 optional parameter of a `src/finord` function (or method, or `__init__`)
 counts as passed when a call in `src/finord` or `perfbench/*.py` supplies it
 by keyword or by position.  A call that supplies it as the bare name of the
@@ -52,7 +58,7 @@ UNPASSED = {
 
 # method defined by several public classes -> the definition reading it
 SHARED = {
-    ("order", "FinitePreorder.leq"): ("order", "to_json"),
+    ("order", "FinitePreorder.leq"): ("maps", "is_monotone"),
     ("order", "FinitePreorder.lt"): ("order", "covers"),
     ("heyting", "DownsetAlgebra.top"): ("heyting", "is_complete_ha_morphism"),
     ("kripke", "FiniteBAO.top"): ("kripke", "FiniteBAO.box"),
@@ -237,6 +243,21 @@ def test_every_import_is_used():
         unused += [f"{path.stem}: {name}"
                    for name in sorted(_imported_names(tree) - used - exempt)]
     assert unused == [], f"imported names never used: {unused}"
+
+
+def _private(name):
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_no_module_reads_another_modules_private_name():
+    trees = {path.stem: _parse(path) for path in SRC.glob("*.py")}
+    modules = set(trees)
+    reads = []
+    for mod, tree in sorted(trees.items()):
+        for ref in sorted(_module_refs(tree, modules)):
+            if ref[0] != mod and _private(ref[1]):
+                reads.append(f"{mod} reads {ref[0]}.{ref[1]}")
+    assert reads == [], f"private names read across modules: {reads}"
 
 
 def _optional_params(trees):
