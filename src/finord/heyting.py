@@ -43,9 +43,6 @@ class DownsetAlgebra:
             raise ValueError(f"{a:b} is not a downset of the base")
         return i
 
-    def le(self, a: int, b: int) -> bool:
-        return a | b == b
-
     def meet(self, a: int, b: int) -> int:
         return a & b
 
@@ -65,6 +62,14 @@ def downset_algebra(p: FinitePreorder) -> DownsetAlgebra:
     """All downsets of p; more than `order.MAX_DOWNSET_SIZE` points raise
     the BudgetError of `order.all_downsets`."""
     return DownsetAlgebra(p, tuple(order_mod.all_downsets(p)))
+
+
+def _inclusion_order(alg: DownsetAlgebra) -> FinitePreorder:
+    """The elements of alg ordered by inclusion, as a preorder on their
+    indices in `alg.elements`."""
+    return FinitePreorder(len(alg.elements), tuple(
+        kernels.mask(v for v, y in enumerate(alg.elements) if not x & ~y)
+        for x in alg.elements))
 
 
 @dataclass(frozen=True)
@@ -132,18 +137,11 @@ def join_irreducibles(alg: DownsetAlgebra):
     elements strictly below it; for a downset algebra these are exactly the
     principal downsets.  Returns (poset, masks).
     """
-    irr = []
-    for x in alg.elements:
-        below = 0
-        for y in alg.elements:
-            if y != x and alg.le(y, x):
-                below |= y
-        if below != x:
-            irr.append(x)
-    n = len(irr)
-    up = [sum(1 << j for j in range(n) if alg.le(irr[i], irr[j]))
-          for i in range(n)]
-    return FinitePreorder(n, tuple(up)), irr
+    inc = _inclusion_order(alg)
+    irr = [u for u, x in enumerate(alg.elements)
+           if kernels.union(alg.elements, inc.down[u] & ~(1 << u)) != x]
+    up = kernels.restrict([inc.up[u] for u in irr], irr)
+    return FinitePreorder(len(irr), up), [alg.elements[u] for u in irr]
 
 
 def verify_adjunction_unit(p: FinitePreorder) -> bool:
@@ -176,7 +174,7 @@ def cha_morphisms(a: DownsetAlgebra, b: DownsetAlgebra):
         for x in a.elements:
             v = b.bottom
             for j in range(k):
-                if a.le(ji[j], x):
+                if not ji[j] & ~x:
                     v = b.join(v, assign[j])
             table.append(v)
         phi = HAMorphism(a, b, tuple(table))
@@ -187,15 +185,12 @@ def cha_morphisms(a: DownsetAlgebra, b: DownsetAlgebra):
 
 def _monotone_assignments(ji_poset: FinitePreorder, b: DownsetAlgebra):
     """All ji-monotone tuples of b-elements, lexicographic order."""
-    elems = b.elements
-    m = len(elems)
-    below = [sum(1 << u for u in range(m) if b.le(elems[u], x)) for x in elems]
-    above = [sum(1 << u for u in range(m) if b.le(x, elems[u])) for x in elems]
+    inc = _inclusion_order(b)
     # cha_morphisms bounds the search before it starts
     tables, _ = kernels.enumerate_maps(
-        ji_poset.down, ji_poset.up, below, above,
-        [(1 << m) - 1] * ji_poset.n, False, node_budget=math.inf)
-    return sorted(tuple(elems[v] for v in t) for t in tables)
+        ji_poset.down, ji_poset.up, inc.down, inc.up,
+        [(1 << inc.n) - 1] * ji_poset.n, False, node_budget=math.inf)
+    return sorted(tuple(b.elements[v] for v in t) for t in tables)
 
 
 @dataclass

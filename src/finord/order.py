@@ -49,12 +49,6 @@ class FinitePreorder:
     def down(self) -> tuple[int, ...]:
         return kernels.transpose(self.up)
 
-    def leq(self, i: int, j: int) -> bool:
-        return bool(self.up[i] >> j & 1)
-
-    def lt(self, i: int, j: int) -> bool:
-        return self.leq(i, j) and not self.leq(j, i)
-
     @cached_property
     def is_poset(self) -> bool:
         return all(self.up[i] & self.down[i] == 1 << i for i in range(self.n))
@@ -125,15 +119,12 @@ def all_downsets(p: FinitePreorder) -> list[int]:
 
 
 def covers(p: FinitePreorder) -> list[tuple[int, int]]:
-    """Cover pairs (i, j): i < j with nothing strictly between."""
-    out = []
-    for i in range(p.n):
-        for j in range(p.n):
-            if p.lt(i, j) and not any(
-                p.lt(i, k) and p.lt(k, j) for k in bits(p.up[i] & p.down[j])
-            ):
-                out.append((i, j))
-    return out
+    """Cover pairs (i, j): i < j with nothing strictly between, i ascending,
+    then j.  The j are the points strictly above i that lie strictly above
+    no point strictly above i."""
+    above = [p.up[i] & ~p.down[i] for i in range(p.n)]
+    return [(i, j) for i in range(p.n)
+            for j in bits(above[i] & ~kernels.union(above, above[i]))]
 
 
 def poset_iso(p: FinitePreorder, q: FinitePreorder):

@@ -29,6 +29,24 @@ def is_pmorphism_via_preimages(table, f, g) -> bool:
     return True
 
 
+def covers_pairwise(p) -> list[tuple[int, int]]:
+    """Oracle for `order.covers`: the pairs i < j with no k strictly
+    between, tested pair by pair, i ascending, then j."""
+    def lt(i, j):
+        return bool(p.up[i] >> j & 1) and not p.up[j] >> i & 1
+    return [(i, j) for i in range(p.n) for j in range(p.n)
+            if lt(i, j) and not any(lt(i, k) and lt(k, j)
+                                    for k in range(p.n))]
+
+
+def is_monotone_pairwise(f) -> bool:
+    """Oracle for `maps.is_monotone`: i <= j gives f(i) <= f(j), tested
+    pair by pair."""
+    return all(not f.dom.up[i] >> j & 1
+               or f.cod.up[f.table[i]] >> f.table[j] & 1
+               for i in range(f.dom.n) for j in range(f.dom.n))
+
+
 def implies_bruteforce(alg, a: int, b: int) -> int:
     """Oracle for the closed-form `DownsetAlgebra.implies`: scan every
     downset; the candidates are closed under union so their union is the

@@ -289,6 +289,13 @@ REPORT_DIGESTS = {
               "d9963e8dbb0b0ed877ae2c2e439c653cde1891f37754bba46e5bb47f80665a17"),
     "lemma24": (["verify", "lemma24"],
                 "fd33404ce44a15e6607eabcfc2149ab151c8fc9fc06f2103d0337f527b3fb3ba"),
+    "dot2": (["hierarchy", "export", "--format", "dot", "--depth", "2"],
+             "b6386a035b2ad1831c3d3dd0c0eb8c407a039628d6b93d2179818d77991067be"),
+    "dot_antichain3_2": (["hierarchy", "export", "--format", "dot", "--base",
+                          "antichain3", "--depth", "2"],
+                         "226be24ac9c9a7c3a9f106f312f597e7ede9ab3a9866b87f7c261503581ad9ce"),
+    "duality5": (["verify", "duality", "--max-size", "5"],
+                 "3ceada280dd8abec77f562013740c55fc9d693ad0c4d483f00ad47471a260a76"),
 }
 
 
@@ -331,6 +338,15 @@ def test_deep_tower_verifies_under_memory_cap(suite):
     assert proc.returncode == 0, proc.stderr.decode()[-500:]
     assert json.loads(proc.stdout)["violations"] == []
     assert hashlib.sha256(proc.stdout).hexdigest() == DEEP_TOWER_DIGESTS[suite]
+
+
+def test_deep_stage_dot_export_under_memory_cap():
+    # the Hasse edges of the 16,739-element stage are read off its rows
+    proc = run_capped(["hierarchy", "export", "--format", "dot", "--base",
+                       "antichain3", "--depth", "3"], 1 << 30, 60)
+    assert proc.returncode == 0, proc.stderr.decode()[-500:]
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "245b6d5010f8ed5e39266b438abe966e37c2cea83a43de29649f3c741680af3f")
 
 
 # each of these towers has more than the default 200,000 candidate
@@ -483,6 +499,7 @@ def test_obstruct_timing_fills_every_elapsed(capsys):
     ["obstruct", "--all-posets", "2", "--budget", "3"],
     ["verify", "lemma23", "--depth", "-1"],
     ["verify", "lemma31", "--max-size", "5"],
+    ["verify", "lemma31", "--max-size", "4"],
     ["verify", "duality", "--max-size", "7"],
     ["hierarchy", "build", "--budget", "1"],
     ["verify", "thm26", "--budget", "2"],

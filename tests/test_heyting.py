@@ -46,14 +46,14 @@ def test_implies_closed_form_on_samples():
             a = rng.choice(alg.elements)
             b = rng.choice(alg.elements)
             assert alg.implies(a, b) == implies_bruteforce(alg, a, b)
-            assert alg.le(alg.meet(a, alg.implies(a, b)), b)
+            assert not alg.meet(a, alg.implies(a, b)) & ~b
 
 
 def test_residuation_law():
     three = [p for p in order.enumerate_posets(3) if p.n == 3]
     alg = heyting.downset_algebra(three[4])
     for a, b, x in iproduct(alg.elements, repeat=3):
-        assert alg.le(x, alg.implies(a, b)) == alg.le(alg.meet(x, a), b)
+        assert (not x & ~alg.implies(a, b)) == (not alg.meet(x, a) & ~b)
 
 
 def test_claw_tower_algebra_counts():
@@ -159,8 +159,8 @@ def lexicographic_monotone_assignments(ji_poset, b):
             return
         for v in b.elements:
             ok = all(
-                (not ji_poset.leq(j, i) or b.le(cur[j], v))
-                and (not ji_poset.leq(i, j) or b.le(v, cur[j]))
+                (not ji_poset.up[j] >> i & 1 or not cur[j] & ~v)
+                and (not ji_poset.up[i] >> j & 1 or not v & ~cur[j])
                 for j in range(i)
             )
             if ok:

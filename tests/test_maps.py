@@ -9,6 +9,7 @@ from finord.errors import BudgetError, HypothesisError
 from finord.hsets import Universe
 from finord.maps import PointMap
 from finord.order import sierpinski
+from oracles import is_monotone_pairwise
 
 
 def claw_tower(depth=2):
@@ -61,6 +62,17 @@ def test_openness_conditions_agree_on_samples():
         table = tuple(rng.randrange(q.n) for _ in range(p.n))
         v1, v2, v3 = all_openness_verdicts(PointMap(p, q, table))
         assert v1 == v2 == v3
+
+
+def test_is_monotone_matches_the_pairwise_definition():
+    preorders = order.enumerate_preorders(3)
+    verdicts = set()
+    for p in preorders:
+        for q in preorders:
+            for f in maps.all_functions(p, q):
+                verdicts.add(maps.is_monotone(f))
+                assert maps.is_monotone(f) == is_monotone_pairwise(f), f
+    assert verdicts == {True, False}
 
 
 def test_open_implies_monotone():

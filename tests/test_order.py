@@ -7,10 +7,10 @@ from itertools import permutations
 
 import pytest
 
-from finord import kernels, order
+from finord import hierarchy, hsets, kernels, order
 from finord.errors import FormatError
 from finord.order import FinitePreorder
-from oracles import sample_poset
+from oracles import covers_pairwise, sample_poset
 
 # counts of posets on n labeled-up-to-iso / preorders on n labeled elements
 POSETS_UP_TO_ISO = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
@@ -30,22 +30,22 @@ def test_transitivity_required():
 
 def test_from_pairs_closes_transitively():
     p = order.from_pairs(3, [(0, 1), (1, 2)])
-    assert p.leq(0, 2)
+    assert p.up[0] >> 2 & 1
     assert p.is_poset
 
 
 def test_sierpinski_is_two_chain():
     assert order.sierpinski() == order.chain(2)
     s = order.sierpinski()
-    assert s.leq(0, 1) and not s.leq(1, 0)
+    assert s.up[0] >> 1 & 1 and not s.up[1] >> 0 & 1
 
 
 def test_product_orders_componentwise():
     p = order.product(order.chain(2), order.chain(3))
     assert p.n == 6
     # (i, j) sits at index i * 3 + j
-    assert p.leq(0 * 3 + 0, 1 * 3 + 2)
-    assert not p.leq(0 * 3 + 2, 1 * 3 + 1)
+    assert p.up[0 * 3 + 0] >> (1 * 3 + 2) & 1
+    assert not p.up[0 * 3 + 2] >> (1 * 3 + 1) & 1
 
 
 def test_down_closure_and_is_downset():
@@ -73,6 +73,22 @@ def test_covers_of_chain():
     assert order.covers(order.chain(3)) == [(0, 1), (1, 2)]
 
 
+def test_covers_match_the_pairwise_definition():
+    rng = random.Random(19)
+    samples = [order.sample_preorder(rng.randrange(9), rng)
+               for _ in range(300)]
+    samples += [sample_poset(rng.randrange(9), rng) for _ in range(100)]
+    assert any(not p.is_poset for p in samples)
+    stages = []
+    for u, base in [(hsets.Universe(), None), hsets.abstract_antichain(3)]:
+        h = hierarchy.build(base or hsets.concrete_claw(u), 2, u)
+        stages += [hierarchy.materialize(h, alpha)[0] for alpha in range(3)]
+    assert [p.n for p in stages] == [4, 8, 22, 3, 7, 21]
+    for p in [*samples, *order.enumerate_preorders(4),
+              *order.enumerate_posets(6), *stages]:
+        assert order.covers(p) == covers_pairwise(p), p
+
+
 def test_poset_iso_relabeling():
     p = order.from_pairs(3, [(0, 1), (0, 2)])
     q = order.from_pairs(3, [(2, 0), (2, 1)])
@@ -91,7 +107,7 @@ def test_canonical_form_permutation_invariant():
             up = [0] * 4
             for i in range(4):
                 for j in range(4):
-                    if p.leq(i, j):
+                    if p.up[i] >> j & 1:
                         up[perm[i]] |= 1 << perm[j]
             assert order.canonical_form(FinitePreorder(4, tuple(up))) == canon
 
@@ -101,7 +117,7 @@ def test_canonical_form_is_least_bit_string():
     # relabelings tie on prefixes and the early exit meets equal rows
     for p in order.enumerate_preorders(4):
         strings = [
-            "".join("1" if p.leq(i, j) else "0" for i in perm for j in perm)
+            "".join(str(p.up[i] >> j & 1) for i in perm for j in perm)
             for perm in permutations(range(p.n))
         ]
         assert order.canonical_form(p) == min(strings)

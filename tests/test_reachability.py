@@ -58,8 +58,6 @@ UNPASSED = {
 
 # method defined by several public classes -> the definition reading it
 SHARED = {
-    ("order", "FinitePreorder.leq"): ("maps", "is_monotone"),
-    ("order", "FinitePreorder.lt"): ("order", "covers"),
     ("heyting", "DownsetAlgebra.top"): ("heyting", "is_complete_ha_morphism"),
     ("kripke", "FiniteBAO.top"): ("kripke", "FiniteBAO.box"),
 }
