@@ -7,13 +7,15 @@ and upsets are unions of those rows, taken by `kernels.union`.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations, product as iproduct
+from itertools import product as iproduct
 
 from finord import kernels
 from finord.errors import BudgetError, FormatError
 from finord.kernels import bits
 
-# largest carriers enumerate_posets and enumerate_preorders accept
+# largest carriers enumerate_posets and enumerate_preorders accept; the
+# poset cap stands for the size of a sweep's report, which is built in memory
+# (about 150 MB for `obstruct --all-posets 7`), not for enumeration's cost
 MAX_POSET_SIZE = 6
 MAX_PREORDER_SIZE = 4
 # largest carrier whose downsets `all_downsets` enumerates
@@ -139,29 +141,59 @@ def poset_iso(p: FinitePreorder, q: FinitePreorder):
 def canonical_form(p: FinitePreorder) -> str:
     """Least leq bit string over all relabelings; equal iff isomorphic.
 
-    Each relabeling's bit string is built as an integer, row by row; strings
-    of equal length compare like their integer values, so the minimum is the
-    same.  Every key has n*n bits, so once the rows built so far exceed the
-    same-length prefix of the best key, the relabeling cannot win and the
-    rest of its rows are skipped.
+    Char r*n+s of a relabeling's string is '1' iff perm[r] <= perm[s].  The
+    least one is found level by level over ordered partitions, without
+    walking the n! relabelings.  At level r the cells of the points not yet
+    placed fill positions r..n-1 in order, and perm[r] is taken from the
+    first cell.  Every cell is then split into the points not above perm[r]
+    and, after them, the points above it.  That gives row r its least value
+    over all completions, and leaves each cell alike on every row placed so
+    far.  Only the nodes whose row r is least over the whole level go on, so
+    the result is exactly the least string.  Two twins (points with the same
+    relations to every other point and the same bit both ways between them)
+    swap by an automorphism that fixes the node, so only the lowest twin in
+    a cell is tried.
     """
     n = p.n
     if n == 0:
         return ""
-    best = 1 << n * n  # above every key
-    for perm in permutations(range(n)):
-        key = 0
-        left = n * n
-        for i in perm:
-            row = p.up[i]
-            for j in perm:
-                key = key << 1 | row >> j & 1
-            left -= n
-            if key > best >> left:
-                break
-        else:
-            best = key
-    return format(best, f"0{n * n}b")
+    up, down = p.up, p.down
+    lower_twins = [0] * n
+    for y in range(n):
+        for z in range(y + 1, n):
+            pair = 1 << y | 1 << z
+            if (up[y] & ~pair == up[z] & ~pair
+                    and down[y] & ~pair == down[z] & ~pair
+                    and up[y] >> z & 1 == up[z] >> y & 1):
+                lower_twins[z] |= 1 << y
+    key = 0
+    nodes = [((), ((1 << n) - 1,))]
+    for _ in range(n):
+        least, kept = -1, []
+        for perm, cells in nodes:
+            first, rest = cells[0], cells[1:]
+            for v in bits(first):
+                if lower_twins[v] & first:
+                    continue
+                row = up[v]
+                value = 0
+                for u in perm:
+                    value = value << 1 | row >> u & 1
+                value = value << 1 | 1
+                others = first & ~(1 << v)
+                for cell in (others, *rest):
+                    value = (value << cell.bit_count()
+                             | (1 << (cell & row).bit_count()) - 1)
+                if value == least:
+                    kept.append((perm, v, others, rest))
+                elif least < 0 or value < least:
+                    least, kept = value, [(perm, v, others, rest)]
+        key = key << n | least
+        nodes = [((*perm, v), [part for cell in (others, *rest)
+                               for part in (cell & ~up[v], cell & up[v])
+                               if part])
+                 for perm, v, others, rest in kept]
+    return format(key, f"0{n * n}b")
 
 
 def enumerate_posets(n: int) -> list[FinitePreorder]:
@@ -169,21 +201,19 @@ def enumerate_posets(n: int) -> list[FinitePreorder]:
 
     The list runs by size, and each size is sorted by `canonical_form`; it
     is empty for n < 1.  Size k is grown from size k - 1 by adjoining a new
-    maximal element above a chosen downset (counts 1, 2, 5, 16, 63, 318).
-    The first poset generated in each isomorphism class is its
-    representative: a candidate is kept only if `poset_iso` finds no earlier
-    kept one with the same multiset of (up size, down size) isomorphic to
-    it.  `canonical_form` is computed once per representative.
+    maximal element above a chosen downset (counts 1, 2, 5, 16, 63, 318,
+    2045).  Every candidate gets its canonical form, once, and the first
+    candidate generated with a form is that class's representative.
     """
     if n > MAX_POSET_SIZE:
-        raise ValueError("enumeration by relabeling is impractical beyond "
-                         f"{MAX_POSET_SIZE}")
+        raise ValueError("poset enumeration supported for "
+                         f"n <= {MAX_POSET_SIZE}")
     if n < 1:
         return []
     reps = [singleton()]
     out = list(reps)
     for k in range(2, n + 1):
-        buckets = {}
+        by_form = {}
         for p in reps:
             for d in all_downsets(p):
                 up = list(p.up)
@@ -191,19 +221,10 @@ def enumerate_posets(n: int) -> list[FinitePreorder]:
                     up[i] |= 1 << (k - 1)
                 up.append(1 << (k - 1))
                 q = FinitePreorder(k, tuple(up))
-                bucket = buckets.setdefault(_degree_multiset(q), [])
-                if all(poset_iso(q, r) is None for r in bucket):
-                    bucket.append(q)
-        reps = sorted((r for bucket in buckets.values() for r in bucket),
-                      key=canonical_form)
+                by_form.setdefault(canonical_form(q), q)
+        reps = [by_form[key] for key in sorted(by_form)]
         out += reps
     return out
-
-
-def _degree_multiset(p: FinitePreorder) -> tuple:
-    """Sorted (up size, down size) pairs: an isomorphism invariant."""
-    return tuple(sorted((p.up[i].bit_count(), p.down[i].bit_count())
-                        for i in range(p.n)))
 
 
 def enumerate_preorders(n: int) -> list[FinitePreorder]:

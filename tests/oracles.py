@@ -5,6 +5,8 @@ route, so a test can compare the two; each input builds a structure only the
 tests use.
 """
 
+from itertools import permutations
+
 from finord import order
 from finord.hsets import Universe, base_poset
 from finord.kernels import bits
@@ -37,6 +39,35 @@ def covers_pairwise(p) -> list[tuple[int, int]]:
     return [(i, j) for i in range(p.n) for j in range(p.n)
             if lt(i, j) and not any(lt(i, k) and lt(k, j)
                                     for k in range(p.n))]
+
+
+def canonical_form_bruteforce(p) -> str:
+    """Oracle for `order.canonical_form`: the least leq bit string over all
+    n! relabelings.
+
+    Each relabeling's bit string is built as an integer, row by row; strings
+    of equal length compare like their integer values, so the minimum is the
+    same.  Once the rows built so far exceed the same-length prefix of the
+    best key, the relabeling cannot win and the rest of its rows are
+    skipped.
+    """
+    n = p.n
+    if n == 0:
+        return ""
+    best = 1 << n * n  # above every key
+    for perm in permutations(range(n)):
+        key = 0
+        left = n * n
+        for i in perm:
+            row = p.up[i]
+            for j in perm:
+                key = key << 1 | row >> j & 1
+            left -= n
+            if key > best >> left:
+                break
+        else:
+            best = key
+    return format(best, f"0{n * n}b")
 
 
 def is_monotone_pairwise(f) -> bool:

@@ -10,7 +10,7 @@ import pytest
 from finord import hierarchy, hsets, kernels, order
 from finord.errors import FormatError
 from finord.order import FinitePreorder
-from oracles import covers_pairwise, sample_poset
+from oracles import canonical_form_bruteforce, covers_pairwise, sample_poset
 
 # counts of posets on n labeled-up-to-iso / preorders on n labeled elements
 POSETS_UP_TO_ISO = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
@@ -113,14 +113,22 @@ def test_canonical_form_permutation_invariant():
 
 
 def test_canonical_form_is_least_bit_string():
-    # labeled preorders up to 4 points, non-antisymmetric ones included, so
-    # relabelings tie on prefixes and the early exit meets equal rows
+    # labeled preorders up to 4 points against the least string itself, and
+    # the brute-force oracle on larger inputs; preorders that are not
+    # antisymmetric have true twins, and posets have incomparable twins
     for p in order.enumerate_preorders(4):
         strings = [
             "".join(str(p.up[i] >> j & 1) for i in perm for j in perm)
             for perm in permutations(range(p.n))
         ]
         assert order.canonical_form(p) == min(strings)
+    rng = random.Random(20)
+    samples = [order.sample_preorder(rng.randrange(5, 8), rng)
+               for _ in range(200)]
+    samples += [sample_poset(7, rng) for _ in range(50)]
+    assert any(not p.is_poset for p in samples)
+    for p in [*order.enumerate_posets(6), *samples]:
+        assert order.canonical_form(p) == canonical_form_bruteforce(p), p
 
 
 def test_enumerate_posets_counts():
@@ -141,7 +149,7 @@ def test_enumerators_bound_their_sizes():
 
 
 def reference_posets(n):
-    """enumerate_posets by a canonical form per generated candidate."""
+    """enumerate_posets with the brute-force canonical form."""
     reps = [order.singleton()]
     out = list(reps)
     for k in range(2, n + 1):
@@ -154,7 +162,7 @@ def reference_posets(n):
                         up[i] |= 1 << (k - 1)
                 up.append(1 << (k - 1))
                 q = FinitePreorder(k, tuple(up))
-                seen.setdefault(order.canonical_form(q), q)
+                seen.setdefault(canonical_form_bruteforce(q), q)
         reps = [seen[key] for key in sorted(seen)]
         out += reps
     return out
@@ -175,8 +183,18 @@ def test_enumerate_posets_six_digest():
         "bd40db4d01f4f9baba5fb3d4fa56155b3302d509ec1e68f042e7a55bfbaac3cc")
 
 
+def test_enumerate_posets_seven_digest(monkeypatch):
+    # the size cap bounds a sweep's report, not enumeration; digest of the
+    # seven-point up rows as the n!-relabeling route produced them
+    monkeypatch.setattr(order, "MAX_POSET_SIZE", 7)
+    got = [p.up for p in order.enumerate_posets(7) if p.n == 7]
+    assert len(got) == 2045
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "880d255da12dd3f3d25812021ad9f2d7ee010e80e17abaea2f08e12bb181d770")
+
+
 def test_enumerate_posets_no_duplicate_classes():
-    got = [p for p in order.enumerate_posets(4) if p.n == 4]
+    got = [p for p in order.enumerate_posets(5) if p.n == 5]
     for i in range(len(got)):
         for j in range(i + 1, len(got)):
             assert order.poset_iso(got[i], got[j]) is None
