@@ -7,9 +7,11 @@ searches for mediating maps and emits refutation certificates.
 Reports are JSON on stdout with a fixed envelope (schema version, tool
 version, effective config and its hash).  With a fixed seed the bytes are
 reproducible; `elapsed` stays null unless --timing is given, precisely so
-that repeated runs compare equal.  One encoder, `finord._json.dumps`,
-writes every report and exported tower; its bytes equal
-`json.dumps(..., indent=2, sort_keys=True)`.
+that repeated runs compare equal.  One encoder, `finord._json`, writes
+every report and exported tower; its bytes equal
+`json.dumps(..., indent=2, sort_keys=True)`.  `obstruct` hands it each
+certificate already encoded, from a fixed template in sorted key order, and
+a report is one join of the encoder's pieces.
 
 Exit codes: 0 success / no violations / all candidates refuted; 1 invalid
 configuration or violations found; 2 budget exhausted.
@@ -127,7 +129,10 @@ def _render(command: str, config: dict, payload: dict, elapsed) -> str:
         "elapsed": elapsed,
     }
     body.update(payload)
-    return _json.dumps(body) + "\n"
+    # one join: the certificate texts of an obstruct report go in uncopied
+    out = _json.pieces(body)
+    out.append("\n")
+    return "".join(out)
 
 
 def _resolve_base(spec: str):
@@ -485,6 +490,13 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # obstruct
 
+# a certificate as the report encoder writes its dict, at depth 2 (report ->
+# "certificates" -> certificate): its keys in sorted order, a %s for each value
+_CERTIFICATE = "{" + ",".join(f'\n      "{key}": %s' for key in (
+    "candidates_examined", "certificate_kind", "elapsed", "mediating_found",
+    "p1", "p2", "poset", "size", "stage")) + "\n    }"
+
+
 def cmd_obstruct(args):
     if args.depth < 1 or args.budget <= 0:
         raise FormatError("depth must be >= 1 and budget positive")
@@ -502,28 +514,32 @@ def cmd_obstruct(args):
         first = {}  # size -> index of the first poset of that size
         names = [f"poset{p.n}.{i - first.setdefault(p.n, i)}"
                  for i, p in enumerate(posets)]
-    certificates = []
+    # each certificate is one text, from the poset's name and each
+    # projection's table and certificate kind encoded once
+    names = [_json.dumps(name) for name in names]
+    texts = {}  # a projection's table or a kind -> its text at depth 3
+
+    def text(value):
+        found = texts.get(value)
+        if found is None:
+            found = texts[value] = _json.dumps(value, 3)
+        return found
+
+    certificates = _json.Encoded()
     refuted = 0
+    elapsed = "null"
     tick = time.perf_counter()
     for i, p1, p2, verdict in maps_mod.product_obstructions(h, posets):
         refuted += verdict.refuted
-        elapsed = None
         if args.timing:
             # since the previous certificate, so the first candidate to
             # reach a stage also carries that stage's preparation
             now = time.perf_counter()
-            elapsed, tick = round(now - tick, 6), now
-        certificates.append({
-            "poset": names[i],
-            "size": posets[i].n,
-            "p1": p1.table,
-            "p2": p2.table,
-            "certificate_kind": verdict.certificate_kind,
-            "stage": verdict.stage,
-            "candidates_examined": verdict.candidates_examined,
-            "mediating_found": verdict.mediating_found,
-            "elapsed": elapsed,
-        })
+            elapsed, tick = float.__repr__(round(now - tick, 6)), now
+        certificates.append(_CERTIFICATE % (
+            verdict.candidates_examined, text(verdict.certificate_kind),
+            elapsed, verdict.mediating_found, text(p1.table),
+            text(p2.table), names[i], posets[i].n, verdict.stage))
     payload = {
         "posets": len(posets),
         "candidates": len(certificates),
@@ -553,6 +569,9 @@ def main(argv=None) -> int:
 
     elapsed = round(time.perf_counter() - start, 6) if args.timing else None
     report = _render(args.command, _config_of(args), payload, elapsed)
+    # the report holds a copy of every certificate text: free them before
+    # writing it, which encodes another copy
+    del payload
     if args.out:
         try:
             args.out.write_text(report if document is None else document,

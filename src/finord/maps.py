@@ -276,11 +276,18 @@ def product_obstructions(h, posets):
     are built and checked open and their class vector is computed; prepared
     stages live for this call only.  Each candidate then costs one pinned
     kernel search per stage it reaches.
+    Every poset's open maps are enumerated first: a poset with k of them
+    makes k * k candidates, and a sweep of more than
+    `order.MAX_CANDIDATES` raises BudgetError before its first search.
     """
-    stages = _stages(h, h.depth)
     s = sierpinski()
-    for i, p in enumerate(posets):
-        opens = enumerate_open_maps(p, s)
+    open_maps = [enumerate_open_maps(p, s) for p in posets]
+    used = sum(len(opens) ** 2 for opens in open_maps)
+    if used > order_mod.MAX_CANDIDATES:
+        raise BudgetError("too many candidates for one sweep", stage=1,
+                          used=used, budget=order_mod.MAX_CANDIDATES)
+    stages = _stages(h, h.depth)
+    for i, (p, opens) in enumerate(zip(posets, open_maps)):
         splits = [_split(f) for f in opens]
         for p1, split1 in zip(opens, splits):
             for p2, split2 in zip(opens, splits):

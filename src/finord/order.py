@@ -14,9 +14,15 @@ from finord.errors import BudgetError, FormatError
 from finord.kernels import bits
 
 # largest carriers enumerate_posets and enumerate_preorders accept; the
-# poset cap stands for the size of a sweep's report, which is built in memory
-# (about 150 MB for `obstruct --all-posets 7`), not for enumeration's cost
+# poset cap stands for the size of a sweep's report, which is built in memory,
+# not for enumeration's cost: `obstruct --all-posets 7` writes 150 MB and
+# takes about 5 s at a 344 MB peak RSS (2-vCPU VM, Python 3.11)
 MAX_POSET_SIZE = 6
+# most candidates (pairs of open maps into the two-point chain) that one
+# product-obstruction sweep takes on, counted before its first search: the
+# 370,486 of every poset on up to 7 points fit, the 5.6 million of the
+# 8-point posets do not, nor the 280.8 million of tower stage 2 (22 points)
+MAX_CANDIDATES = 500_000
 MAX_PREORDER_SIZE = 4
 # largest carrier whose downsets `all_downsets` enumerates
 MAX_DOWNSET_SIZE = 20

@@ -7,7 +7,7 @@ tests use.
 
 from itertools import permutations
 
-from finord import order
+from finord import maps, order
 from finord.hsets import Universe, base_poset
 from finord.kernels import bits
 
@@ -68,6 +68,20 @@ def canonical_form_bruteforce(p) -> str:
         else:
             best = key
     return format(best, f"0{n * n}b")
+
+
+def certificate_dicts(h, posets, names) -> list[dict]:
+    """Oracle for the certificate texts of an untimed `obstruct` report: one
+    dict per candidate of the sweep over posets on tower h, for the stdlib
+    encoder to render; names[i] names posets[i]."""
+    return [{"poset": names[i], "size": posets[i].n,
+             "p1": p1.table, "p2": p2.table,
+             "certificate_kind": verdict.certificate_kind,
+             "stage": verdict.stage,
+             "candidates_examined": verdict.candidates_examined,
+             "mediating_found": verdict.mediating_found,
+             "elapsed": None}
+            for i, p1, p2, verdict in maps.product_obstructions(h, posets)]
 
 
 def is_monotone_pairwise(f) -> bool:

@@ -5,12 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import finord
-from finord import cli, hierarchy, hsets, kripke, order
+from finord import cli, hierarchy, hsets, kripke, maps, order
+from oracles import certificate_dicts
 
 
 def run(argv, capsys):
@@ -230,23 +233,123 @@ def test_obstruct_file_poset(tmp_path, capsys):
     assert doc["refuted"] == doc["candidates"] > 0
 
 
+def export_stage(alpha, path):
+    """Write stage alpha of the thm33 tower as an `order.to_json` file."""
+    u = hsets.Universe()
+    h = hierarchy.build(tuple(hsets.concrete_claw(u)), alpha, u,
+                        hierarchy.DEFAULT_BUDGET)
+    stage, _ = hierarchy.materialize(h, alpha)
+    path.write_text(json.dumps(order.to_json(stage)))
+    return stage
+
+
+# stage 1 of the thm33 tower (8 points) as a candidate: 676 certificates,
+# 670 refuted at stage 1 and 6 at stage 2 with one mediating map each; run
+# from the directory of its file, so the poset name holds no tmp path
+X1_ARGV = ["obstruct", "--poset", "file:X1.json", "--depth", "2"]
+
+
+def obstruct_argv(key, tmp_path, monkeypatch):
+    """The command line of a CERTIFICATE_DIGESTS key: a bound N for
+    `--all-posets N`, or X1."""
+    if key != "X1":
+        return ["obstruct", "--all-posets", key]
+    export_stage(1, tmp_path / "X1.json")
+    monkeypatch.chdir(tmp_path)
+    return X1_ARGV
+
+
 # digests of the `obstruct --all-posets N` certificate lists as produced
 # before the obstruction sweep did its stage work once per run; they pin
-# every candidate's candidates_examined, so a change in search order shows
+# every candidate's candidates_examined, so a change in search order shows.
+# X1's was taken while each certificate was still a dict for the encoder;
+# it pins what no `--all-posets` report holds: certificates at stage 2
+# that found a mediating map
 CERTIFICATE_DIGESTS = {
     "4": "8a392f646eb11ad50be158af0fb1f40164c5f599de4a29e8d24ad1f2eeee3dd7",
     "5": "9ea190d2d8a15ad0eba84011e3ebd41e7dc6529d41efa8a76d8ad9643076d3b7",
+    "X1": "c4aed3b3b5f6d8cf791a2ccffbadbfc1e785e65d2f24549aa4b5ece87c9b287f",
 }
 
 
-@pytest.mark.parametrize("size", sorted(CERTIFICATE_DIGESTS))
-def test_obstruct_certificates_golden(size, capsys):
-    code, doc = run_json(["obstruct", "--all-posets", size], capsys)
+@pytest.mark.parametrize("key", sorted(CERTIFICATE_DIGESTS))
+def test_obstruct_certificates_golden(key, tmp_path, monkeypatch, capsys):
+    code, doc = run_json(obstruct_argv(key, tmp_path, monkeypatch), capsys)
     assert code == 0
     text = json.dumps(doc["certificates"], sort_keys=True,
                       separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        CERTIFICATE_DIGESTS[size])
+        CERTIFICATE_DIGESTS[key])
+
+
+@pytest.mark.parametrize("key", ["4", "X1"])
+def test_obstruct_report_matches_certificate_dicts(key, tmp_path,
+                                                   monkeypatch, capsys):
+    # the certificate texts against the stdlib's rendering of the dicts
+    argv = obstruct_argv(key, tmp_path, monkeypatch)
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    u = hsets.Universe()
+    h = hierarchy.build(tuple(hsets.concrete_claw(u)), 2, u,
+                        hierarchy.DEFAULT_BUDGET)
+    if key == "X1":
+        posets = [order.from_json(json.loads(Path("X1.json").read_text()))]
+        names = ["file:X1.json"]
+    else:
+        posets = order.enumerate_posets(int(key))
+        sizes = [p.n for p in posets]
+        names = [f"poset{n}.{i - sizes.index(n)}" for i, n in enumerate(sizes)]
+    certificates = certificate_dicts(h, posets, names)
+    doc = {**json.loads(out), "certificates": certificates}
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_obstruct_budget_error_mid_sweep_leaves_only_the_error(
+        tmp_path, monkeypatch, capsys):
+    # at depth 1, six candidates find injective mediating maps on stage 1
+    # and no stage outgrows them, after others have been written
+    yielded = []
+    sweep = maps.product_obstructions
+
+    def counted(h, posets):
+        for item in sweep(h, posets):
+            yielded.append(item)
+            yield item
+
+    argv = obstruct_argv("X1", tmp_path, monkeypatch)
+    monkeypatch.setattr(maps, "product_obstructions", counted)
+    code, out, err = run([*argv[:-1], "1"], capsys)
+    assert code == 2 and err == ""
+    assert 0 < len(yielded) < 676
+    doc = json.loads(out)
+    assert doc["error"] == {
+        "message": "no stage within the tower outgrows the candidate",
+        "stage": 1, "used": None, "budget": hierarchy.DEFAULT_BUDGET}
+    assert set(doc) == {"schema", "version", "command", "config",
+                        "config_hash", "elapsed", "error"}
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert "certificate" not in out
+
+
+def test_obstruct_candidate_cap_stops_a_sweep_before_it_starts(
+        tmp_path, monkeypatch, capsys):
+    # stage 2 of the tower, 22 points, has 16,758 open maps into the chain:
+    # 280.8 million candidates, far above the cap
+    path = tmp_path / "X2.json"
+    export_stage(2, path)
+
+    def no_search(*args):
+        raise AssertionError("searched past the candidate cap")
+
+    monkeypatch.setattr(maps, "_mediating", no_search)
+    start = time.perf_counter()
+    code, out, err = run(["obstruct", "--poset", f"file:{path}",
+                          "--depth", "2"], capsys)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"] == {
+        "message": "too many candidates for one sweep",
+        "stage": 1, "used": 16758 ** 2, "budget": order.MAX_CANDIDATES}
 
 
 # digests of whole reports: coreflect as produced before verify_coreflection
@@ -493,6 +596,12 @@ def test_obstruct_timing_fills_every_elapsed(capsys):
         assert cert["elapsed"] >= 0
     _, doc = run_json(["obstruct", "--all-posets", "2"], capsys)
     assert all(cert["elapsed"] is None for cert in doc["certificates"])
+
+
+def test_obstruct_timing_report_matches_the_stdlib(capsys):
+    # the floats the certificate texts carry, as the stdlib writes them
+    _, out, _ = run(["obstruct", "--all-posets", "2", "--timing"], capsys)
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("argv", [

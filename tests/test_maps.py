@@ -206,6 +206,22 @@ def test_obstruction_budget_when_tower_too_shallow():
         maps.product_obstruction(stage, f1, f2, h, max_alpha=1)
 
 
+def test_sweep_over_the_candidate_cap_raises_before_any_search(monkeypatch):
+    # the 2x2 square has 5 open maps into the chain: 25 candidates
+    _, _, h = claw_tower()
+    square = [order.product(sierpinski(), sierpinski())]
+    monkeypatch.setattr(order, "MAX_CANDIDATES", 25)
+    assert len(list(maps.product_obstructions(h, square))) == 25
+    searches = []
+    monkeypatch.setattr(maps, "_mediating",
+                        lambda *args: searches.append(args))
+    monkeypatch.setattr(order, "MAX_CANDIDATES", 24)
+    with pytest.raises(BudgetError) as exc:
+        next(maps.product_obstructions(h, square))
+    assert (exc.value.stage, exc.value.used, exc.value.budget) == (1, 25, 24)
+    assert searches == []
+
+
 def test_all_small_posets_refuted_by_stage_one():
     _, _, h = claw_tower()
     s = sierpinski()

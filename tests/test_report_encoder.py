@@ -41,6 +41,54 @@ def test_encoder_matches_the_stdlib(value):
     assert _json.dumps(value) == reference(value)
 
 
+@st.composite
+def documents(draw):
+    """(a tree, the same tree with the members of some lists pre-encoded).
+
+    A list chosen at depth d becomes an `Encoded` list of its members'
+    stdlib renderings at depth d + 1.  Dicts with non-`str` keys go to the
+    stdlib whole, so nothing inside one is chosen.
+    """
+    value = draw(trees())
+
+    def mark(item, depth):
+        kind = type(item)
+        if kind in (list, tuple) and item and draw(st.booleans()):
+            nl = "\n" + "  " * (depth + 1)
+            return _json.Encoded(reference(member).replace("\n", nl)
+                                 for member in item)
+        if kind in (list, tuple):
+            return [mark(member, depth + 1) for member in item]
+        if kind is dict and all(type(key) is str for key in item):
+            return {key: mark(member, depth + 1)
+                    for key, member in item.items()}
+        return item
+
+    return value, mark(value, 0)
+
+
+@given(documents())
+def test_encoded_members_render_as_the_stdlib_renders_them(document):
+    value, marked = document
+    assert _json.dumps(marked) == reference(value)
+    # and each member is one of the pieces itself, not a copy
+    members = []
+
+    def collect(item):
+        if type(item) is _json.Encoded:
+            members.extend(item)
+        elif type(item) is list:
+            for member in item:
+                collect(member)
+        elif type(item) is dict:
+            for member in item.values():
+                collect(member)
+
+    collect(marked)
+    pieces = {id(piece) for piece in _json.pieces(marked)}
+    assert all(id(member) in pieces for member in members)
+
+
 class Level(enum.IntEnum):
     LOW = 1
 
