@@ -7,11 +7,10 @@ searches for mediating maps and emits refutation certificates.
 Reports are JSON on stdout with a fixed envelope (schema version, tool
 version, effective config and its hash).  With a fixed seed the bytes are
 reproducible; `elapsed` stays null unless --timing is given, precisely so
-that repeated runs compare equal.  One encoder, `finord._json`, writes
-every report and exported tower; its bytes equal
-`json.dumps(..., indent=2, sort_keys=True)`.  `obstruct` hands it each
-certificate already encoded, from a fixed template in sorted key order, and
-a report is one join of the encoder's pieces.
+that repeated runs compare equal.  Every report and exported tower is
+`json.dumps(..., indent=2, sort_keys=True)`.  `obstruct` writes each
+certificate as one text, from a fixed template in that layout, and the
+report splices the texts into the rest of its body in one join.
 
 Exit codes: 0 success / no violations / all candidates refuted; 1 invalid
 configuration or violations found; 2 budget exhausted.
@@ -26,7 +25,7 @@ from itertools import combinations
 from pathlib import Path
 from random import Random
 
-from finord import __version__, _json
+from finord import __version__
 from finord import heyting as heyting_mod
 from finord import hierarchy as hierarchy_mod
 from finord import hsets
@@ -129,9 +128,19 @@ def _render(command: str, config: dict, payload: dict, elapsed) -> str:
         "elapsed": elapsed,
     }
     body.update(payload)
-    # one join: the certificate texts of an obstruct report go in uncopied
-    out = _json.pieces(body)
-    out.append("\n")
+    texts = body.get("certificates")
+    if not texts:
+        return json.dumps(body, indent=2, sort_keys=True) + "\n"
+    # an obstruct report's certificate texts: render the rest around an
+    # empty list, whose key is the first match ("candidates", the one key
+    # before it, holds an int), and join the texts in uncopied
+    body["certificates"] = []
+    head, tail = json.dumps(body, indent=2, sort_keys=True).split(
+        '"certificates": []', 1)
+    out = [head, '"certificates": [\n    ']
+    for text in texts:
+        out += (text, ",\n    ")
+    out[-1] = "\n  ]" + tail + "\n"
     return "".join(out)
 
 
@@ -198,8 +207,8 @@ def _read_json(path: str) -> dict:
 
 def _require_complete(h: hierarchy_mod.Hierarchy):
     if not h.complete:
-        raise BudgetError("level budget exhausted",
-                          stage=h.truncated_at, budget=h.budget)
+        raise BudgetError("level budget exhausted", stage=h.truncated_at,
+                          used=h.used, budget=h.budget)
 
 
 def _pick(value, default):
@@ -490,8 +499,9 @@ def cmd_verify(args):
 # ---------------------------------------------------------------------------
 # obstruct
 
-# a certificate as the report encoder writes its dict, at depth 2 (report ->
-# "certificates" -> certificate): its keys in sorted order, a %s for each value
+# a certificate as `json.dumps(..., indent=2, sort_keys=True)` writes its dict
+# at depth 2 (report -> "certificates" -> certificate): its keys in sorted
+# order, a %s for each value
 _CERTIFICATE = "{" + ",".join(f'\n      "{key}": %s' for key in (
     "candidates_examined", "certificate_kind", "elapsed", "mediating_found",
     "p1", "p2", "poset", "size", "stage")) + "\n    }"
@@ -516,16 +526,17 @@ def cmd_obstruct(args):
                  for i, p in enumerate(posets)]
     # each certificate is one text, from the poset's name and each
     # projection's table and certificate kind encoded once
-    names = [_json.dumps(name) for name in names]
+    names = [json.dumps(name) for name in names]
     texts = {}  # a projection's table or a kind -> its text at depth 3
 
     def text(value):
         found = texts.get(value)
         if found is None:
-            found = texts[value] = _json.dumps(value, 3)
+            found = texts[value] = json.dumps(value, indent=2).replace(
+                "\n", "\n      ")
         return found
 
-    certificates = _json.Encoded()
+    certificates = []
     refuted = 0
     elapsed = "null"
     tick = time.perf_counter()

@@ -16,9 +16,10 @@ restricting the base restricts the tower, and pairing a stage with an outside
 element produces antichains ("fans") that witness unbounded growth.
 """
 
+import json
 from dataclasses import dataclass, field
 
-from finord import _json, kernels
+from finord import kernels
 from finord import order as order_mod
 from finord.errors import BudgetError, FormatError, HypothesisError
 from finord.hsets import BasePoset, Universe, is_antichain, load
@@ -35,6 +36,9 @@ class Hierarchy:
     budget: int
     requested_depth: int
     truncated_at: int | None = None
+    # on truncation, the size of the overflowing level, or a lower bound on
+    # it when the antichain kernel stopped counting
+    used: int | None = None
 
     @property
     def depth(self) -> int:
@@ -76,8 +80,9 @@ def build(base_ids, depth: int, u: Universe, budget: int = DEFAULT_BUDGET) -> Hi
     """Generate stages 0..depth, stopping early if a level would exceed budget.
 
     On truncation the result keeps every fully generated level and records
-    the offending stage in `truncated_at`; nothing from the overflowing level
-    is interned.  A base larger than the budget raises HypothesisError.
+    the offending stage in `truncated_at` and its size, or a lower bound on
+    it, in `used`; nothing from the overflowing level is interned.  A base
+    larger than the budget raises HypothesisError.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -99,8 +104,10 @@ def build(base_ids, depth: int, u: Universe, budget: int = DEFAULT_BUDGET) -> Hi
         comp = [d | a for d, a in zip(down, up)]
         masks, hit = kernels.antichains(comp, min_size=2, limit=budget + 1)
         if hit:
-            # more candidate antichains than any level may hold
-            h.truncated_at = stage
+            # more candidate antichains than any level may hold; the kernel
+            # counted limit + 1 of them, and distinct antichains intern to
+            # distinct sets, so the level holds at least that many
+            h.truncated_at, h.used = stage, budget + 2
             break
         fresh = []
         for m in masks:
@@ -109,7 +116,7 @@ def build(base_ids, depth: int, u: Universe, budget: int = DEFAULT_BUDGET) -> Hi
             if got is None or got not in level:
                 fresh.append(kids)
         if len(level) + len(fresh) > budget:
-            h.truncated_at = stage
+            h.truncated_at, h.used = stage, len(level) + len(fresh)
             break
         h.levels.append(level | {u.intern(kids) for kids in fresh})
     return h
@@ -279,7 +286,7 @@ def growth_witness(triple, depth: int, u: Universe,
     h = build(doubles, depth, u, budget)
     if not h.complete:
         raise BudgetError("doubleton tower exceeded budget",
-                          stage=h.truncated_at, budget=budget)
+                          stage=h.truncated_at, used=h.used, budget=budget)
 
     fan_sizes = []
     violations = []
@@ -339,7 +346,7 @@ def _base_poset(data: dict) -> BasePoset:
 
 
 def dumps(h: Hierarchy) -> str:
-    return _json.dumps(to_json(h)) + "\n"
+    return json.dumps(to_json(h), indent=2, sort_keys=True) + "\n"
 
 
 def level_dot(h: Hierarchy, alpha: int) -> str:

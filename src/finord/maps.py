@@ -249,7 +249,8 @@ def product_obstruction(p: FinitePreorder, p1: PointMap, p2: PointMap,
     on the stage (checked; the coordinate pairing is injective on the base
     and injectivity propagates), so the first stage outgrowing |p| refutes by
     counting ("cardinality_bound").  Raises BudgetError when the tower is too
-    shallow to reach either certificate.
+    shallow to reach either certificate, with |p| as its usage and the size
+    of the tower's top stage as its budget.
     """
     for f, name in ((p1, "p1"), (p2, "p2")):
         _check_into_sierpinski(f, name)
@@ -340,4 +341,4 @@ def _verdict(h, stages, p, p1, p2, fibers):
             return ObstructionVerdict("cardinality_bound", alpha, examined,
                                       found_total)
     raise BudgetError("no stage within the tower outgrows the candidate",
-                      stage=h.depth, budget=h.budget)
+                      stage=h.depth, used=p.n, budget=len(h.levels[-1]))

@@ -262,7 +262,7 @@ def obstruct_argv(key, tmp_path, monkeypatch):
 # digests of the `obstruct --all-posets N` certificate lists as produced
 # before the obstruction sweep did its stage work once per run; they pin
 # every candidate's candidates_examined, so a change in search order shows.
-# X1's was taken while each certificate was still a dict for the encoder;
+# X1's was taken while each certificate was still a dict;
 # it pins what no `--all-posets` report holds: certificates at stage 2
 # that found a mediating map
 CERTIFICATE_DIGESTS = {
@@ -304,10 +304,29 @@ def test_obstruct_report_matches_certificate_dicts(key, tmp_path,
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def test_obstruct_report_splices_past_a_lookalike_name(tmp_path, monkeypatch,
+                                                      capsys):
+    # the poset's name, in the config and in each certificate, holds the
+    # text the certificates are spliced at, a backslash and a quote
+    name = 'c"certificates": [] \\ é.json'
+    (tmp_path / name).write_text(json.dumps(order.to_json(order.chain(3))))
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(["obstruct", "--poset", f"file:{name}"], capsys)
+    assert code == 0
+    u = hsets.Universe()
+    h = hierarchy.build(tuple(hsets.concrete_claw(u)), 2, u,
+                        hierarchy.DEFAULT_BUDGET)
+    certificates = certificate_dicts(h, [order.chain(3)], [f"file:{name}"])
+    doc = {**json.loads(out), "certificates": certificates}
+    assert doc["config"]["poset"] == f"file:{name}"
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_obstruct_budget_error_mid_sweep_leaves_only_the_error(
         tmp_path, monkeypatch, capsys):
     # at depth 1, six candidates find injective mediating maps on stage 1
-    # and no stage outgrows them, after others have been written
+    # and no stage outgrows them, after others have been written: the error
+    # names the candidate's 8 points against the 8 of the top stage
     yielded = []
     sweep = maps.product_obstructions
 
@@ -324,7 +343,7 @@ def test_obstruct_budget_error_mid_sweep_leaves_only_the_error(
     doc = json.loads(out)
     assert doc["error"] == {
         "message": "no stage within the tower outgrows the candidate",
-        "stage": 1, "used": None, "budget": hierarchy.DEFAULT_BUDGET}
+        "stage": 1, "used": 8, "budget": 8}
     assert set(doc) == {"schema", "version", "command", "config",
                         "config_hash", "elapsed", "error"}
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -454,7 +473,8 @@ def test_deep_stage_dot_export_under_memory_cap():
 
 # each of these towers has more than the default 200,000 candidate
 # antichains at stage 4; the level budget must stop the walk before their
-# masks are kept, so the exit-2 report comes within a 256 MB cap
+# masks are kept, so the exit-2 report comes within a 256 MB cap.  The
+# kernel stops counting at the limit plus one, so `used` is a lower bound
 @pytest.mark.parametrize("argv,message", [
     (["verify", "thm26", "--depth", "4"], "doubleton tower exceeded budget"),
     (["verify", "lemma23", "--depth", "4"], "level budget exhausted"),
@@ -467,7 +487,7 @@ def test_stage_four_budget_exit_under_memory_cap(argv, message):
     assert proc.returncode == 2, proc.stderr.decode()[-500:]
     assert proc.stderr == b""
     assert json.loads(proc.stdout)["error"] == {
-        "message": message, "stage": 4, "used": None, "budget": 200000}
+        "message": message, "stage": 4, "used": 200002, "budget": 200000}
 
 
 # digests of whole reports whose --max-size leaves the enumerated family
@@ -659,9 +679,10 @@ def test_budget_error_in_verify_exits_two(capsys):
     code, doc = run_json(
         ["verify", "thm26", "--budget", "10"], capsys)
     assert code == 2
-    # a field the error does not set is null
+    # the kernel stops counting stage 2's antichains at budget + 2, a lower
+    # bound on its 21 elements
     assert doc["error"] == {"message": "doubleton tower exceeded budget",
-                            "stage": 2, "used": None, "budget": 10}
+                            "stage": 2, "used": 12, "budget": 10}
 
 
 def test_budget_error_reports_usage(capsys, monkeypatch):

@@ -263,6 +263,18 @@ def test_budget_truncation_keeps_prefix():
     assert [len(l) for l in h.levels] == [len(l) for l in full.levels[:2]]
 
 
+@pytest.mark.parametrize("budget", [7, 16, 17, 20])
+def test_truncation_records_the_level_size_or_a_lower_bound(budget):
+    # stage 2 of this tower has 21 elements, from stage 1's 18 antichains of
+    # two or more: up to a budget of 16 the kernel stops counting them at
+    # budget + 2, and above it the fresh sets overflow the level
+    u, ids = hsets.abstract_antichain(3)
+    h = hierarchy.build(ids, 2, u, budget=budget)
+    assert h.truncated_at == 2
+    assert h.used == (budget + 2 if budget <= 16 else 21)
+    assert hierarchy.build(ids, 2, u, budget=21).used is None
+
+
 def test_truncation_interns_nothing_beyond_the_level():
     u, ids = hsets.abstract_antichain(3)
     h = hierarchy.build(ids, 2, u, budget=10)

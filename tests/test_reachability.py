@@ -23,8 +23,7 @@ A second check finds names a `src/finord` module imports and never uses.
 Another check finds a `src/finord` module reading a private name (one
 with a leading underscore, not a dunder) of another `finord` module, through
 a module alias or `from finord.m import _name`; what one module keeps
-private is shared through a public name, or moved to `kernels`.  Importing
-the private module `_json` itself is allowed.
+private is shared through a public name, or moved to `kernels`.
 
 A fourth check finds optional parameters that only one value serves.  An
 optional parameter of a `src/finord` function (or method, or `__init__`)
