@@ -1,20 +1,20 @@
 """Enumeration kernels.
 
 The two hot loops of the package: independent-set (antichain) enumeration
-over a comparability mask table, and backtracking search for monotone, open
-or injective maps between finite relations given by rows, which serves open
-maps, p-morphisms of Kripke frames, both isomorphism tests (`relation_iso`)
-and `heyting.cha_morphisms`.
+over a comparability mask table (the tower's levels), and backtracking
+search for monotone, open or injective maps between relations given by
+rows, which serves open maps, p-morphisms of Kripke frames, both
+isomorphism tests (`relation_iso`) and `heyting.cha_morphisms`.
 The map search prepares its plan once per domain and keeps it in a bounded
 cache, since callers such as the obstruction sweep search from the same
 domain many times, and backtracks in one loop over a per-depth stack, not
 by recursion: most of its calls try a handful of assignments, so the cost
 of a call is mostly fixed cost.  It also holds every operation on relation
 rows the modules share: `bits` and its inverse `mask`; `union` of the rows
-a mask selects; `image` and `preimage` under a table; `transpose`;
-transitive `closure`; `restrict` to a subset; and `row_string`, the JSON
-bit string.  Sizes are read off the rows.  It imports only `errors` and
-the standard library, so any module can import it without a cycle.
+a mask selects; `unions`, every union of some rows (downsets, upsets);
+`image` and `preimage` under a table; `transpose`; transitive `closure`;
+`restrict` to a subset; and `row_string`, the JSON bit string.  Sizes are
+read off the rows.  It imports only `errors` and the standard library.
 
 All subsets are bitmasks (bit i = element i), held in Python ints, so there
 is no limit on the number of elements.  Output order is deterministic.
@@ -298,6 +298,16 @@ def union(rows, m):
     for i in bits(m):
         out |= rows[i]
     return out
+
+
+def unions(rows):
+    """Every union of some of the rows, ascending: the downsets of a
+    preorder from its down rows, the upsets of a frame from its reflexive
+    reachability rows."""
+    out = {0}
+    for row in rows:
+        out |= {u | row for u in out}
+    return sorted(out)
 
 
 def image(table, m):

@@ -105,11 +105,12 @@ class Coreflection:
 
 
 def _upsets(f: KripkeFrame) -> list[int]:
-    """All R-upsets, via downsets of the reachability preorder."""
-    reach = kernels.closure([row | 1 << i for i, row in enumerate(f.succ)])
-    pre = FinitePreorder(f.n, reach)
-    full = (1 << f.n) - 1
-    return [full ^ d for d in order_mod.all_downsets(pre)]
+    """All R-upsets, ascending: the unions of some of the reflexive
+    reachability rows (`kernels.unions`), after the size check of
+    `order.check_downset_budget`."""
+    order_mod.check_downset_budget(f.n)
+    return kernels.unions(
+        kernels.closure([row | 1 << i for i, row in enumerate(f.succ)]))
 
 
 def is_preorder_on(f: KripkeFrame, mask: int) -> bool:
@@ -128,8 +129,8 @@ def coreflect(f: KripkeFrame) -> Coreflection:
 
     Computed straight from the definition: union every good upset.  The
     union is verified to be good itself and to contain each good upset.  A
-    frame on more than `order.MAX_DOWNSET_SIZE` states raises the
-    BudgetError of `order.all_downsets`.
+    frame on more than `order.MAX_DOWNSET_SIZE` states raises BudgetError
+    before any upset is built (see `_upsets`).
     """
     good = [u for u in _upsets(f) if is_preorder_on(f, u)]
     y = 0
@@ -179,25 +180,26 @@ def verify_coreflection(f: KripkeFrame, preorders
     Returns the coreflection of f and one CoreflectionReport per preorder p
     in `preorders`, in order.  Every p-morphism from p's opposite frame into
     f must land inside the coreflection and corestrict to an open map into
-    the coreflected preorder (equivalently a p-morphism into the restricted
-    frame; both routes are checked).  The factorization is through an
-    inclusion, so uniqueness is automatic.  The coreflection and its
-    restricted frame are computed once for all the preorders.
+    the coreflected preorder (equivalently a p-morphism into the subframe
+    of f on the coreflection's members; both routes are checked).  The
+    factorization is through an inclusion, so uniqueness is automatic.  The
+    coreflection and the subframe are computed once for all the preorders.
     """
     cor = coreflect(f)
     pos = {x: i for i, x in enumerate(cor.members)}
-    restricted = opposite_frame(cor.preorder)
+    # the frame route reads f's own rows, the open route cor.preorder's
+    sub = kernels.restrict([f.succ[a] for a in cor.members], cor.members)
+    restricted = KripkeFrame(len(sub), sub)
     reports = []
     for p in preorders:
         frame_p = opposite_frame(p)
+        tables = pmorphisms(frame_p, f)
         violations = []
-        count = 0
-        for table in pmorphisms(frame_p, f):
-            count += 1
-            if any(not cor.member_mask >> v & 1 for v in table):
+        for table in tables:
+            if kernels.mask(table) & ~cor.member_mask:
                 violations.append(("image_escapes", table))
                 continue
-            g = tuple(pos[v] for v in table)
+            g = tuple(map(pos.__getitem__, table))
             open_route = maps_mod.is_open_v2(
                 maps_mod.PointMap(p, cor.preorder, g))
             frame_route = is_pmorphism(g, frame_p, restricted)
@@ -205,7 +207,7 @@ def verify_coreflection(f: KripkeFrame, preorders
                 violations.append(("route_disagreement", table))
             if not open_route:
                 violations.append(("corestriction_not_open", table))
-        reports.append(CoreflectionReport(count, violations))
+        reports.append(CoreflectionReport(len(tables), violations))
     return cor, reports
 
 

@@ -61,11 +61,6 @@ class FinitePreorder:
     def is_poset(self) -> bool:
         return all(self.up[i] & self.down[i] == 1 << i for i in range(self.n))
 
-    @cached_property
-    def comparability(self) -> tuple[int, ...]:
-        """comparability[i]: elements comparable to i (either direction), sans i."""
-        return tuple((self.up[i] | self.down[i]) & ~(1 << i) for i in range(self.n))
-
     def __repr__(self):
         pairs = [(i, j) for i in range(self.n) for j in bits(self.up[i]) if i != j]
         return f"FinitePreorder({self.n}, pairs={pairs})"
@@ -110,20 +105,21 @@ def is_downset(p: FinitePreorder, mask: int) -> bool:
     return kernels.union(p.down, mask) == mask
 
 
-def all_downsets(p: FinitePreorder) -> list[int]:
-    """Every downset of p, ascending as integers.
-
-    Downsets arise as down closures of antichains, so the enumeration kernel
-    does the walking and only the closure remains.  For preorders two
-    equivalent generators close to the same downset, hence the set.  A
-    carrier above MAX_DOWNSET_SIZE raises BudgetError before any downset is
-    built.
-    """
-    if p.n > MAX_DOWNSET_SIZE:
+def check_downset_budget(n: int):
+    """Raise BudgetError, before any union is built, when a downset or upset
+    enumeration on n points (`all_downsets`, `kripke.coreflect`) is over
+    MAX_DOWNSET_SIZE."""
+    if n > MAX_DOWNSET_SIZE:
         raise BudgetError("downset enumeration beyond the size cap",
-                          used=p.n, budget=MAX_DOWNSET_SIZE)
-    masks, _ = kernels.antichains(p.comparability)
-    return sorted({kernels.union(p.down, m) for m in masks})
+                          used=n, budget=MAX_DOWNSET_SIZE)
+
+
+def all_downsets(p: FinitePreorder) -> list[int]:
+    """Every downset of p, ascending as integers: the unions of some of p's
+    down rows (`kernels.unions`).  A carrier above MAX_DOWNSET_SIZE raises
+    BudgetError before any downset is built."""
+    check_downset_budget(p.n)
+    return kernels.unions(p.down)
 
 
 def covers(p: FinitePreorder) -> list[tuple[int, int]]:

@@ -604,8 +604,9 @@ def test_coreflect_suite_builds_each_opposite_frame_once(monkeypatch, capsys):
         clear()
     assert code == 0
     assert doc["frames"] == 530 and doc["preorders"] == 5
-    # at most one per coreflected preorder plus one per checked preorder
-    assert 0 < len(built) <= 530 + 5
+    # one per checked preorder: the frame route's target is read off each
+    # frame's rows, not built from its coreflected preorder
+    assert len(built) == 5
 
 
 def test_obstruct_timing_fills_every_elapsed(capsys):

@@ -157,6 +157,33 @@ def test_coreflection_universal_property_small():
             assert not report.violations, (f, p, report.violations)
 
 
+def test_upsets_are_the_masks_closed_under_succ():
+    for n in (1, 2, 3):
+        for f in all_frames(n):
+            closed = [m for m in range(1 << n)
+                      if not kernels.union(f.succ, m) & ~m]
+            assert kripke._upsets(f) == closed
+
+
+def test_coreflection_routes_are_independent(monkeypatch):
+    # a planted coreflection whose preorder is R on the members, not its
+    # converse: the open route reads that preorder, the frame route reads
+    # f's rows, so every p-morphism is flagged by both checks
+    def unconversed(f):
+        members = tuple(range(f.n))
+        up = kernels.restrict([f.succ[a] for a in members], members)
+        return kripke.Coreflection(members, order.FinitePreorder(f.n, up),
+                                   (1 << f.n) - 1)
+
+    monkeypatch.setattr(kripke, "coreflect", unconversed)
+    f = KripkeFrame(2, (0b11, 0b10))
+    _, reports = kripke.verify_coreflection(f, order.enumerate_preorders(2))
+    kinds = [kind for r in reports for kind, _ in r.violations]
+    assert sum(r.pmorphisms for r in reports) == 7
+    assert kinds.count("route_disagreement") == 7
+    assert kinds.count("corestriction_not_open") == 7
+
+
 def test_closure_iff_preorder_exhaustive():
     for n in (1, 2, 3):
         assert all(kripke.closure_iff_preorder(f) for f in all_frames(n))

@@ -1,6 +1,8 @@
 """Property tests over generated structures."""
 
+from functools import reduce
 from itertools import combinations
+from operator import or_
 
 from hypothesis import given, settings, strategies as st
 
@@ -61,6 +63,14 @@ def test_antichain_kernel_against_set_oracle(case):
     }
     assert set(masks) == brute
     assert len(masks) == len(brute)
+
+
+@given(st.integers(0, 8).flatmap(lambda n: st.lists(
+    st.integers(0, (1 << n) - 1), max_size=n)))
+def test_unions_against_every_subset_union(rows):
+    brute = {reduce(or_, subset, 0) for k in range(len(rows) + 1)
+             for subset in combinations(rows, k)}
+    assert kernels.unions(rows) == sorted(brute)
 
 
 @given(posets(), st.data())
