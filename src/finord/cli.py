@@ -9,8 +9,9 @@ version, effective config and its hash).  With a fixed seed the bytes are
 reproducible; `elapsed` stays null unless --timing is given, precisely so
 that repeated runs compare equal.  Every report and exported tower is
 `json.dumps(..., indent=2, sort_keys=True)`.  `obstruct` writes each
-certificate as one text, from a fixed template in that layout, and the
-report splices the texts into the rest of its body in one join.
+certificate as pieces of a fixed template in that layout, cut at its
+slots, and shares every piece between the certificates it fits; the report
+splices the pieces into the rest of its body in one join.
 
 Exit codes: 0 success / no violations / all candidates refuted; 1 invalid
 configuration or violations found; 2 budget exhausted.
@@ -128,20 +129,16 @@ def _render(command: str, config: dict, payload: dict, elapsed) -> str:
         "elapsed": elapsed,
     }
     body.update(payload)
-    texts = body.get("certificates")
-    if not texts:
+    pieces = body.get("certificates")
+    if not pieces:
         return json.dumps(body, indent=2, sort_keys=True) + "\n"
-    # an obstruct report's certificate texts: render the rest around an
+    # an obstruct report's certificate pieces: render the rest around an
     # empty list, whose key is the first match ("candidates", the one key
-    # before it, holds an int), and join the texts in uncopied
+    # before it, holds an int), and join the pieces in uncopied
     body["certificates"] = []
     head, tail = json.dumps(body, indent=2, sort_keys=True).split(
         '"certificates": []', 1)
-    out = [head, '"certificates": [\n    ']
-    for text in texts:
-        out += (text, ",\n    ")
-    out[-1] = "\n  ]" + tail + "\n"
-    return "".join(out)
+    return "".join([head, '"certificates": [', *pieces, "\n  ]", tail, "\n"])
 
 
 def _resolve_base(spec: str):
@@ -501,7 +498,7 @@ def cmd_verify(args):
 
 # a certificate as `json.dumps(..., indent=2, sort_keys=True)` writes its dict
 # at depth 2 (report -> "certificates" -> certificate): its keys in sorted
-# order, a %s for each value
+# order, a %s for each value; cmd_obstruct cuts it at the %s slots
 _CERTIFICATE = "{" + ",".join(f'\n      "{key}": %s' for key in (
     "candidates_examined", "certificate_kind", "elapsed", "mediating_found",
     "p1", "p2", "poset", "size", "stage")) + "\n    }"
@@ -524,19 +521,23 @@ def cmd_obstruct(args):
         first = {}  # size -> index of the first poset of that size
         names = [f"poset{p.n}.{i - first.setdefault(p.n, i)}"
                  for i, p in enumerate(posets)]
-    # each certificate is one text, from the poset's name and each
-    # projection's table and certificate kind encoded once
-    names = [json.dumps(name) for name in names]
-    texts = {}  # a projection's table or a kind -> its text at depth 3
+    # each certificate is written as five shared pieces of _CERTIFICATE,
+    # cut at its slots: a head through "p1" per verdict and elapsed, opening
+    # with the comma between certificates; p1's table; "p2" and its table;
+    # a tail through "stage" per poset; the stage and the closing brace
+    cut = _CERTIFICATE.split("%s")
+    tails = [f"{cut[6]}{json.dumps(name)}{cut[7]}{p.n}{cut[8]}"
+             for name, p in zip(names, posets)]
+    as_p1, as_p2 = {}, {}  # a projection's table -> its piece in that slot
 
-    def text(value):
-        found = texts.get(value)
-        if found is None:
-            found = texts[value] = json.dumps(value, indent=2).replace(
-                "\n", "\n      ")
-        return found
+    def piece(slot, table):
+        # made on a table's first use, for both slots
+        text = json.dumps(table, indent=2).replace("\n", "\n      ")
+        as_p1[table], as_p2[table] = text, cut[5] + text
+        return slot[table]
 
-    certificates = []
+    heads = {}  # (verdict, elapsed) -> (head, stage piece)
+    pieces = []
     refuted = 0
     elapsed = "null"
     tick = time.perf_counter()
@@ -547,17 +548,26 @@ def cmd_obstruct(args):
             # reach a stage also carries that stage's preparation
             now = time.perf_counter()
             elapsed, tick = float.__repr__(round(now - tick, 6)), now
-        certificates.append(_CERTIFICATE % (
-            verdict.candidates_examined, text(verdict.certificate_kind),
-            elapsed, verdict.mediating_found, text(p1.table),
-            text(p2.table), names[i], posets[i].n, verdict.stage))
+        ends = heads.get((verdict, elapsed))
+        if ends is None:
+            v = verdict
+            ends = heads[v, elapsed] = (
+                f",\n    {cut[0]}{v.candidates_examined}{cut[1]}"
+                f"{json.dumps(v.certificate_kind)}{cut[2]}{elapsed}{cut[3]}"
+                f"{v.mediating_found}{cut[4]}", f"{v.stage}{cut[9]}")
+        pieces += (ends[0], as_p1.get(p1.table) or piece(as_p1, p1.table),
+                   as_p2.get(p2.table) or piece(as_p2, p2.table), tails[i],
+                   ends[1])
+    if pieces:
+        pieces[0] = pieces[0][1:]  # no comma before the first certificate
+    candidates = len(pieces) // 5
     payload = {
         "posets": len(posets),
-        "candidates": len(certificates),
+        "candidates": candidates,
         "refuted": refuted,
-        "certificates": certificates,
+        "certificates": pieces,
     }
-    code = EXIT_OK if refuted == len(certificates) else EXIT_FAIL
+    code = EXIT_OK if refuted == candidates else EXIT_FAIL
     return code, payload, None
 
 
@@ -580,8 +590,8 @@ def main(argv=None) -> int:
 
     elapsed = round(time.perf_counter() - start, 6) if args.timing else None
     report = _render(args.command, _config_of(args), payload, elapsed)
-    # the report holds a copy of every certificate text: free them before
-    # writing it, which encodes another copy
+    # the report holds every certificate: free the list of their pieces
+    # before writing it, which encodes another copy
     del payload
     if args.out:
         try:

@@ -18,11 +18,15 @@ coordinate maps, and certify failure either by exhaustive emptiness or by a
 cardinality bound via injectivity.  A sweep over many posets builds each
 candidate from a pair of open maps into the two-point chain and does the
 stage work (materializing a stage, building and checking its coordinate
-maps) once per sweep, not once per candidate.
+maps) once per sweep, not once per candidate.  It searches stage 1 itself,
+one kernel call per candidate, and walks the later stages only for a
+candidate that stage 1 does not refute; candidates refuted at stage 1 with
+equal node counts share one immutable verdict.
 """
 
 from dataclasses import dataclass, field
 from itertools import product as iproduct
+from typing import NamedTuple
 
 from finord import hierarchy as hierarchy_mod
 from finord import kernels
@@ -186,7 +190,7 @@ def mediating_search(q: FinitePreorder, f1: PointMap, f2: PointMap,
     if f1.dom != q or f2.dom != q or p1.dom != p or p2.dom != p:
         raise HypothesisError("map domains must match the given preorders")
     tables, nodes = _mediating(q, f1, f2, _classes(f1, f2), p, p1, p2,
-                               _fibers(_split(p1), _split(p2)))
+                               _fibers(_split(p1), _split(p2)), None)
     return [PointMap(q, p, t) for t in tables], nodes
 
 
@@ -209,24 +213,24 @@ def _classes(f1: PointMap, f2: PointMap):
     return tuple(2 * a + b for a, b in zip(f1.table, f2.table))
 
 
-def _mediating(q, f1, f2, classes, p, p1, p2, fibers):
+def _mediating(q, f1, f2, classes, p, p1, p2, fibers, searched):
     """mediating_search's tables, on maps already checked open and on
     matching domains.
 
     classes is `_classes(f1, f2)` and fibers is p1 and p2's `_fibers`, so a
-    sweep computes each once, not once per search.
+    sweep computes each once, not once per search.  searched is None, or
+    the (tables, nodes) of this search when the caller has already run it:
+    the tables are then only checked.
     """
-    allowed = [fibers[k] for k in classes]
-    tables, nodes = kernels.enumerate_maps(
-        q.down, q.up, p.down, p.up, allowed, True)
+    tables, nodes = searched or kernels.enumerate_maps(
+        q.down, q.up, p.down, p.up, [fibers[k] for k in classes], True)
     for t in tables:
         assert all(p1.table[v] == a for v, a in zip(t, f1.table))
         assert all(p2.table[v] == b for v, b in zip(t, f2.table))
     return tables, nodes
 
 
-@dataclass
-class ObstructionVerdict:
+class ObstructionVerdict(NamedTuple):
     certificate_kind: str  # empty_mediating_set | cardinality_bound | non_injective_mediating
     stage: int
     # summed over the stages searched
@@ -271,15 +275,20 @@ def product_obstructions(h, posets):
     `enumerate_open_maps`, p1 outer.  The verdict is product_obstruction's
     over every stage of the tower.  The projections are open by
     construction, so none is checked again.
-    Each projection's zero and one masks are computed once per poset, so a
-    candidate's fibers are four mask intersections.  The first time a search
-    reaches stage alpha, the stage is materialized, its two coordinate maps
-    are built and checked open and their class vector is computed; prepared
-    stages live for this call only.  Each candidate then costs one pinned
-    kernel search per stage it reaches.
     Every poset's open maps are enumerated first: a poset with k of them
     makes k * k candidates, and a sweep of more than
     `order.MAX_CANDIDATES` raises BudgetError before its first search.
+    Each projection's zero and one masks are computed once per poset, so a
+    candidate's fibers are four mask intersections.  Stage 1 is
+    materialized, its two coordinate maps built and checked open and their
+    class vector computed before the first search; a later stage is
+    prepared the first time a candidate reaches it, and prepared stages
+    live for this call only.  Each candidate's stage-1 search is one kernel
+    call made here.  Only a candidate it finds mediating maps for goes on
+    to `_verdict`, which checks them and searches from stage 2 on, so each
+    candidate costs one pinned kernel search per stage it reaches.  A
+    stage-1 refutation depends on its node count alone, so candidates with
+    equal counts share one verdict.
     """
     s = sierpinski()
     open_maps = [enumerate_open_maps(p, s) for p in posets]
@@ -288,12 +297,34 @@ def product_obstructions(h, posets):
         raise BudgetError("too many candidates for one sweep", stage=1,
                           used=used, budget=order_mod.MAX_CANDIDATES)
     stages = _stages(h, h.depth)
+    if h.depth == 0:
+        # no stage to search: each verdict compares the base with p
+        for i, (p, opens) in enumerate(zip(posets, open_maps)):
+            yield from ((i, p1, p2, _verdict(h, stages, p, p1, p2, None))
+                        for p1 in opens for p2 in opens)
+        return
+    _, stage, _, _, classes = next(stages())
+    stage_down, stage_up = stage.down, stage.up
+    empty = {}  # nodes examined -> their stage-1 empty_mediating_set verdict
     for i, (p, opens) in enumerate(zip(posets, open_maps)):
+        down, up = p.down, p.up
         splits = [_split(f) for f in opens]
-        for p1, split1 in zip(opens, splits):
-            for p2, split2 in zip(opens, splits):
-                yield i, p1, p2, _verdict(h, stages, p, p1, p2,
-                                          _fibers(split1, split2))
+        for p1, (zero1, one1) in zip(opens, splits):
+            for p2, (zero2, one2) in zip(opens, splits):
+                fibers = (zero1 & zero2, zero1 & one2, one1 & zero2,
+                          one1 & one2)
+                found, nodes = kernels.enumerate_maps(
+                    stage_down, stage_up, down, up,
+                    [fibers[k] for k in classes], True)
+                if found:
+                    verdict = _verdict(h, stages, p, p1, p2, fibers,
+                                       (found, nodes))
+                else:
+                    verdict = empty.get(nodes)
+                    if verdict is None:
+                        verdict = empty[nodes] = ObstructionVerdict(
+                            "empty_mediating_set", 1, nodes, 0)
+                yield i, p1, p2, verdict
 
 
 def _stages(h, max_alpha):
@@ -320,14 +351,18 @@ def _stages(h, max_alpha):
     return walk
 
 
-def _verdict(h, stages, p, p1, p2, fibers):
+def _verdict(h, stages, p, p1, p2, fibers, searched=None):
     """product_obstruction's verdict, on projections already checked.
 
-    fibers is p1 and p2's `_fibers`.
+    fibers is p1 and p2's `_fibers`.  searched is the (tables, nodes) of a
+    stage-1 search the caller has already run: the walk checks its tables
+    and searches from stage 2 on.
     """
     examined = found_total = 0
     for alpha, stage, f1, f2, classes in stages():
-        found, nodes = _mediating(stage, f1, f2, classes, p, p1, p2, fibers)
+        found, nodes = _mediating(stage, f1, f2, classes, p, p1, p2, fibers,
+                                  searched)
+        searched = None
         examined += nodes
         found_total += len(found)
         if not found:

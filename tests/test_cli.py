@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import finord
-from finord import cli, hierarchy, hsets, kripke, maps, order
+from finord import cli, hierarchy, hsets, kernels, kripke, maps, order
 from oracles import certificate_dicts
 
 
@@ -357,14 +357,20 @@ def test_obstruct_candidate_cap_stops_a_sweep_before_it_starts(
     path = tmp_path / "X2.json"
     export_stage(2, path)
 
-    def no_search(*args):
-        raise AssertionError("searched past the candidate cap")
+    searches = []
+    search = kernels.enumerate_maps
 
-    monkeypatch.setattr(maps, "_mediating", no_search)
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(kernels, "enumerate_maps", counted)
     start = time.perf_counter()
     code, out, err = run(["obstruct", "--poset", f"file:{path}",
                           "--depth", "2"], capsys)
     assert time.perf_counter() - start < 5
+    # the poset's open maps were enumerated; no candidate was searched
+    assert len(searches) == 1
     assert code == 2 and err == ""
     assert json.loads(out)["error"] == {
         "message": "too many candidates for one sweep",
@@ -617,6 +623,30 @@ def test_obstruct_timing_fills_every_elapsed(capsys):
         assert cert["elapsed"] >= 0
     _, doc = run_json(["obstruct", "--all-posets", "2"], capsys)
     assert all(cert["elapsed"] is None for cert in doc["certificates"])
+
+
+def test_obstruct_timing_gives_each_certificate_its_own_elapsed(
+        monkeypatch, capsys):
+    # a clock whose k-th reading advances it by k / 64 s: main reads it
+    # first, the sweep second, and certificate j's reading is the (j + 3)-th,
+    # so its elapsed is (j + 3) / 64 s, different for every certificate
+    # although many share a verdict
+    readings = []
+
+    def clock():
+        readings.append(len(readings) + 1)
+        return sum(readings) / 64
+
+    monkeypatch.setattr(cli.time, "perf_counter", clock)
+    _, doc = run_json(["obstruct", "--all-posets", "3", "--timing"], capsys)
+    certificates = doc["certificates"]
+    assert len({c["certificate_kind"] for c in certificates}) == 1
+    assert len({c["candidates_examined"] for c in certificates}) < len(
+        certificates)
+    assert [c["elapsed"] for c in certificates] == [
+        (j + 3) / 64 for j in range(len(certificates))]
+    assert len(readings) == len(certificates) + 3
+    assert doc["elapsed"] == (sum(readings) - 1) / 64
 
 
 def test_obstruct_timing_report_matches_the_stdlib(capsys):

@@ -213,13 +213,19 @@ def test_sweep_over_the_candidate_cap_raises_before_any_search(monkeypatch):
     monkeypatch.setattr(order, "MAX_CANDIDATES", 25)
     assert len(list(maps.product_obstructions(h, square))) == 25
     searches = []
-    monkeypatch.setattr(maps, "_mediating",
-                        lambda *args: searches.append(args))
+    search = kernels.enumerate_maps
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(kernels, "enumerate_maps", counted)
     monkeypatch.setattr(order, "MAX_CANDIDATES", 24)
     with pytest.raises(BudgetError) as exc:
         next(maps.product_obstructions(h, square))
     assert (exc.value.stage, exc.value.used, exc.value.budget) == (1, 25, 24)
-    assert searches == []
+    # the square's open maps were enumerated; no candidate was searched
+    assert len(searches) == 1
 
 
 def test_all_small_posets_refuted_by_stage_one():
@@ -278,6 +284,46 @@ def test_sweep_matches_oracle_on_small_posets():
     assert (mediated[0].certificate_kind, mediated[0].stage) == (
         "empty_mediating_set", 2)
     assert mediated[0].mediating_found == 1
+
+
+def test_sweep_searches_each_stage_once_per_candidate(monkeypatch):
+    # one kernel call per poset for its open maps, then one per candidate
+    # per stage it reaches: stage 1 mediates for some candidates, which go
+    # on to stage 2 with stage 1's search handed over, not repeated
+    _, _, h = claw_tower(depth=2)
+    stage, _ = hierarchy.materialize(h, 1)
+    posets = order.enumerate_posets(3) + [stage]
+    calls = []
+    search = kernels.enumerate_maps
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(kernels, "enumerate_maps", counted)
+    swept = list(maps.product_obstructions(h, posets))
+    verdicts = [v for _, _, _, v in swept]
+    assert {v.certificate_kind for v in verdicts} == {"empty_mediating_set"}
+    assert sum(v.stage == 2 for v in verdicts) == 6
+    assert len(calls) == len(posets) + sum(v.stage for v in verdicts)
+
+
+def test_sweep_on_a_tower_of_depth_zero_matches_oracle():
+    # no stage to search: each verdict compares the base with the poset,
+    # and the first poset the base does not outgrow ends the sweep
+    _, _, h = claw_tower(depth=0)
+    s = sierpinski()
+    posets = order.enumerate_posets(4)
+    swept = maps.product_obstructions(h, posets)
+    count = 0
+    with pytest.raises(BudgetError) as exc:
+        for i, p1, p2, verdict in swept:
+            assert verdict == oracle_verdict(posets[i], p1, p2, h)
+            assert verdict.candidates_examined == 0
+            count += 1
+    assert exc.value.used == len(h.levels[0])
+    assert count == sum(len(maps.enumerate_open_maps(p, s)) ** 2
+                        for p in posets if p.n < len(h.levels[0]))
 
 
 def test_obstruction_rejects_non_open_projection():
