@@ -42,7 +42,9 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BUDGET = 2
 
-NAMED_POSETS = ("singleton", "sierpinski", "product2x2")
+# characters per write of a report or document; it is ASCII (json.dumps
+# escapes the rest), so each write encodes at most 1 MiB, not a whole copy
+WRITE_SLICE = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -574,6 +576,12 @@ def cmd_obstruct(args):
 # ---------------------------------------------------------------------------
 # entry point
 
+def _write(stream, text: str):
+    """Write text in slices of WRITE_SLICE characters."""
+    for start in range(0, len(text), WRITE_SLICE):
+        stream.write(text[start:start + WRITE_SLICE])
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -591,17 +599,16 @@ def main(argv=None) -> int:
     elapsed = round(time.perf_counter() - start, 6) if args.timing else None
     report = _render(args.command, _config_of(args), payload, elapsed)
     # the report holds every certificate: free the list of their pieces
-    # before writing it, which encodes another copy
     del payload
     if args.out:
         try:
-            args.out.write_text(report if document is None else document,
-                                encoding="utf-8")
+            with args.out.open("w", encoding="utf-8") as out:
+                _write(out, report if document is None else document)
         except OSError as exc:
             print(f"finord: error: {exc}", file=sys.stderr)
             return EXIT_FAIL
-    sys.stdout.write(document if document is not None and not args.out
-                     else report)
+    _write(sys.stdout, document if document is not None and not args.out
+           else report)
     return code
 
 

@@ -2,19 +2,20 @@
 
 The two hot loops of the package: independent-set (antichain) enumeration
 over a comparability mask table (the tower's levels), and backtracking
-search for monotone, open or injective maps between relations given by
-rows, which serves open maps, p-morphisms of Kripke frames, both
-isomorphism tests (`relation_iso`) and `heyting.cha_morphisms`.
-The map search prepares its plan once per domain and keeps it in a bounded
-cache, since callers such as the obstruction sweep search from the same
-domain many times, and backtracks in one loop over a per-depth stack, not
-by recursion: most of its calls try a handful of assignments, so the cost
-of a call is mostly fixed cost.  It also holds every operation on relation
-rows the modules share: `bits` and its inverse `mask`; `union` of the rows
-a mask selects; `unions`, every union of some rows (downsets, upsets);
-`image` and `preimage` under a table; `transpose`; transitive `closure`;
-`restrict` to a subset; and `row_string`, the JSON bit string.  Sizes are
-read off the rows.  It imports only `errors` and the standard library.
+search for monotone or open maps between relations given by rows, which
+serves open maps, mediating maps, p-morphisms of Kripke frames and
+`heyting.cha_morphisms`.  No isomorphism is decided by search: posets
+compare by `order.canonical_form`.  The map search prepares its plan once
+per domain and keeps it in a bounded cache, since callers such as the
+obstruction sweep search from the same domain many times, and backtracks
+in one loop over a per-depth stack, not by recursion: most of its calls try
+a handful of assignments, so the cost of a call is mostly fixed cost.  It
+also holds every operation on relation rows the modules share: `bits` and
+its inverse `mask`; `union` of the rows a mask selects; `unions`, every
+union of some rows (downsets, upsets); `image` and `preimage` under a
+table; `transpose`; transitive `closure`; `restrict` to a subset; and
+`row_string`, the JSON bit string.  Sizes are read off the rows.  It
+imports only `errors` and the standard library.
 
 All subsets are bitmasks (bit i = element i), held in Python ints, so there
 is no limit on the number of elements.  Output order is deterministic.
@@ -86,7 +87,7 @@ def _walk(comp, min_size):
 
 
 def enumerate_maps(p_down, p_up, q_down, q_up, allowed, require_open,
-                   node_budget=NODE_BUDGET, injective=False):
+                   node_budget=NODE_BUDGET):
     """Enumerate monotone maps P -> Q as value tuples, openness optional.
 
     P and Q are relations given by rows: p_down[i] is the mask of the points
@@ -97,8 +98,7 @@ def enumerate_maps(p_down, p_up, q_down, q_up, allowed, require_open,
     reflexive, as every preorder is.  With require_open, a map is emitted
     only if the image of every p_down[w] equals q_down of the image of w,
     checked as soon as w and p_down[w] are assigned; this prunes most of the
-    tree and alone enforces P's self-loops.  With injective, a value an
-    assigned element holds is no candidate.
+    tree and alone enforces P's self-loops.
 
     Elements are assigned by (row size, index) and candidate values are
     tried in ascending order, so output order is deterministic.  The
@@ -121,7 +121,6 @@ def enumerate_maps(p_down, p_up, q_down, q_up, allowed, require_open,
     f = [-1] * n_p
     out = []
     nodes = 0
-    used = 0
     last = n_p - 1
     # per depth below k: the values still to try and the (z, old mask)
     # pairs that undo the forward checks of the value assigned there
@@ -137,7 +136,6 @@ def enumerate_maps(p_down, p_up, q_down, q_up, allowed, require_open,
                 return out, nodes
             for z, old in undos[k]:
                 cand[z] = old
-            used &= ~(1 << f[order[k]])
             m = rest[k]
             continue
         bit = m & -m
@@ -176,38 +174,13 @@ def enumerate_maps(p_down, p_up, q_down, q_up, allowed, require_open,
         if ok and k < last:
             rest[k] = m
             undos[k] = undo
-            if injective:
-                used |= bit
             k += 1
-            m = cand[order[k]] & ~used
+            m = cand[order[k]]
             continue
         if ok:
             out.append(tuple(f))
         for z, old in undo:
             cand[z] = old
-
-
-def relation_iso(a_down, a_up, b_down, b_up):
-    """Lexicographically least isomorphism A -> B as a tuple, or None.
-
-    A and B are relations given by rows as in `enumerate_maps`.  A bijection
-    f with f[a_down[x]] = b_down[f(x)] for every x is exactly a relation
-    isomorphism, so this is the open injective map search, each point pinned
-    to the points of B with its (row size, column size, self-loop) signature.
-    """
-    def signatures(down, up):
-        return [(d.bit_count(), u.bit_count(), d >> i & 1)
-                for i, (d, u) in enumerate(zip(down, up))]
-
-    n = len(a_down)
-    if len(b_down) != n:
-        return None
-    sig_b = signatures(b_down, b_up)
-    allowed = [sum(1 << j for j, t in enumerate(sig_b) if t == s)
-               for s in signatures(a_down, a_up)]
-    maps, _ = enumerate_maps(a_down, a_up, b_down, b_up, allowed, True,
-                             injective=True)
-    return min(maps, default=None)
 
 
 @lru_cache(maxsize=256)

@@ -189,8 +189,10 @@ def mediating_search(q: FinitePreorder, f1: PointMap, f2: PointMap,
         _check_into_sierpinski(f, name)
     if f1.dom != q or f2.dom != q or p1.dom != p or p2.dom != p:
         raise HypothesisError("map domains must match the given preorders")
-    tables, nodes = _mediating(q, f1, f2, _classes(f1, f2), p, p1, p2,
-                               _fibers(_split(p1), _split(p2)), None)
+    split1, split2 = _split(p1), _split(p2)
+    tables, nodes = kernels.enumerate_maps(
+        q.down, q.up, p.down, p.up,
+        [split1[a] & split2[b] for a, b in zip(f1.table, f2.table)], True)
     return [PointMap(q, p, t) for t in tables], nodes
 
 
@@ -199,35 +201,9 @@ def _split(f: PointMap):
     return kernels.preimage(f.table, 1), kernels.preimage(f.table, 2)
 
 
-def _fibers(split1, split2):
-    """The points of p by (p1, p2) value pair (a, b), at index 2 * a + b.
-
-    split1 and split2 are `_split(p1)` and `_split(p2)`.
-    """
-    (zero1, one1), (zero2, one2) = split1, split2
-    return zero1 & zero2, zero1 & one2, one1 & zero2, one1 & one2
-
-
 def _classes(f1: PointMap, f2: PointMap):
     """Each point's (f1, f2) value pair (a, b), as the fiber index 2 * a + b."""
     return tuple(2 * a + b for a, b in zip(f1.table, f2.table))
-
-
-def _mediating(q, f1, f2, classes, p, p1, p2, fibers, searched):
-    """mediating_search's tables, on maps already checked open and on
-    matching domains.
-
-    classes is `_classes(f1, f2)` and fibers is p1 and p2's `_fibers`, so a
-    sweep computes each once, not once per search.  searched is None, or
-    the (tables, nodes) of this search when the caller has already run it:
-    the tables are then only checked.
-    """
-    tables, nodes = searched or kernels.enumerate_maps(
-        q.down, q.up, p.down, p.up, [fibers[k] for k in classes], True)
-    for t in tables:
-        assert all(p1.table[v] == a for v, a in zip(t, f1.table))
-        assert all(p2.table[v] == b for v, b in zip(t, f2.table))
-    return tables, nodes
 
 
 class ObstructionVerdict(NamedTuple):
@@ -254,7 +230,8 @@ def product_obstruction(p: FinitePreorder, p1: PointMap, p2: PointMap,
     and injectivity propagates), so the first stage outgrowing |p| refutes by
     counting ("cardinality_bound").  Raises BudgetError when the tower is too
     shallow to reach either certificate, with |p| as its usage and the size
-    of the tower's top stage as its budget.
+    of the tower's top stage as its budget.  The verdict is the sweep's
+    (`product_obstructions`), from its loop run on this one candidate.
     """
     for f, name in ((p1, "p1"), (p2, "p2")):
         _check_into_sierpinski(f, name)
@@ -264,8 +241,8 @@ def product_obstruction(p: FinitePreorder, p1: PointMap, p2: PointMap,
         max_alpha = h.depth
     if max_alpha > h.depth:
         raise ValueError("tower not built that deep")
-    return _verdict(h, _stages(h, max_alpha), p, p1, p2,
-                    _fibers(_split(p1), _split(p2)))
+    (_, _, _, verdict), = _sweep(h, max_alpha, [p], [([p1], [p2])])
+    return verdict
 
 
 def product_obstructions(h, posets):
@@ -278,17 +255,6 @@ def product_obstructions(h, posets):
     Every poset's open maps are enumerated first: a poset with k of them
     makes k * k candidates, and a sweep of more than
     `order.MAX_CANDIDATES` raises BudgetError before its first search.
-    Each projection's zero and one masks are computed once per poset, so a
-    candidate's fibers are four mask intersections.  Stage 1 is
-    materialized, its two coordinate maps built and checked open and their
-    class vector computed before the first search; a later stage is
-    prepared the first time a candidate reaches it, and prepared stages
-    live for this call only.  Each candidate's stage-1 search is one kernel
-    call made here.  Only a candidate it finds mediating maps for goes on
-    to `_verdict`, which checks them and searches from stage 2 on, so each
-    candidate costs one pinned kernel search per stage it reaches.  A
-    stage-1 refutation depends on its node count alone, so candidates with
-    equal counts share one verdict.
     """
     s = sierpinski()
     open_maps = [enumerate_open_maps(p, s) for p in posets]
@@ -296,84 +262,98 @@ def product_obstructions(h, posets):
     if used > order_mod.MAX_CANDIDATES:
         raise BudgetError("too many candidates for one sweep", stage=1,
                           used=used, budget=order_mod.MAX_CANDIDATES)
-    stages = _stages(h, h.depth)
-    if h.depth == 0:
-        # no stage to search: each verdict compares the base with p
-        for i, (p, opens) in enumerate(zip(posets, open_maps)):
-            yield from ((i, p1, p2, _verdict(h, stages, p, p1, p2, None))
-                        for p1 in opens for p2 in opens)
-        return
-    _, stage, _, _, classes = next(stages())
-    stage_down, stage_up = stage.down, stage.up
+    yield from _sweep(h, h.depth, posets,
+                      [(opens, opens) for opens in open_maps])
+
+
+def _sweep(h, max_alpha, posets, projections):
+    """The verdicts of stages 1..max_alpha, on projections already checked.
+
+    Yields (i, p1, p2, verdict) for p1 in projections[i][0] and p2 in
+    projections[i][1], p1 outer.  Each projection's zero and one masks are
+    computed once per poset, so a candidate's fibers (the points of
+    posets[i] by (p1, p2) value pair (a, b), at index 2 * a + b) are four
+    mask intersections.  Stage 1 is materialized, its two coordinate maps
+    built and checked open and their class vector computed before the
+    first search; a later stage is prepared the first time a candidate
+    reaches it, and prepared stages live for this call only.  Each
+    candidate's stage-1 search is one kernel call made here.  A stage-1
+    refutation depends on its node count alone, so candidates with equal
+    counts share one verdict.  Only a candidate that stage 1 finds
+    mediating maps for, or every candidate when there is no stage to
+    search, goes on to `onward`, so each candidate costs one pinned kernel
+    search per stage it reaches.
+    """
+    stages = []  # (stage, f1, f2, classes) for alpha = 1, 2, ...
+
+    def prepare(alpha):
+        materialized = hierarchy_mod.materialize(h, alpha)
+        f1 = coordinate_map(h, alpha, 1, materialized)
+        f2 = coordinate_map(h, alpha, 2, materialized)
+        _check_into_sierpinski(f1, "f1")
+        _check_into_sierpinski(f2, "f2")
+        stages.append((materialized[0], f1, f2, _classes(f1, f2)))
+
+    def onward(p, p1, p2, fibers, alpha, found, examined):
+        """The verdict of a candidate with mediating maps found at stage
+        alpha (none at 0, where nothing is searched), examined nodes in
+        all: they are checked, then the later stages searched."""
+        total = 0
+        while True:
+            if found:
+                stage, f1, f2, _ = stages[alpha - 1]
+                total += len(found)
+                for t in found:
+                    assert all(p1.table[v] == a for v, a in zip(t, f1.table))
+                    assert all(p2.table[v] == b for v, b in zip(t, f2.table))
+                if any(len(set(t)) != stage.n for t in found):
+                    return ObstructionVerdict("non_injective_mediating",
+                                              alpha, examined, total)
+            if alpha == max_alpha:
+                break
+            alpha += 1
+            if len(stages) < alpha:
+                prepare(alpha)
+            stage, _, _, classes = stages[alpha - 1]
+            found, nodes = kernels.enumerate_maps(
+                stage.down, stage.up, p.down, p.up,
+                [fibers[k] for k in classes], True)
+            examined += nodes
+            if not found:
+                return ObstructionVerdict("empty_mediating_set", alpha,
+                                          examined, total)
+        for alpha, level in enumerate(h.levels):
+            if len(level) > p.n:
+                return ObstructionVerdict("cardinality_bound", alpha,
+                                          examined, total)
+        raise BudgetError("no stage within the tower outgrows the candidate",
+                          stage=h.depth, used=p.n, budget=len(h.levels[-1]))
+
+    if max_alpha:
+        prepare(1)
+        stage, _, _, classes = stages[0]
+        stage_down, stage_up = stage.down, stage.up
     empty = {}  # nodes examined -> their stage-1 empty_mediating_set verdict
-    for i, (p, opens) in enumerate(zip(posets, open_maps)):
+    for i, (p, (firsts, seconds)) in enumerate(zip(posets, projections)):
         down, up = p.down, p.up
-        splits = [_split(f) for f in opens]
-        for p1, (zero1, one1) in zip(opens, splits):
-            for p2, (zero2, one2) in zip(opens, splits):
+        splits1 = [_split(f) for f in firsts]
+        splits2 = (splits1 if seconds is firsts
+                   else [_split(f) for f in seconds])
+        for p1, (zero1, one1) in zip(firsts, splits1):
+            for p2, (zero2, one2) in zip(seconds, splits2):
                 fibers = (zero1 & zero2, zero1 & one2, one1 & zero2,
                           one1 & one2)
+                if not max_alpha:
+                    yield i, p1, p2, onward(p, p1, p2, fibers, 0, (), 0)
+                    continue
                 found, nodes = kernels.enumerate_maps(
                     stage_down, stage_up, down, up,
                     [fibers[k] for k in classes], True)
                 if found:
-                    verdict = _verdict(h, stages, p, p1, p2, fibers,
-                                       (found, nodes))
+                    verdict = onward(p, p1, p2, fibers, 1, found, nodes)
                 else:
                     verdict = empty.get(nodes)
                     if verdict is None:
                         verdict = empty[nodes] = ObstructionVerdict(
                             "empty_mediating_set", 1, nodes, 0)
                 yield i, p1, p2, verdict
-
-
-def _stages(h, max_alpha):
-    """A walk over (alpha, stage, f1, f2, classes) for alpha in 1..max_alpha.
-
-    Each stage is materialized, its coordinate maps built and checked open
-    and their `_classes` computed when a walk first reaches it; later walks
-    reuse it.
-    """
-    prepared = []  # (alpha, stage, f1, f2, classes) for alpha = 1, 2, ...
-
-    def walk():
-        yield from prepared
-        for alpha in range(len(prepared) + 1, max_alpha + 1):
-            materialized = hierarchy_mod.materialize(h, alpha)
-            f1 = coordinate_map(h, alpha, 1, materialized)
-            f2 = coordinate_map(h, alpha, 2, materialized)
-            _check_into_sierpinski(f1, "f1")
-            _check_into_sierpinski(f2, "f2")
-            prepared.append((alpha, materialized[0], f1, f2,
-                             _classes(f1, f2)))
-            yield prepared[-1]
-
-    return walk
-
-
-def _verdict(h, stages, p, p1, p2, fibers, searched=None):
-    """product_obstruction's verdict, on projections already checked.
-
-    fibers is p1 and p2's `_fibers`.  searched is the (tables, nodes) of a
-    stage-1 search the caller has already run: the walk checks its tables
-    and searches from stage 2 on.
-    """
-    examined = found_total = 0
-    for alpha, stage, f1, f2, classes in stages():
-        found, nodes = _mediating(stage, f1, f2, classes, p, p1, p2, fibers,
-                                  searched)
-        searched = None
-        examined += nodes
-        found_total += len(found)
-        if not found:
-            return ObstructionVerdict("empty_mediating_set", alpha, examined,
-                                      found_total)
-        if any(len(set(t)) != stage.n for t in found):
-            return ObstructionVerdict("non_injective_mediating", alpha,
-                                      examined, found_total)
-    for alpha, level in enumerate(h.levels):
-        if len(level) > p.n:
-            return ObstructionVerdict("cardinality_bound", alpha, examined,
-                                      found_total)
-    raise BudgetError("no stage within the tower outgrows the candidate",
-                      stage=h.depth, used=p.n, budget=len(h.levels[-1]))

@@ -16,7 +16,7 @@ from finord.kernels import bits
 # largest carriers enumerate_posets and enumerate_preorders accept; the
 # poset cap stands for the size of a sweep's report, which is built in memory,
 # not for enumeration's cost: `obstruct --all-posets 7` writes 150 MB and
-# takes about 5.5 s at a 314 MB peak RSS (2-vCPU VM, Python 3.11)
+# takes about 5 s at a 199 MB peak RSS (2-vCPU VM, Python 3.11)
 MAX_POSET_SIZE = 6
 # most candidates (pairs of open maps into the two-point chain) that one
 # product-obstruction sweep takes on, counted before its first search: the
@@ -129,15 +129,6 @@ def covers(p: FinitePreorder) -> list[tuple[int, int]]:
     above = [p.up[i] & ~p.down[i] for i in range(p.n)]
     return [(i, j) for i in range(p.n)
             for j in bits(above[i] & ~kernels.union(above, above[i]))]
-
-
-def poset_iso(p: FinitePreorder, q: FinitePreorder):
-    """Order isomorphism p -> q as a tuple, or None.
-
-    Returns the lexicographically least isomorphism, so the answer is
-    deterministic.  Works for preorders as well.
-    """
-    return kernels.relation_iso(p.down, p.up, q.down, q.up)
 
 
 def canonical_form(p: FinitePreorder) -> str:

@@ -70,6 +70,45 @@ def canonical_form_bruteforce(p) -> str:
     return format(best, f"0{n * n}b")
 
 
+def relation_iso(a, b):
+    """Oracle for isomorphism, which the package decides by
+    `order.canonical_form` alone: the least bijection f with bit j of a[i]
+    equal to bit f[j] of b[f[i]] for all i and j, or None; a and b are the
+    rows of two relations.
+
+    A depth-first search assigns the points of a in order, each to the
+    least unused point of b with its row and column sizes whose bits agree
+    with every point assigned so far, so the first bijection it completes
+    is the least.
+    """
+    n = len(a)
+    if n != len(b):
+        return None
+
+    def sizes(rows, i):
+        return rows[i].bit_count(), sum(row >> i & 1 for row in rows)
+
+    options = [[v for v in range(n) if sizes(b, v) == sizes(a, i)]
+               for i in range(n)]
+    f = []
+
+    def extend(i):
+        if i == n:
+            return True
+        for v in options[i]:
+            if v not in f and all(
+                    a[i] >> j & 1 == b[v] >> f[j] & 1
+                    and a[j] >> i & 1 == b[f[j]] >> v & 1
+                    for j in range(i)) and a[i] >> i & 1 == b[v] >> v & 1:
+                f.append(v)
+                if extend(i + 1):
+                    return True
+                f.pop()
+        return False
+
+    return tuple(f) if extend(0) else None
+
+
 def certificate_dicts(h, posets, names) -> list[dict]:
     """Oracle for the certificate texts of an untimed `obstruct` report: one
     dict per candidate of the sweep over posets on tower h, for the stdlib

@@ -6,14 +6,13 @@ import os
 import subprocess
 import sys
 import time
-from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import finord
-from finord import cli, hierarchy, hsets, kernels, kripke, maps, order
-from oracles import certificate_dicts
+from finord import cli, heyting, hierarchy, hsets, kernels, kripke, maps, order
+from oracles import certificate_dicts, relation_iso
 
 
 def run(argv, capsys):
@@ -556,23 +555,77 @@ def test_lemma23_depth_zero_names_the_bound(capsys):
 
 
 def test_obstruct_enumerates_each_size_once(monkeypatch, capsys):
-    calls = Counter()
+    calls = []
+    original = order.canonical_form
 
-    def counted(name):
-        original = getattr(order, name)
+    def counted(p):
+        calls.append(p)
+        return original(p)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return original(*args)
-        return wrapper
-
-    for name in ("canonical_form", "poset_iso"):
-        monkeypatch.setattr(order, name, counted(name))
+    monkeypatch.setattr(order, "canonical_form", counted)
     code, doc = run_json(["obstruct", "--all-posets", "5"], capsys)
     assert code == 0 and doc["posets"] == 87
     # one pass over sizes 2..5: one canonical form per generated candidate,
-    # 2 + 7 + 28 + 135, and no isomorphism search
-    assert (calls["canonical_form"], calls["poset_iso"]) == (172, 0)
+    # 2 + 7 + 28 + 135
+    assert len(calls) == 172
+
+
+def test_bao_round_trip_catches_a_relabeling(monkeypatch, capsys):
+    # a bao_L that swaps states 0 and 1 returns a frame isomorphic to the
+    # original, which an isomorphism test lets through; the round trip
+    # must return the frame itself
+    original = kripke.bao_L
+
+    def swapped(a):
+        g = original(a)
+        perm = [1, 0, *range(2, g.n)] if g.n > 1 else [0]
+        succ = [0] * g.n
+        for i, row in enumerate(g.succ):
+            for j in range(g.n):
+                if row >> j & 1:
+                    succ[perm[i]] |= 1 << perm[j]
+        return kripke.KripkeFrame(g.n, tuple(succ))
+
+    monkeypatch.setattr(kripke, "bao_L", swapped)
+    code, doc = run_json(["verify", "bao", "--states", "2"], capsys)
+    expected = [["round_trip", 2, i]
+                for i, f in enumerate(kripke.enumerate_frames(2))
+                if swapped(kripke.complex_algebra(f)) != f]
+    assert code == 1 and expected
+    assert doc["violations"] == expected
+
+
+def test_duality_unit_catches_the_converse_order(monkeypatch, capsys):
+    # a join_irreducibles that returns the converse order breaks the unit
+    # on exactly the posets that are not self-dual
+    original = heyting.join_irreducibles
+
+    def converse(alg):
+        ji, masks = original(alg)
+        return order.FinitePreorder(ji.n, ji.down), masks
+
+    monkeypatch.setattr(heyting, "join_irreducibles", converse)
+    code, doc = run_json(["verify", "duality", "--max-size", "3"], capsys)
+    expected = [["unit", i] for i, p in enumerate(order.enumerate_posets(3))
+                if relation_iso(p.up, p.down) is None]
+    assert code == 1 and expected
+    assert [v for v in doc["violations"] if v[0] == "unit"] == expected
+
+
+def test_obstruct_writes_the_report_in_slices(monkeypatch):
+    # no write of the 11 MB report encodes more than 1 MiB
+    writes = []
+
+    class Recorder:
+        def write(self, text):
+            writes.append(text)
+
+    monkeypatch.setattr(sys, "stdout", Recorder())
+    argv, digest = REPORT_DIGESTS["obstruct6"]
+    assert cli.main(argv) == 0
+    assert len(writes) > 1
+    assert max(len(text.encode()) for text in writes) <= 1 << 20
+    assert hashlib.sha256("".join(writes).encode()).hexdigest() == digest
 
 
 def test_coreflect_suite_coreflects_each_frame_once(monkeypatch, capsys):

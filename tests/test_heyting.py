@@ -10,7 +10,7 @@ from finord.errors import BudgetError, HypothesisError
 from finord.hsets import Universe
 from finord.maps import PointMap
 from finord.order import chain, from_pairs, sierpinski
-from oracles import implies_bruteforce, sample_poset
+from oracles import implies_bruteforce, relation_iso, sample_poset
 
 
 def claw_stage(alpha):
@@ -64,12 +64,28 @@ def test_claw_tower_algebra_counts():
     assert len(alg1.elements) == 27
     ji_poset, masks = heyting.join_irreducibles(alg1)
     assert len(masks) == 8
-    assert order.poset_iso(ji_poset, stage1) is not None
+    assert relation_iso(ji_poset.up, stage1.up) is not None
 
 
 def test_adjunction_unit_small_posets():
     for p in order.enumerate_posets(4):
         assert heyting.verify_adjunction_unit(p)
+
+
+def test_adjunction_unit_agrees_with_the_oracle():
+    # the unit check compares canonical forms; the oracle searches for an
+    # isomorphism, to the poset and to its converse, which is not always one
+    negatives = 0
+    for p in order.enumerate_posets(6):
+        ji, _ = heyting.join_irreducibles(heyting.downset_algebra(p))
+        assert heyting.verify_adjunction_unit(p) == (
+            relation_iso(ji.up, p.up) is not None)
+        converse = order.FinitePreorder(p.n, p.down)
+        iso = relation_iso(ji.up, converse.up)
+        assert (order.canonical_form(ji)
+                == order.canonical_form(converse)) == (iso is not None)
+        negatives += iso is None
+    assert negatives > 0
 
 
 def test_adjunction_unit_rejects_preorder():

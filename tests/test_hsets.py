@@ -8,7 +8,7 @@ from finord import hsets, kernels
 from finord.errors import FormatError
 from finord.hsets import Universe
 from finord.kernels import bits
-from oracles import abstract_claw, ordinal
+from oracles import abstract_claw, ordinal, relation_iso
 
 
 def claw_universe():
@@ -301,10 +301,9 @@ def test_abstract_claw_matches_concrete_on_order_queries():
     ha = hierarchy.build(basea, 2, ua)
     assert [len(l) for l in hc.levels] == [len(l) for l in ha.levels]
     # order isomorphism between the top stages via matched materializations
-    from finord import order
     pc, _ = hierarchy.materialize(hc, 2)
     pa, _ = hierarchy.materialize(ha, 2)
-    assert order.poset_iso(pc, pa) is not None
+    assert relation_iso(pc.up, pa.up) is not None
 
 
 def test_abstract_antichain_is_flat():

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from finord import kernels, kripke, maps, order
 from finord.errors import BudgetError
 from finord.kernels import bits
+from oracles import relation_iso
 
 
 def random_comparability(n, rng, density=0.3):
@@ -111,8 +112,8 @@ def test_enumerate_maps_budget():
 
 def test_enumerate_maps_on_relation_rows():
     # random frames, irreflexive and non-transitive rows included: open maps
-    # are the p-morphisms, injective ones their injective part, and with a
-    # reflexive codomain monotone maps are the relation-preserving functions
+    # are the p-morphisms, and with a reflexive codomain monotone maps are
+    # the relation-preserving functions
     rng = random.Random(31)
     for _ in range(150):
         f = kripke.sample_frame(rng.randrange(1, 5), rng)
@@ -126,9 +127,6 @@ def test_enumerate_maps_on_relation_rows():
         got, _ = kernels.enumerate_maps(f.succ, f.pred, g.succ, g.pred, full,
                                         True)
         assert got == pm, (f, g)
-        got, _ = kernels.enumerate_maps(f.succ, f.pred, g.succ, g.pred, full,
-                                        True, injective=True)
-        assert got == [t for t in pm if len(set(t)) == f.n], (f, g)
         refl = kripke.KripkeFrame(g.n, tuple(row | 1 << j
                                              for j, row in enumerate(g.succ)))
         got, _ = kernels.enumerate_maps(f.succ, f.pred, refl.succ, refl.pred,
@@ -139,7 +137,7 @@ def test_enumerate_maps_on_relation_rows():
 
 
 def recursive_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed,
-                   require_open, node_budget=10_000_000, injective=False):
+                   require_open, node_budget=10_000_000):
     """The recursive form of `kernels.enumerate_maps`, plan included.
 
     Kept as the oracle for the loop kernel: same output, same order, same
@@ -162,15 +160,14 @@ def recursive_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed,
     f = [-1] * n_p
     out = []
     nodes = 0
-    used = 0
 
     def backtrack(k):
-        nonlocal nodes, used
+        nonlocal nodes
         if k == n_p:
             out.append(tuple(f))
             return
         x = order[k]
-        m = cand[x] & ~used
+        m = cand[x]
         while m:
             bit = m & -m
             m ^= bit
@@ -204,10 +201,7 @@ def recursive_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed,
                         ok = False
                         break
             if ok:
-                if injective:
-                    used |= bit
                 backtrack(k + 1)
-                used &= ~bit
             for z, old in undo:
                 cand[z] = old
         f[x] = -1
@@ -235,30 +229,23 @@ def test_loop_kernel_matches_the_recursive_oracle():
         allowed = [full if rng.random() < 0.6 else rng.getrandbits(n_q)
                    for _ in range(n_p)]
         for require_open in (False, True):
-            for injective in (False, True):
-                args = (p_down, p_up, q_down, q_up, allowed, require_open)
-                expected = recursive_maps(n_p, n_q, *args,
-                                          injective=injective)
-                assert kernels.enumerate_maps(
-                    *args, injective=injective) == expected, args
-                # at the boundary: exactly the nodes used pass, one fewer
-                # fails at the same node
-                nodes = expected[1]
-                assert kernels.enumerate_maps(
-                    *args, node_budget=nodes, injective=injective) == expected
-                if not nodes:
-                    continue
-                budget_cases += 1
-                for budget in {nodes - 1, rng.randrange(nodes)}:
-                    with pytest.raises(BudgetError) as want:
-                        recursive_maps(n_p, n_q, *args, node_budget=budget,
-                                       injective=injective)
-                    with pytest.raises(BudgetError) as got:
-                        kernels.enumerate_maps(*args, node_budget=budget,
-                                               injective=injective)
-                    assert (got.value.used, got.value.budget) == (
-                        want.value.used, want.value.budget) == (budget + 1,
-                                                                budget)
+            args = (p_down, p_up, q_down, q_up, allowed, require_open)
+            expected = recursive_maps(n_p, n_q, *args)
+            assert kernels.enumerate_maps(*args) == expected, args
+            # at the boundary: exactly the nodes used pass, one fewer fails
+            # at the same node
+            nodes = expected[1]
+            assert kernels.enumerate_maps(*args, node_budget=nodes) == expected
+            if not nodes:
+                continue
+            budget_cases += 1
+            for budget in {nodes - 1, rng.randrange(nodes)}:
+                with pytest.raises(BudgetError) as want:
+                    recursive_maps(n_p, n_q, *args, node_budget=budget)
+                with pytest.raises(BudgetError) as got:
+                    kernels.enumerate_maps(*args, node_budget=budget)
+                assert (got.value.used, got.value.budget) == (
+                    want.value.used, want.value.budget) == (budget + 1, budget)
     assert budget_cases > 500
 
 
@@ -285,14 +272,20 @@ def relabel_rows(rows, perm):
 
 
 def test_isomorphisms_are_the_least_permutation():
+    # the isomorphism search the tests check with finds the least
+    # permutation, and on preorders it agrees with canonical forms, the
+    # package's only isomorphism test
     preorders = order.enumerate_preorders(3)
     for p in preorders:
         for q in preorders:
-            assert order.poset_iso(p, q) == brute_iso(p.up, q.up)
+            expected = brute_iso(p.up, q.up)
+            assert relation_iso(p.up, q.up) == expected
+            assert (order.canonical_form(p) == order.canonical_form(q)) == (
+                expected is not None)
     frames = [f for n in (1, 2) for f in kripke.enumerate_frames(n)]
     for f in frames:
         for g in frames:
-            assert kripke.frame_iso(f, g) == brute_iso(f.succ, g.succ)
+            assert relation_iso(f.succ, g.succ) == brute_iso(f.succ, g.succ)
     rng = random.Random(41)
     nones = 0
     for _ in range(200):
@@ -303,12 +296,14 @@ def test_isomorphisms_are_the_least_permutation():
         for q in (order.FinitePreorder(5, relabel_rows(p.up, perm)),
                   order.sample_preorder(5, rng)):
             expected = brute_iso(p.up, q.up)
-            assert order.poset_iso(p, q) == expected
+            assert relation_iso(p.up, q.up) == expected
+            assert (order.canonical_form(p) == order.canonical_form(q)) == (
+                expected is not None)
             nones += expected is None
         for g in (kripke.KripkeFrame(5, relabel_rows(f.succ, perm)),
                   kripke.sample_frame(5, rng)):
             expected = brute_iso(f.succ, g.succ)
-            assert kripke.frame_iso(f, g) == expected
+            assert relation_iso(f.succ, g.succ) == expected
             nones += expected is None
     assert nones > 0
 

@@ -235,14 +235,6 @@ def test_bao_L_recovers_relation():
         assert g.pred == a.dia_atom
 
 
-def test_frame_iso():
-    f = KripkeFrame(2, (0b10, 0b00))
-    g = KripkeFrame(2, (0b00, 0b01))
-    assert kripke.frame_iso(f, g) is not None
-    assert kripke.frame_iso(f, KripkeFrame(2, (0b00, 0b00))) is None
-    assert kripke.frame_iso(f, KripkeFrame(1, (0b01,))) is None
-
-
 def _frames_up_to_iso_by_key(n):
     # oracle: canonicalize every labeled frame, keep each key's first frame
     seen = {}

@@ -278,6 +278,7 @@ def test_sweep_matches_oracle_on_small_posets():
     for i, p1, p2, verdict in swept:
         assert verdict == oracle_verdict(posets[i], p1, p2, h), (
             i, p1.table, p2.table)
+        assert maps.product_obstruction(posets[i], p1, p2, h) == verdict
     coordinates = (maps.coordinate_map(h, 1, 1), maps.coordinate_map(h, 1, 2))
     mediated = [v for _, p1, p2, v in swept if (p1, p2) == coordinates]
     assert len(mediated) == 1
@@ -319,6 +320,7 @@ def test_sweep_on_a_tower_of_depth_zero_matches_oracle():
     with pytest.raises(BudgetError) as exc:
         for i, p1, p2, verdict in swept:
             assert verdict == oracle_verdict(posets[i], p1, p2, h)
+            assert maps.product_obstruction(posets[i], p1, p2, h) == verdict
             assert verdict.candidates_examined == 0
             count += 1
     assert exc.value.used == len(h.levels[0])

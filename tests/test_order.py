@@ -10,7 +10,8 @@ import pytest
 from finord import hierarchy, hsets, kernels, order
 from finord.errors import FormatError
 from finord.order import FinitePreorder
-from oracles import canonical_form_bruteforce, covers_pairwise, sample_poset
+from oracles import (canonical_form_bruteforce, covers_pairwise, relation_iso,
+                     sample_poset)
 
 # counts of posets on n labeled-up-to-iso / preorders on n labeled elements
 POSETS_UP_TO_ISO = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
@@ -90,12 +91,14 @@ def test_covers_match_the_pairwise_definition():
 
 
 def test_poset_iso_relabeling():
+    # isomorphism is equality of canonical forms; the oracle finds the map
     p = order.from_pairs(3, [(0, 1), (0, 2)])
     q = order.from_pairs(3, [(2, 0), (2, 1)])
-    iso = order.poset_iso(p, q)
-    assert iso is not None
-    assert iso[0] == 2
-    assert order.poset_iso(order.chain(3), order.from_pairs(3, ())) is None
+    assert order.canonical_form(p) == order.canonical_form(q)
+    assert relation_iso(p.up, q.up)[0] == 2
+    chain, antichain = order.chain(3), order.from_pairs(3, ())
+    assert order.canonical_form(chain) != order.canonical_form(antichain)
+    assert relation_iso(chain.up, antichain.up) is None
 
 
 def test_canonical_form_permutation_invariant():
@@ -197,7 +200,7 @@ def test_enumerate_posets_no_duplicate_classes():
     got = [p for p in order.enumerate_posets(5) if p.n == 5]
     for i in range(len(got)):
         for j in range(i + 1, len(got)):
-            assert order.poset_iso(got[i], got[j]) is None
+            assert relation_iso(got[i].up, got[j].up) is None
 
 
 def test_enumerate_preorders_counts():

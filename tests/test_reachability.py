@@ -33,6 +33,12 @@ calling function's own parameter of that name only forwards it and does not
 count.  A parameter no call passes must be listed in UNPASSED with the
 reason it is kept; otherwise its one value belongs in the body or in a named
 constant.
+
+A fifth check finds module-level constants nothing reads.  A name a
+`src/finord` module binds at module level (dunders aside) counts as read
+when its own module loads it, when another `finord` module refers to it as
+above, or when `perfbench/*.py` does (`m.NAME`, or the pair `("m",
+"NAME")`).
 """
 
 import ast
@@ -366,3 +372,35 @@ def test_every_optional_parameter_is_passed_or_listed():
     for entry, reason in UNPASSED.items():
         assert entry in declared and reason.strip(), entry
         assert entry not in passed, f"{entry} is passed; drop its entry"
+
+
+def _constants(tree):
+    """The names a module binds by a module-level assignment, dunders
+    aside."""
+    out = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        out |= {t.id for t in targets
+                if isinstance(t, ast.Name) and not t.id.startswith("__")}
+    return out
+
+
+def test_every_module_constant_is_read():
+    trees = {path.stem: _parse(path) for path in SRC.glob("*.py")}
+    modules = set(trees)
+    read = set()
+    for mod, tree in trees.items():
+        read |= _module_refs(tree, modules)
+        read |= {(mod, n.id) for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    for path in BENCH.glob("*.py"):
+        tree = _parse(path)
+        read |= _module_refs(tree, modules) | _string_pairs(tree, modules)
+    unread = [f"{mod}.{name}" for mod, tree in sorted(trees.items())
+              for name in sorted(_constants(tree)) if (mod, name) not in read]
+    assert unread == [], f"module-level constants nothing reads: {unread}"
