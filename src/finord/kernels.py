@@ -9,8 +9,11 @@ compare by `order.canonical_form`.  The map search prepares its plan once
 per domain and keeps it in a bounded cache, since callers such as the
 obstruction sweep search from the same domain many times, and backtracks
 in one loop over a per-depth stack, not by recursion: most of its calls try
-a handful of assignments, so the cost of a call is mostly fixed cost.  It
-also holds every operation on relation rows the modules share: `bits` and
+a handful of assignments, so the cost of a call is mostly fixed cost.
+`enumerate_pinned` runs many pinned open-map searches from one domain into
+one codomain as one walk, which is how the obstruction sweep searches
+stage 1: one call per poset, not one per candidate.  The module also
+holds every operation on relation rows the modules share: `bits` and
 its inverse `mask`; `union` of the rows a mask selects; `unions`, every
 union of some rows (downsets, upsets); `image` and `preimage` under a
 table; `transpose`; transitive `closure`; `restrict` to a subset; and
@@ -21,6 +24,7 @@ All subsets are bitmasks (bit i = element i), held in Python ints, so there
 is no limit on the number of elements.  Output order is deterministic.
 """
 
+import sys
 from functools import lru_cache
 from itertools import islice
 
@@ -181,6 +185,167 @@ def enumerate_maps(p_down, p_up, q_down, q_up, allowed, require_open,
             out.append(tuple(f))
         for z, old in undo:
             cand[z] = old
+
+
+def enumerate_pinned(p_down, p_up, q_down, q_up, classes, members, count,
+                     node_budget):
+    """Many pinned open-map searches from one domain into one codomain, in
+    one walk.
+
+    Candidate j, for j in range(count), pins element i of P to its fiber
+    for classes[i]: the points v of Q whose members[classes[i]][v] holds
+    bit j.  Returns one (maps, nodes) per candidate, exactly what
+    `enumerate_maps(p_down, p_up, q_down, q_up, allowed_j, True,
+    node_budget)` returns for its pins allowed_j, and raises that search's
+    BudgetError as soon as some candidate's search would.
+
+    The walk is that search's, over the values the assigned ones still
+    allow, with the set of candidates still alive as a mask: a value is a
+    node of the alive candidates whose fiber holds it, a forward check kills
+    the candidates whose fiber met a point's allowed values before it and
+    meets none after, and an openness check holds or fails for all of them.
+    The node counts are bit-sliced, one mask per binary digit, so a node
+    adds one to the counts of all its candidates with a few mask
+    operations.  They are read out at the end, and whenever the nodes
+    since the last reading could take some candidate past node_budget;
+    they never need more than node_budget.bit_length() + 1 masks.
+    """
+    n_p = len(p_down)
+    if n_p == 0:
+        return [([()], 0) for _ in range(count)]
+
+    order, check_at, later, down_bits = _plan(tuple(p_down), tuple(p_up),
+                                              True)
+    full_q = (1 << len(q_down)) - 1
+    # per element: the rows of its fiber's members, the values its assigned
+    # neighbours allow, and the candidates whose fiber meets those
+    pins = [members[c] for c in classes]
+    allow = [full_q] * n_p
+    nonempty = [union(rows, full_q) for rows in members]
+    meets = [nonempty[c] for c in classes]
+    f = [-1] * n_p
+    found = []  # (map, the candidates it is a map of), in walk order
+    # the node counts, bit-sliced: bit j of counts[i] is bit i of
+    # candidate j's count
+    counts = []
+    worst = pending = 0
+    last = n_p - 1
+    # per depth below k: the values still to try, the candidates alive and
+    # the (z, old allowed mask, old meet) triples that undo its checks
+    rest = [0] * n_p
+    lives = [0] * n_p
+    undos = [None] * n_p
+    k = 0
+    live = (1 << count) - 1
+    fiber = pins[order[0]]
+    m = full_q
+    while True:
+        if not m:
+            k -= 1
+            if k < 0:
+                break
+            for z, old, meet in undos[k]:
+                allow[z] = old
+                meets[z] = meet
+            m = rest[k]
+            live = lives[k]
+            fiber = pins[order[k]]
+            continue
+        bit = m & -m
+        m ^= bit
+        v = bit.bit_length() - 1
+        alive = live & fiber[v]
+        if not alive:
+            continue
+        # a node of each alive candidate: add alive to the counts
+        carry = alive
+        for i, digit in enumerate(counts):
+            counts[i] = digit ^ carry
+            carry &= digit
+            if not carry:
+                break
+        else:
+            counts.append(carry)
+        # the largest count is at most worst + pending
+        pending += 1
+        if worst + pending > node_budget:
+            worst = max(_unslice(counts, count))
+            pending = 0
+            if worst > node_budget:
+                raise BudgetError("map search exceeded node budget",
+                                  used=node_budget + 1, budget=node_budget)
+        f[order[k]] = v
+        up_v, down_v = q_up[v], q_down[v]
+        undo = []
+        for z, above, below in later[k]:
+            old = allow[z]
+            new = old
+            if above:
+                new &= up_v
+            if below:
+                new &= down_v
+            if new != old:
+                meet = meets[z]
+                # union(pins[z], new), inline
+                now = 0
+                rows = pins[z]
+                left = new
+                while left:
+                    low = left & -left
+                    left ^= low
+                    now |= rows[low.bit_length() - 1]
+                allow[z] = new
+                meets[z] = now
+                undo.append((z, old, meet))
+                # a candidate whose fiber met old and meets none of new
+                # fails here, as its own search does
+                alive &= ~meet | now
+                if not alive:
+                    break
+        if alive:
+            for w in check_at[k]:
+                img = 0
+                for z in down_bits[w]:
+                    img |= 1 << f[z]
+                if img != q_down[f[w]]:
+                    alive = 0
+                    break
+        if alive and k < last:
+            rest[k] = m
+            lives[k] = live
+            undos[k] = undo
+            k += 1
+            live = alive
+            fiber = pins[order[k]]
+            m = allow[order[k]]
+            continue
+        if alive:
+            found.append((tuple(f), alive))
+        for z, old, meet in undo:
+            allow[z] = old
+            meets[z] = meet
+
+    maps = [[] for _ in range(count)]
+    for t, alive in found:
+        for j in bits(alive):
+            maps[j].append(t)
+    return list(zip(maps, _unslice(counts, count)))
+
+
+def _unslice(digits, count):
+    """The count numbers, below 2 ** 64, whose bit i is bit j of digits[i],
+    for j in range(count)."""
+    # number j in field j of packed, of the fewest bytes that hold it
+    size = next(s for s in (1, 2, 4, 8) if len(digits) <= 8 * s)
+    one = (1).to_bytes(size, "big")
+    packed = 0
+    for i, digit in enumerate(digits):
+        # digit with bit j moved to the lowest bit of field j
+        spread = format(digit, "b").encode().replace(
+            b"0", bytes(size)).replace(b"1", one)
+        packed |= int.from_bytes(spread, "big") << i
+    return memoryview(packed.to_bytes(size * count, sys.byteorder)).cast(
+        {1: "B", 2: "H", 4: "I", 8: "Q"}[size]).tolist()
 
 
 @lru_cache(maxsize=256)

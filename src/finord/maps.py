@@ -18,10 +18,12 @@ coordinate maps, and certify failure either by exhaustive emptiness or by a
 cardinality bound via injectivity.  A sweep over many posets builds each
 candidate from a pair of open maps into the two-point chain and does the
 stage work (materializing a stage, building and checking its coordinate
-maps) once per sweep, not once per candidate.  It searches stage 1 itself,
-one kernel call per candidate, and walks the later stages only for a
-candidate that stage 1 does not refute; candidates refuted at stage 1 with
-equal node counts share one immutable verdict.
+maps) once per sweep, not once per candidate.  It searches stage 1 once per
+poset for all of that poset's candidates, in one batched kernel walk that
+gives each candidate its own search's maps and node count, and walks the
+later stages only for a candidate that stage 1 does not refute, one kernel
+call per stage; candidates refuted at stage 1 with equal node counts share
+one immutable verdict.
 """
 
 from dataclasses import dataclass, field
@@ -270,19 +272,19 @@ def _sweep(h, max_alpha, posets, projections):
     """The verdicts of stages 1..max_alpha, on projections already checked.
 
     Yields (i, p1, p2, verdict) for p1 in projections[i][0] and p2 in
-    projections[i][1], p1 outer.  Each projection's zero and one masks are
-    computed once per poset, so a candidate's fibers (the points of
-    posets[i] by (p1, p2) value pair (a, b), at index 2 * a + b) are four
-    mask intersections.  Stage 1 is materialized, its two coordinate maps
-    built and checked open and their class vector computed before the
-    first search; a later stage is prepared the first time a candidate
-    reaches it, and prepared stages live for this call only.  Each
-    candidate's stage-1 search is one kernel call made here.  A stage-1
+    projections[i][1], p1 outer.  A candidate's fibers are the points of
+    posets[i] by (p1, p2) value pair (a, b), at index 2 * a + b.  Stage 1
+    is materialized, its two coordinate maps built and checked open and
+    their class vector computed before the first search; a later stage is
+    prepared the first time a candidate reaches it, and prepared stages
+    live for this call only.  Stage 1 is searched for all of a poset's
+    candidates at once, by one `kernels.enumerate_pinned` call on the
+    poset's `_members`, before the first of them is yielded.  A stage-1
     refutation depends on its node count alone, so candidates with equal
     counts share one verdict.  Only a candidate that stage 1 finds
     mediating maps for, or every candidate when there is no stage to
-    search, goes on to `onward`, so each candidate costs one pinned kernel
-    search per stage it reaches.
+    search, goes on to `onward`, which searches each later stage it
+    reaches with one pinned kernel call.
     """
     stages = []  # (stage, f1, f2, classes) for alpha = 1, 2, ...
 
@@ -294,10 +296,11 @@ def _sweep(h, max_alpha, posets, projections):
         _check_into_sierpinski(f2, "f2")
         stages.append((materialized[0], f1, f2, _classes(f1, f2)))
 
-    def onward(p, p1, p2, fibers, alpha, found, examined):
+    def onward(p, p1, p2, alpha, found, examined):
         """The verdict of a candidate with mediating maps found at stage
         alpha (none at 0, where nothing is searched), examined nodes in
         all: they are checked, then the later stages searched."""
+        fibers = [a & b for a in _split(p1) for b in _split(p2)]
         total = 0
         while True:
             if found:
@@ -332,28 +335,39 @@ def _sweep(h, max_alpha, posets, projections):
     if max_alpha:
         prepare(1)
         stage, _, _, classes = stages[0]
-        stage_down, stage_up = stage.down, stage.up
     empty = {}  # nodes examined -> their stage-1 empty_mediating_set verdict
     for i, (p, (firsts, seconds)) in enumerate(zip(posets, projections)):
-        down, up = p.down, p.up
-        splits1 = [_split(f) for f in firsts]
-        splits2 = (splits1 if seconds is firsts
-                   else [_split(f) for f in seconds])
-        for p1, (zero1, one1) in zip(firsts, splits1):
-            for p2, (zero2, one2) in zip(seconds, splits2):
-                fibers = (zero1 & zero2, zero1 & one2, one1 & zero2,
-                          one1 & one2)
-                if not max_alpha:
-                    yield i, p1, p2, onward(p, p1, p2, fibers, 0, (), 0)
-                    continue
-                found, nodes = kernels.enumerate_maps(
-                    stage_down, stage_up, down, up,
-                    [fibers[k] for k in classes], True)
-                if found:
-                    verdict = onward(p, p1, p2, fibers, 1, found, nodes)
-                else:
-                    verdict = empty.get(nodes)
-                    if verdict is None:
-                        verdict = empty[nodes] = ObstructionVerdict(
-                            "empty_mediating_set", 1, nodes, 0)
-                yield i, p1, p2, verdict
+        pairs = [(p1, p2) for p1 in firsts for p2 in seconds]
+        if not max_alpha:
+            for p1, p2 in pairs:
+                yield i, p1, p2, onward(p, p1, p2, 0, (), 0)
+            continue
+        searched = kernels.enumerate_pinned(
+            stage.down, stage.up, p.down, p.up, classes,
+            _members(p, firsts, seconds), len(pairs), kernels.NODE_BUDGET)
+        for (p1, p2), (found, nodes) in zip(pairs, searched):
+            if found:
+                verdict = onward(p, p1, p2, 1, found, nodes)
+            else:
+                verdict = empty.get(nodes)
+                if verdict is None:
+                    verdict = empty[nodes] = ObstructionVerdict(
+                        "empty_mediating_set", 1, nodes, 0)
+            yield i, p1, p2, verdict
+
+
+def _members(p, firsts, seconds):
+    """members[2 * a + b][v]: the candidates (p1, p2), numbered
+    len(seconds) * (index of p1) + (index of p2), that send the point v of
+    p to the value pair (a, b)."""
+    members = [[0] * p.n for _ in range(4)]
+    shift = len(seconds)
+    for v in range(p.n):
+        cols = [0, 0]  # the indices of the p2 that send v to 0, to 1
+        for j, p2 in enumerate(seconds):
+            cols[p2.table[v]] |= 1 << j
+        for j, p1 in enumerate(firsts):
+            a = 2 * p1.table[v]
+            members[a][v] |= cols[0] << shift * j
+            members[a + 1][v] |= cols[1] << shift * j
+    return members

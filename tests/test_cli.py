@@ -281,6 +281,15 @@ def test_obstruct_certificates_golden(key, tmp_path, monkeypatch, capsys):
         CERTIFICATE_DIGESTS[key])
 
 
+def test_obstruct_size5_examines_9482_nodes(capsys):
+    # every size-5 candidate is refuted by its stage-1 search: the nodes of
+    # those searches, summed, which the traced benchmark no longer counts
+    # as map-kernel nodes since one pinned search serves a poset
+    code, doc = run_json(["obstruct", "--all-posets", "5"], capsys)
+    assert code == 0 and doc["candidates"] == 2737
+    assert sum(c["candidates_examined"] for c in doc["certificates"]) == 9482
+
+
 @pytest.mark.parametrize("key", ["4", "X1"])
 def test_obstruct_report_matches_certificate_dicts(key, tmp_path,
                                                    monkeypatch, capsys):
@@ -593,6 +602,23 @@ def test_bao_round_trip_catches_a_relabeling(monkeypatch, capsys):
                 if swapped(kripke.complex_algebra(f)) != f]
     assert code == 1 and expected
     assert doc["violations"] == expected
+
+
+def test_bao_round_trip_runs_on_four_state_frames(monkeypatch, capsys):
+    # a bao_L that swaps states 0 and 1 of one 4-state frame only: the round
+    # trip must be checked at the largest size too
+    original = kripke.bao_L
+    planted = kripke.KripkeFrame(4, (0b0010, 0, 0, 0))  # 0 R 1
+
+    def swapped(a):
+        g = original(a)
+        return kripke.KripkeFrame(4, (0, 0b0001, 0, 0)) if g == planted else g
+
+    monkeypatch.setattr(kripke, "bao_L", swapped)
+    code, doc = run_json(["verify", "bao", "--states", "4"], capsys)
+    index = kripke.enumerate_frames(4).index(planted)
+    assert code == 1
+    assert doc["violations"] == [["round_trip", 4, index]]
 
 
 def test_duality_unit_catches_the_converse_order(monkeypatch, capsys):

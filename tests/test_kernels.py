@@ -6,7 +6,7 @@ from itertools import permutations, product as iproduct
 import pytest
 from hypothesis import given, strategies as st
 
-from finord import kernels, kripke, maps, order
+from finord import hierarchy, hsets, kernels, kripke, maps, order
 from finord.errors import BudgetError
 from finord.kernels import bits
 from oracles import relation_iso
@@ -247,6 +247,159 @@ def test_loop_kernel_matches_the_recursive_oracle():
                 assert (got.value.used, got.value.budget) == (
                     want.value.used, want.value.budget) == (budget + 1, budget)
     assert budget_cases > 500
+
+
+def member_pins(classes, members, j):
+    """The allowed vector of candidate j of a pinned batch."""
+    return [sum(1 << v for v, row in enumerate(members[c]) if row >> j & 1)
+            for c in classes]
+
+
+def assert_pinned_matches_each_search(p_down, p_up, q_down, q_up, classes,
+                                      members, count,
+                                      node_budget=kernels.NODE_BUDGET):
+    """The batch equals every member's own search, and a batch of one
+    equals that search too; -> the batch's (maps, nodes) per member."""
+    got = kernels.enumerate_pinned(p_down, p_up, q_down, q_up, classes,
+                                   members, count, node_budget)
+    assert len(got) == count
+    for j, result in enumerate(got):
+        allowed = member_pins(classes, members, j)
+        expected = kernels.enumerate_maps(p_down, p_up, q_down, q_up,
+                                          allowed, True, node_budget)
+        assert result == expected, (j, allowed)
+        alone = [[row >> j & 1 for row in rows] for rows in members]
+        assert kernels.enumerate_pinned(p_down, p_up, q_down, q_up, classes,
+                                        alone, 1, node_budget) == [expected]
+    return got
+
+
+def sweep_batches(h, posets):
+    """Per poset: the stage-1 arguments of the sweep's pinned search, from
+    its open maps into the two-point chain."""
+    stage, _ = hierarchy.materialize(h, 1)
+    f1 = maps.coordinate_map(h, 1, 1)
+    f2 = maps.coordinate_map(h, 1, 2)
+    classes = [2 * a + b for a, b in zip(f1.table, f2.table)]
+    for p in posets:
+        opens = maps.enumerate_open_maps(p, order.sierpinski())
+        yield (stage.down, stage.up, p.down, p.up, classes,
+               maps._members(p, opens, opens), len(opens) ** 2, opens)
+
+
+def test_pinned_search_matches_each_sweep_candidate():
+    # every candidate of the size-5 sweep, whose stage-1 searches find no
+    # map, and stage 1 as a candidate of its own, where some find maps
+    u = hsets.Universe()
+    h = hierarchy.build(hsets.concrete_claw(u), 1, u)
+    stage, _ = hierarchy.materialize(h, 1)
+    for posets, examined, found in (
+            (order.enumerate_posets(5), 9482, 0),
+            (order.enumerate_posets(3) + [stage], 3630, 6)):
+        nodes = maps_found = 0
+        for *args, opens in sweep_batches(h, posets):
+            # candidate len(opens) * i + j projects by (opens[i], opens[j])
+            classes, members = args[4], args[5]
+            for i, p1 in enumerate(opens):
+                for j, p2 in enumerate(opens):
+                    assert member_pins(classes, members,
+                                       len(opens) * i + j) == [
+                        sum(1 << v for v in range(len(p1.table))
+                            if 2 * p1.table[v] + p2.table[v] == c)
+                        for c in classes]
+            for tables, n in assert_pinned_matches_each_search(*args):
+                maps_found += len(tables)
+                nodes += n
+        assert (maps_found, nodes) == (found, examined)
+
+
+def test_pinned_search_matches_each_search_on_random_batches():
+    # random preorders and frames, random class vectors and member rows
+    rng = random.Random(61)
+    found = empty_members = 0
+    for _ in range(300):
+        n_p, p_down, p_up = random_rows(rng)
+        n_q, q_down, q_up = random_rows(rng)
+        n_classes = rng.randrange(1, 5)
+        classes = [rng.randrange(n_classes) for _ in range(n_p)]
+        count = rng.randrange(1, 7)
+        # dense rows find maps; sparse ones leave fibers, and sometimes a
+        # whole member, empty
+        density = rng.choice((0.2, 0.7, 1.0))
+        members = [[sum(1 << j for j in range(count)
+                        if rng.random() < density)
+                    for _ in range(n_q)] for _ in range(n_classes)]
+        if rng.random() < 0.2:
+            drop = rng.randrange(count)
+            members = [[row & ~(1 << drop) for row in rows]
+                       for rows in members]
+        args = (p_down, p_up, q_down, q_up, classes, members, count)
+        got = assert_pinned_matches_each_search(*args)
+        found += sum(len(tables) for tables, _ in got)
+        nodes = [n for _, n in got]
+        empty_members += nodes.count(0)
+        # at the boundary: the largest member's count passes, one fewer
+        # raises that member's error
+        worst = max(nodes)
+        assert_pinned_matches_each_search(*args, node_budget=worst)
+        if worst:
+            with pytest.raises(BudgetError) as exc:
+                kernels.enumerate_pinned(*args, worst - 1)
+            assert (exc.value.used, exc.value.budget) == (worst, worst - 1)
+    assert found > 100 and empty_members > 20
+
+
+def test_pinned_search_budget_counts_each_member_alone():
+    # one element into a four-point antichain: each of two candidates tries
+    # two of the four values, so the shared walk makes four nodes
+    p = order.from_pairs(1, ())
+    q = order.from_pairs(4, ())
+    members = [[0b01, 0b10, 0b01, 0b10]]
+    args = (p.down, p.up, q.down, q.up, [0], members, 2)
+    assert kernels.enumerate_pinned(*args, 2) == [
+        ([(0,), (2,)], 2), ([(1,), (3,)], 2)]
+    with pytest.raises(BudgetError) as exc:
+        kernels.enumerate_pinned(*args, 1)
+    assert (exc.value.used, exc.value.budget) == (2, 1)
+
+
+def test_pinned_search_counts_past_one_byte():
+    # three elements into a seven-point antichain: 7 + 49 + 343 nodes for
+    # a candidate pinned nowhere, fewer for the others
+    p = order.from_pairs(3, ())
+    q = order.from_pairs(7, ())
+    members = [[0b111, 0b011, 0b001, 0b111, 0b111, 0b111, 0b111]]
+    got = assert_pinned_matches_each_search(p.down, p.up, q.down, q.up,
+                                            [0, 0, 0], members, 3)
+    assert [nodes for _, nodes in got] == [399, 258, 155]
+    # the bit-sliced counts read back at every width
+    rng = random.Random(67)
+    for top in (1, 255, 256, 1 << 16, 1 << 32, (1 << 64) - 1):
+        counts = [rng.randrange(top + 1) for _ in range(rng.randrange(70))]
+        digits = [sum((n >> i & 1) << j for j, n in enumerate(counts))
+                  for i in range(top.bit_length())]
+        assert kernels._unslice(digits, len(counts)) == counts
+
+
+def test_pinned_search_stops_at_the_node_past_the_budget():
+    # the first candidate passes the budget of 3 at its fourth value, the
+    # first of the walk's 40 values; the walk reads one codomain row per
+    # value it assigns, and must stop there
+    p = order.from_pairs(1, ())
+    q = order.from_pairs(40, ())
+    reads = []
+
+    class Rows(tuple):
+        def __getitem__(self, v):
+            reads.append(v)
+            return tuple.__getitem__(self, v)
+
+    members = [[0b11] * q.n]
+    with pytest.raises(BudgetError) as exc:
+        kernels.enumerate_pinned(p.down, p.up, q.down, Rows(q.up), [0],
+                                 members, 2, 3)
+    assert (exc.value.used, exc.value.budget) == (4, 3)
+    assert reads == [0, 1, 2]
 
 
 def brute_iso(a, b):

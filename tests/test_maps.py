@@ -288,25 +288,27 @@ def test_sweep_matches_oracle_on_small_posets():
 
 
 def test_sweep_searches_each_stage_once_per_candidate(monkeypatch):
-    # one kernel call per poset for its open maps, then one per candidate
-    # per stage it reaches: stage 1 mediates for some candidates, which go
+    # per poset, one kernel call for its open maps and one pinned search of
+    # stage 1 for all its candidates; then one kernel call per candidate per
+    # later stage it reaches: stage 1 mediates for some candidates, which go
     # on to stage 2 with stage 1's search handed over, not repeated
     _, _, h = claw_tower(depth=2)
     stage, _ = hierarchy.materialize(h, 1)
     posets = order.enumerate_posets(3) + [stage]
-    calls = []
-    search = kernels.enumerate_maps
+    calls = {"enumerate_maps": 0, "enumerate_pinned": 0}
+    for name in calls:
+        def counted(*args, name=name, search=getattr(kernels, name)):
+            calls[name] += 1
+            return search(*args)
 
-    def counted(*args):
-        calls.append(args)
-        return search(*args)
-
-    monkeypatch.setattr(kernels, "enumerate_maps", counted)
+        monkeypatch.setattr(kernels, name, counted)
     swept = list(maps.product_obstructions(h, posets))
     verdicts = [v for _, _, _, v in swept]
     assert {v.certificate_kind for v in verdicts} == {"empty_mediating_set"}
     assert sum(v.stage == 2 for v in verdicts) == 6
-    assert len(calls) == len(posets) + sum(v.stage for v in verdicts)
+    assert calls == {
+        "enumerate_maps": len(posets) + sum(v.stage - 1 for v in verdicts),
+        "enumerate_pinned": len(posets)}
 
 
 def test_sweep_on_a_tower_of_depth_zero_matches_oracle():
