@@ -206,8 +206,7 @@ def _read_json(path: str) -> dict:
 
 def _require_complete(h: hierarchy_mod.Hierarchy):
     if not h.complete:
-        raise BudgetError("level budget exhausted", stage=h.truncated_at,
-                          used=h.used, budget=h.budget)
+        raise hierarchy_mod.budget_error(h, "level budget exhausted")
 
 
 def _pick(value, default):
@@ -386,8 +385,8 @@ def _suite_coreflect(args, rng):
     preorders = order_mod.enumerate_preorders(_pick(args.max_size, 2))
     mismatches = []
     universal = []
-    for i, f in enumerate(frames):
-        cor, reports = kripke_mod.verify_coreflection(f, preorders)
+    sweep = kripke_mod.verify_coreflections(frames, preorders)
+    for i, (f, (cor, reports)) in enumerate(zip(frames, sweep)):
         checks += 1
         if kripke_mod.coreflect_fixpoint(f) != cor.member_mask:
             mismatches.append(["fixpoint_mismatch", i])

@@ -37,8 +37,9 @@ class Hierarchy:
     requested_depth: int
     truncated_at: int | None = None
     # on truncation, the size of the overflowing level, or a lower bound on
-    # it when the antichain kernel stopped counting
+    # it when the antichain kernel stopped counting (`used_is_bound`)
     used: int | None = None
+    used_is_bound: bool = False
 
     @property
     def depth(self) -> int:
@@ -81,8 +82,8 @@ def build(base_ids, depth: int, u: Universe, budget: int = DEFAULT_BUDGET) -> Hi
 
     On truncation the result keeps every fully generated level and records
     the offending stage in `truncated_at` and its size, or a lower bound on
-    it, in `used`; nothing from the overflowing level is interned.  A base
-    larger than the budget raises HypothesisError.
+    it (`used_is_bound`), in `used`; nothing from the overflowing level is
+    interned.  A base larger than the budget raises HypothesisError.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
@@ -108,6 +109,7 @@ def build(base_ids, depth: int, u: Universe, budget: int = DEFAULT_BUDGET) -> Hi
             # counted limit + 1 of them, and distinct antichains intern to
             # distinct sets, so the level holds at least that many
             h.truncated_at, h.used = stage, budget + 2
+            h.used_is_bound = True
             break
         fresh = []
         for m in masks:
@@ -120,6 +122,17 @@ def build(base_ids, depth: int, u: Universe, budget: int = DEFAULT_BUDGET) -> Hi
             break
         h.levels.append(level | {u.intern(kids) for kids in fresh})
     return h
+
+
+def budget_error(h: Hierarchy, message: str) -> BudgetError:
+    """The BudgetError of a truncated tower: its stage, `used` and budget.
+
+    When `used` is only a lower bound, the message says so.
+    """
+    if h.used_is_bound:
+        message += " (used is a lower bound)"
+    return BudgetError(message, stage=h.truncated_at, used=h.used,
+                       budget=h.budget)
 
 
 def materialize(h: Hierarchy, alpha: int):
@@ -285,8 +298,7 @@ def growth_witness(triple, depth: int, u: Universe,
     triple_id = u.intern(trip)
     h = build(doubles, depth, u, budget)
     if not h.complete:
-        raise BudgetError("doubleton tower exceeded budget",
-                          stage=h.truncated_at, used=h.used, budget=budget)
+        raise budget_error(h, "doubleton tower exceeded budget")
 
     fan_sizes = []
     violations = []

@@ -3,16 +3,20 @@
 The two hot loops of the package: independent-set (antichain) enumeration
 over a comparability mask table (the tower's levels), and backtracking
 search for monotone or open maps between relations given by rows, which
-serves open maps, mediating maps, p-morphisms of Kripke frames and
-`heyting.cha_morphisms`.  No isomorphism is decided by search: posets
-compare by `order.canonical_form`.  The map search prepares its plan once
+serves open maps, mediating maps and `heyting.cha_morphisms`.  No
+isomorphism is decided by search: posets compare by
+`order.canonical_form`.  The map search prepares its plan once
 per domain and keeps it in a bounded cache, since callers such as the
 obstruction sweep search from the same domain many times, and backtracks
 in one loop over a per-depth stack, not by recursion: most of its calls try
 a handful of assignments, so the cost of a call is mostly fixed cost.
 `enumerate_pinned` runs many pinned open-map searches from one domain into
 one codomain as one walk, which is how the obstruction sweep searches
-stage 1: one call per poset, not one per candidate.  The module also
+stage 1: one call per poset, not one per candidate.  `enumerate_into`
+runs the open-map searches from one domain into many codomains of one size
+as one walk, which is how p-morphisms of Kripke frames are searched:
+`kripke.pmorphisms` with one codomain, and the coreflection sweep with
+every frame of one size, one walk per preorder.  The module also
 holds every operation on relation rows the modules share: `bits` and
 its inverse `mask`; `union` of the rows a mask selects; `unions`, every
 union of some rows (downsets, upsets); `image` and `preimage` under a
@@ -25,7 +29,7 @@ is no limit on the number of elements.  Output order is deterministic.
 """
 
 import sys
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import islice
 
 from finord.errors import BudgetError
@@ -34,8 +38,8 @@ from finord.errors import BudgetError
 ACTIVE = "pure"
 
 # the search bound of every map search: the node budget of `enumerate_maps`,
-# and the function-space bound of `kripke.pmorphisms`,
-# `kripke.fullness_frames_report` and `heyting.cha_morphisms`
+# and the function-space bound of `kripke.pmorphisms`, the coreflection
+# sweep, `kripke.fullness_frames_report` and `heyting.cha_morphisms`
 NODE_BUDGET = 10_000_000
 
 
@@ -346,6 +350,92 @@ def _unslice(digits, count):
         packed |= int.from_bytes(spread, "big") << i
     return memoryview(packed.to_bytes(size * count, sys.byteorder)).cast(
         {1: "B", 2: "H", 4: "I", 8: "Q"}[size]).tolist()
+
+
+def enumerate_into(p_down, p_up, codomains):
+    """Open-map searches from one domain into many codomains of one size,
+    in one walk.
+
+    codomains is a sequence of (q_down, q_up) row pairs on one number of
+    points.  Returns (map, codomain mask) pairs, ascending by map: bit c is
+    set iff the map is open into codomains[c], and each map open into some
+    codomain appears once.  So codomain c gets exactly
+    `sorted(enumerate_maps(p_down, p_up, *codomains[c], allowed, True,
+    math.inf)[0])`, with every value allowed.  Nothing bounds the walk:
+    callers bound the function space first.
+
+    The walk is that search's, with the codomains still alive as a mask.
+    Each element keeps, per point u, the mask of codomains in which u is
+    still a value it may take.  A forward check ANDs one mask per point
+    into each related later element and kills the codomains that leave it
+    no value; the openness check at w keeps the codomains whose q_down[f(w)]
+    is the image of p_down[w].  Calls are few (one per domain and codomain
+    size), so it recurses, one level per element.
+    """
+    if not codomains:
+        return []
+    everyone = (1 << len(codomains)) - 1
+    if not p_down:
+        return [((), everyone)]
+    order, check_at, later, _ = _plan(tuple(p_down), tuple(p_up), True)
+    keep, down_is = _into_plan(tuple(codomains))
+    last = len(order) - 1
+    # cand[z][u]: the codomains in which z may still take the value u
+    cand = [(everyone,) * len(down_is)] * len(order)
+    f = [-1] * len(order)
+    found = []
+
+    def walk(k, live):
+        x = order[k]
+        for v, among in enumerate(cand[x]):
+            alive = live & among
+            if not alive:
+                continue
+            f[x] = v
+            saved = [(z, cand[z]) for z, _, _ in later[k]]
+            for z, above, below in later[k]:
+                cand[z] = tuple(map(int.__and__, cand[z],
+                                    keep[v][above + 2 * below - 1]))
+                alive &= reduce(int.__or__, cand[z])
+            for w in check_at[k]:
+                alive &= down_is[f[w]].get(image(f, p_down[w]), 0)
+            if alive and k < last:
+                walk(k + 1, alive)
+            elif alive:
+                found.append((tuple(f), alive))
+            for z, old in saved:
+                cand[z] = old
+
+    walk(0, everyone)
+    # elements are assigned in `_plan` order, not in table order
+    found.sort()
+    return found
+
+
+@lru_cache(maxsize=16)
+def _into_plan(codomains):
+    """The part of `enumerate_into` that depends only on its codomains.
+
+    Returns (keep, down_is).  keep[v][0], keep[v][1] and keep[v][2] give per
+    point u the mask of the codomains whose q_up[v], q_down[v], and both,
+    hold u: what assigning v leaves a later element above it, below it, or
+    both.  down_is[v] maps each row q_down[v] of some codomain to the mask
+    of the codomains with that row.
+    """
+    n_q = len(codomains[0][0])
+    up_in = [[0] * n_q for _ in range(n_q)]
+    down_in = [[0] * n_q for _ in range(n_q)]
+    down_is = [{} for _ in range(n_q)]
+    for c, (q_down, q_up) in enumerate(codomains):
+        for v in range(n_q):
+            down_is[v][q_down[v]] = down_is[v].get(q_down[v], 0) | 1 << c
+            for u in bits(q_up[v]):
+                up_in[v][u] |= 1 << c
+            for u in bits(q_down[v]):
+                down_in[v][u] |= 1 << c
+    keep = tuple((tuple(up), tuple(down), tuple(map(int.__and__, up, down)))
+                 for up, down in zip(up_in, down_in))
+    return keep, tuple(down_is)
 
 
 @lru_cache(maxsize=256)

@@ -13,9 +13,7 @@ algebra's reflexive-transitive core recovers a frame, and for powerset
 algebras the round trip returns the frame itself.
 """
 
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import permutations, product as iproduct
 
 from finord import kernels
@@ -51,13 +49,8 @@ class KripkeFrame:
         object.__setattr__(self, "pred", kernels.transpose(self.succ))
 
 
-@lru_cache(maxsize=1024)
 def opposite_frame(p: FinitePreorder) -> KripkeFrame:
-    """x R y iff y <= x; open maps of preorders are p-morphisms of these.
-
-    Cached: the coreflection checks ask for the same preorders' frames once
-    per frame they test, and frames are immutable.
-    """
+    """x R y iff y <= x; open maps of preorders are p-morphisms of these."""
     return KripkeFrame(p.n, p.down)
 
 
@@ -79,19 +72,20 @@ def _check_function_space(f: KripkeFrame, g: KripkeFrame):
 
 
 def pmorphisms(f: KripkeFrame, g: KripkeFrame):
-    """All p-morphisms f -> g, ascending, by the map kernel.
+    """All p-morphisms f -> g, ascending: the walk of
+    `kernels.enumerate_into` with g as its one codomain.
 
     A p-morphism is a map with f[R[x]] = S[f(x)] for every state x, which is
     the kernel's openness test with successor rows as the down rows.
     `kernels.NODE_BUDGET` bounds the function space g.n ** f.n before the
     search starts, and with it the search tree (at most f.n * g.n ** f.n
-    nodes), so the kernel runs without a node budget of its own.
+    nodes), so the walk needs no node budget of its own.
+    `verify_coreflections` runs the same walk into every frame of one size
+    at once.
     """
     _check_function_space(f, g)
-    tables, _ = kernels.enumerate_maps(
-        f.succ, f.pred, g.succ, g.pred, [(1 << g.n) - 1] * f.n, True,
-        node_budget=math.inf)
-    return sorted(tables)
+    return [t for t, _ in kernels.enumerate_into(f.succ, f.pred,
+                                                 [(g.succ, g.pred)])]
 
 
 # ---------------------------------------------------------------------------
@@ -178,37 +172,73 @@ def verify_coreflection(f: KripkeFrame, preorders
     """Universal property at desk scale, by exhausting all p-morphisms.
 
     Returns the coreflection of f and one CoreflectionReport per preorder p
-    in `preorders`, in order.  Every p-morphism from p's opposite frame into
-    f must land inside the coreflection and corestrict to an open map into
-    the coreflected preorder (equivalently a p-morphism into the subframe
-    of f on the coreflection's members; both routes are checked).  The
-    factorization is through an inclusion, so uniqueness is automatic.  The
-    coreflection and the subframe are computed once for all the preorders.
+    in `preorders`, in order: `verify_coreflections` on the one frame f.
     """
-    cor = coreflect(f)
-    pos = {x: i for i, x in enumerate(cor.members)}
-    # the frame route reads f's own rows, the open route cor.preorder's
-    sub = kernels.restrict([f.succ[a] for a in cor.members], cor.members)
-    restricted = KripkeFrame(len(sub), sub)
-    reports = []
-    for p in preorders:
-        frame_p = opposite_frame(p)
-        tables = pmorphisms(frame_p, f)
-        violations = []
-        for table in tables:
-            if kernels.mask(table) & ~cor.member_mask:
-                violations.append(("image_escapes", table))
-                continue
-            g = tuple(map(pos.__getitem__, table))
-            open_route = maps_mod.is_open_v2(
-                maps_mod.PointMap(p, cor.preorder, g))
-            frame_route = is_pmorphism(g, frame_p, restricted)
-            if open_route != frame_route:
-                violations.append(("route_disagreement", table))
-            if not open_route:
-                violations.append(("corestriction_not_open", table))
-        reports.append(CoreflectionReport(len(tables), violations))
-    return cor, reports
+    return next(verify_coreflections([f], preorders))
+
+
+def verify_coreflections(frames, preorders):
+    """Yield (coreflection, reports) for each frame of `frames`, in order.
+
+    Every p-morphism from a preorder p's opposite frame into a frame f must
+    land inside the coreflection and corestrict to an open map into the
+    coreflected preorder (equivalently a p-morphism into the subframe of f
+    on the coreflection's members; both routes are checked).  The
+    factorization is through an inclusion, so uniqueness is automatic.
+    reports holds one CoreflectionReport per preorder of `preorders`, in
+    order.
+
+    The p-morphisms are searched by one `kernels.enumerate_into` walk per
+    (preorder, frame size), into every frame of that size at once, from an
+    opposite frame built once per preorder.  Before any walk, the frames
+    are checked in order, each as the per-frame checks would: its carrier
+    against `order.MAX_DOWNSET_SIZE` (what `coreflect` checks first), then
+    each preorder's function space into it; so the first BudgetError of
+    that order is raised.  A frame's tables are read off the walk's pairs
+    when the frame is checked, and its coreflection and subframe are
+    computed once for all the preorders.
+    """
+    frames, preorders = list(frames), list(preorders)
+    opposites = [opposite_frame(p) for p in preorders]
+    by_size = {}  # size -> the frames of that size, in order
+    slot = []  # per frame: its index among the frames of its size
+    for f in frames:
+        if f.n not in by_size:
+            order_mod.check_downset_budget(f.n)
+            for frame_p in opposites:
+                _check_function_space(frame_p, f)
+            by_size[f.n] = []
+        slot.append(len(by_size[f.n]))
+        by_size[f.n].append((f.succ, f.pred))
+    # (size, preorder index) -> the (table, frame mask) pairs of its walk
+    walks = {(n, j): kernels.enumerate_into(frame_p.succ, frame_p.pred,
+                                            group)
+             for n, group in by_size.items()
+             for j, frame_p in enumerate(opposites)}
+    for f, i in zip(frames, slot):
+        cor = coreflect(f)
+        pos = {x: k for k, x in enumerate(cor.members)}
+        # the frame route reads f's own rows, the open route cor.preorder's
+        sub = kernels.restrict([f.succ[a] for a in cor.members], cor.members)
+        restricted = KripkeFrame(len(sub), sub)
+        reports = []
+        for j, (p, frame_p) in enumerate(zip(preorders, opposites)):
+            tables = [t for t, into in walks[f.n, j] if into >> i & 1]
+            violations = []
+            for table in tables:
+                if kernels.mask(table) & ~cor.member_mask:
+                    violations.append(("image_escapes", table))
+                    continue
+                g = tuple(map(pos.__getitem__, table))
+                open_route = maps_mod.is_open_v2(
+                    maps_mod.PointMap(p, cor.preorder, g))
+                frame_route = is_pmorphism(g, frame_p, restricted)
+                if open_route != frame_route:
+                    violations.append(("route_disagreement", table))
+                if not open_route:
+                    violations.append(("corestriction_not_open", table))
+            reports.append(CoreflectionReport(len(tables), violations))
+        yield cor, reports
 
 
 # ---------------------------------------------------------------------------

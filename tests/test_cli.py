@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
+from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
@@ -488,13 +490,17 @@ def test_deep_stage_dot_export_under_memory_cap():
 # each of these towers has more than the default 200,000 candidate
 # antichains at stage 4; the level budget must stop the walk before their
 # masks are kept, so the exit-2 report comes within a 256 MB cap.  The
-# kernel stops counting at the limit plus one, so `used` is a lower bound
+# kernel stops counting at the limit plus one, so `used` is a lower bound,
+# and the message says so
 @pytest.mark.parametrize("argv,message", [
-    (["verify", "thm26", "--depth", "4"], "doubleton tower exceeded budget"),
-    (["verify", "lemma23", "--depth", "4"], "level budget exhausted"),
-    (["verify", "lemma24", "--depth", "5"], "level budget exhausted"),
+    (["verify", "thm26", "--depth", "4"],
+     "doubleton tower exceeded budget (used is a lower bound)"),
+    (["verify", "lemma23", "--depth", "4"],
+     "level budget exhausted (used is a lower bound)"),
+    (["verify", "lemma24", "--depth", "5"],
+     "level budget exhausted (used is a lower bound)"),
     (["obstruct", "--all-posets", "3", "--depth", "5"],
-     "level budget exhausted"),
+     "level budget exhausted (used is a lower bound)"),
 ], ids=["thm26", "lemma23", "lemma24", "obstruct"])
 def test_stage_four_budget_exit_under_memory_cap(argv, message):
     proc = run_capped(argv, 256 << 20, 60)
@@ -680,18 +686,99 @@ def test_coreflect_suite_builds_each_opposite_frame_once(monkeypatch, capsys):
             if sys._getframe(2).f_code.co_name == "opposite_frame":
                 built.append(self)
 
-    clear = getattr(kripke.opposite_frame, "cache_clear", lambda: None)
     monkeypatch.setattr(kripke, "KripkeFrame", CountingFrame)
-    clear()
-    try:
-        code, doc = run_json(["verify", "coreflect", "--states", "3"], capsys)
-    finally:
-        clear()
+    code, doc = run_json(["verify", "coreflect", "--states", "3"], capsys)
     assert code == 0
     assert doc["frames"] == 530 and doc["preorders"] == 5
     # one per checked preorder: the frame route's target is read off each
     # frame's rows, not built from its coreflected preorder
     assert len(built) == 5
+
+
+def test_coreflect_suite_walks_once_per_preorder_and_frame_size(
+        monkeypatch, capsys):
+    # no per-pair search: one enumerate_into walk per (preorder, frame
+    # size), and every table a frame gets goes through the escape check and
+    # both routes
+    walks, forbidden, escapes, routes = [], [], [], Counter()
+    into = kernels.enumerate_into
+    mask = kernels.mask
+
+    def walk(p_down, p_up, codomains):
+        out = into(p_down, p_up, codomains)
+        walks.append((len(p_down), len(codomains), out))
+        return out
+
+    def forbid(*args, **kwargs):
+        forbidden.append(args)
+        raise AssertionError("per-pair search on the coreflect path")
+
+    def escape(ids):
+        if sys._getframe(1).f_code.co_name == "verify_coreflections":
+            escapes.append(ids)
+        return mask(ids)
+
+    def route(name, fn):
+        def counted(*args):
+            routes[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(kernels, "enumerate_into", walk)
+    monkeypatch.setattr(kernels, "enumerate_maps", forbid)
+    monkeypatch.setattr(kripke, "pmorphisms", forbid)
+    monkeypatch.setattr(kernels, "mask", escape)
+    monkeypatch.setattr(maps, "is_open_v2", route("open", maps.is_open_v2))
+    monkeypatch.setattr(kripke, "is_pmorphism",
+                        route("frame", kripke.is_pmorphism))
+    code, doc = run_json(["verify", "coreflect", "--states", "3"], capsys)
+    assert code == 0 and not forbidden
+    assert doc["frames"] == 530 and doc["checks"] == 1735
+    assert sorted((n_p, n) for n_p, n, _ in walks) == sorted(
+        (p.n, n) for p in order.enumerate_preorders(2) for n in (2, 16, 512))
+    found = sum(m.bit_count() for *_, out in walks for _, m in out)
+    assert found == len(escapes) == 1205
+    # every p-morphism from a preorder lands in the coreflection
+    assert routes == {"open": 1205, "frame": 1205}
+
+
+def test_coreflect_suite_reports_a_fault_planted_in_one_frame(
+        monkeypatch, capsys):
+    # the frame route is wrong for one 3-state frame only, whose
+    # coreflection drops its middle state: the run must report exactly that
+    # frame's violations, at its own index, so batching the searches still
+    # checks and attributes every frame.  The sweep coreflects each frame
+    # just before it checks it, so the last coreflected frame is the one
+    # under check
+    frames = [f for n in (1, 2, 3) for f in kripke.enumerate_frames(n)]
+    target = kripke.KripkeFrame(3, (0b001, 0b101, 0b100))
+    index = frames.index(target)
+    cor = kripke.coreflect(target)
+    expected = []
+    for p in order.enumerate_preorders(2):
+        frame_p = kripke.opposite_frame(p)
+        inside = [t for t in iproduct(range(3), repeat=p.n)
+                  if kripke.is_pmorphism(t, frame_p, target)
+                  and not kernels.mask(t) & ~cor.member_mask]
+        if inside:
+            expected.append(["universal", index, order.to_json(p)["leq"],
+                             [["route_disagreement", str(t)] for t in inside]])
+    assert len(expected) == 5
+    current = []
+    coreflect, is_pmorphism = kripke.coreflect, kripke.is_pmorphism
+
+    def recording(f):
+        current[:] = [f]
+        return coreflect(f)
+
+    def planted(table, f, g):
+        return is_pmorphism(table, f, g) != (current == [target])
+
+    monkeypatch.setattr(kripke, "coreflect", recording)
+    monkeypatch.setattr(kripke, "is_pmorphism", planted)
+    code, doc = run_json(["verify", "coreflect"], capsys)
+    assert code == 1
+    assert doc["violations"] == expected
 
 
 def test_obstruct_timing_fills_every_elapsed(capsys):
@@ -791,8 +878,24 @@ def test_budget_error_in_verify_exits_two(capsys):
     assert code == 2
     # the kernel stops counting stage 2's antichains at budget + 2, a lower
     # bound on its 21 elements
-    assert doc["error"] == {"message": "doubleton tower exceeded budget",
-                            "stage": 2, "used": 12, "budget": 10}
+    assert doc["error"] == {
+        "message": "doubleton tower exceeded budget (used is a lower bound)",
+        "stage": 2, "used": 12, "budget": 10}
+
+
+@pytest.mark.parametrize("argv,message,used", [
+    (["verify", "thm26", "--budget", "6"], "doubleton tower exceeded budget",
+     7),
+    (["verify", "lemma23", "--depth", "1", "--budget", "7"],
+     "level budget exhausted", 8),
+], ids=["thm26", "lemma23"])
+def test_exact_budget_usage_keeps_its_message(argv, message, used, capsys):
+    # stage 1's four fresh sets fit the antichain count but not the level:
+    # `used` is the exact size of stage 1, so no bound is claimed
+    code, doc = run_json(argv, capsys)
+    assert code == 2
+    assert doc["error"] == {"message": message, "stage": 1, "used": used,
+                            "budget": int(argv[-1])}
 
 
 def test_budget_error_reports_usage(capsys, monkeypatch):

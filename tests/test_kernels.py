@@ -1,5 +1,6 @@
 """The enumeration kernels against brute force, output order included."""
 
+import math
 import random
 from itertools import permutations, product as iproduct
 
@@ -400,6 +401,54 @@ def test_pinned_search_stops_at_the_node_past_the_budget():
                                  members, 2, 3)
     assert (exc.value.used, exc.value.budget) == (4, 3)
     assert reads == [0, 1, 2]
+
+
+def assert_into_matches_each_search(p_down, p_up, group):
+    """enumerate_into from one domain into a group of codomains gives each
+    codomain, in order, the sorted maps of its own open-map search."""
+    pairs = kernels.enumerate_into(p_down, p_up, group)
+    tables = [t for t, _ in pairs]
+    assert tables == sorted(set(tables))
+    assert all(0 < into < 1 << len(group) for _, into in pairs)
+    got = [[] for _ in group]
+    for t, into in pairs:
+        for c in bits(into):
+            got[c].append(t)
+    for (q_down, q_up), maps_c in zip(group, got):
+        expected, _ = kernels.enumerate_maps(
+            p_down, p_up, q_down, q_up, [(1 << len(q_down)) - 1] * len(p_down),
+            True, math.inf)
+        assert maps_c == sorted(expected), (p_down, q_down)
+    return sum(map(len, got))
+
+
+def test_into_search_matches_each_search():
+    # every preorder on up to 3 points, as its opposite frame, into every
+    # frame on up to 3 states and every 4-state frame up to isomorphism,
+    # one group per size
+    groups = [[(g.succ, g.pred) for g in kripke.enumerate_frames(n)]
+              for n in (1, 2, 3)]
+    groups.append([(g.succ, g.pred) for g in kripke.frames_up_to_iso(4)])
+    domains = [kripke.opposite_frame(p) for p in order.enumerate_preorders(3)]
+    found = sum(assert_into_matches_each_search(d.succ, d.pred, group)
+                for d in domains for group in groups)
+    assert found == 47882
+    # seeded frame domains, irreflexive and non-transitive rows included
+    rng = random.Random(41)
+    for _ in range(12):
+        d = kripke.sample_frame(rng.choice((3, 4)), rng,
+                                rng.choice((0.3, 0.6, 0.9)))
+        assert_into_matches_each_search(d.succ, d.pred, groups[2])
+    # groups of one codomain, the 1-state ones included
+    for d in domains[:5]:
+        for group in groups[:2]:
+            for codomain in group:
+                assert_into_matches_each_search(d.succ, d.pred, [codomain])
+    # the empty domain has one map into each codomain; no codomain, no map
+    for group in groups:
+        assert kernels.enumerate_into((), (), group) == [
+            ((), (1 << len(group)) - 1)]
+    assert kernels.enumerate_into(domains[0].succ, domains[0].pred, []) == []
 
 
 def brute_iso(a, b):
