@@ -644,6 +644,46 @@ def test_duality_unit_catches_the_converse_order(monkeypatch, capsys):
     assert [v for v in doc["violations"] if v[0] == "unit"] == expected
 
 
+def test_duality_unit_runs_on_four_point_posets(monkeypatch, capsys):
+    # a join_irreducibles that returns the converse order of one 4-point
+    # poset only, one that is not self-dual: the unit must be checked at the
+    # default config's largest size
+    original = heyting.join_irreducibles
+    planted = order.from_pairs(4, [(0, 1), (0, 2), (0, 3)])  # one bottom
+    form = order.canonical_form(planted)
+
+    def converse(alg):
+        ji, masks = original(alg)
+        if ji.n == 4 and order.canonical_form(ji) == form:
+            ji = order.FinitePreorder(ji.n, ji.down)
+        return ji, masks
+
+    monkeypatch.setattr(heyting, "join_irreducibles", converse)
+    code, doc = run_json(["verify", "duality"], capsys)
+    index = [order.canonical_form(p)
+             for p in order.enumerate_posets(4)].index(form)
+    assert code == 1
+    assert doc["violations"] == [["unit", index]]
+
+
+def test_lemma31_checks_every_function_between_three_point_preorders(
+        monkeypatch, capsys):
+    # is_open_v3 disagrees on the identity of the 3-point chain only: the
+    # exhaustive pass must reach it at the default config
+    original = maps.is_open_v3
+    chain = order.chain(3)
+
+    def planted(f):
+        wrong = f.dom.up == f.cod.up == chain.up and f.table == (0, 1, 2)
+        return original(f) != wrong
+
+    monkeypatch.setattr(maps, "is_open_v3", planted)
+    code, doc = run_json(["verify", "lemma31"], capsys)
+    leq = order.to_json(chain)["leq"]
+    assert code == 1
+    assert doc["violations"] == [["exhaustive", leq, leq, [0, 1, 2], 1, 1, 0]]
+
+
 def test_obstruct_writes_the_report_in_slices(monkeypatch):
     # no write of the 11 MB report encodes more than 1 MiB
     writes = []

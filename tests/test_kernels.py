@@ -433,12 +433,19 @@ def test_into_search_matches_each_search():
     found = sum(assert_into_matches_each_search(d.succ, d.pred, group)
                 for d in domains for group in groups)
     assert found == 47882
-    # seeded frame domains, irreflexive and non-transitive rows included
+    # seeded frame domains, irreflexive and non-transitive rows included,
+    # into the 3-state frames, then 4-state ones into the 4-state frames,
+    # where the walk, with no monotone pruning, has its deepest trees
     rng = random.Random(41)
     for _ in range(12):
         d = kripke.sample_frame(rng.choice((3, 4)), rng,
                                 rng.choice((0.3, 0.6, 0.9)))
         assert_into_matches_each_search(d.succ, d.pred, groups[2])
+    found = 0
+    for _ in range(8):
+        d = kripke.sample_frame(4, rng, rng.choice((0.3, 0.6, 0.9)))
+        found += assert_into_matches_each_search(d.succ, d.pred, groups[3])
+    assert found == 10576
     # groups of one codomain, the 1-state ones included
     for d in domains[:5]:
         for group in groups[:2]:
