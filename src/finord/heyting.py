@@ -189,8 +189,8 @@ def _monotone_assignments(ji_poset: FinitePreorder, b: DownsetAlgebra):
     inc = _inclusion_order(b)
     # cha_morphisms bounds the search before it starts
     tables, _ = kernels.enumerate_maps(
-        ji_poset.down, ji_poset.up, inc.down, inc.up,
-        [(1 << inc.n) - 1] * ji_poset.n, False, node_budget=math.inf)
+        ji_poset.down, ji_poset.up, inc.down, inc.up, False,
+        node_budget=math.inf)
     return sorted(tuple(b.elements[v] for v in t) for t in tables)
 
 

@@ -9,22 +9,22 @@ No isomorphism is decided by search: posets compare by
 and keeps it in a bounded cache, since callers such as the obstruction
 sweep search from the same domain many times, and backtracks in one loop
 over a per-depth stack, not by recursion.  There are two map walks:
-`enumerate_maps` runs one search, and `_pinned_walk` many open-map
-searches from one domain as the lanes of one mask.  `enumerate_pinned`
-runs stage 1 of the obstruction sweep on it, one call per poset with the
-candidates' pins into one codomain as lanes, and `enumerate_into` the
-p-morphism searches of Kripke frames, with the codomains of one size as
-lanes.  Most single searches try a handful of assignments, so their cost
-is mostly fixed cost, which keeps `enumerate_maps` a walk of its own: as
-a batch of one, a search for the open maps of a 5-point poset into the
-Sierpinski space takes 27 us against 11 us (mean over the 5-point posets,
-2-vCPU VM, Python 3.11), 1.4 ms more over the 87 searches of `obstruct
---all-posets 5`.  The module also holds every operation on relation rows
-the modules share: `bits` and its inverse `mask`; `union` of the rows a
-mask selects; `unions`, every union of some rows (downsets, upsets);
-`image` and `preimage` under a table; `transpose`; transitive `closure`;
-`restrict` to a subset; and `row_string`, the JSON bit string.  Sizes are
-read off the rows.  It imports only `errors` and the standard library.
+`enumerate_maps` runs one search with every value allowed, and
+`_pinned_walk`, the only code that knows pins and lanes, many open-map
+searches from one domain as the lanes of one mask.  `_lanes` splits its
+maps per lane for `enumerate_pinned` (pinned searches into one codomain,
+the obstruction sweep's) and `enumerate_into` (one codomain of any size
+per lane, the p-morphisms of Kripke frames).  A single unpinned search
+tries a handful of assignments, so its cost is mostly fixed cost, which
+keeps `enumerate_maps` a walk of its own: as a batch of one, the open
+maps of a 5-point poset into the Sierpinski space take 27 us against
+11 us (mean over the 5-point posets, 2-vCPU VM, Python 3.11).  The
+module also holds every operation on relation rows the modules share:
+`bits` and its inverse `mask`; `union` of the rows a mask selects;
+`unions`, every union of some rows (downsets, upsets); `image` and
+`preimage` under a table; `transpose`; transitive `closure`; `restrict`
+to a subset; and `row_string`, the JSON bit string.  Sizes are read off
+the rows.  It imports only `errors` and the standard library.
 
 All subsets are bitmasks (bit i = element i), held in Python ints, so there
 is no limit on the number of elements.  Output order is deterministic.
@@ -97,14 +97,13 @@ def _walk(comp, min_size):
             frees.append(free)
 
 
-def enumerate_maps(p_down, p_up, q_down, q_up, allowed, require_open,
+def enumerate_maps(p_down, p_up, q_down, q_up, require_open,
                    node_budget=NODE_BUDGET):
     """Enumerate monotone maps P -> Q as value tuples, openness optional.
 
     P and Q are relations given by rows: p_down[i] is the mask of the points
     below i in a preorder (i's successors in a Kripke frame) and p_up[i] its
-    transpose, likewise q_down/q_up.  allowed[i] restricts the values of
-    element i (a mask over the points of Q).  Monotonicity is forward-checked
+    transpose, likewise q_down/q_up.  Monotonicity is forward-checked
     between distinct elements only, so without require_open Q is assumed
     reflexive, as every preorder is.  With require_open, a map is emitted
     only if the image of every p_down[w] equals q_down of the image of w,
@@ -112,12 +111,11 @@ def enumerate_maps(p_down, p_up, q_down, q_up, allowed, require_open,
     tree and alone enforces P's self-loops.
 
     Elements are assigned by (row size, index) and candidate values are
-    tried in ascending order, so output order is deterministic.  The
-    per-domain part of the search (see `_plan`) is prepared once per domain
-    and reused.  The search is depth-first, in one loop that keeps per depth
-    the values still to try and the undo list of its forward checks.
-    Raises BudgetError when more than node_budget assignments are
-    attempted, at the first assignment past it.
+    tried in ascending order, so output order is deterministic.  The search
+    is depth-first, in one loop that keeps per depth the values still to
+    try and the undo list of its forward checks.  Raises BudgetError when
+    more than node_budget assignments are attempted, at the first
+    assignment past it.
 
     Returns (maps, nodes) where nodes is the number of assignments tried.
     """
@@ -127,8 +125,7 @@ def enumerate_maps(p_down, p_up, q_down, q_up, allowed, require_open,
 
     order, check_at, later, down_bits = _plan(tuple(p_down), tuple(p_up),
                                               require_open)
-    full_q = (1 << len(q_down)) - 1
-    cand = [a & full_q for a in allowed]
+    cand = [(1 << len(q_down)) - 1] * n_p
     f = [-1] * n_p
     out = []
     nodes = 0
@@ -200,56 +197,62 @@ def enumerate_pinned(p_down, p_up, q_down, q_up, classes, members, count,
 
     Candidate j, for j in range(count), pins element i of P to its fiber
     for classes[i]: the points v of Q whose members[classes[i]][v] holds
-    bit j.  Returns one (maps, nodes) per candidate, exactly what
-    `enumerate_maps(p_down, p_up, q_down, q_up, allowed_j, True,
-    node_budget)` returns for its pins allowed_j, and raises that search's
-    BudgetError as soon as some candidate's search would.  The candidates
-    are the lanes of `_pinned_walk`, which all accept q_down[v] at v.
+    bit j.  Returns one (maps, nodes) per candidate: the maps of its own
+    search in the walk order of `enumerate_maps` and the assignments that
+    search tries, and raises that search's BudgetError as soon as some
+    candidate's search would pass node_budget.  The candidates are the
+    lanes of `_pinned_walk`, which all accept q_down[v] at v.
     """
     found, counts = _pinned_walk(p_down, p_up, q_down, q_up, classes,
                                  members, count, node_budget,
                                  [{row: (1 << count) - 1} for row in q_down])
-    maps = [[] for _ in range(count)]
-    for t, alive in found:
-        for j in bits(alive):
-            maps[j].append(t)
-    return list(zip(maps, _unslice(counts, count)))
+    return list(zip(_lanes(found, count), _unslice(counts, count)))
 
 
 def enumerate_into(p_down, p_up, codomains):
-    """The open-map searches from one domain into codomains of one size.
+    """The open-map searches from one domain into each of the codomains.
 
-    codomains is a sequence of (q_down, q_up) row pairs on one number of
-    points.  Returns (map, codomain mask) pairs, ascending by map: bit c is
-    set iff the map is open into codomains[c], and each map open into some
-    codomain appears once.  So codomain c gets exactly
-    `sorted(enumerate_maps(p_down, p_up, *codomains[c], allowed, True,
-    math.inf)[0])`, with every value allowed.  Nothing bounds the walk:
-    callers bound the function space first.  The codomains are the lanes
-    of `_pinned_walk`, with no pins and the complete relation as the shared
-    rows, so only openness prunes: codomain c accepts its own q_down[v] at
-    v, and a map open into c is monotone into it too.
+    codomains holds (q_down, q_up) row pairs of any sizes.  Returns per
+    codomain, in order, the ascending tuple of the open maps that
+    `enumerate_maps(p_down, p_up, q_down, q_up, True, math.inf)` finds.
+    Nothing bounds the walk: callers bound the function space first.  The
+    codomains are the lanes of `_pinned_walk`, on the complete relation of
+    the largest size, so only openness prunes: value v is pinned to the
+    codomains of more than v points, each accepts its own q_down[v] at v,
+    and a map open into a codomain is monotone into it too.
     """
-    if not codomains:
-        return []
-    n_q = len(codomains[0][0])
-    complete = ((1 << n_q) - 1,) * n_q
+    opens = _into_opens(tuple(codomains))
+    complete = ((1 << len(opens)) - 1,) * len(opens)
+    # each codomain of more than v points has one row at v
+    fits = [sum(lanes.values()) for lanes in opens]
+    found, _ = _pinned_walk(p_down, p_up, complete, complete,
+                            [0] * len(p_down), [fits], len(codomains),
+                            math.inf, opens)
     # elements are assigned in `_plan` order, not in table order
-    return sorted(_pinned_walk(
-        p_down, p_up, complete, complete, [0] * len(p_down),
-        [[(1 << len(codomains)) - 1] * n_q], len(codomains), math.inf,
-        _into_opens(tuple(codomains)))[0])
+    return _lanes(sorted(found), len(codomains))
 
 
 @lru_cache(maxsize=16)
 def _into_opens(codomains):
-    """Per point v, each codomain's row q_down[v] mapped to the mask of the
-    codomains with that row: the openness table of `enumerate_into`."""
-    opens = [{} for _ in codomains[0][0]]
+    """Per point v, each row q_down[v] mapped to the mask of the codomains
+    with that row: the openness table of `enumerate_into`."""
+    opens = [{} for _ in range(max((len(q) for q, _ in codomains),
+                                    default=0))]
     for c, (q_down, _) in enumerate(codomains):
         for v, row in enumerate(q_down):
             opens[v][row] = opens[v].get(row, 0) | 1 << c
     return tuple(opens)
+
+
+def _lanes(found, count):
+    """Per lane j in range(count), the maps of the (map, lanes) pairs
+    `found` whose lanes hold bit j, in order, as a tuple: the lanes with no
+    map, most of those the coreflection sweep keeps, share `()`."""
+    maps = [[] for _ in range(count)]
+    for t, alive in found:
+        for j in bits(alive):
+            maps[j].append(t)
+    return [tuple(m) for m in maps]
 
 
 def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,

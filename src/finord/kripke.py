@@ -72,20 +72,17 @@ def _check_function_space(f: KripkeFrame, g: KripkeFrame):
 
 
 def pmorphisms(f: KripkeFrame, g: KripkeFrame):
-    """All p-morphisms f -> g, ascending: the walk of
-    `kernels.enumerate_into` with g as its one codomain.
+    """All p-morphisms f -> g, ascending: `kernels.enumerate_into` with g
+    as its one codomain.
 
     A p-morphism is a map with f[R[x]] = S[f(x)] for every state x, which is
     the kernel's openness test with successor rows as the down rows.
     `kernels.NODE_BUDGET` bounds the function space g.n ** f.n before the
     search starts, and with it the search tree (at most f.n * g.n ** f.n
     nodes), so the walk needs no node budget of its own.
-    `verify_coreflections` runs the same walk into every frame of one size
-    at once.
     """
     _check_function_space(f, g)
-    return [t for t, _ in kernels.enumerate_into(f.succ, f.pred,
-                                                 [(g.succ, g.pred)])]
+    return kernels.enumerate_into(f.succ, f.pred, [(g.succ, g.pred)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -189,41 +186,32 @@ def verify_coreflections(frames, preorders):
     order.
 
     The p-morphisms are searched by one `kernels.enumerate_into` walk per
-    (preorder, frame size), into every frame of that size at once, from an
-    opposite frame built once per preorder.  Before any walk, the frames
-    are checked in order, each as the per-frame checks would: its carrier
-    against `order.MAX_DOWNSET_SIZE` (what `coreflect` checks first), then
-    each preorder's function space into it; so the first BudgetError of
-    that order is raised.  A frame's tables are read off the walk's pairs
-    when the frame is checked, and its coreflection and subframe are
+    preorder, into every frame at once.  Before any walk, each frame size
+    is checked in the order the frames first have it, as the per-frame
+    checks would: the carrier against `order.MAX_DOWNSET_SIZE` (what
+    `coreflect` checks first), then each preorder's function space into
+    it; so the first BudgetError of that order is raised.  Frame i's
+    tables are entry i of each walk, and its coreflection and subframe are
     computed once for all the preorders.
     """
     frames, preorders = list(frames), list(preorders)
     opposites = [opposite_frame(p) for p in preorders]
-    by_size = {}  # size -> the frames of that size, in order
-    slot = []  # per frame: its index among the frames of its size
-    for f in frames:
-        if f.n not in by_size:
-            order_mod.check_downset_budget(f.n)
-            for frame_p in opposites:
-                _check_function_space(frame_p, f)
-            by_size[f.n] = []
-        slot.append(len(by_size[f.n]))
-        by_size[f.n].append((f.succ, f.pred))
-    # (size, preorder index) -> the (table, frame mask) pairs of its walk
-    walks = {(n, j): kernels.enumerate_into(frame_p.succ, frame_p.pred,
-                                            group)
-             for n, group in by_size.items()
-             for j, frame_p in enumerate(opposites)}
-    for f, i in zip(frames, slot):
+    for f in {f.n: f for f in frames}.values():
+        order_mod.check_downset_budget(f.n)
+        for frame_p in opposites:
+            _check_function_space(frame_p, f)
+    rows = [(f.succ, f.pred) for f in frames]
+    walks = [kernels.enumerate_into(frame_p.succ, frame_p.pred, rows)
+             for frame_p in opposites]
+    for i, f in enumerate(frames):
         cor = coreflect(f)
         pos = {x: k for k, x in enumerate(cor.members)}
         # the frame route reads f's own rows, the open route cor.preorder's
         sub = kernels.restrict([f.succ[a] for a in cor.members], cor.members)
         restricted = KripkeFrame(len(sub), sub)
         reports = []
-        for j, (p, frame_p) in enumerate(zip(preorders, opposites)):
-            tables = [t for t, into in walks[f.n, j] if into >> i & 1]
+        for p, frame_p, walk in zip(preorders, opposites, walks):
+            tables = walk[i]
             violations = []
             for table in tables:
                 if kernels.mask(table) & ~cor.member_mask:

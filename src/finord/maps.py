@@ -21,8 +21,8 @@ stage work (materializing a stage, building and checking its coordinate
 maps) once per sweep, not once per candidate.  It searches stage 1 once per
 poset for all of that poset's candidates, in one batched kernel walk that
 gives each candidate its own search's maps and node count, and walks the
-later stages only for a candidate that stage 1 does not refute, one kernel
-call per stage; candidates refuted at stage 1 with equal node counts share
+later stages only for a candidate that stage 1 does not refute, as a batch
+of one per stage; candidates refuted at stage 1 with equal node counts share
 one immutable verdict.
 """
 
@@ -101,8 +101,7 @@ def is_open_v3(f: PointMap) -> bool:
 
 def enumerate_open_maps(p: FinitePreorder, q: FinitePreorder):
     """All open maps p -> q, deterministic order; see kernels.enumerate_maps."""
-    tables, _ = kernels.enumerate_maps(
-        p.down, p.up, q.down, q.up, [(1 << q.n) - 1] * p.n, True)
+    tables, _ = kernels.enumerate_maps(p.down, p.up, q.down, q.up, True)
     return [PointMap(p, q, t) for t in tables]
 
 
@@ -184,23 +183,17 @@ def mediating_search(q: FinitePreorder, f1: PointMap, f2: PointMap,
     """All open f: q -> p with p1 o f = f1 and p2 o f = f2.
 
     Every point's value is pinned to the fiber of its (f1, f2) pair under
-    (p1, p2), so the openness kernel searches only compatible assignments.
-    Returns (maps, nodes_examined).
+    (p1, p2): `kernels.enumerate_pinned` with (p1, p2) as its one
+    candidate.  Returns (maps, nodes_examined).
     """
     for f, name in ((f1, "f1"), (f2, "f2"), (p1, "p1"), (p2, "p2")):
         _check_into_sierpinski(f, name)
     if f1.dom != q or f2.dom != q or p1.dom != p or p2.dom != p:
         raise HypothesisError("map domains must match the given preorders")
-    split1, split2 = _split(p1), _split(p2)
-    tables, nodes = kernels.enumerate_maps(
-        q.down, q.up, p.down, p.up,
-        [split1[a] & split2[b] for a, b in zip(f1.table, f2.table)], True)
+    (tables, nodes), = kernels.enumerate_pinned(
+        q.down, q.up, p.down, p.up, _classes(f1, f2),
+        _members(p, [p1], [p2]), 1, kernels.NODE_BUDGET)
     return [PointMap(q, p, t) for t in tables], nodes
-
-
-def _split(f: PointMap):
-    """(points f sends to 0, points f sends to 1) for f into the chain."""
-    return kernels.preimage(f.table, 1), kernels.preimage(f.table, 2)
 
 
 def _classes(f1: PointMap, f2: PointMap):
@@ -284,7 +277,7 @@ def _sweep(h, max_alpha, posets, projections):
     counts share one verdict.  Only a candidate that stage 1 finds
     mediating maps for, or every candidate when there is no stage to
     search, goes on to `onward`, which searches each later stage it
-    reaches with one pinned kernel call.
+    reaches with one `enumerate_pinned` call, of the candidate alone.
     """
     stages = []  # (stage, f1, f2, classes) for alpha = 1, 2, ...
 
@@ -300,7 +293,7 @@ def _sweep(h, max_alpha, posets, projections):
         """The verdict of a candidate with mediating maps found at stage
         alpha (none at 0, where nothing is searched), examined nodes in
         all: they are checked, then the later stages searched."""
-        fibers = [a & b for a in _split(p1) for b in _split(p2)]
+        members = _members(p, [p1], [p2])
         total = 0
         while True:
             if found:
@@ -318,9 +311,9 @@ def _sweep(h, max_alpha, posets, projections):
             if len(stages) < alpha:
                 prepare(alpha)
             stage, _, _, classes = stages[alpha - 1]
-            found, nodes = kernels.enumerate_maps(
-                stage.down, stage.up, p.down, p.up,
-                [fibers[k] for k in classes], True)
+            (found, nodes), = kernels.enumerate_pinned(
+                stage.down, stage.up, p.down, p.up, classes, members, 1,
+                kernels.NODE_BUDGET)
             examined += nodes
             if not found:
                 return ObstructionVerdict("empty_mediating_set", alpha,

@@ -307,12 +307,12 @@ def _kripke_suite():
                 assert a == is_pmorphism_via_preimages(table, fp, fq)
 
     # coreflection universal property: frame classes on up to four states
-    # against every labeled preorder on up to three
+    # against every labeled preorder on up to three, in one sweep
     preorders = order.enumerate_preorders(3)
     frames = (kripke.frames_up_to_iso(1) + kripke.frames_up_to_iso(2)
               + kripke.frames_up_to_iso(3) + kripke.frames_up_to_iso(4))
-    for f in frames:
-        _, reports = kripke.verify_coreflection(f, preorders)
+    sweep = kripke.verify_coreflections(frames, preorders)
+    for f, (_, reports) in zip(frames, sweep, strict=True):
         assert len(reports) == len(preorders)
         for p, rep in zip(preorders, reports):
             assert not rep.violations, (f, p, rep.violations)

@@ -684,6 +684,53 @@ def test_lemma31_checks_every_function_between_three_point_preorders(
     assert doc["violations"] == [["exhaustive", leq, leq, [0, 1, 2], 1, 1, 0]]
 
 
+def test_lemma24_and_thm26_fan_stage_two(monkeypatch, capsys):
+    # a fan that reports one comparable pair on the 21-element stage 2 of
+    # a three-antichain tower only: both suites must fan stage 2 at their
+    # default config (lemma24 fans stages 0..2 of the atoms' tower, thm26
+    # stages 0..2 of the doubletons' tower, an isomorphic one)
+    original = hierarchy.fan
+    planted = []
+
+    def faulty(a_ids, outside, u):
+        rep = original(a_ids, outside, u)
+        if len(set(a_ids)) == 21:
+            p, q = rep.pair_ids[:2]
+            rep.violations.append(("fan_comparable", p, q))
+            planted.append([str(p), str(q)])
+        return rep
+
+    monkeypatch.setattr(hierarchy, "fan", faulty)
+    code, doc = run_json(["verify", "lemma24"], capsys)
+    (pair,) = planted
+    assert code == 1
+    assert doc["violations"] == [["fan", "2", "fan_comparable", *pair]]
+    code, doc = run_json(["verify", "thm26"], capsys)
+    assert code == 1 and len(planted) == 2
+    assert doc["level_sizes"][2] == 21 and doc["violations"] == [["fans"]]
+
+
+def test_lemma32_checks_four_point_posets(monkeypatch, capsys):
+    # an injectivity_report that flags the first open map into each 4-point
+    # poset: the default config must reach the largest size
+    original = maps.injectivity_report
+    planted = []
+
+    def faulty(h, alpha, p):
+        rep = original(h, alpha, p)
+        if p.n == 4 and rep.open_maps:
+            stage, _ = hierarchy.materialize(h, alpha)
+            first = maps.enumerate_open_maps(stage, p)[0].table
+            rep.violations.append(first)
+            planted.append(["injectivity", 4, list(first)])
+        return rep
+
+    monkeypatch.setattr(maps, "injectivity_report", faulty)
+    code, doc = run_json(["verify", "lemma32"], capsys)
+    assert code == 1 and planted
+    assert doc["violations"] == planted
+
+
 def test_obstruct_writes_the_report_in_slices(monkeypatch):
     # no write of the 11 MB report encodes more than 1 MiB
     writes = []
@@ -735,10 +782,9 @@ def test_coreflect_suite_builds_each_opposite_frame_once(monkeypatch, capsys):
     assert len(built) == 5
 
 
-def test_coreflect_suite_walks_once_per_preorder_and_frame_size(
-        monkeypatch, capsys):
-    # no per-pair search: one enumerate_into walk per (preorder, frame
-    # size), and every table a frame gets goes through the escape check and
+def test_coreflect_suite_walks_once_per_preorder(monkeypatch, capsys):
+    # no per-pair search: one enumerate_into walk per preorder, into every
+    # frame, and every table a frame gets goes through the escape check and
     # both routes
     walks, forbidden, escapes, routes = [], [], [], Counter()
     into = kernels.enumerate_into
@@ -775,8 +821,8 @@ def test_coreflect_suite_walks_once_per_preorder_and_frame_size(
     assert code == 0 and not forbidden
     assert doc["frames"] == 530 and doc["checks"] == 1735
     assert sorted((n_p, n) for n_p, n, _ in walks) == sorted(
-        (p.n, n) for p in order.enumerate_preorders(2) for n in (2, 16, 512))
-    found = sum(m.bit_count() for *_, out in walks for _, m in out)
+        (p.n, 530) for p in order.enumerate_preorders(2))
+    found = sum(len(tables) for *_, out in walks for tables in out)
     assert found == len(escapes) == 1205
     # every p-morphism from a preorder lands in the coreflection
     assert routes == {"open": 1205, "frame": 1205}

@@ -82,6 +82,18 @@ def brute_maps(p, q, allowed, require_open):
     return out
 
 
+def pinned_alone(p_down, p_up, q_down, q_up, allowed,
+                 node_budget=kernels.NODE_BUDGET):
+    """The open-map search that allows element i the values allowed[i]:
+    `kernels.enumerate_pinned` with it as its one candidate, as the
+    (maps list, nodes) of `enumerate_maps`."""
+    members = [[a >> v & 1 for v in range(len(q_down))] for a in allowed]
+    ((tables, nodes),) = kernels.enumerate_pinned(
+        p_down, p_up, q_down, q_up, range(len(p_down)), members, 1,
+        node_budget)
+    return list(tables), nodes
+
+
 def test_enumerate_maps_brute_force_agreement():
     rng = random.Random(23)
     for _ in range(40):
@@ -91,24 +103,29 @@ def test_enumerate_maps_brute_force_agreement():
         # documented order: ascending values, assigned in the linear
         # extension of P by (downset size, index)
         ext = sorted(range(p.n), key=lambda i: (p.down[i].bit_count(), i))
-        # several searches per domain: all but the first reuse its plan
+
+        def walk_order(tables):
+            return sorted(tables, key=lambda t: [t[x] for x in ext])
+
+        for require_open in (False, True):
+            got, _ = kernels.enumerate_maps(p.down, p.up, q.down, q.up,
+                                            require_open)
+            assert got == walk_order(
+                brute_maps(p, q, [full] * p.n, require_open))
+        # pinned searches from the same domain, in the same order
         for _ in range(3):
             allowed = [full if rng.random() < 0.8 else rng.getrandbits(q.n)
                        for _ in range(p.n)]
-            for require_open in (False, True):
-                got, _ = kernels.enumerate_maps(p.down, p.up, q.down, q.up,
-                                                allowed, require_open)
-                assert got == sorted(brute_maps(p, q, allowed, require_open),
-                                     key=lambda t: [t[x] for x in ext])
+            got, _ = pinned_alone(p.down, p.up, q.down, q.up, allowed)
+            assert got == walk_order(brute_maps(p, q, allowed, True))
 
 
 def test_enumerate_maps_budget():
     p = order.from_pairs(8, ())
     q = order.from_pairs(8, ())
-    full = (1 << q.n) - 1
     with pytest.raises(BudgetError):
-        kernels.enumerate_maps(p.down, p.up, q.down, q.up, [full] * p.n,
-                               False, node_budget=10)
+        kernels.enumerate_maps(p.down, p.up, q.down, q.up, False,
+                               node_budget=10)
 
 
 def test_enumerate_maps_on_relation_rows():
@@ -123,15 +140,13 @@ def test_enumerate_maps_on_relation_rows():
         ext = sorted(range(f.n), key=lambda i: (f.succ[i].bit_count(), i))
         tables = sorted(iproduct(range(g.n), repeat=f.n),
                         key=lambda t: [t[x] for x in ext])
-        full = [(1 << g.n) - 1] * f.n
         pm = [t for t in tables if kripke.is_pmorphism(t, f, g)]
-        got, _ = kernels.enumerate_maps(f.succ, f.pred, g.succ, g.pred, full,
-                                        True)
+        got, _ = kernels.enumerate_maps(f.succ, f.pred, g.succ, g.pred, True)
         assert got == pm, (f, g)
         refl = kripke.KripkeFrame(g.n, tuple(row | 1 << j
                                              for j, row in enumerate(g.succ)))
         got, _ = kernels.enumerate_maps(f.succ, f.pred, refl.succ, refl.pred,
-                                        full, False)
+                                        False)
         assert got == [t for t in tables
                        if all(refl.succ[t[x]] >> t[y] & 1 for x in range(f.n)
                               for y in bits(f.succ[x]))], (f, g)
@@ -221,6 +236,8 @@ def random_rows(rng):
 
 
 def test_loop_kernel_matches_the_recursive_oracle():
+    # every value allowed in both modes on `enumerate_maps`, random pins on
+    # the pinned walk as a batch of one
     rng = random.Random(53)
     budget_cases = 0
     for _ in range(300):
@@ -229,25 +246,32 @@ def test_loop_kernel_matches_the_recursive_oracle():
         full = (1 << n_q) - 1
         allowed = [full if rng.random() < 0.6 else rng.getrandbits(n_q)
                    for _ in range(n_p)]
-        for require_open in (False, True):
-            args = (p_down, p_up, q_down, q_up, allowed, require_open)
-            expected = recursive_maps(n_p, n_q, *args)
-            assert kernels.enumerate_maps(*args) == expected, args
+        rows = (p_down, p_up, q_down, q_up)
+        for pins, require_open, search in (
+                ([full] * n_p, False,
+                 lambda **kw: kernels.enumerate_maps(*rows, False, **kw)),
+                ([full] * n_p, True,
+                 lambda **kw: kernels.enumerate_maps(*rows, True, **kw)),
+                (allowed, True,
+                 lambda **kw: pinned_alone(*rows, allowed, **kw))):
+            args = (n_p, n_q, *rows, pins, require_open)
+            expected = recursive_maps(*args)
+            assert search() == expected, args
             # at the boundary: exactly the nodes used pass, one fewer fails
             # at the same node
             nodes = expected[1]
-            assert kernels.enumerate_maps(*args, node_budget=nodes) == expected
+            assert search(node_budget=nodes) == expected
             if not nodes:
                 continue
             budget_cases += 1
             for budget in {nodes - 1, rng.randrange(nodes)}:
                 with pytest.raises(BudgetError) as want:
-                    recursive_maps(n_p, n_q, *args, node_budget=budget)
+                    recursive_maps(*args, node_budget=budget)
                 with pytest.raises(BudgetError) as got:
-                    kernels.enumerate_maps(*args, node_budget=budget)
+                    search(node_budget=budget)
                 assert (got.value.used, got.value.budget) == (
                     want.value.used, want.value.budget) == (budget + 1, budget)
-    assert budget_cases > 500
+    assert budget_cases > 750
 
 
 def member_pins(classes, members, j):
@@ -266,8 +290,10 @@ def assert_pinned_matches_each_search(p_down, p_up, q_down, q_up, classes,
     assert len(got) == count
     for j, result in enumerate(got):
         allowed = member_pins(classes, members, j)
-        expected = kernels.enumerate_maps(p_down, p_up, q_down, q_up,
-                                          allowed, True, node_budget)
+        tables, nodes = recursive_maps(len(p_down), len(q_down), p_down,
+                                       p_up, q_down, q_up, allowed, True,
+                                       node_budget)
+        expected = (tuple(tables), nodes)
         assert result == expected, (j, allowed)
         alone = [[row >> j & 1 for row in rows] for rows in members]
         assert kernels.enumerate_pinned(p_down, p_up, q_down, q_up, classes,
@@ -358,7 +384,7 @@ def test_pinned_search_budget_counts_each_member_alone():
     members = [[0b01, 0b10, 0b01, 0b10]]
     args = (p.down, p.up, q.down, q.up, [0], members, 2)
     assert kernels.enumerate_pinned(*args, 2) == [
-        ([(0,), (2,)], 2), ([(1,), (3,)], 2)]
+        (((0,), (2,)), 2), (((1,), (3,)), 2)]
     with pytest.raises(BudgetError) as exc:
         kernels.enumerate_pinned(*args, 1)
     assert (exc.value.used, exc.value.budget) == (2, 1)
@@ -406,19 +432,12 @@ def test_pinned_search_stops_at_the_node_past_the_budget():
 def assert_into_matches_each_search(p_down, p_up, group):
     """enumerate_into from one domain into a group of codomains gives each
     codomain, in order, the sorted maps of its own open-map search."""
-    pairs = kernels.enumerate_into(p_down, p_up, group)
-    tables = [t for t, _ in pairs]
-    assert tables == sorted(set(tables))
-    assert all(0 < into < 1 << len(group) for _, into in pairs)
-    got = [[] for _ in group]
-    for t, into in pairs:
-        for c in bits(into):
-            got[c].append(t)
+    got = kernels.enumerate_into(p_down, p_up, group)
+    assert len(got) == len(group)
     for (q_down, q_up), maps_c in zip(group, got):
-        expected, _ = kernels.enumerate_maps(
-            p_down, p_up, q_down, q_up, [(1 << len(q_down)) - 1] * len(p_down),
-            True, math.inf)
-        assert maps_c == sorted(expected), (p_down, q_down)
+        expected, _ = kernels.enumerate_maps(p_down, p_up, q_down, q_up,
+                                             True, math.inf)
+        assert maps_c == tuple(sorted(expected)), (p_down, q_down)
     return sum(map(len, got))
 
 
@@ -433,6 +452,14 @@ def test_into_search_matches_each_search():
     found = sum(assert_into_matches_each_search(d.succ, d.pred, group)
                 for d in domains for group in groups)
     assert found == 47882
+    # one group of 1-, 2- and 3-state frames, mixed: value v is allowed only
+    # in the frames of more than v states
+    rng = random.Random(43)
+    mixed = groups[0] + groups[1] + rng.sample(groups[2], 64)
+    rng.shuffle(mixed)
+    found = sum(assert_into_matches_each_search(d.succ, d.pred, mixed)
+                for d in domains)
+    assert found == 1758
     # seeded frame domains, irreflexive and non-transitive rows included,
     # into the 3-state frames, then 4-state ones into the 4-state frames,
     # where the walk, with no monotone pruning, has its deepest trees
@@ -453,8 +480,7 @@ def test_into_search_matches_each_search():
                 assert_into_matches_each_search(d.succ, d.pred, [codomain])
     # the empty domain has one map into each codomain; no codomain, no map
     for group in groups:
-        assert kernels.enumerate_into((), (), group) == [
-            ((), (1 << len(group)) - 1)]
+        assert kernels.enumerate_into((), (), group) == [((),)] * len(group)
     assert kernels.enumerate_into(domains[0].succ, domains[0].pred, []) == []
 
 
