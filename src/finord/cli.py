@@ -377,11 +377,9 @@ def _suite_coreflect(args, rng):
     if states >= 1:
         kripke_mod.check_relation_budget(states)
     checks = 0
-    frames = []
-    for n in range(1, states + 1):
-        batch = (kripke_mod.enumerate_frames(n) if n <= 3
-                 else kripke_mod.frames_up_to_iso(n))
-        frames += batch
+    frames = [f for n in range(1, states + 1)
+              for f in (kripke_mod.enumerate_frames(n) if n <= 3
+                        else kripke_mod.frames_up_to_iso(n))]
     preorders = order_mod.enumerate_preorders(_pick(args.max_size, 2))
     mismatches = []
     universal = []

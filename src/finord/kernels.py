@@ -345,14 +345,7 @@ def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
                 new &= down_v
             if new != old:
                 meet = meets[z]
-                # union(pins[z], new), inline
-                now = 0
-                rows = pins[z]
-                left = new
-                while left:
-                    low = left & -left
-                    left ^= low
-                    now |= rows[low.bit_length() - 1]
+                now = union(pins[z], new)
                 allow[z] = new
                 meets[z] = now
                 undo.append((z, old, meet))
@@ -486,8 +479,10 @@ def union(rows, m):
     """The union of rows[i] over the members i of mask m (the down closure
     of m for down rows)."""
     out = 0
-    for i in bits(m):
-        out |= rows[i]
+    while m:
+        low = m & -m
+        m ^= low
+        out |= rows[low.bit_length() - 1]
     return out
 
 
@@ -504,8 +499,10 @@ def unions(rows):
 def image(table, m):
     """The mask of the values table[i] over the members i of mask m."""
     out = 0
-    for i in bits(m):
-        out |= 1 << table[i]
+    while m:
+        low = m & -m
+        m ^= low
+        out |= 1 << table[low.bit_length() - 1]
     return out
 
 

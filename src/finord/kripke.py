@@ -15,6 +15,7 @@ algebras the round trip returns the frame itself.
 
 from dataclasses import dataclass, field
 from itertools import permutations, product as iproduct
+from typing import NamedTuple
 
 from finord import kernels
 from finord import maps as maps_mod
@@ -44,7 +45,7 @@ class KripkeFrame:
         if len(self.succ) != self.n:
             raise ValueError("succ must have one row per state")
         full = (1 << self.n) - 1
-        if any(row & ~full for row in self.succ):
+        if min(self.succ, default=0) < 0 or max(self.succ, default=0) > full:
             raise ValueError("relation mentions states outside the carrier")
         object.__setattr__(self, "pred", kernels.transpose(self.succ))
 
@@ -59,8 +60,10 @@ def opposite_frame(p: FinitePreorder) -> KripkeFrame:
 
 def is_pmorphism(table, f: KripkeFrame, g: KripkeFrame) -> bool:
     """f[R[x]] = S[f(x)] for every state x."""
-    return all(kernels.image(table, f.succ[x]) == g.succ[table[x]]
-               for x in range(f.n))
+    for x, row in enumerate(f.succ):
+        if kernels.image(table, row) != g.succ[table[x]]:
+            return False
+    return True
 
 
 def _check_function_space(f: KripkeFrame, g: KripkeFrame):
@@ -158,18 +161,20 @@ def coreflect_fixpoint(f: KripkeFrame) -> int:
     return y
 
 
-@dataclass
-class CoreflectionReport:
+class CoreflectionReport(NamedTuple):
+    # immutable, so every (frame, preorder) pair with no map shares _NO_MAPS
     pmorphisms: int
-    violations: list = field(default_factory=list)
+    violations: tuple = ()
 
 
-def verify_coreflection(f: KripkeFrame, preorders
-                        ) -> tuple[Coreflection, list[CoreflectionReport]]:
+_NO_MAPS = CoreflectionReport(0)
+
+
+def verify_coreflection(f: KripkeFrame, preorders):
     """Universal property at desk scale, by exhausting all p-morphisms.
 
-    Returns the coreflection of f and one CoreflectionReport per preorder p
-    in `preorders`, in order: `verify_coreflections` on the one frame f.
+    Returns the coreflection of f and a tuple of one CoreflectionReport per
+    preorder p in `preorders`, in order: `verify_coreflections` on f alone.
     """
     return next(verify_coreflections([f], preorders))
 
@@ -182,17 +187,17 @@ def verify_coreflections(frames, preorders):
     coreflected preorder (equivalently a p-morphism into the subframe of f
     on the coreflection's members; both routes are checked).  The
     factorization is through an inclusion, so uniqueness is automatic.
-    reports holds one CoreflectionReport per preorder of `preorders`, in
-    order.
+    reports is a tuple of one CoreflectionReport per preorder of
+    `preorders`, in order.
 
     The p-morphisms are searched by one `kernels.enumerate_into` walk per
     preorder, into every frame at once.  Before any walk, each frame size
     is checked in the order the frames first have it, as the per-frame
     checks would: the carrier against `order.MAX_DOWNSET_SIZE` (what
     `coreflect` checks first), then each preorder's function space into
-    it; so the first BudgetError of that order is raised.  Frame i's
-    tables are entry i of each walk, and its coreflection and subframe are
-    computed once for all the preorders.
+    it; so the first BudgetError of that order is raised.  Each frame is
+    coreflected; only a frame with some map gets a position map and a
+    subframe, and a pair with no map gets the shared `_NO_MAPS`.
     """
     frames, preorders = list(frames), list(preorders)
     opposites = [opposite_frame(p) for p in preorders]
@@ -203,15 +208,20 @@ def verify_coreflections(frames, preorders):
     rows = [(f.succ, f.pred) for f in frames]
     walks = [kernels.enumerate_into(frame_p.succ, frame_p.pred, rows)
              for frame_p in opposites]
-    for i, f in enumerate(frames):
+    # per frame, its tables from each preorder; with no preorder, none
+    per_frame = zip(*walks) if walks else [()] * len(frames)
+    no_maps = (_NO_MAPS,) * len(preorders)
+    for f, found in zip(frames, per_frame):
         cor = coreflect(f)
+        if not any(found):
+            yield cor, no_maps
+            continue
         pos = {x: k for k, x in enumerate(cor.members)}
         # the frame route reads f's own rows, the open route cor.preorder's
         sub = kernels.restrict([f.succ[a] for a in cor.members], cor.members)
         restricted = KripkeFrame(len(sub), sub)
         reports = []
-        for p, frame_p, walk in zip(preorders, opposites, walks):
-            tables = walk[i]
+        for p, frame_p, tables in zip(preorders, opposites, found):
             violations = []
             for table in tables:
                 if kernels.mask(table) & ~cor.member_mask:
@@ -225,8 +235,9 @@ def verify_coreflections(frames, preorders):
                     violations.append(("route_disagreement", table))
                 if not open_route:
                     violations.append(("corestriction_not_open", table))
-            reports.append(CoreflectionReport(len(tables), violations))
-        yield cor, reports
+            reports.append(CoreflectionReport(len(tables), tuple(violations))
+                           if tables else _NO_MAPS)
+        yield cor, tuple(reports)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +366,9 @@ def check_relation_budget(n: int):
 def enumerate_frames(n: int):
     """All labeled frames on n states, relation bits ascending."""
     check_relation_budget(n)
-    out = []
-    for code in range(1 << n * n):
-        succ = tuple((code >> i * n) & ((1 << n) - 1) for i in range(n))
-        out.append(KripkeFrame(n, succ))
-    return out
+    full = (1 << n) - 1
+    return [KripkeFrame(n, tuple(code >> i * n & full for i in range(n)))
+            for code in range(1 << n * n)]
 
 
 def frames_up_to_iso(n: int):
@@ -398,14 +407,9 @@ def frames_up_to_iso(n: int):
 
 
 def sample_frame(n: int, rng, density: float = 0.4) -> KripkeFrame:
-    succ = []
-    for _ in range(n):
-        row = 0
-        for j in range(n):
-            if rng.random() < density:
-                row |= 1 << j
-        succ.append(row)
-    return KripkeFrame(n, tuple(succ))
+    return KripkeFrame(n, tuple(
+        sum(1 << j for j in range(n) if rng.random() < density)
+        for _ in range(n)))
 
 
 # ---------------------------------------------------------------------------

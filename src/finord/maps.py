@@ -47,7 +47,8 @@ class PointMap:
     def __post_init__(self):
         if len(self.table) != self.dom.n:
             raise ValueError("table must cover the whole domain")
-        if any(not 0 <= v < self.cod.n for v in self.table):
+        if self.table and (min(self.table) < 0
+                           or max(self.table) >= self.cod.n):
             raise ValueError("table value outside codomain")
 
     def __call__(self, i: int) -> int:
@@ -83,10 +84,11 @@ def is_open_v1(f: PointMap) -> bool:
 def is_open_v2(f: PointMap) -> bool:
     """Pointwise: image of each principal downset is the principal downset
     of the image point."""
-    return all(
-        kernels.image(f.table, f.dom.down[i]) == f.cod.down[f.table[i]]
-        for i in range(f.dom.n)
-    )
+    table, cod_down = f.table, f.cod.down
+    for i, row in enumerate(f.dom.down):
+        if kernels.image(table, row) != cod_down[table[i]]:
+            return False
+    return True
 
 
 def is_open_v3(f: PointMap) -> bool:

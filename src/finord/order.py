@@ -245,11 +245,8 @@ def enumerate_preorders(n: int) -> list[FinitePreorder]:
 def sample_preorder(n: int, rng) -> FinitePreorder:
     """Random preorder: random digraph with edge density 0.3, then
     reflexive-transitive closure."""
-    up = [1 << i for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i != j and rng.random() < 0.3:
-                up[i] |= 1 << j
+    up = [1 << i | sum(1 << j for j in range(n)
+                       if i != j and rng.random() < 0.3) for i in range(n)]
     return FinitePreorder(n, kernels.closure(up))
 
 

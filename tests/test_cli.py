@@ -399,7 +399,9 @@ def test_obstruct_candidate_cap_stops_a_sweep_before_it_starts(
 # coreflect4, lemma32, thm26 and lemma24 as written while order, maps and
 # kripke each kept their own copies of the row unions, images, preimages and
 # transitive closure (coreflect4 classifies frames up to isomorphism and
-# closes each frame's reachability rows)
+# closes each frame's reachability rows); coreflect4_3, the 3-point
+# preorders into frames of up to 4 states, as checked while every (frame,
+# preorder) pair built its own report and each frame its own subframe
 REPORT_DIGESTS = {
     "coreflect": (["verify", "coreflect", "--states", "3"],
                   "097112765b1344d77c28cdf3a1a545c8e660a2e39c31cc8e46f25e0fe8b45228"),
@@ -434,6 +436,9 @@ REPORT_DIGESTS = {
                          "226be24ac9c9a7c3a9f106f312f597e7ede9ab3a9866b87f7c261503581ad9ce"),
     "duality5": (["verify", "duality", "--max-size", "5"],
                  "3ceada280dd8abec77f562013740c55fc9d693ad0c4d483f00ad47471a260a76"),
+    "coreflect4_3": (["verify", "coreflect", "--states", "4", "--max-size",
+                      "3"],
+                     "3197dec83a5f1a735529cfc57fc2e4c8668ee59c16d4de49ebcb2fcff9e7520f"),
 }
 
 
@@ -731,6 +736,29 @@ def test_lemma32_checks_four_point_posets(monkeypatch, capsys):
     assert doc["violations"] == planted
 
 
+def test_lemma23_checks_stage_two(monkeypatch, capsys):
+    # a stage check that reports one stale fresh element of stage 2 of the
+    # three-antichain tower only: stale children are checked from stage 2
+    # on, so the fault shows at the default depth 2 and not at depth 1
+    original = hierarchy.verify_stage_properties
+    planted = []
+
+    def faulty(h):
+        rep = original(h)
+        if len(h.base) == 3 and len(h.levels) > 2:
+            x = min(h.new_at(2))
+            rep.violations.append(("stale_children", 2, x))
+            planted.append(["antichain3", "stale_children", "2", str(x)])
+        return rep
+
+    monkeypatch.setattr(hierarchy, "verify_stage_properties", faulty)
+    code, doc = run_json(["verify", "lemma23", "--depth", "1"], capsys)
+    assert code == 0 and doc["violations"] == [] and not planted
+    code, doc = run_json(["verify", "lemma23"], capsys)
+    assert code == 1 and len(planted) == 1
+    assert doc["violations"] == planted
+
+
 def test_obstruct_writes_the_report_in_slices(monkeypatch):
     # no write of the 11 MB report encodes more than 1 MiB
     writes = []
@@ -865,6 +893,63 @@ def test_coreflect_suite_reports_a_fault_planted_in_one_frame(
     code, doc = run_json(["verify", "coreflect"], capsys)
     assert code == 1
     assert doc["violations"] == expected
+
+
+def test_coreflect_suite_builds_subframes_only_where_a_map_lands(
+        monkeypatch, capsys):
+    # 199 of the 530 frames on up to 3 states have a p-morphism from some
+    # preorder on up to 2 points: the sweep builds a subframe for exactly
+    # those, while it coreflects the frame just before it checks it
+    frames = [f for n in (1, 2, 3) for f in kripke.enumerate_frames(n)]
+    preorders = order.enumerate_preorders(2)
+    with_maps = [(f.n, f.succ) for f in frames if any(
+        kripke.pmorphisms(kripke.opposite_frame(p), f) for p in preorders)]
+    assert len(with_maps) == 199
+    current, built = [], []
+    coreflect = kripke.coreflect
+
+    def recording(f):
+        current[:] = [f]
+        return coreflect(f)
+
+    class CountingFrame(kripke.KripkeFrame):
+        def __post_init__(self):
+            super().__post_init__()
+            # frame 1 is the dataclass __init__, frame 2 its caller
+            if sys._getframe(2).f_code.co_name == "verify_coreflections":
+                built.append((current[0].n, current[0].succ))
+
+    monkeypatch.setattr(kripke, "coreflect", recording)
+    monkeypatch.setattr(kripke, "KripkeFrame", CountingFrame)
+    code, doc = run_json(["verify", "coreflect", "--states", "3"], capsys)
+    assert code == 0 and doc["checks"] == 1735
+    assert built == with_maps
+
+
+def test_coreflect_suite_reports_a_fault_in_a_frame_with_no_map(
+        monkeypatch, capsys):
+    # the complete relation on 3 states is its own coreflection, and no
+    # preorder on up to 2 points maps into it; a coreflect that drops its
+    # last state must still be caught by the fixpoint check, at its index
+    frames = [f for n in (1, 2, 3) for f in kripke.enumerate_frames(n)]
+    target = kripke.KripkeFrame(3, (0b111,) * 3)
+    index = frames.index(target)
+    assert kripke.coreflect(target).member_mask == 0b111
+    assert not any(kripke.pmorphisms(kripke.opposite_frame(p), target)
+                   for p in order.enumerate_preorders(2))
+    coreflect = kripke.coreflect
+
+    def planted(f):
+        cor = coreflect(f)
+        if f != target:
+            return cor
+        return kripke.Coreflection(cor.members[:2], order.chain(1),
+                                   cor.member_mask & 0b011)
+
+    monkeypatch.setattr(kripke, "coreflect", planted)
+    code, doc = run_json(["verify", "coreflect", "--states", "3"], capsys)
+    assert code == 1
+    assert doc["violations"] == [["fixpoint_mismatch", index]]
 
 
 def test_obstruct_timing_fills_every_elapsed(capsys):

@@ -18,10 +18,15 @@ def all_frames(n):
 
 
 def test_frame_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="one row per state"):
         KripkeFrame(2, (0b01,))
-    with pytest.raises(ValueError):
-        KripkeFrame(1, (0b10,))
+    # (0b01, -1) has its largest row inside the carrier
+    for n, succ in ((1, (0b10,)), (2, (0b11, 0b100)), (1, (-1,)),
+                    (2, (0b01, -1))):
+        with pytest.raises(ValueError,
+                           match="relation mentions states outside"):
+            KripkeFrame(n, succ)
+    assert KripkeFrame(0, ()).pred == ()
 
 
 def test_pred_and_rel():

@@ -18,6 +18,19 @@ def claw_tower(depth=2):
     return u, base, hierarchy.build(base, depth, u)
 
 
+def test_pointmap_validation():
+    p, q = sierpinski(), order.chain(3)
+    with pytest.raises(ValueError, match="table must cover the whole domain"):
+        PointMap(p, q, (0,))
+    # (-1, 0) has its largest value inside the codomain
+    for table in ((0, 3), (-1, 0), (2, -1), (-3, 5)):
+        with pytest.raises(ValueError, match="table value outside codomain"):
+            PointMap(p, q, table)
+    assert PointMap(p, q, (0, 2)).table == (0, 2)
+    empty = order.FinitePreorder(0, ())
+    assert PointMap(empty, empty, ()).table == ()
+
+
 def all_openness_verdicts(f):
     return (maps.is_open_v1(f), maps.is_open_v2(f), maps.is_open_v3(f))
 
