@@ -21,7 +21,7 @@ maps of a 5-point poset into the Sierpinski space take 27 us against
 11 us (mean over the 5-point posets, 2-vCPU VM, Python 3.11).  The
 module also holds every operation on relation rows the modules share:
 `bits` and its inverse `mask`; `union` of the rows a mask selects;
-`unions`, every union of some rows (downsets, upsets); `image` and
+`unions`, every union of some rows (downsets); `image` and
 `preimage` under a table; `transpose`; transitive `closure`; `restrict`
 to a subset; and `row_string`, the JSON bit string.  Sizes are read off
 the rows.  It imports only `errors` and the standard library.

@@ -7,10 +7,12 @@ p-morphisms of frames are the same functions; that bridge is tested
 exhaustively.
 
 The coreflector extracts the largest R-upset on which the relation is a
-preorder.  The complex algebra turns a frame into a finite Boolean algebra
-with an additive diamond (stored on atoms); in the other direction, the
-algebra's reflexive-transitive core recovers a frame, and for powerset
-algebras the round trip returns the frame itself.
+preorder, read off the frame's reachability rows.  The complex algebra turns
+a frame into a finite Boolean algebra with an additive diamond (stored on
+atoms); in the other direction, the algebra's reflexive-transitive core
+recovers a frame from the columns of the diamond table, and for powerset
+algebras the round trip returns the frame itself.  Neither direction scans
+subsets or elements.
 """
 
 from dataclasses import dataclass, field
@@ -19,7 +21,6 @@ from typing import NamedTuple
 
 from finord import kernels
 from finord import maps as maps_mod
-from finord import order as order_mod
 from finord.errors import BudgetError
 from finord.kernels import bits
 from finord.order import FinitePreorder
@@ -27,8 +28,6 @@ from finord.order import FinitePreorder
 # most relations `enumerate_frames` and `frames_up_to_iso` may walk; there
 # are 2 ** (n * n) on n states, so n <= 4
 RELATION_BUDGET = 1 << 20
-# largest algebra whose 2 ** atoms elements `bao_L` scans
-MAX_BAO_ATOMS = 16
 # largest algebra whose 4 ** atoms element pairs `box_diamond_report` checks
 MAX_BOX_DIAMOND_ATOMS = 8
 
@@ -98,40 +97,33 @@ class Coreflection:
     member_mask: int
 
 
-def _upsets(f: KripkeFrame) -> list[int]:
-    """All R-upsets, ascending: the unions of some of the reflexive
-    reachability rows (`kernels.unions`), after the size check of
-    `order.check_downset_budget`."""
-    order_mod.check_downset_budget(f.n)
-    return kernels.unions(
-        kernels.closure([row | 1 << i for i, row in enumerate(f.succ)]))
-
-
 def is_preorder_on(f: KripkeFrame, mask: int) -> bool:
-    """R restricted to the states in mask is reflexive and transitive."""
-    for x in bits(mask):
-        if not f.succ[x] >> x & 1:
+    """R restricted to the states in mask is reflexive and transitive: each
+    x in mask has x R x, and the successors in mask of its successors in
+    mask are its own."""
+    rest = mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        row = f.succ[low.bit_length() - 1]
+        if not row & low or kernels.union(f.succ, row & mask) & mask & ~row:
             return False
-        for y in bits(f.succ[x] & mask):
-            if f.succ[y] & mask & ~f.succ[x]:
-                return False
     return True
 
 
 def coreflect(f: KripkeFrame) -> Coreflection:
     """The largest R-upset on which R is a preorder, ordered by converse R.
 
-    Computed straight from the definition: union every good upset.  The
-    union is verified to be good itself and to contain each good upset.  A
-    frame on more than `order.MAX_DOWNSET_SIZE` states raises BudgetError
-    before any upset is built (see `_upsets`).
+    Read off the reflexive reachability rows: the members are the union of
+    those on which R is a preorder.  Every R-upset is the union of its
+    members' rows, and every upset inside a good upset is good, so this is
+    the union of all good upsets; and a union of good upsets is good, as a
+    state's successors stay in each upset that holds it.
     """
-    good = [u for u in _upsets(f) if is_preorder_on(f, u)]
     y = 0
-    for u in good:
-        y |= u
-    assert is_preorder_on(f, y), "union of good upsets must be good"
-    assert all(u & ~y == 0 for u in good)
+    for row in kernels.closure([r | 1 << i for i, r in enumerate(f.succ)]):
+        if is_preorder_on(f, row):
+            y |= row
     members = tuple(bits(y))
     # converse: a <= b in the coreflection iff b R a
     up = kernels.restrict([f.pred[a] for a in members], members)
@@ -148,15 +140,14 @@ def coreflect_fixpoint(f: KripkeFrame) -> int:
     changed = True
     while changed:
         changed = False
-        for x in bits(y):
-            bad = (not f.succ[x] >> x & 1) or f.succ[x] & ~y
-            if not bad:
-                for z in bits(f.succ[x] & y):
-                    if f.succ[z] & y & ~f.succ[x]:
-                        bad = True
-                        break
-            if bad:
-                y ^= 1 << x
+        rest = y
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            row = f.succ[low.bit_length() - 1]
+            if (not row & low or row & ~y
+                    or kernels.union(f.succ, row & y) & y & ~row):
+                y ^= low
                 changed = True
     return y
 
@@ -191,18 +182,16 @@ def verify_coreflections(frames, preorders):
     `preorders`, in order.
 
     The p-morphisms are searched by one `kernels.enumerate_into` walk per
-    preorder, into every frame at once.  Before any walk, each frame size
-    is checked in the order the frames first have it, as the per-frame
-    checks would: the carrier against `order.MAX_DOWNSET_SIZE` (what
-    `coreflect` checks first), then each preorder's function space into
-    it; so the first BudgetError of that order is raised.  Each frame is
-    coreflected; only a frame with some map gets a position map and a
-    subframe, and a pair with no map gets the shared `_NO_MAPS`.
+    preorder, into every frame at once.  Before any walk, each preorder's
+    function space into each frame size is checked, sizes in the order the
+    frames first have them, as the per-frame checks would; so the first
+    BudgetError of that order is raised.  Each frame is coreflected; only a
+    frame with some map gets a position map and a subframe, and a pair with
+    no map gets the shared `_NO_MAPS`.
     """
     frames, preorders = list(frames), list(preorders)
     opposites = [opposite_frame(p) for p in preorders]
     for f in {f.n: f for f in frames}.values():
-        order_mod.check_downset_budget(f.n)
         for frame_p in opposites:
             _check_function_space(frame_p, f)
     rows = [(f.succ, f.pred) for f in frames]
@@ -321,28 +310,18 @@ def bao_L(a: FiniteBAO) -> KripkeFrame:
 
     s joins every element below its own box (finite carriers make the
     spatiality side conditions automatic); the frame lives on the atoms
-    under s with x R y iff x <= s & dia(y).  Above MAX_BAO_ATOMS atoms
-    raises BudgetError.
+    under s with x R y iff x <= s & dia(y).  The diamond is a union over
+    atoms, so dia(0) = 0 and box(top) = top: s is top, every atom is a
+    state, and x R y iff x lies in dia of the atom y, a column of the
+    diamond table.
     """
-    if a.atoms > MAX_BAO_ATOMS:
-        raise BudgetError("element scan beyond the cap", used=a.atoms,
-                          budget=MAX_BAO_ATOMS)
-    s = 0
-    for x in range(1 << a.atoms):
-        if x & ~a.box(x) == 0:
-            s |= x
-    assert s & ~a.box(s) == 0, "the join of the family must stay in it"
-    members = tuple(bits(s))
-    # x R y iff x lies in dia of the atom y: a column of the diamond table
-    cols = kernels.transpose(a.dia_atom)
-    succ = kernels.restrict([cols[x] for x in members], members)
-    return KripkeFrame(len(members), succ)
+    return KripkeFrame(a.atoms, kernels.transpose(a.dia_atom))
 
 
 def verify_bao_adjunction(f: KripkeFrame) -> bool:
-    """bao_L(complex_algebra(f)) is f itself: the join of the R-upsets is
-    the whole carrier and the transpose of `f.pred` is `f.succ`, so the
-    round trip relabels nothing and equality is the isomorphism test."""
+    """bao_L(complex_algebra(f)) is f itself: the transpose of `f.pred` is
+    `f.succ`, so the round trip relabels nothing and equality is the
+    isomorphism test."""
     return bao_L(complex_algebra(f)) == f
 
 

@@ -105,20 +105,13 @@ def is_downset(p: FinitePreorder, mask: int) -> bool:
     return kernels.union(p.down, mask) == mask
 
 
-def check_downset_budget(n: int):
-    """Raise BudgetError, before any union is built, when a downset or upset
-    enumeration on n points (`all_downsets`, `kripke.coreflect`) is over
-    MAX_DOWNSET_SIZE."""
-    if n > MAX_DOWNSET_SIZE:
-        raise BudgetError("downset enumeration beyond the size cap",
-                          used=n, budget=MAX_DOWNSET_SIZE)
-
-
 def all_downsets(p: FinitePreorder) -> list[int]:
     """Every downset of p, ascending as integers: the unions of some of p's
     down rows (`kernels.unions`).  A carrier above MAX_DOWNSET_SIZE raises
     BudgetError before any downset is built."""
-    check_downset_budget(p.n)
+    if p.n > MAX_DOWNSET_SIZE:
+        raise BudgetError("downset enumeration beyond the size cap",
+                          used=p.n, budget=MAX_DOWNSET_SIZE)
     return kernels.unions(p.down)
 
 

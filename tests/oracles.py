@@ -7,7 +7,7 @@ tests use.
 
 from itertools import permutations
 
-from finord import maps, order
+from finord import kernels, kripke, maps, order
 from finord.hsets import Universe, base_poset
 from finord.kernels import bits
 
@@ -29,6 +29,33 @@ def is_pmorphism_via_preimages(table, f, g) -> bool:
         if lhs != rhs:
             return False
     return True
+
+
+def upsets(f) -> list[int]:
+    """Every R-upset of frame f, ascending: the unions of some of its
+    reflexive reachability rows, 2 ** f.n of them at most."""
+    return kernels.unions(
+        kernels.closure([row | 1 << i for i, row in enumerate(f.succ)]))
+
+
+def coreflect_by_upsets(f) -> int:
+    """Oracle for `kripke.coreflect`: the member mask as the union of every
+    R-upset on which R is a preorder, each tested on its own."""
+    y = 0
+    for u in upsets(f):
+        if kripke.is_preorder_on(f, u):
+            y |= u
+    return y
+
+
+def bao_join_by_scan(a) -> int:
+    """Oracle for the carrier of `kripke.bao_L`: the join of every element
+    below its own box, scanned over all 2 ** a.atoms elements."""
+    s = 0
+    for x in range(1 << a.atoms):
+        if x & ~a.box(x) == 0:
+            s |= x
+    return s
 
 
 def covers_pairwise(p) -> list[tuple[int, int]]:

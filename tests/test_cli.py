@@ -439,6 +439,8 @@ REPORT_DIGESTS = {
     "coreflect4_3": (["verify", "coreflect", "--states", "4", "--max-size",
                       "3"],
                      "3197dec83a5f1a735529cfc57fc2e4c8668ee59c16d4de49ebcb2fcff9e7520f"),
+    "bao4": (["verify", "bao", "--states", "4"],
+             "cb893f7a4bc791c0d88c812baf8717e6b16a4506fd514dbe50bfa5d82dc3b6b9"),
 }
 
 

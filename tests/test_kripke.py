@@ -1,6 +1,7 @@
 """Frames, p-morphisms, the preorder coreflection, and complex algebras."""
 
 import random
+import time
 from itertools import permutations, product as iproduct
 
 import pytest
@@ -10,7 +11,8 @@ from finord.errors import BudgetError
 from finord.kripke import FiniteBAO, KripkeFrame
 from finord.maps import PointMap
 from finord.order import sierpinski
-from oracles import is_pmorphism_via_preimages
+from oracles import (bao_join_by_scan, coreflect_by_upsets,
+                     is_pmorphism_via_preimages, upsets)
 
 
 def all_frames(n):
@@ -114,21 +116,57 @@ def test_pmorphisms_match_the_is_pmorphism_filter(monkeypatch):
 def test_budget_errors_carry_usage_and_budget():
     # 8 ** 8 functions between 8-state frames
     f8 = KripkeFrame(8, (0,) * 8)
-    f21 = KripkeFrame(21, (0,) * 21)
     cases = [
         (lambda: kripke.pmorphisms(f8, f8), 8 ** 8, kernels.NODE_BUDGET),
         (lambda: kripke.fullness_frames_report(f8, f8), 8 ** 8,
          kernels.NODE_BUDGET),
         (lambda: kripke.enumerate_frames(5), 1 << 25, 1 << 20),
         (lambda: kripke.frames_up_to_iso(5), 1 << 25, 1 << 20),
-        (lambda: kripke.coreflect(f21), 21, 20),
-        (lambda: kripke.bao_L(FiniteBAO(17, (0,) * 17)), 17, 16),
         (lambda: kripke.box_diamond_report(FiniteBAO(9, (0,) * 9)), 9, 8),
     ]
     for call, used, budget in cases:
         with pytest.raises(BudgetError) as exc:
             call()
         assert (exc.value.used, exc.value.budget) == (used, budget)
+
+
+def test_coreflect_and_bao_L_scale_past_the_subset_count():
+    # a 12-point chain, 6 irreflexive states and 6 reflexive states that see
+    # the chain's top but not below it: 2 ** 24 subsets, none scanned
+    succ = tuple([(1 << x + 1) - 1 for x in range(12)] + [0] * 6
+                 + [1 << x | 1 << 11 for x in range(18, 24)])
+    f = KripkeFrame(24, succ)
+    start = time.perf_counter()
+    cor = kripke.coreflect(f)
+    assert time.perf_counter() - start < 0.1
+    assert cor.member_mask == kripke.coreflect_fixpoint(f) == (1 << 12) - 1
+    rng = random.Random(67)
+    a = FiniteBAO(24, tuple(rng.getrandbits(24) for _ in range(24)))
+    start = time.perf_counter()
+    g = kripke.bao_L(a)
+    assert time.perf_counter() - start < 0.1
+    assert (g.n, g.succ) == (24, kernels.transpose(a.dia_atom))
+
+
+def test_coreflect_matches_the_upset_oracle():
+    frames = [f for n in (1, 2, 3) for f in all_frames(n)]
+    for f in frames + kripke.frames_up_to_iso(4):
+        mask = kripke.coreflect(f).member_mask
+        assert mask == coreflect_by_upsets(f), f
+        assert kripke.is_preorder_on(f, mask)
+
+
+def test_bao_join_scan_reaches_top():
+    # bao_L takes every atom as a state because this scan always joins to top
+    algebras = [kripke.complex_algebra(f) for n in (1, 2, 3)
+                for f in all_frames(n)]
+    rng = random.Random(71)
+    for _ in range(200):
+        atoms = rng.randint(0, 8)
+        algebras.append(FiniteBAO(atoms, tuple(rng.getrandbits(atoms)
+                                               for _ in range(atoms))))
+    for a in algebras:
+        assert bao_join_by_scan(a) == a.top, a
 
 
 def test_coreflect_drops_irreflexive_state():
@@ -167,7 +205,7 @@ def test_upsets_are_the_masks_closed_under_succ():
         for f in all_frames(n):
             closed = [m for m in range(1 << n)
                       if not kernels.union(f.succ, m) & ~m]
-            assert kripke._upsets(f) == closed
+            assert upsets(f) == closed
 
 
 def test_coreflection_routes_are_independent(monkeypatch):
