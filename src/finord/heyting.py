@@ -12,7 +12,6 @@ preimage; join-irreducibles recover the underlying poset, giving the finite
 duality that the verification suites exercise.
 """
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
@@ -161,7 +160,7 @@ def cha_morphisms(a: DownsetAlgebra, b: DownsetAlgebra):
     monotone assignment extends by joins and is then verified against the
     full definition.  A brute-force cross-check over all tables lives in the
     test suite for the smallest algebras.  More than `kernels.NODE_BUDGET`
-    candidate assignments raise BudgetError before the search starts.
+    candidate assignments raise BudgetError before any is built.
     """
     ji_poset, ji = join_irreducibles(a)
     k = len(ji)
@@ -185,13 +184,17 @@ def cha_morphisms(a: DownsetAlgebra, b: DownsetAlgebra):
 
 
 def _monotone_assignments(ji_poset: FinitePreorder, b: DownsetAlgebra):
-    """All ji-monotone tuples of b-elements, lexicographic order."""
-    inc = _inclusion_order(b)
-    # cha_morphisms bounds the search before it starts
-    tables, _ = kernels.enumerate_maps(
-        ji_poset.down, ji_poset.up, inc.down, inc.up, False,
-        node_budget=math.inf)
-    return sorted(tuple(b.elements[v] for v in t) for t in tables)
+    """All ji-monotone tuples of b-elements, lexicographic order.
+
+    A monotone map J -> D(P) is a downset of the product of J reversed with
+    P, b's base: row j of the downset, its points (j, p), is j's value.
+    The downsets are the unions of the product's down rows, as many as the
+    assignments, which `cha_morphisms` bounds first.
+    """
+    n = b.base.n
+    prod = order_mod.product(FinitePreorder(ji_poset.n, ji_poset.down), b.base)
+    return sorted(tuple(d >> j * n & b.top for j in range(ji_poset.n))
+                  for d in kernels.unions(prod.down))
 
 
 @dataclass

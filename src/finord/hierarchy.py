@@ -103,7 +103,7 @@ def build(base_ids, depth: int, u: Universe, budget: int = DEFAULT_BUDGET) -> Hi
         elems = sorted(level)
         down, up = _local_rows(elems, u)
         comp = [d | a for d, a in zip(down, up)]
-        masks, hit = kernels.antichains(comp, min_size=2, limit=budget + 1)
+        masks, hit = kernels.antichains(comp, budget + 1)
         if hit:
             # more candidate antichains than any level may hold; the kernel
             # counted limit + 1 of them, and distinct antichains intern to

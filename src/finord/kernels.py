@@ -2,23 +2,22 @@
 
 The two hot loops of the package: independent-set (antichain) enumeration
 over a comparability mask table (the tower's levels), and backtracking
-search for monotone or open maps between relations given by rows, which
-serves open maps, mediating maps, p-morphisms and `heyting.cha_morphisms`.
-No isomorphism is decided by search: posets compare by
-`order.canonical_form`.  A map search prepares its plan once per domain
-and keeps it in a bounded cache, since callers such as the obstruction
-sweep search from the same domain many times, and backtracks in one loop
-over a per-depth stack, not by recursion.  There are two map walks:
-`enumerate_maps` runs one search with every value allowed, and
-`_pinned_walk`, the only code that knows pins and lanes, many open-map
+search for open maps between relations given by rows, which serves open
+maps, mediating maps and p-morphisms.  No isomorphism is decided by
+search: posets compare by `order.canonical_form`.  A map search prepares
+its plan once per domain and keeps it in a bounded cache, since callers
+such as the obstruction sweep search from the same domain many times, and
+backtracks in one loop over a per-depth stack, not by recursion.  There
+are two map walks: `enumerate_maps` runs one search with every value
+allowed, and `_pinned_walk`, the only code that knows pins and lanes, many
 searches from one domain as the lanes of one mask.  `_lanes` splits its
 maps per lane for `enumerate_pinned` (pinned searches into one codomain,
 the obstruction sweep's) and `enumerate_into` (one codomain of any size
 per lane, the p-morphisms of Kripke frames).  A single unpinned search
 tries a handful of assignments, so its cost is mostly fixed cost, which
 keeps `enumerate_maps` a walk of its own: as a batch of one, the open
-maps of a 5-point poset into the Sierpinski space take 27 us against
-11 us (mean over the 5-point posets, 2-vCPU VM, Python 3.11).  The
+maps of a 5-point poset into the Sierpinski space take 30 us against
+11 us (mean over the 63 5-point posets, 2-vCPU VM, Python 3.11).  The
 module also holds every operation on relation rows the modules share:
 `bits` and its inverse `mask`; `union` of the rows a mask selects;
 `unions`, every union of some rows (downsets); `image` and
@@ -40,32 +39,33 @@ from finord.errors import BudgetError
 # stamped into benchmark records; the only implementation
 ACTIVE = "pure"
 
-# the search bound of every map search: the node budget of `enumerate_maps`,
-# and the function-space bound of `kripke.pmorphisms`, the coreflection
-# sweep, `kripke.fullness_frames_report` and `heyting.cha_morphisms`
+# the bound of every map search: the node budget of `enumerate_maps` and of
+# each `enumerate_pinned` candidate, and the function-space bound of
+# `kripke.pmorphisms`, the coreflection sweep, `fullness_frames_report` and
+# the monotone assignments of `heyting.cha_morphisms`
 NODE_BUDGET = 10_000_000
 
 
-def antichains(comp, min_size=0, limit=None):
-    """Enumerate subsets of range(len(comp)) with no two members comparable.
+def antichains(comp, limit):
+    """Enumerate the subsets of range(len(comp)) of two or more members, no
+    two of them comparable: the candidates of a tower level.
 
     comp[i] is the bitmask of elements comparable to i; i's own bit is
     ignored.  Emits masks in lexicographic order over sorted index tuples:
-    (), (0,), (0,1), (0,1,2), ..., i.e. depth-first, extending before
-    advancing.  Subsets smaller than min_size are skipped but still extended.
+    (0,1), (0,1,2), ..., (0,2), ..., i.e. depth-first, extending before
+    advancing; the singletons are extended but not emitted.
 
     Returns (masks, hit_limit): hit_limit is True exactly when more than
     `limit` results exist, and the list is then empty.  The results are
     counted up to limit + 1 before any is kept, so an overflowing call holds
     one frame per depth and no result.
     """
-    if limit is not None and sum(
-            1 for _ in islice(_walk(comp, min_size), limit + 1)) > limit:
+    if sum(1 for _ in islice(_walk(comp), limit + 1)) > limit:
         return [], True
-    return list(_walk(comp, min_size)), False
+    return list(_walk(comp)), False
 
 
-def _walk(comp, min_size):
+def _walk(comp):
     """The antichains of `antichains`, lazily, in its order.
 
     One (mask, free) frame per depth: free holds the indices still to try
@@ -74,8 +74,6 @@ def _walk(comp, min_size):
     the child's free is what then remains of it minus comp[j], so no frame
     scans all len(comp) indices.
     """
-    if min_size <= 0:
-        yield 0
     masks = [0]
     frees = [(1 << len(comp)) - 1]
     while frees:
@@ -89,7 +87,7 @@ def _walk(comp, min_size):
         frees[-1] = free
         m = masks[-1] | low
         # the child has one member per frame on the stack
-        if len(masks) >= min_size:
+        if len(masks) >= 2:
             yield m
         free &= ~comp[low.bit_length() - 1]
         if free:
@@ -97,24 +95,22 @@ def _walk(comp, min_size):
             frees.append(free)
 
 
-def enumerate_maps(p_down, p_up, q_down, q_up, require_open,
-                   node_budget=NODE_BUDGET):
-    """Enumerate monotone maps P -> Q as value tuples, openness optional.
+def enumerate_maps(p_down, p_up, q_down, q_up):
+    """Enumerate the open maps P -> Q as value tuples.
 
     P and Q are relations given by rows: p_down[i] is the mask of the points
     below i in a preorder (i's successors in a Kripke frame) and p_up[i] its
     transpose, likewise q_down/q_up.  Monotonicity is forward-checked
-    between distinct elements only, so without require_open Q is assumed
-    reflexive, as every preorder is.  With require_open, a map is emitted
-    only if the image of every p_down[w] equals q_down of the image of w,
-    checked as soon as w and p_down[w] are assigned; this prunes most of the
-    tree and alone enforces P's self-loops.
+    between distinct elements, which prunes; a map is emitted only if the
+    image of every p_down[w] equals q_down of the image of w, checked as
+    soon as w and p_down[w] are assigned, which prunes most of the tree and
+    alone enforces P's self-loops.
 
     Elements are assigned by (row size, index) and candidate values are
     tried in ascending order, so output order is deterministic.  The search
     is depth-first, in one loop that keeps per depth the values still to
     try and the undo list of its forward checks.  Raises BudgetError when
-    more than node_budget assignments are attempted, at the first
+    more than NODE_BUDGET assignments are attempted, at the first
     assignment past it.
 
     Returns (maps, nodes) where nodes is the number of assignments tried.
@@ -123,8 +119,8 @@ def enumerate_maps(p_down, p_up, q_down, q_up, require_open,
     if n_p == 0:
         return [()], 0
 
-    order, check_at, later, down_bits = _plan(tuple(p_down), tuple(p_up),
-                                              require_open)
+    order, check_at, later, down_bits = _plan(tuple(p_down), tuple(p_up))
+    budget = NODE_BUDGET
     cand = [(1 << len(q_down)) - 1] * n_p
     f = [-1] * n_p
     out = []
@@ -149,9 +145,9 @@ def enumerate_maps(p_down, p_up, q_down, q_up, require_open,
         bit = m & -m
         m ^= bit
         nodes += 1
-        if nodes > node_budget:
+        if nodes > budget:
             raise BudgetError("map search exceeded node budget",
-                              used=nodes, budget=node_budget)
+                              used=nodes, budget=budget)
         v = bit.bit_length() - 1
         f[order[k]] = v
         up_v, down_v = q_up[v], q_down[v]
@@ -191,8 +187,7 @@ def enumerate_maps(p_down, p_up, q_down, q_up, require_open,
             cand[z] = old
 
 
-def enumerate_pinned(p_down, p_up, q_down, q_up, classes, members, count,
-                     node_budget):
+def enumerate_pinned(p_down, p_up, q_down, q_up, classes, members, count):
     """Many pinned open-map searches from one domain into one codomain.
 
     Candidate j, for j in range(count), pins element i of P to its fiber
@@ -200,11 +195,11 @@ def enumerate_pinned(p_down, p_up, q_down, q_up, classes, members, count,
     bit j.  Returns one (maps, nodes) per candidate: the maps of its own
     search in the walk order of `enumerate_maps` and the assignments that
     search tries, and raises that search's BudgetError as soon as some
-    candidate's search would pass node_budget.  The candidates are the
+    candidate's search would pass NODE_BUDGET.  The candidates are the
     lanes of `_pinned_walk`, which all accept q_down[v] at v.
     """
     found, counts = _pinned_walk(p_down, p_up, q_down, q_up, classes,
-                                 members, count, node_budget,
+                                 members, count, NODE_BUDGET,
                                  [{row: (1 << count) - 1} for row in q_down])
     return list(zip(_lanes(found, count), _unslice(counts, count)))
 
@@ -214,12 +209,12 @@ def enumerate_into(p_down, p_up, codomains):
 
     codomains holds (q_down, q_up) row pairs of any sizes.  Returns per
     codomain, in order, the ascending tuple of the open maps that
-    `enumerate_maps(p_down, p_up, q_down, q_up, True, math.inf)` finds.
-    Nothing bounds the walk: callers bound the function space first.  The
-    codomains are the lanes of `_pinned_walk`, on the complete relation of
-    the largest size, so only openness prunes: value v is pinned to the
-    codomains of more than v points, each accepts its own q_down[v] at v,
-    and a map open into a codomain is monotone into it too.
+    `enumerate_maps(p_down, p_up, q_down, q_up)` finds, with no node
+    budget: callers bound the function space first.  The codomains are the
+    lanes of `_pinned_walk`, on the complete relation of the largest size,
+    so only openness prunes: value v is pinned to the codomains of more
+    than v points, each accepts its own q_down[v] at v, and a map open into
+    a codomain is monotone into it too.
     """
     opens = _into_opens(tuple(codomains))
     complete = ((1 << len(opens)) - 1,) * len(opens)
@@ -257,18 +252,18 @@ def _lanes(found, count):
 
 def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
                  node_budget, opens):
-    """The search of `enumerate_maps` with require_open, over the values
-    the assigned ones still allow, for count lanes at once: lane j pins
-    element i to the points v with bit j in members[classes[i]][v], and
-    accepts the image of p_down[w] at w iff opens[f(w)] maps it to a mask
-    holding bit j.  A value is a node of the alive lanes whose fiber holds
-    it, and a forward check kills the lanes whose fiber met an element's
-    allowed values before it and meets none after.  The node counts are
-    bit-sliced (bit j of counts[i] is bit i of lane j's count), so a node
-    adds one to all its lanes with a few mask operations.  They need at
-    most node_budget.bit_length() + 1 masks, and are read out whenever the
-    nodes since the last reading could take a lane past node_budget, which
-    raises that lane's BudgetError as its own search would.
+    """The search of `enumerate_maps`, over the values the assigned ones
+    still allow, for count lanes at once: lane j pins element i to the
+    points v with bit j in members[classes[i]][v], and accepts the image of
+    p_down[w] at w iff opens[f(w)] maps it to a mask holding bit j.  A
+    value is a node of the alive lanes whose fiber holds it, and a forward
+    check kills the lanes whose fiber met an element's allowed values
+    before it and meets none after.  The node counts are bit-sliced (bit j
+    of counts[i] is bit i of lane j's count), so a node adds one to all its
+    lanes with a few mask operations.  They need at most
+    node_budget.bit_length() + 1 masks, and are read out whenever the nodes
+    since the last reading could take a lane past node_budget, which raises
+    that lane's BudgetError as its own search would.
 
     Returns (found, counts): the (map, mask of its lanes) pairs in walk
     order, and the counts.
@@ -276,8 +271,7 @@ def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
     n_p = len(p_down)
     if not n_p:
         return [((), (1 << count) - 1)], []
-    order, check_at, later, down_bits = _plan(tuple(p_down), tuple(p_up),
-                                              True)
+    order, check_at, later, down_bits = _plan(tuple(p_down), tuple(p_up))
     full_q = (1 << len(q_down)) - 1
     # per element: the rows of its fiber's members, the values its assigned
     # neighbours allow, and the lanes whose fiber meets those
@@ -395,15 +389,14 @@ def _unslice(digits, count):
 
 
 @lru_cache(maxsize=256)
-def _plan(p_down, p_up, require_open):
+def _plan(p_down, p_up):
     """The part of a map search that depends only on the domain P.
 
     Returns (order, check_at, later, down_bits): the elements of P by
     (row size, index); check_at[k], the points whose openness is checkable
-    once order[k] is assigned (all empty without require_open); later[k],
-    the elements after order[k] in that order that are related to it, as
-    (z, z above order[k], z below order[k]); and down_bits[w], the members
-    of p_down[w].
+    once order[k] is assigned; later[k], the elements after order[k] in
+    that order that are related to it, as (z, z above order[k], z below
+    order[k]); and down_bits[w], the members of p_down[w].
     """
     n_p = len(p_down)
     order = sorted(range(n_p), key=lambda i: (p_down[i].bit_count(), i))
@@ -413,9 +406,8 @@ def _plan(p_down, p_up, require_open):
 
     # openness of w is checkable once w and all of p_down[w] are assigned
     check_at = [[] for _ in range(n_p)]
-    if require_open:
-        for w in range(n_p):
-            check_at[max(pos[z] for z in bits(p_down[w] | 1 << w))].append(w)
+    for w in range(n_p):
+        check_at[max(pos[z] for z in bits(p_down[w] | 1 << w))].append(w)
 
     later = tuple(
         tuple((z, bool(p_up[x] >> z & 1), bool(p_down[x] >> z & 1))

@@ -103,7 +103,7 @@ def is_open_v3(f: PointMap) -> bool:
 
 def enumerate_open_maps(p: FinitePreorder, q: FinitePreorder):
     """All open maps p -> q, deterministic order; see kernels.enumerate_maps."""
-    tables, _ = kernels.enumerate_maps(p.down, p.up, q.down, q.up, True)
+    tables, _ = kernels.enumerate_maps(p.down, p.up, q.down, q.up)
     return [PointMap(p, q, t) for t in tables]
 
 
@@ -194,7 +194,7 @@ def mediating_search(q: FinitePreorder, f1: PointMap, f2: PointMap,
         raise HypothesisError("map domains must match the given preorders")
     (tables, nodes), = kernels.enumerate_pinned(
         q.down, q.up, p.down, p.up, _classes(f1, f2),
-        _members(p, [p1], [p2]), 1, kernels.NODE_BUDGET)
+        _members(p, [p1], [p2]), 1)
     return [PointMap(q, p, t) for t in tables], nodes
 
 
@@ -314,8 +314,7 @@ def _sweep(h, max_alpha, posets, projections):
                 prepare(alpha)
             stage, _, _, classes = stages[alpha - 1]
             (found, nodes), = kernels.enumerate_pinned(
-                stage.down, stage.up, p.down, p.up, classes, members, 1,
-                kernels.NODE_BUDGET)
+                stage.down, stage.up, p.down, p.up, classes, members, 1)
             examined += nodes
             if not found:
                 return ObstructionVerdict("empty_mediating_set", alpha,
@@ -339,7 +338,7 @@ def _sweep(h, max_alpha, posets, projections):
             continue
         searched = kernels.enumerate_pinned(
             stage.down, stage.up, p.down, p.up, classes,
-            _members(p, firsts, seconds), len(pairs), kernels.NODE_BUDGET)
+            _members(p, firsts, seconds), len(pairs))
         for (p1, p2), (found, nodes) in zip(pairs, searched):
             if found:
                 verdict = onward(p, p1, p2, 1, found, nodes)

@@ -189,10 +189,13 @@ def lexicographic_monotone_assignments(ji_poset, b):
 
 
 def test_monotone_assignments_match_the_lexicographic_search():
-    # every poset up to 4 points, and every labeled one up to 3: for some of
-    # those, index order is not the kernel's assignment order, so the
-    # kernel's own output order differs from the reference's
-    algebras = [heyting.downset_algebra(q) for q in order.enumerate_posets(3)]
+    # every poset up to 4 points, and every labeled one up to 3, into the
+    # downsets of every poset up to 3 points and of every labeled preorder
+    # up to 3, whose bases need not be antisymmetric; the assignments are
+    # read off the downsets of a product, whose own order is not the
+    # reference's
+    algebras = [heyting.downset_algebra(q) for q in
+                order.enumerate_posets(3) + order.enumerate_preorders(3)]
     posets = ([p for p in order.enumerate_preorders(3) if p.is_poset]
               + [p for p in order.enumerate_posets(4) if p.n == 4])
     for p in posets:

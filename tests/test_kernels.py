@@ -1,6 +1,5 @@
 """The enumeration kernels against brute force, output order included."""
 
-import math
 import random
 from itertools import permutations, product as iproduct
 
@@ -23,11 +22,11 @@ def random_comparability(n, rng, density=0.3):
     return comp
 
 
-def brute_antichains(n, comp, min_size):
+def brute_antichains(n, comp):
     out = set()
     for mask in range(1 << n):
         bits = [i for i in range(n) if mask >> i & 1]
-        if len(bits) < min_size:
+        if len(bits) < 2:
             continue
         if all(not comp[i] >> j & 1 for i in bits for j in bits):
             out.add(mask)
@@ -43,54 +42,46 @@ def test_antichains_brute_force_agreement():
     for n in range(0, 11):
         for _ in range(8):
             comp = random_comparability(n, rng)
-            for min_size in (0, 2):
-                masks, hit = kernels.antichains(comp, min_size=min_size)
-                assert not hit
-                # documented order: lexicographic over sorted index tuples
-                assert masks == sorted(brute_antichains(n, comp, min_size),
-                                       key=lambda m: index_tuple(n, m))
+            masks, hit = kernels.antichains(comp, 1 << n)
+            assert not hit
+            # documented order: lexicographic over sorted index tuples
+            assert masks == sorted(brute_antichains(n, comp),
+                                   key=lambda m: index_tuple(n, m))
 
 
 def test_antichains_limit_keeps_nothing_on_overflow():
     rng = random.Random(5)
     comp = random_comparability(9, rng)
-    full, _ = kernels.antichains(comp, min_size=2)
+    full, _ = kernels.antichains(comp, 1 << 9)
     for limit in (0, len(full) - 1, len(full), len(full) + 1):
-        got, hit = kernels.antichains(comp, min_size=2, limit=limit)
+        got, hit = kernels.antichains(comp, limit)
         assert hit == (len(full) > limit)
         assert got == ([] if hit else full)
 
 
 def test_antichains_empty_graph_counts():
-    masks, hit = kernels.antichains([0, 0, 0, 0], min_size=0)
-    assert not hit and len(masks) == 16
-    masks, hit = kernels.antichains([0, 0, 0, 0], min_size=2)
-    assert len(masks) == 16 - 1 - 4
+    masks, hit = kernels.antichains([0, 0, 0, 0], 16)
+    assert not hit and len(masks) == 16 - 1 - 4
 
 
-def brute_maps(p, q, allowed, require_open):
+def brute_maps(p, q, allowed):
     out = []
     for table in iproduct(range(q.n), repeat=p.n):
         if any(not allowed[i] >> table[i] & 1 for i in range(p.n)):
             continue
         f = maps.PointMap(p, q, table)
-        if not maps.is_monotone(f):
-            continue
-        if require_open and not maps.is_open_v2(f):
-            continue
-        out.append(table)
+        if maps.is_monotone(f) and maps.is_open_v2(f):
+            out.append(table)
     return out
 
 
-def pinned_alone(p_down, p_up, q_down, q_up, allowed,
-                 node_budget=kernels.NODE_BUDGET):
+def pinned_alone(p_down, p_up, q_down, q_up, allowed):
     """The open-map search that allows element i the values allowed[i]:
     `kernels.enumerate_pinned` with it as its one candidate, as the
     (maps list, nodes) of `enumerate_maps`."""
     members = [[a >> v & 1 for v in range(len(q_down))] for a in allowed]
     ((tables, nodes),) = kernels.enumerate_pinned(
-        p_down, p_up, q_down, q_up, range(len(p_down)), members, 1,
-        node_budget)
+        p_down, p_up, q_down, q_up, range(len(p_down)), members, 1)
     return list(tables), nodes
 
 
@@ -107,31 +98,29 @@ def test_enumerate_maps_brute_force_agreement():
         def walk_order(tables):
             return sorted(tables, key=lambda t: [t[x] for x in ext])
 
-        for require_open in (False, True):
-            got, _ = kernels.enumerate_maps(p.down, p.up, q.down, q.up,
-                                            require_open)
-            assert got == walk_order(
-                brute_maps(p, q, [full] * p.n, require_open))
+        got, _ = kernels.enumerate_maps(p.down, p.up, q.down, q.up)
+        assert got == walk_order(brute_maps(p, q, [full] * p.n))
         # pinned searches from the same domain, in the same order
         for _ in range(3):
             allowed = [full if rng.random() < 0.8 else rng.getrandbits(q.n)
                        for _ in range(p.n)]
             got, _ = pinned_alone(p.down, p.up, q.down, q.up, allowed)
-            assert got == walk_order(brute_maps(p, q, allowed, True))
+            assert got == walk_order(brute_maps(p, q, allowed))
 
 
-def test_enumerate_maps_budget():
+def test_enumerate_maps_budget(monkeypatch):
+    # every map between 8-point antichains is open: 8 ** 8 of them
     p = order.from_pairs(8, ())
     q = order.from_pairs(8, ())
-    with pytest.raises(BudgetError):
-        kernels.enumerate_maps(p.down, p.up, q.down, q.up, False,
-                               node_budget=10)
+    monkeypatch.setattr(kernels, "NODE_BUDGET", 10)
+    with pytest.raises(BudgetError) as exc:
+        kernels.enumerate_maps(p.down, p.up, q.down, q.up)
+    assert (exc.value.used, exc.value.budget) == (11, 10)
 
 
 def test_enumerate_maps_on_relation_rows():
     # random frames, irreflexive and non-transitive rows included: open maps
-    # are the p-morphisms, and with a reflexive codomain monotone maps are
-    # the relation-preserving functions
+    # are the p-morphisms
     rng = random.Random(31)
     for _ in range(150):
         f = kripke.sample_frame(rng.randrange(1, 5), rng)
@@ -141,19 +130,12 @@ def test_enumerate_maps_on_relation_rows():
         tables = sorted(iproduct(range(g.n), repeat=f.n),
                         key=lambda t: [t[x] for x in ext])
         pm = [t for t in tables if kripke.is_pmorphism(t, f, g)]
-        got, _ = kernels.enumerate_maps(f.succ, f.pred, g.succ, g.pred, True)
+        got, _ = kernels.enumerate_maps(f.succ, f.pred, g.succ, g.pred)
         assert got == pm, (f, g)
-        refl = kripke.KripkeFrame(g.n, tuple(row | 1 << j
-                                             for j, row in enumerate(g.succ)))
-        got, _ = kernels.enumerate_maps(f.succ, f.pred, refl.succ, refl.pred,
-                                        False)
-        assert got == [t for t in tables
-                       if all(refl.succ[t[x]] >> t[y] & 1 for x in range(f.n)
-                              for y in bits(f.succ[x]))], (f, g)
 
 
 def recursive_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed,
-                   require_open, node_budget=10_000_000):
+                   node_budget=10_000_000):
     """The recursive form of `kernels.enumerate_maps`, plan included.
 
     Kept as the oracle for the loop kernel: same output, same order, same
@@ -166,9 +148,8 @@ def recursive_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed,
     for k, x in enumerate(order):
         pos[x] = k
     check_at = [[] for _ in range(n_p)]
-    if require_open:
-        for w in range(n_p):
-            check_at[max(pos[z] for z in bits(p_down[w] | 1 << w))].append(w)
+    for w in range(n_p):
+        check_at[max(pos[z] for z in bits(p_down[w] | 1 << w))].append(w)
     later = [[(z, bool(p_up[x] >> z & 1), bool(p_down[x] >> z & 1))
               for z in order[k + 1:] if (p_up[x] | p_down[x]) >> z & 1]
              for k, x in enumerate(order)]
@@ -235,40 +216,39 @@ def random_rows(rng):
     return f.n, f.succ, f.pred
 
 
-def test_loop_kernel_matches_the_recursive_oracle():
-    # every value allowed in both modes on `enumerate_maps`, random pins on
-    # the pinned walk as a batch of one
+def test_loop_kernel_matches_the_recursive_oracle(monkeypatch):
+    # every value allowed on `enumerate_maps`, random pins on the pinned
+    # walk as a batch of one
     rng = random.Random(53)
     budget_cases = 0
-    for _ in range(300):
+    for _ in range(400):
         n_p, p_down, p_up = random_rows(rng)
         n_q, q_down, q_up = random_rows(rng)
         full = (1 << n_q) - 1
         allowed = [full if rng.random() < 0.6 else rng.getrandbits(n_q)
                    for _ in range(n_p)]
         rows = (p_down, p_up, q_down, q_up)
-        for pins, require_open, search in (
-                ([full] * n_p, False,
-                 lambda **kw: kernels.enumerate_maps(*rows, False, **kw)),
-                ([full] * n_p, True,
-                 lambda **kw: kernels.enumerate_maps(*rows, True, **kw)),
-                (allowed, True,
-                 lambda **kw: pinned_alone(*rows, allowed, **kw))):
-            args = (n_p, n_q, *rows, pins, require_open)
+        for pins, search in (
+                ([full] * n_p, lambda: kernels.enumerate_maps(*rows)),
+                (allowed, lambda: pinned_alone(*rows, allowed))):
+            monkeypatch.undo()
+            args = (n_p, n_q, *rows, pins)
             expected = recursive_maps(*args)
             assert search() == expected, args
             # at the boundary: exactly the nodes used pass, one fewer fails
             # at the same node
             nodes = expected[1]
-            assert search(node_budget=nodes) == expected
+            monkeypatch.setattr(kernels, "NODE_BUDGET", nodes)
+            assert search() == expected
             if not nodes:
                 continue
             budget_cases += 1
             for budget in {nodes - 1, rng.randrange(nodes)}:
+                monkeypatch.setattr(kernels, "NODE_BUDGET", budget)
                 with pytest.raises(BudgetError) as want:
                     recursive_maps(*args, node_budget=budget)
                 with pytest.raises(BudgetError) as got:
-                    search(node_budget=budget)
+                    search()
                 assert (got.value.used, got.value.budget) == (
                     want.value.used, want.value.budget) == (budget + 1, budget)
     assert budget_cases > 750
@@ -281,23 +261,23 @@ def member_pins(classes, members, j):
 
 
 def assert_pinned_matches_each_search(p_down, p_up, q_down, q_up, classes,
-                                      members, count,
-                                      node_budget=kernels.NODE_BUDGET):
+                                      members, count):
     """The batch equals every member's own search, and a batch of one
-    equals that search too; -> the batch's (maps, nodes) per member."""
+    equals that search too, under the same `kernels.NODE_BUDGET`; -> the
+    batch's (maps, nodes) per member."""
     got = kernels.enumerate_pinned(p_down, p_up, q_down, q_up, classes,
-                                   members, count, node_budget)
+                                   members, count)
     assert len(got) == count
     for j, result in enumerate(got):
         allowed = member_pins(classes, members, j)
         tables, nodes = recursive_maps(len(p_down), len(q_down), p_down,
-                                       p_up, q_down, q_up, allowed, True,
-                                       node_budget)
+                                       p_up, q_down, q_up, allowed,
+                                       kernels.NODE_BUDGET)
         expected = (tuple(tables), nodes)
         assert result == expected, (j, allowed)
         alone = [[row >> j & 1 for row in rows] for rows in members]
         assert kernels.enumerate_pinned(p_down, p_up, q_down, q_up, classes,
-                                        alone, 1, node_budget) == [expected]
+                                        alone, 1) == [expected]
     return got
 
 
@@ -340,7 +320,7 @@ def test_pinned_search_matches_each_sweep_candidate():
         assert (maps_found, nodes) == (found, examined)
 
 
-def test_pinned_search_matches_each_search_on_random_batches():
+def test_pinned_search_matches_each_search_on_random_batches(monkeypatch):
     # random preorders and frames, random class vectors and member rows
     rng = random.Random(61)
     found = empty_members = 0
@@ -368,25 +348,30 @@ def test_pinned_search_matches_each_search_on_random_batches():
         # at the boundary: the largest member's count passes, one fewer
         # raises that member's error
         worst = max(nodes)
-        assert_pinned_matches_each_search(*args, node_budget=worst)
+        monkeypatch.setattr(kernels, "NODE_BUDGET", worst)
+        assert_pinned_matches_each_search(*args)
         if worst:
+            monkeypatch.setattr(kernels, "NODE_BUDGET", worst - 1)
             with pytest.raises(BudgetError) as exc:
-                kernels.enumerate_pinned(*args, worst - 1)
+                kernels.enumerate_pinned(*args)
             assert (exc.value.used, exc.value.budget) == (worst, worst - 1)
+        monkeypatch.undo()
     assert found > 100 and empty_members > 20
 
 
-def test_pinned_search_budget_counts_each_member_alone():
+def test_pinned_search_budget_counts_each_member_alone(monkeypatch):
     # one element into a four-point antichain: each of two candidates tries
     # two of the four values, so the shared walk makes four nodes
     p = order.from_pairs(1, ())
     q = order.from_pairs(4, ())
     members = [[0b01, 0b10, 0b01, 0b10]]
     args = (p.down, p.up, q.down, q.up, [0], members, 2)
-    assert kernels.enumerate_pinned(*args, 2) == [
+    monkeypatch.setattr(kernels, "NODE_BUDGET", 2)
+    assert kernels.enumerate_pinned(*args) == [
         (((0,), (2,)), 2), (((1,), (3,)), 2)]
+    monkeypatch.setattr(kernels, "NODE_BUDGET", 1)
     with pytest.raises(BudgetError) as exc:
-        kernels.enumerate_pinned(*args, 1)
+        kernels.enumerate_pinned(*args)
     assert (exc.value.used, exc.value.budget) == (2, 1)
 
 
@@ -408,7 +393,7 @@ def test_pinned_search_counts_past_one_byte():
         assert kernels._unslice(digits, len(counts)) == counts
 
 
-def test_pinned_search_stops_at_the_node_past_the_budget():
+def test_pinned_search_stops_at_the_node_past_the_budget(monkeypatch):
     # the first candidate passes the budget of 3 at its fourth value, the
     # first of the walk's 40 values; the walk reads one codomain row per
     # value it assigns, and must stop there
@@ -422,9 +407,10 @@ def test_pinned_search_stops_at_the_node_past_the_budget():
             return tuple.__getitem__(self, v)
 
     members = [[0b11] * q.n]
+    monkeypatch.setattr(kernels, "NODE_BUDGET", 3)
     with pytest.raises(BudgetError) as exc:
         kernels.enumerate_pinned(p.down, p.up, q.down, Rows(q.up), [0],
-                                 members, 2, 3)
+                                 members, 2)
     assert (exc.value.used, exc.value.budget) == (4, 3)
     assert reads == [0, 1, 2]
 
@@ -435,8 +421,7 @@ def assert_into_matches_each_search(p_down, p_up, group):
     got = kernels.enumerate_into(p_down, p_up, group)
     assert len(got) == len(group)
     for (q_down, q_up), maps_c in zip(group, got):
-        expected, _ = kernels.enumerate_maps(p_down, p_up, q_down, q_up,
-                                             True, math.inf)
+        expected, _ = kernels.enumerate_maps(p_down, p_up, q_down, q_up)
         assert maps_c == tuple(sorted(expected)), (p_down, q_down)
     return sum(map(len, got))
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from finord import hierarchy, hsets, kernels, maps, order
+from finord import heyting, hierarchy, hsets, kernels, maps, order
 from finord.errors import BudgetError, HypothesisError
 from finord.hsets import Universe
 from finord.maps import PointMap
@@ -378,7 +378,7 @@ def test_enumerate_open_counts_to_sierpinski():
     s = sierpinski()
     stage1, _ = hierarchy.materialize(h, 1)
     assert len(maps.enumerate_open_maps(stage1, s)) == 26
-    # monotone maps: the kernel route of heyting's monotone assignments
-    tables, _ = kernels.enumerate_maps(
-        stage1.down, stage1.up, s.down, s.up, require_open=False)
-    assert len(tables) == 27
+    # monotone maps, as heyting's monotone assignments into the downsets of
+    # a point: the downsets of stage 1 reversed
+    assert len(heyting._monotone_assignments(
+        stage1, heyting.downset_algebra(order.singleton()))) == 27

@@ -52,7 +52,7 @@ def baos(draw, max_atoms=6):
 @given(comparability_masks())
 def test_antichain_kernel_against_set_oracle(case):
     n, comp = case
-    masks, hit = kernels.antichains(comp, min_size=2)
+    masks, hit = kernels.antichains(comp, 1 << n)
     assert not hit
     brute = {
         mask for mask in range(1 << n)

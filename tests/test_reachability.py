@@ -34,7 +34,18 @@ count.  A parameter no call passes must be listed in UNPASSED with the
 reason it is kept; otherwise its one value belongs in the body or in a named
 constant.
 
-A fifth check finds module-level constants nothing reads.  A name a
+A fifth check finds parameters that only one value serves although calls
+pass it.  A parameter of a `src/finord` function, optional or not, takes
+one value when every call in `src/finord` and `perfbench/*.py` supplies
+the same constant for it, an unpassed default counting as its value (a
+parameter no call passes is listed in UNPASSED, with its reason).  A
+constant is a literal, or a name or attribute path made of upper-case
+constants and imported modules; a parameter forwarded or computed by any
+call takes more than one value.  Such a parameter must be listed in
+ONE_VALUE with the reason it is kept; otherwise the value belongs in the
+body.
+
+A sixth check finds module-level constants nothing reads.  A name a
 `src/finord` module binds at module level (dunders aside) counts as read
 when its own module loads it, when another `finord` module refers to it as
 above, or when `perfbench/*.py` does (`m.NAME`, or the pair `("m",
@@ -59,6 +70,12 @@ UNPASSED = {
         "random test input; the p-morphism tests vary the density",
     ("maps", "product_obstruction", "max_alpha"):
         "the only route to a cardinality_bound certificate",
+}
+
+# parameters that every package and benchmark call passes the same constant
+ONE_VALUE = {
+    ("kripke", "sample_frame", "n"):
+        "random test input; the tests sample frames of every size",
 }
 
 # method defined by several public classes -> the definition reading it
@@ -263,9 +280,9 @@ def test_no_module_reads_another_modules_private_name():
     assert reads == [], f"private names read across modules: {reads}"
 
 
-def _optional_params(trees):
-    """(module, callee) -> [(parameter, position or None)] for every def in
-    `src/finord` with optional parameters.
+def _parameters(trees):
+    """(module, callee) -> [(parameter, position or None, default or None)]
+    for every def in `src/finord` with named parameters.
 
     The callee is the function's name, "Class.method" for a method, and the
     class name for an `__init__`, which is how a call names it.  Positions
@@ -287,14 +304,23 @@ def _optional_params(trees):
             args = fn.args
             positional = args.posonlyargs + args.args
             skip = 1 if fn in methods else 0
-            first = len(positional) - len(args.defaults)
-            params = [(a.arg, i - skip)
-                      for i, a in enumerate(positional) if i >= first]
-            params += [(a.arg, None) for a, d
-                       in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            defaults = [None] * (len(positional) - len(args.defaults))
+            params = [(a.arg, i - skip, d) for i, (a, d) in enumerate(
+                zip(positional, defaults + args.defaults)) if i >= skip]
+            params += [(a.arg, None, d)
+                       for a, d in zip(args.kwonlyargs, args.kw_defaults)]
             if params:
                 out[mod, methods.get(fn, fn.name)] = params
     return out
+
+
+def _methods(params):
+    """Method name -> the (module, "Class.method") keys defining it."""
+    methods = {}
+    for mod, callee in params:
+        if "." in callee:
+            methods.setdefault(callee.split(".")[1], []).append((mod, callee))
+    return methods
 
 
 def _calls(tree, mod, modules, defined, methods):
@@ -348,11 +374,11 @@ def _passes(call, name, position, params):
 def test_every_optional_parameter_is_passed_or_listed():
     trees = {path.stem: _parse(path) for path in SRC.glob("*.py")}
     modules = set(trees)
-    optional = _optional_params(trees)
-    methods = {}
-    for mod, callee in optional:
-        if "." in callee:
-            methods.setdefault(callee.split(".")[1], []).append((mod, callee))
+    optional = {key: [(name, pos) for name, pos, d in params
+                      if d is not None]
+                for key, params in _parameters(trees).items()}
+    optional = {key: params for key, params in optional.items() if params}
+    methods = _methods(optional)
     files = list(trees.items())
     files += [(None, _parse(path)) for path in BENCH.glob("*.py")]
     passed = set()
@@ -372,6 +398,88 @@ def test_every_optional_parameter_is_passed_or_listed():
     for entry, reason in UNPASSED.items():
         assert entry in declared and reason.strip(), entry
         assert entry not in passed, f"{entry} is passed; drop its entry"
+
+
+def _scope(tree, mod, modules):
+    """What the names a constant may use stand for in a parsed file: its
+    finord module aliases and names, its other imports, and, in
+    `src/finord/<mod>.py`, its own upper-case constants."""
+    aliases, names = _finord_imports(tree, modules)
+    scope = {name: name for name in _imported_names(tree)}
+    scope |= {n: f"{m}.{f}" for n, (m, f) in names.items()}
+    scope |= aliases
+    if mod:
+        scope |= {n: f"{mod}.{n}" for n in _constants(tree) if n.isupper()}
+    return scope
+
+
+def _constant(node, scope):
+    """The value of an argument as a string when it is a constant, else
+    None: a literal, or a name or attribute path through `scope`."""
+    if isinstance(node, ast.Constant):
+        return repr(node.value)
+    if (isinstance(node, ast.UnaryOp)
+            and isinstance(node.operand, ast.Constant)):
+        return ast.unparse(node)
+    if isinstance(node, ast.Name):
+        return scope.get(node.id)
+    if isinstance(node, ast.Attribute):
+        base = _constant(node.value, scope)
+        return base and f"{base}.{node.attr}"
+    if isinstance(node, ast.Tuple):
+        items = [_constant(e, scope) for e in node.elts]
+        return None if None in items else f"({', '.join(items)},)"
+    return None
+
+
+def _argument(call, name, position):
+    """The expression call supplies for the parameter, False when it
+    supplies none, or None when a starred argument may supply it."""
+    if any(kw.arg is None for kw in call.keywords):
+        return None
+    for kw in call.keywords:
+        if kw.arg == name:
+            return kw.value
+    if position is not None:
+        if any(isinstance(a, ast.Starred) for a in call.args[:position + 1]):
+            return None
+        if position < len(call.args):
+            return call.args[position]
+    return False
+
+
+def test_every_parameter_takes_more_than_one_value():
+    trees = {path.stem: _parse(path) for path in SRC.glob("*.py")}
+    modules = set(trees)
+    declared = _parameters(trees)
+    methods = _methods(declared)
+    scopes = {mod: _scope(tree, mod, modules) for mod, tree in trees.items()}
+    files = list(trees.items())
+    files += [(None, _parse(path)) for path in BENCH.glob("*.py")]
+    values = {}
+    for mod, tree in files:
+        scope = scopes[mod] if mod else _scope(tree, None, modules)
+        defined = {callee for m, callee in declared if m == mod}
+        for keys, call, _ in _calls(tree, mod, modules, defined, methods):
+            for key in keys:
+                for name, position, default in declared.get(key, ()):
+                    arg = _argument(call, name, position)
+                    # an unpassed default is read in its own module
+                    value = (_constant(default, scopes[key[0]])
+                             if arg is False and default
+                             else arg and _constant(arg, scope))
+                    values.setdefault((*key, name), set()).add(value)
+    single = {key: value for key, (value,) in
+              ((k, v) for k, v in values.items() if len(v) == 1) if value}
+    unlisted = sorted(f"{'.'.join(key[:2])}({key[2]}={value})"
+                      for key, value in single.items()
+                      if key not in ONE_VALUE.keys() | UNPASSED.keys())
+    assert unlisted == [], (
+        "parameters every package and benchmark call passes the same "
+        "constant; move the value into the body or list the parameter in "
+        f"ONE_VALUE: {unlisted}")
+    for entry, reason in ONE_VALUE.items():
+        assert entry in single and reason.strip(), entry
 
 
 def _constants(tree):
