@@ -543,9 +543,9 @@ def cmd_obstruct(args):
     for i, p1, p2, verdict in maps_mod.product_obstructions(h, posets):
         refuted += verdict.refuted
         if args.timing:
-            # since the previous certificate, so the first candidate to
-            # reach a stage also carries that stage's preparation, and the
-            # first candidate of a poset its poset's stage-1 search
+            # since the previous certificate, so the first certificate of a
+            # poset carries all of that poset's stage searches, and the
+            # preparation of each stage that poset is the first to reach
             now = time.perf_counter()
             elapsed, tick = float.__repr__(round(now - tick, 6)), now
         ends = heads.get((verdict, elapsed))

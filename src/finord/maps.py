@@ -16,14 +16,10 @@ candidate product object P with projections to the two-point chain, search
 each tower stage for an open mediating map compatible with the stage's two
 coordinate maps, and certify failure either by exhaustive emptiness or by a
 cardinality bound via injectivity.  A sweep over many posets builds each
-candidate from a pair of open maps into the two-point chain and does the
-stage work (materializing a stage, building and checking its coordinate
-maps) once per sweep, not once per candidate.  It searches stage 1 once per
-poset for all of that poset's candidates, in one batched kernel walk that
-gives each candidate its own search's maps and node count, and walks the
-later stages only for a candidate that stage 1 does not refute, as a batch
-of one per stage; candidates refuted at stage 1 with equal node counts share
-one immutable verdict.
+candidate from a pair of open maps into the two-point chain, prepares each
+stage once, and searches each stage once per poset for all of that poset's
+candidates still standing, in one batched kernel walk that gives each
+candidate its own search's maps and node count.
 """
 
 from dataclasses import dataclass, field
@@ -204,6 +200,7 @@ def _classes(f1: PointMap, f2: PointMap):
 
 
 class ObstructionVerdict(NamedTuple):
+    # cardinality_bound only from a tower of depth 0, where nothing is searched
     certificate_kind: str  # empty_mediating_set | cardinality_bound | non_injective_mediating
     stage: int
     # summed over the stages searched
@@ -216,29 +213,25 @@ class ObstructionVerdict(NamedTuple):
 
 
 def product_obstruction(p: FinitePreorder, p1: PointMap, p2: PointMap,
-                        h, max_alpha: int | None = None) -> ObstructionVerdict:
+                        h) -> ObstructionVerdict:
     """Certify that (p, p1, p2) cannot mediate the stage coordinate maps.
 
     Checks that p1 and p2 are open maps from p to the two-point chain, then
-    walks stages 1..max_alpha (default: the tower's depth).  An exhaustively
-    empty mediating set refutes at that stage ("empty_mediating_set").  If
-    every searched stage still admits mediating maps, they are all injective
-    on the stage (checked; the coordinate pairing is injective on the base
-    and injectivity propagates), so the first stage outgrowing |p| refutes by
-    counting ("cardinality_bound").  Raises BudgetError when the tower is too
-    shallow to reach either certificate, with |p| as its usage and the size
-    of the tower's top stage as its budget.  The verdict is the sweep's
+    walks the tower's stages 1..depth.  An exhaustively empty mediating set
+    refutes at that stage ("empty_mediating_set").  If every stage still
+    admits mediating maps, they are all injective on the stage (checked; the
+    coordinate pairing is injective on the base and injectivity
+    propagates), so the first stage outgrowing |p| refutes by counting
+    ("cardinality_bound").  Raises BudgetError when the tower is too shallow
+    to reach either certificate, with |p| as its usage and the size of the
+    tower's top stage as its budget.  The verdict is the sweep's
     (`product_obstructions`), from its loop run on this one candidate.
     """
     for f, name in ((p1, "p1"), (p2, "p2")):
         _check_into_sierpinski(f, name)
     if p1.dom != p or p2.dom != p:
         raise HypothesisError("map domains must match the given preorders")
-    if max_alpha is None:
-        max_alpha = h.depth
-    if max_alpha > h.depth:
-        raise ValueError("tower not built that deep")
-    (_, _, _, verdict), = _sweep(h, max_alpha, [p], [([p1], [p2])])
+    (_, _, _, verdict), = _sweep(h, [p], [([p1], [p2])])
     return verdict
 
 
@@ -246,9 +239,8 @@ def product_obstructions(h, posets):
     """Yield (i, p1, p2, verdict) for every pair of open maps posets[i] -> S.
 
     S is the two-point chain; the pairs of each poset come in the order of
-    `enumerate_open_maps`, p1 outer.  The verdict is product_obstruction's
-    over every stage of the tower.  The projections are open by
-    construction, so none is checked again.
+    `enumerate_open_maps`, p1 outer.  The verdict is product_obstruction's.
+    The projections are open by construction, so none is checked again.
     Every poset's open maps are enumerated first: a poset with k of them
     makes k * k candidates, and a sweep of more than
     `order.MAX_CANDIDATES` raises BudgetError before its first search.
@@ -259,94 +251,87 @@ def product_obstructions(h, posets):
     if used > order_mod.MAX_CANDIDATES:
         raise BudgetError("too many candidates for one sweep", stage=1,
                           used=used, budget=order_mod.MAX_CANDIDATES)
-    yield from _sweep(h, h.depth, posets,
-                      [(opens, opens) for opens in open_maps])
+    yield from _sweep(h, posets, [(opens, opens) for opens in open_maps])
 
 
-def _sweep(h, max_alpha, posets, projections):
-    """The verdicts of stages 1..max_alpha, on projections already checked.
+def _sweep(h, posets, projections):
+    """The verdicts of stages 1..h.depth, on projections already checked.
 
     Yields (i, p1, p2, verdict) for p1 in projections[i][0] and p2 in
     projections[i][1], p1 outer.  A candidate's fibers are the points of
-    posets[i] by (p1, p2) value pair (a, b), at index 2 * a + b.  Stage 1
-    is materialized, its two coordinate maps built and checked open and
-    their class vector computed before the first search; a later stage is
-    prepared the first time a candidate reaches it, and prepared stages
-    live for this call only.  Stage 1 is searched for all of a poset's
-    candidates at once, by one `kernels.enumerate_pinned` call on the
-    poset's `_members`, before the first of them is yielded.  A stage-1
-    refutation depends on its node count alone, so candidates with equal
-    counts share one verdict.  Only a candidate that stage 1 finds
-    mediating maps for, or every candidate when there is no stage to
-    search, goes on to `onward`, which searches each later stage it
-    reaches with one `enumerate_pinned` call, of the candidate alone.
+    posets[i] by (p1, p2) value pair (a, b), at index 2 * a + b.  A stage
+    is prepared (materialized, its coordinate maps built and checked open)
+    the first time a candidate reaches it, for this call only.  Each stage
+    is searched for all of a poset's candidates still standing, before the
+    poset's first yield, by one `kernels.enumerate_pinned` call on the
+    poset's `_members`, masked past stage 1 to the lanes still standing: a
+    masked lane has empty fibers, so it costs no node and finds no map.
+    Refutations at one stage with equal counts share one verdict.  A
+    candidate standing after the top stage raises BudgetError at its turn
+    to be yielded, unless some stage outgrows its poset.
     """
     stages = []  # (stage, f1, f2, classes) for alpha = 1, 2, ...
-
-    def prepare(alpha):
-        materialized = hierarchy_mod.materialize(h, alpha)
-        f1 = coordinate_map(h, alpha, 1, materialized)
-        f2 = coordinate_map(h, alpha, 2, materialized)
-        _check_into_sierpinski(f1, "f1")
-        _check_into_sierpinski(f2, "f2")
-        stages.append((materialized[0], f1, f2, _classes(f1, f2)))
-
-    def onward(p, p1, p2, alpha, found, examined):
-        """The verdict of a candidate with mediating maps found at stage
-        alpha (none at 0, where nothing is searched), examined nodes in
-        all: they are checked, then the later stages searched."""
-        members = _members(p, [p1], [p2])
-        total = 0
-        while True:
-            if found:
-                stage, f1, f2, _ = stages[alpha - 1]
-                total += len(found)
-                for t in found:
-                    assert all(p1.table[v] == a for v, a in zip(t, f1.table))
-                    assert all(p2.table[v] == b for v, b in zip(t, f2.table))
-                if any(len(set(t)) != stage.n for t in found):
-                    return ObstructionVerdict("non_injective_mediating",
-                                              alpha, examined, total)
-            if alpha == max_alpha:
-                break
-            alpha += 1
-            if len(stages) < alpha:
-                prepare(alpha)
-            stage, _, _, classes = stages[alpha - 1]
-            (found, nodes), = kernels.enumerate_pinned(
-                stage.down, stage.up, p.down, p.up, classes, members, 1)
-            examined += nodes
-            if not found:
-                return ObstructionVerdict("empty_mediating_set", alpha,
-                                          examined, total)
-        for alpha, level in enumerate(h.levels):
-            if len(level) > p.n:
-                return ObstructionVerdict("cardinality_bound", alpha,
-                                          examined, total)
-        raise BudgetError("no stage within the tower outgrows the candidate",
-                          stage=h.depth, used=p.n, budget=len(h.levels[-1]))
-
-    if max_alpha:
-        prepare(1)
-        stage, _, _, classes = stages[0]
-    empty = {}  # nodes examined -> their stage-1 empty_mediating_set verdict
+    # (stage, maps found) -> nodes -> their empty_mediating_set verdict
+    empty = {}
     for i, (p, (firsts, seconds)) in enumerate(zip(posets, projections)):
         pairs = [(p1, p2) for p1 in firsts for p2 in seconds]
-        if not max_alpha:
-            for p1, p2 in pairs:
-                yield i, p1, p2, onward(p, p1, p2, 0, (), 0)
-            continue
-        searched = kernels.enumerate_pinned(
-            stage.down, stage.up, p.down, p.up, classes,
-            _members(p, firsts, seconds), len(pairs))
-        for (p1, p2), (found, nodes) in zip(pairs, searched):
-            if found:
-                verdict = onward(p, p1, p2, 1, found, nodes)
-            else:
-                verdict = empty.get(nodes)
-                if verdict is None:
-                    verdict = empty[nodes] = ObstructionVerdict(
-                        "empty_mediating_set", 1, nodes, 0)
+        members = _members(p, firsts, seconds)
+        verdicts = [None] * len(pairs)
+        # (nodes examined, maps found) -> the lanes standing with those counts
+        standing = {(0, 0): range(len(pairs))}
+        for alpha in range(1, h.depth + 1):
+            if not standing:
+                break
+            if len(stages) < alpha:
+                materialized = hierarchy_mod.materialize(h, alpha)
+                f1 = coordinate_map(h, alpha, 1, materialized)
+                f2 = coordinate_map(h, alpha, 2, materialized)
+                _check_into_sierpinski(f1, "f1")
+                _check_into_sierpinski(f2, "f2")
+                stages.append((materialized[0], f1, f2, _classes(f1, f2)))
+            stage, f1, f2, classes = stages[alpha - 1]
+            rows = members
+            if alpha > 1:
+                live = sum(1 << j for lanes in standing.values()
+                           for j in lanes)
+                rows = [[m & live for m in row] for row in members]
+            searched = kernels.enumerate_pinned(
+                stage.down, stage.up, p.down, p.up, classes, rows, len(pairs))
+            groups, standing = standing, {}
+            for (examined, total), lanes in groups.items():
+                shared = empty.setdefault((alpha, total), {})
+                for j in lanes:
+                    found, nodes = searched[j]
+                    nodes += examined
+                    if not found:
+                        verdict = shared.get(nodes)
+                        if verdict is None:
+                            verdict = shared[nodes] = ObstructionVerdict(
+                                "empty_mediating_set", alpha, nodes, total)
+                        verdicts[j] = verdict
+                        continue
+                    p1, p2 = pairs[j]
+                    for t in found:
+                        assert tuple(p1.table[v] for v in t) == f1.table
+                        assert tuple(p2.table[v] for v in t) == f2.table
+                    counts = nodes, total + len(found)
+                    if any(len(set(t)) != stage.n for t in found):
+                        verdicts[j] = ObstructionVerdict(
+                            "non_injective_mediating", alpha, *counts)
+                    else:
+                        standing.setdefault(counts, []).append(j)
+        for counts, lanes in standing.items():
+            bound = next((alpha for alpha, level in enumerate(h.levels)
+                          if len(level) > p.n), None)
+            if bound is not None:
+                for j in lanes:
+                    verdicts[j] = ObstructionVerdict("cardinality_bound",
+                                                     bound, *counts)
+        for (p1, p2), verdict in zip(pairs, verdicts):
+            if verdict is None:
+                raise BudgetError(
+                    "no stage within the tower outgrows the candidate",
+                    stage=h.depth, used=p.n, budget=len(h.levels[-1]))
             yield i, p1, p2, verdict
 
 

@@ -15,8 +15,8 @@ from finord.kernels import bits
 
 # largest carriers enumerate_posets and enumerate_preorders accept; the
 # poset cap stands for the size of a sweep's report, which is built in memory,
-# not for enumeration's cost: `obstruct --all-posets 7` writes 150 MB, piped
-# to sha256sum in 2.2-3.3 s at a 200 MB peak RSS (2-vCPU VM, Python 3.11)
+# not for enumeration's cost: `obstruct --all-posets 7` writes 150 MB, hashed
+# as it is piped in 2.0-2.3 s at a 200 MB peak RSS (19a943d, 2-vCPU, Py 3.11)
 MAX_POSET_SIZE = 6
 # most candidates (pairs of open maps into the two-point chain) that one
 # product-obstruction sweep takes on, counted before its first search: the

@@ -360,6 +360,17 @@ def test_obstruct_budget_error_mid_sweep_leaves_only_the_error(
     assert "certificate" not in out
 
 
+def test_obstruct_x1_at_depth_three_report_golden(tmp_path, monkeypatch,
+                                                   capsys):
+    # a tower with a third stage that no candidate reaches: the six that
+    # stand through stage 1 are refuted at stage 2, as at depth 2
+    argv = obstruct_argv("X1", tmp_path, monkeypatch)
+    code, out, _ = run([*argv[:-1], "3"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3537105ece8be2747afa23d2d304570c3242ff847d9818b6cb40a5b1516aa90a")
+
+
 def test_obstruct_candidate_cap_stops_a_sweep_before_it_starts(
         tmp_path, monkeypatch, capsys):
     # stage 2 of the tower, 22 points, has 16,758 open maps into the chain:

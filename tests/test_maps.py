@@ -194,20 +194,6 @@ def test_obstruction_singleton_refuted():
     assert verdict.certificate_kind == "empty_mediating_set"
 
 
-def test_obstruction_cardinality_bound():
-    # the stage itself with its own coordinate maps admits the identity as a
-    # mediating map, so emptiness never fires; counting does
-    _, _, h = claw_tower()
-    stage, _ = hierarchy.materialize(h, 1)
-    f1 = maps.coordinate_map(h, 1, 1)
-    f2 = maps.coordinate_map(h, 1, 2)
-    verdict = maps.product_obstruction(stage, f1, f2, h, max_alpha=1)
-    assert verdict.certificate_kind == "cardinality_bound"
-    assert verdict.stage == 2
-    assert verdict.refuted
-    assert verdict.mediating_found == 1
-
-
 def test_obstruction_budget_when_tower_too_shallow():
     u = Universe()
     base = hsets.concrete_claw(u)
@@ -216,7 +202,7 @@ def test_obstruction_budget_when_tower_too_shallow():
     f1 = maps.coordinate_map(h, 1, 1)
     f2 = maps.coordinate_map(h, 1, 2)
     with pytest.raises(BudgetError):
-        maps.product_obstruction(stage, f1, f2, h, max_alpha=1)
+        maps.product_obstruction(stage, f1, f2, h)
 
 
 def test_sweep_over_the_candidate_cap_raises_before_any_search(monkeypatch):
@@ -301,10 +287,10 @@ def test_sweep_matches_oracle_on_small_posets():
 
 
 def test_sweep_searches_each_stage_once_per_candidate(monkeypatch):
-    # per poset, one kernel call for its open maps and one pinned search of
-    # stage 1 for all its candidates; then one pinned search per candidate
-    # per later stage it reaches: stage 1 mediates for some candidates,
-    # which go on to stage 2 with stage 1's search handed over, not repeated
+    # per poset, one kernel call for its open maps and one pinned search
+    # per stage that any of its candidates reaches: stage 1 mediates for
+    # some candidates of stage 1 itself, which go on to stage 2 together,
+    # with stage 1's search handed over, not repeated
     _, _, h = claw_tower(depth=2)
     stage, _ = hierarchy.materialize(h, 1)
     posets = order.enumerate_posets(3) + [stage]
@@ -319,9 +305,30 @@ def test_sweep_searches_each_stage_once_per_candidate(monkeypatch):
     verdicts = [v for _, _, _, v in swept]
     assert {v.certificate_kind for v in verdicts} == {"empty_mediating_set"}
     assert sum(v.stage == 2 for v in verdicts) == 6
-    assert calls == {
-        "enumerate_maps": len(posets),
-        "enumerate_pinned": len(posets) + sum(v.stage - 1 for v in verdicts)}
+    assert calls == {"enumerate_maps": len(posets),
+                     "enumerate_pinned": len(posets) + 1}
+
+
+def test_sweep_prepares_only_the_stages_a_candidate_reaches(monkeypatch):
+    # stage 1 as the poset of a depth-3 tower: six candidates stand through
+    # stage 1 and are refuted at stage 2, so stage 3 is never materialized
+    _, _, h = claw_tower(depth=3)
+    stage, _ = hierarchy.materialize(h, 1)
+    prepared = []
+    materialize = hierarchy.materialize
+
+    def counted(h, alpha):
+        prepared.append(alpha)
+        return materialize(h, alpha)
+
+    monkeypatch.setattr(hierarchy, "materialize", counted)
+    swept = list(maps.product_obstructions(h, [stage]))
+    assert prepared == [1, 2]
+    monkeypatch.undo()
+    assert len(swept) == 676
+    assert sum(v.stage == 2 for _, _, _, v in swept) == 6
+    for _, p1, p2, verdict in swept:
+        assert verdict == oracle_verdict(stage, p1, p2, h)
 
 
 def test_sweep_on_a_tower_of_depth_zero_matches_oracle():

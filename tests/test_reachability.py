@@ -68,8 +68,6 @@ ORACLES = {
 UNPASSED = {
     ("kripke", "sample_frame", "density"):
         "random test input; the p-morphism tests vary the density",
-    ("maps", "product_obstruction", "max_alpha"):
-        "the only route to a cardinality_bound certificate",
 }
 
 # parameters that every package and benchmark call passes the same constant
