@@ -520,53 +520,55 @@ def cmd_obstruct(args):
         first = {}  # size -> index of the first poset of that size
         names = [f"poset{p.n}.{i - first.setdefault(p.n, i)}"
                  for i, p in enumerate(posets)]
-    # each certificate is written as five shared pieces of _CERTIFICATE,
-    # cut at its slots: a head through "p1" per verdict and elapsed, opening
-    # with the comma between certificates; p1's table; "p2" and its table;
-    # a tail through "stage" per poset; the stage and the closing brace
+    # each certificate is four shared pieces of _CERTIFICATE, cut at its
+    # slots and set per poset in one slice each: a head through "p1" per
+    # verdict, opening with the comma between certificates; p1's table;
+    # "p2", its table and the poset's tail through "stage"; the stage and }
     cut = _CERTIFICATE.split("%s")
-    tails = [f"{cut[6]}{json.dumps(name)}{cut[7]}{p.n}{cut[8]}"
-             for name, p in zip(names, posets)]
-    as_p1, as_p2 = {}, {}  # a projection's table -> its piece in that slot
-
-    def piece(slot, table):
-        # made on a table's first use, for both slots
-        text = json.dumps(table, indent=2).replace("\n", "\n      ")
-        as_p1[table], as_p2[table] = text, cut[5] + text
-        return slot[table]
-
-    heads = {}  # (verdict, elapsed) -> (head, stage piece)
+    texts = {}  # a projection's table -> its text
+    # by the id of a verdict (the sweep shares them): the verdict, kept so no
+    # other takes its id, and its head cut at elapsed; its head; its stage
+    kept, heads, stages = {}, {}, {}
     pieces = []
     refuted = 0
-    elapsed = "null"
     tick = time.perf_counter()
-    for i, p1, p2, verdict in maps_mod.product_obstructions(h, posets):
-        refuted += verdict.refuted
+    for i, firsts, seconds, verdicts in maps_mod.product_obstructions(
+            h, posets):
+        for t in {f.table for f in (*firsts, *seconds)}.difference(texts):
+            # json.dumps(t, indent=2) with its lines indented by 6
+            texts[t] = ("[\n        " + ",\n        ".join(map(str, t))
+                        + "\n      ]") if t else "[]"
+        tail = f"{cut[6]}{json.dumps(names[i])}{cut[7]}{posets[i].n}{cut[8]}"
+        ids = list(map(id, verdicts))
+        distinct = set(ids)
+        for key in distinct.difference(kept):
+            v = verdicts[ids.index(key)]
+            kept[key] = v, (f",\n    {cut[0]}{v.candidates_examined}{cut[1]}"
+                            f"{json.dumps(v.certificate_kind)}{cut[2]}",
+                            f"{cut[3]}{v.mediating_found}{cut[4]}")
+            heads[key] = "null".join(kept[key][1])
+            stages[key] = f"{v.stage}{cut[9]}"
+        refuted += len(ids) - sum(ids.count(key) for key in distinct
+                                  if not kept[key][0].refuted)
+        block = [None] * (4 * len(ids))
+        block[0::4] = map(heads.__getitem__, ids)
+        block[1::4] = [texts[p1.table] for p1 in firsts for _ in seconds]
+        block[2::4] = [f"{cut[5]}{texts[p2.table]}{tail}"
+                       for p2 in seconds] * len(firsts)
+        block[3::4] = map(stages.__getitem__, ids)
         if args.timing:
-            # since the previous certificate, so the first certificate of a
-            # poset carries all of that poset's stage searches, and the
-            # preparation of each stage that poset is the first to reach
-            now = time.perf_counter()
-            elapsed, tick = float.__repr__(round(now - tick, 6)), now
-        ends = heads.get((verdict, elapsed))
-        if ends is None:
-            v = verdict
-            ends = heads[v, elapsed] = (
-                f",\n    {cut[0]}{v.candidates_examined}{cut[1]}"
-                f"{json.dumps(v.certificate_kind)}{cut[2]}{elapsed}{cut[3]}"
-                f"{v.mediating_found}{cut[4]}", f"{v.stage}{cut[9]}")
-        pieces += (ends[0], as_p1.get(p1.table) or piece(as_p1, p1.table),
-                   as_p2.get(p2.table) or piece(as_p2, p2.table), tails[i],
-                   ends[1])
+            # since the previous certificate, so a poset's first carries its
+            # stage searches and the preparation of each stage it first reaches
+            for j, key in enumerate(ids):
+                now = time.perf_counter()
+                elapsed, tick = float.__repr__(round(now - tick, 6)), now
+                block[4 * j] = elapsed.join(kept[key][1])
+        pieces += block
     if pieces:
         pieces[0] = pieces[0][1:]  # no comma before the first certificate
-    candidates = len(pieces) // 5
-    payload = {
-        "posets": len(posets),
-        "candidates": candidates,
-        "refuted": refuted,
-        "certificates": pieces,
-    }
+    candidates = len(pieces) // 4
+    payload = {"posets": len(posets), "candidates": candidates,
+               "refuted": refuted, "certificates": pieces}
     code = EXIT_OK if refuted == candidates else EXIT_FAIL
     return code, payload, None
 

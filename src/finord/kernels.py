@@ -10,17 +10,17 @@ such as the obstruction sweep search from the same domain many times, and
 backtracks in one loop over a per-depth stack, not by recursion.  There
 are two map walks: `enumerate_maps` runs one search with every value
 allowed, and `_pinned_walk`, the only code that knows pins and lanes, many
-searches from one domain as the lanes of one mask.  `_lanes` splits its
-maps per lane for `enumerate_pinned` (pinned searches into one codomain,
-the obstruction sweep's) and `enumerate_into` (one codomain of any size
-per lane, the p-morphisms of Kripke frames).  A single unpinned search
-tries a handful of assignments, so its cost is mostly fixed cost, which
-keeps `enumerate_maps` a walk of its own: as a batch of one, the open
-maps of a 5-point poset into the Sierpinski space take 30 us against
-11 us (mean over the 63 5-point posets, 2-vCPU VM, Python 3.11).  The
-module also holds every operation on relation rows the modules share:
-`bits` and its inverse `mask`; `union` of the rows a mask selects;
-`unions`, every union of some rows (downsets); `image` and
+searches from one domain as the lanes of one mask, for `enumerate_pinned`
+(pinned searches into one codomain, the obstruction sweep's, each map
+with its mask of lanes) and `enumerate_into` (one codomain of any size per
+lane, the p-morphisms of Kripke frames, split per lane).  A single
+unpinned search tries a handful of assignments, so its cost is mostly
+fixed cost, which keeps `enumerate_maps` a walk of its own: as a batch of
+one, the open maps of a 5-point poset into the Sierpinski space take
+30 us against 11 us (mean over the 63 5-point posets, 2-vCPU VM, Python
+3.11).  The module also holds every operation on relation rows the
+modules share: `bits` and its inverse `mask`; `union` of the rows a mask
+selects; `unions`, every union of some rows (downsets); `image` and
 `preimage` under a table; `transpose`; transitive `closure`; `restrict`
 to a subset; and `row_string`, the JSON bit string.  Sizes are read off
 the rows.  It imports only `errors` and the standard library.
@@ -192,16 +192,17 @@ def enumerate_pinned(p_down, p_up, q_down, q_up, classes, members, count):
 
     Candidate j, for j in range(count), pins element i of P to its fiber
     for classes[i]: the points v of Q whose members[classes[i]][v] holds
-    bit j.  Returns one (maps, nodes) per candidate: the maps of its own
-    search in the walk order of `enumerate_maps` and the assignments that
-    search tries, and raises that search's BudgetError as soon as some
-    candidate's search would pass NODE_BUDGET.  The candidates are the
-    lanes of `_pinned_walk`, which all accept q_down[v] at v.
+    bit j.  Returns the (map, mask of its candidates) pairs in the walk
+    order of `enumerate_maps`, whose masks holding bit j give candidate j's
+    own search's maps, and per candidate the assignments that search
+    tries; raises that search's BudgetError as soon as some candidate's
+    search would pass NODE_BUDGET.  The candidates are the lanes of
+    `_pinned_walk`, which all accept q_down[v] at v.
     """
     found, counts = _pinned_walk(p_down, p_up, q_down, q_up, classes,
                                  members, count, NODE_BUDGET,
                                  [{row: (1 << count) - 1} for row in q_down])
-    return list(zip(_lanes(found, count), _unslice(counts, count)))
+    return found, _unslice(counts, count)
 
 
 def enumerate_into(p_down, p_up, codomains):
@@ -223,8 +224,14 @@ def enumerate_into(p_down, p_up, codomains):
     found, _ = _pinned_walk(p_down, p_up, complete, complete,
                             [0] * len(p_down), [fits], len(codomains),
                             math.inf, opens)
+    maps = [[] for _ in codomains]
     # elements are assigned in `_plan` order, not in table order
-    return _lanes(sorted(found), len(codomains))
+    for t, alive in sorted(found):
+        for j in bits(alive):
+            maps[j].append(t)
+    # the codomains with no map, most of those the coreflection sweep
+    # keeps, share `()`
+    return [tuple(m) for m in maps]
 
 
 @lru_cache(maxsize=16)
@@ -237,17 +244,6 @@ def _into_opens(codomains):
         for v, row in enumerate(q_down):
             opens[v][row] = opens[v].get(row, 0) | 1 << c
     return tuple(opens)
-
-
-def _lanes(found, count):
-    """Per lane j in range(count), the maps of the (map, lanes) pairs
-    `found` whose lanes hold bit j, in order, as a tuple: the lanes with no
-    map, most of those the coreflection sweep keeps, share `()`."""
-    maps = [[] for _ in range(count)]
-    for t, alive in found:
-        for j in bits(alive):
-            maps[j].append(t)
-    return [tuple(m) for m in maps]
 
 
 def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
@@ -339,7 +335,11 @@ def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
                 new &= down_v
             if new != old:
                 meet = meets[z]
-                now = union(pins[z], new)
+                pin, now, left = pins[z], 0, new  # union(pin, new), inlined
+                while left:
+                    low = left & -left
+                    left ^= low
+                    now |= pin[low.bit_length() - 1]
                 allow[z] = new
                 meets[z] = now
                 undo.append((z, old, meet))

@@ -188,10 +188,10 @@ def mediating_search(q: FinitePreorder, f1: PointMap, f2: PointMap,
         _check_into_sierpinski(f, name)
     if f1.dom != q or f2.dom != q or p1.dom != p or p2.dom != p:
         raise HypothesisError("map domains must match the given preorders")
-    (tables, nodes), = kernels.enumerate_pinned(
+    found, (nodes,) = kernels.enumerate_pinned(
         q.down, q.up, p.down, p.up, _classes(f1, f2),
         _members(p, [p1], [p2]), 1)
-    return [PointMap(q, p, t) for t in tables], nodes
+    return [PointMap(q, p, t) for t, _ in found], nodes
 
 
 def _classes(f1: PointMap, f2: PointMap):
@@ -231,16 +231,17 @@ def product_obstruction(p: FinitePreorder, p1: PointMap, p2: PointMap,
         _check_into_sierpinski(f, name)
     if p1.dom != p or p2.dom != p:
         raise HypothesisError("map domains must match the given preorders")
-    (_, _, _, verdict), = _sweep(h, [p], [([p1], [p2])])
-    return verdict
+    (_, _, _, verdicts), = _sweep(h, [p], [([p1], [p2])])
+    return verdicts[0]
 
 
 def product_obstructions(h, posets):
-    """Yield (i, p1, p2, verdict) for every pair of open maps posets[i] -> S.
+    """Yield (i, firsts, seconds, verdicts) for each of the posets.
 
-    S is the two-point chain; the pairs of each poset come in the order of
-    `enumerate_open_maps`, p1 outer.  The verdict is product_obstruction's.
-    The projections are open by construction, so none is checked again.
+    firsts and seconds both list the open maps posets[i] -> S, S the
+    two-point chain, in the order of `enumerate_open_maps`; verdicts holds
+    product_obstruction's verdict on each pair of them, p1 outer.  The
+    projections are open by construction, so none is checked again.
     Every poset's open maps are enumerated first: a poset with k of them
     makes k * k candidates, and a sweep of more than
     `order.MAX_CANDIDATES` raises BudgetError before its first search.
@@ -257,28 +258,28 @@ def product_obstructions(h, posets):
 def _sweep(h, posets, projections):
     """The verdicts of stages 1..h.depth, on projections already checked.
 
-    Yields (i, p1, p2, verdict) for p1 in projections[i][0] and p2 in
-    projections[i][1], p1 outer.  A candidate's fibers are the points of
-    posets[i] by (p1, p2) value pair (a, b), at index 2 * a + b.  A stage
-    is prepared (materialized, its coordinate maps built and checked open)
-    the first time a candidate reaches it, for this call only.  Each stage
-    is searched for all of a poset's candidates still standing, before the
-    poset's first yield, by one `kernels.enumerate_pinned` call on the
-    poset's `_members`, masked past stage 1 to the lanes still standing: a
-    masked lane has empty fibers, so it costs no node and finds no map.
-    Refutations at one stage with equal counts share one verdict.  A
-    candidate standing after the top stage raises BudgetError at its turn
-    to be yielded, unless some stage outgrows its poset.
+    Yields (i, firsts, seconds, verdicts) per poset, for (firsts, seconds)
+    = projections[i]: verdicts[len(seconds) * a + b] is the verdict on
+    (firsts[a], seconds[b]), whose fibers are the points of posets[i] by
+    value pair (a, b), at index 2 * a + b.  A stage is prepared
+    (materialized, its coordinate maps built and checked open) the first
+    time a candidate reaches it, for this call only.  Each stage is
+    searched for all of a poset's candidates still standing by one
+    `kernels.enumerate_pinned` call, with those candidates as its lanes in
+    the order of `_members`, numbered from 0.  Refutations with equal
+    (stage, nodes, maps) share one verdict.  A candidate standing after
+    the top stage raises BudgetError before its poset's block, unless some
+    stage outgrows its poset.
     """
     stages = []  # (stage, f1, f2, classes) for alpha = 1, 2, ...
-    # (stage, maps found) -> nodes -> their empty_mediating_set verdict
-    empty = {}
+    empty = {}  # (stage, maps found) -> nodes -> empty_mediating_set verdict
     for i, (p, (firsts, seconds)) in enumerate(zip(posets, projections)):
-        pairs = [(p1, p2) for p1 in firsts for p2 in seconds]
+        width = len(seconds)
+        verdicts = [None] * (len(firsts) * width)
+        # the candidates standing -> their (nodes examined, maps found) over
+        # the stages before
+        standing = dict.fromkeys(range(len(verdicts)), (0, 0))
         members = _members(p, firsts, seconds)
-        verdicts = [None] * len(pairs)
-        # (nodes examined, maps found) -> the lanes standing with those counts
-        standing = {(0, 0): range(len(pairs))}
         for alpha in range(1, h.depth + 1):
             if not standing:
                 break
@@ -290,49 +291,50 @@ def _sweep(h, posets, projections):
                 _check_into_sierpinski(f2, "f2")
                 stages.append((materialized[0], f1, f2, _classes(f1, f2)))
             stage, f1, f2, classes = stages[alpha - 1]
-            rows = members
-            if alpha > 1:
-                live = sum(1 << j for lanes in standing.values()
-                           for j in lanes)
-                rows = [[m & live for m in row] for row in members]
-            searched = kernels.enumerate_pinned(
-                stage.down, stage.up, p.down, p.up, classes, rows, len(pairs))
-            groups, standing = standing, {}
-            for (examined, total), lanes in groups.items():
-                shared = empty.setdefault((alpha, total), {})
-                for j in lanes:
-                    found, nodes = searched[j]
-                    nodes += examined
-                    if not found:
-                        verdict = shared.get(nodes)
-                        if verdict is None:
-                            verdict = shared[nodes] = ObstructionVerdict(
-                                "empty_mediating_set", alpha, nodes, total)
-                        verdicts[j] = verdict
-                        continue
-                    p1, p2 = pairs[j]
-                    for t in found:
-                        assert tuple(p1.table[v] for v in t) == f1.table
-                        assert tuple(p2.table[v] for v in t) == f2.table
-                    counts = nodes, total + len(found)
-                    if any(len(set(t)) != stage.n for t in found):
-                        verdicts[j] = ObstructionVerdict(
-                            "non_injective_mediating", alpha, *counts)
-                    else:
-                        standing.setdefault(counts, []).append(j)
-        for counts, lanes in standing.items():
+            lanes = list(standing)
+            rows = members if alpha == 1 else [
+                [sum((m >> j & 1) << k for k, j in enumerate(lanes))
+                 for m in row] for row in members]
+            found, nodes = kernels.enumerate_pinned(
+                stage.down, stage.up, p.down, p.up, classes, rows, len(lanes))
+            if alpha == 1:  # all lanes, in order, with nothing found before
+                shared = empty.setdefault((1, 0), {})
+                for n in set(nodes).difference(shared):
+                    shared[n] = ObstructionVerdict("empty_mediating_set", 1,
+                                                   n, 0)
+                verdicts = list(map(shared.__getitem__, nodes))
+            else:
+                nodes = [e + n for (e, _), n in zip(standing.values(), nodes)]
+                for j, n, (_, total) in zip(lanes, nodes, standing.values()):
+                    shared = empty.setdefault((alpha, total), {})
+                    verdicts[j] = shared.get(n) or shared.setdefault(
+                        n, ObstructionVerdict("empty_mediating_set", alpha,
+                                              n, total))
+            before, standing = standing, {}
+            hits = {k for _, alive in found for k in kernels.bits(alive)}
+            for k in sorted(hits):  # each lane with maps, in walk order
+                ts, j = [t for t, alive in found if alive >> k & 1], lanes[k]
+                p1, p2 = firsts[j // width], seconds[j % width]
+                for t in ts:
+                    assert tuple(p1.table[v] for v in t) == f1.table
+                    assert tuple(p2.table[v] for v in t) == f2.table
+                counts = nodes[k], before[j][1] + len(ts)
+                if any(len(set(t)) != stage.n for t in ts):
+                    verdicts[j] = ObstructionVerdict(
+                        "non_injective_mediating", alpha, *counts)
+                else:
+                    standing[j] = counts
+        if standing:
             bound = next((alpha for alpha, level in enumerate(h.levels)
                           if len(level) > p.n), None)
-            if bound is not None:
-                for j in lanes:
-                    verdicts[j] = ObstructionVerdict("cardinality_bound",
-                                                     bound, *counts)
-        for (p1, p2), verdict in zip(pairs, verdicts):
-            if verdict is None:
+            if bound is None:
                 raise BudgetError(
                     "no stage within the tower outgrows the candidate",
                     stage=h.depth, used=p.n, budget=len(h.levels[-1]))
-            yield i, p1, p2, verdict
+            for j, counts in standing.items():
+                verdicts[j] = ObstructionVerdict("cardinality_bound", bound,
+                                                 *counts)
+        yield i, firsts, seconds, verdicts
 
 
 def _members(p, firsts, seconds):
@@ -345,8 +347,11 @@ def _members(p, firsts, seconds):
         cols = [0, 0]  # the indices of the p2 that send v to 0, to 1
         for j, p2 in enumerate(seconds):
             cols[p2.table[v]] |= 1 << j
+        rows = [0, 0]  # bit shift * j for each p1 that sends v to 0, to 1
         for j, p1 in enumerate(firsts):
-            a = 2 * p1.table[v]
-            members[a][v] |= cols[0] << shift * j
-            members[a + 1][v] |= cols[1] << shift * j
+            rows[p1.table[v]] |= 1 << shift * j
+        # a copy of cols[b] < 2 ** shift per bit of rows[a]: no carries
+        members[0][v], members[1][v] = rows[0] * cols[0], rows[0] * cols[1]
+        members[2][v], members[3][v] = rows[1] * cols[0], rows[1] * cols[1]
     return members
+

@@ -16,7 +16,7 @@ from finord.kernels import bits
 # largest carriers enumerate_posets and enumerate_preorders accept; the
 # poset cap stands for the size of a sweep's report, which is built in memory,
 # not for enumeration's cost: `obstruct --all-posets 7` writes 150 MB, hashed
-# as it is piped in 2.0-2.3 s at a 200 MB peak RSS (19a943d, 2-vCPU, Py 3.11)
+# as it is piped in 1.7-2.0 s at a 199 MB peak RSS (2-vCPU VM, Python 3.11)
 MAX_POSET_SIZE = 6
 # most candidates (pairs of open maps into the two-point chain) that one
 # product-obstruction sweep takes on, counted before its first search: the
@@ -124,6 +124,19 @@ def covers(p: FinitePreorder) -> list[tuple[int, int]]:
             for j in bits(above[i] & ~kernels.union(above, above[i]))]
 
 
+def _lower_twins(p: FinitePreorder) -> list[int]:
+    """Per point z, the mask of its twins y < z, whose swap with z is an
+    automorphism: same relations to all other points, same bit both ways."""
+    up, down = p.up, p.down
+    lower_twins = [0] * p.n
+    for z in range(p.n):
+        for y in range(z):
+            if (not (up[y] ^ up[z] | down[y] ^ down[z]) & ~(1 << y | 1 << z)
+                    and up[y] >> z & 1 == up[z] >> y & 1):
+                lower_twins[z] |= 1 << y
+    return lower_twins
+
+
 def canonical_form(p: FinitePreorder) -> str:
     """Least leq bit string over all relabelings; equal iff isomorphic.
 
@@ -135,23 +148,15 @@ def canonical_form(p: FinitePreorder) -> str:
     and, after them, the points above it.  That gives row r its least value
     over all completions, and leaves each cell alike on every row placed so
     far.  Only the nodes whose row r is least over the whole level go on, so
-    the result is exactly the least string.  Two twins (points with the same
-    relations to every other point and the same bit both ways between them)
+    the result is exactly the least string.  Two twins (`_lower_twins`)
     swap by an automorphism that fixes the node, so only the lowest twin in
     a cell is tried.
     """
     n = p.n
     if n == 0:
         return ""
-    up, down = p.up, p.down
-    lower_twins = [0] * n
-    for y in range(n):
-        for z in range(y + 1, n):
-            pair = 1 << y | 1 << z
-            if (up[y] & ~pair == up[z] & ~pair
-                    and down[y] & ~pair == down[z] & ~pair
-                    and up[y] >> z & 1 == up[z] >> y & 1):
-                lower_twins[z] |= 1 << y
+    up = p.up
+    lower_twins = _lower_twins(p)
     key = 0
     nodes = [((), ((1 << n) - 1,))]
     for _ in range(n):
@@ -188,8 +193,11 @@ def enumerate_posets(n: int) -> list[FinitePreorder]:
     The list runs by size, and each size is sorted by `canonical_form`; it
     is empty for n < 1.  Size k is grown from size k - 1 by adjoining a new
     maximal element above a chosen downset (counts 1, 2, 5, 16, 63, 318,
-    2045).  Every candidate gets its canonical form, once, and the first
-    candidate generated with a form is that class's representative.
+    2045), and a class's first candidate is its representative.  A downset
+    holding z but not a twin y < z of it (`_lower_twins`) is skipped: the
+    parent's automorphism swapping y and z maps it to a smaller downset,
+    whose isomorphic candidate came earlier.  So every class keeps its
+    first candidate, and the list is the unpruned generation's.
     """
     if n > MAX_POSET_SIZE:
         raise ValueError("poset enumeration supported for "
@@ -201,12 +209,13 @@ def enumerate_posets(n: int) -> list[FinitePreorder]:
     for k in range(2, n + 1):
         by_form = {}
         for p in reps:
+            twins = [(z, y) for z, y in enumerate(_lower_twins(p)) if y]
             for d in all_downsets(p):
-                up = list(p.up)
-                for i in bits(d):
-                    up[i] |= 1 << (k - 1)
-                up.append(1 << (k - 1))
-                q = FinitePreorder(k, tuple(up))
+                if any(d >> z & 1 and y & ~d for z, y in twins):
+                    continue
+                up = [row | (d >> i & 1) << (k - 1)
+                      for i, row in enumerate(p.up)]
+                q = FinitePreorder(k, (*up, 1 << (k - 1)))
                 by_form.setdefault(canonical_form(q), q)
         reps = [by_form[key] for key in sorted(by_form)]
         out += reps

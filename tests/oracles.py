@@ -136,6 +136,17 @@ def relation_iso(a, b):
     return tuple(f) if extend(0) else None
 
 
+def swept(h, posets) -> list[tuple]:
+    """The blocks of `maps.product_obstructions` over posets on tower h,
+    flattened to one (i, p1, p2, verdict) per candidate, p1 outer."""
+    out = []
+    for i, firsts, seconds, verdicts in maps.product_obstructions(h, posets):
+        pairs = [(p1, p2) for p1 in firsts for p2 in seconds]
+        assert len(pairs) == len(verdicts)
+        out += [(i, p1, p2, v) for (p1, p2), v in zip(pairs, verdicts)]
+    return out
+
+
 def certificate_dicts(h, posets, names) -> list[dict]:
     """Oracle for the certificate texts of an untimed `obstruct` report: one
     dict per candidate of the sweep over posets on tower h, for the stdlib
@@ -147,7 +158,28 @@ def certificate_dicts(h, posets, names) -> list[dict]:
              "candidates_examined": verdict.candidates_examined,
              "mediating_found": verdict.mediating_found,
              "elapsed": None}
-            for i, p1, p2, verdict in maps.product_obstructions(h, posets)]
+            for i, p1, p2, verdict in swept(h, posets)]
+
+
+def posets_unpruned(n, form=order.canonical_form):
+    """Oracle for `order.enumerate_posets`: the same generation with no
+    candidate skipped.  Size k grows from the representatives of size
+    k - 1 by a new maximal point above each of their downsets, every
+    candidate gets its form, and the first candidate with a form is its
+    class's representative, listed in form order; no size cap."""
+    reps = [order.singleton()] if n >= 1 else []
+    out = list(reps)
+    for k in range(2, n + 1):
+        seen = {}
+        for p in reps:
+            for d in order.all_downsets(p):
+                up = [row | (d >> i & 1) << (k - 1)
+                      for i, row in enumerate(p.up)]
+                q = order.FinitePreorder(k, (*up, 1 << (k - 1)))
+                seen.setdefault(form(q), q)
+        reps = [seen[key] for key in sorted(seen)]
+        out += reps
+    return out
 
 
 def is_monotone_pairwise(f) -> bool:

@@ -80,9 +80,9 @@ def pinned_alone(p_down, p_up, q_down, q_up, allowed):
     `kernels.enumerate_pinned` with it as its one candidate, as the
     (maps list, nodes) of `enumerate_maps`."""
     members = [[a >> v & 1 for v in range(len(q_down))] for a in allowed]
-    ((tables, nodes),) = kernels.enumerate_pinned(
+    found, (nodes,) = kernels.enumerate_pinned(
         p_down, p_up, q_down, q_up, range(len(p_down)), members, 1)
-    return list(tables), nodes
+    return [t for t, _ in found], nodes
 
 
 def test_enumerate_maps_brute_force_agreement():
@@ -260,14 +260,23 @@ def member_pins(classes, members, j):
             for c in classes]
 
 
+def per_lane(found, nodes):
+    """The (maps, nodes) of each lane of an `enumerate_pinned` result: the
+    maps whose lane mask holds its bit, in walk order, as a tuple."""
+    return [(tuple(t for t, lanes in found if lanes >> j & 1), n)
+            for j, n in enumerate(nodes)]
+
+
 def assert_pinned_matches_each_search(p_down, p_up, q_down, q_up, classes,
                                       members, count):
     """The batch equals every member's own search, and a batch of one
     equals that search too, under the same `kernels.NODE_BUDGET`; -> the
     batch's (maps, nodes) per member."""
-    got = kernels.enumerate_pinned(p_down, p_up, q_down, q_up, classes,
-                                   members, count)
-    assert len(got) == count
+    found, nodes = kernels.enumerate_pinned(p_down, p_up, q_down, q_up,
+                                            classes, members, count)
+    assert len(nodes) == count
+    assert all(0 < lanes < 1 << count for _, lanes in found)
+    got = per_lane(found, nodes)
     for j, result in enumerate(got):
         allowed = member_pins(classes, members, j)
         tables, nodes = recursive_maps(len(p_down), len(q_down), p_down,
@@ -276,8 +285,8 @@ def assert_pinned_matches_each_search(p_down, p_up, q_down, q_up, classes,
         expected = (tuple(tables), nodes)
         assert result == expected, (j, allowed)
         alone = [[row >> j & 1 for row in rows] for rows in members]
-        assert kernels.enumerate_pinned(p_down, p_up, q_down, q_up, classes,
-                                        alone, 1) == [expected]
+        assert per_lane(*kernels.enumerate_pinned(
+            p_down, p_up, q_down, q_up, classes, alone, 1)) == [expected]
     return got
 
 
@@ -367,8 +376,8 @@ def test_pinned_search_budget_counts_each_member_alone(monkeypatch):
     members = [[0b01, 0b10, 0b01, 0b10]]
     args = (p.down, p.up, q.down, q.up, [0], members, 2)
     monkeypatch.setattr(kernels, "NODE_BUDGET", 2)
-    assert kernels.enumerate_pinned(*args) == [
-        (((0,), (2,)), 2), (((1,), (3,)), 2)]
+    assert kernels.enumerate_pinned(*args) == (
+        [((0,), 0b01), ((1,), 0b10), ((2,), 0b01), ((3,), 0b10)], [2, 2])
     monkeypatch.setattr(kernels, "NODE_BUDGET", 1)
     with pytest.raises(BudgetError) as exc:
         kernels.enumerate_pinned(*args)

@@ -9,7 +9,7 @@ from finord.errors import BudgetError, HypothesisError
 from finord.hsets import Universe
 from finord.maps import PointMap
 from finord.order import sierpinski
-from oracles import is_monotone_pairwise
+from oracles import is_monotone_pairwise, swept
 
 
 def claw_tower(depth=2):
@@ -210,7 +210,7 @@ def test_sweep_over_the_candidate_cap_raises_before_any_search(monkeypatch):
     _, _, h = claw_tower()
     square = [order.product(sierpinski(), sierpinski())]
     monkeypatch.setattr(order, "MAX_CANDIDATES", 25)
-    assert len(list(maps.product_obstructions(h, square))) == 25
+    assert len(swept(h, square)) == 25
     searches = []
     search = kernels.enumerate_maps
 
@@ -272,14 +272,14 @@ def test_sweep_matches_oracle_on_small_posets():
     for i, p in enumerate(posets):
         opens = maps.enumerate_open_maps(p, s)
         expected += [(i, p1, p2) for p1 in opens for p2 in opens]
-    swept = list(maps.product_obstructions(h, posets))
-    assert [(i, p1, p2) for i, p1, p2, _ in swept] == expected
-    for i, p1, p2, verdict in swept:
+    candidates = swept(h, posets)
+    assert [(i, p1, p2) for i, p1, p2, _ in candidates] == expected
+    for i, p1, p2, verdict in candidates:
         assert verdict == oracle_verdict(posets[i], p1, p2, h), (
             i, p1.table, p2.table)
         assert maps.product_obstruction(posets[i], p1, p2, h) == verdict
     coordinates = (maps.coordinate_map(h, 1, 1), maps.coordinate_map(h, 1, 2))
-    mediated = [v for _, p1, p2, v in swept if (p1, p2) == coordinates]
+    mediated = [v for _, p1, p2, v in candidates if (p1, p2) == coordinates]
     assert len(mediated) == 1
     assert (mediated[0].certificate_kind, mediated[0].stage) == (
         "empty_mediating_set", 2)
@@ -301,8 +301,7 @@ def test_sweep_searches_each_stage_once_per_candidate(monkeypatch):
             return search(*args)
 
         monkeypatch.setattr(kernels, name, counted)
-    swept = list(maps.product_obstructions(h, posets))
-    verdicts = [v for _, _, _, v in swept]
+    verdicts = [v for _, _, _, v in swept(h, posets)]
     assert {v.certificate_kind for v in verdicts} == {"empty_mediating_set"}
     assert sum(v.stage == 2 for v in verdicts) == 6
     assert calls == {"enumerate_maps": len(posets),
@@ -322,12 +321,12 @@ def test_sweep_prepares_only_the_stages_a_candidate_reaches(monkeypatch):
         return materialize(h, alpha)
 
     monkeypatch.setattr(hierarchy, "materialize", counted)
-    swept = list(maps.product_obstructions(h, [stage]))
+    candidates = swept(h, [stage])
     assert prepared == [1, 2]
     monkeypatch.undo()
-    assert len(swept) == 676
-    assert sum(v.stage == 2 for _, _, _, v in swept) == 6
-    for _, p1, p2, verdict in swept:
+    assert len(candidates) == 676
+    assert sum(v.stage == 2 for _, _, _, v in candidates) == 6
+    for _, p1, p2, verdict in candidates:
         assert verdict == oracle_verdict(stage, p1, p2, h)
 
 
@@ -337,14 +336,17 @@ def test_sweep_on_a_tower_of_depth_zero_matches_oracle():
     _, _, h = claw_tower(depth=0)
     s = sierpinski()
     posets = order.enumerate_posets(4)
-    swept = maps.product_obstructions(h, posets)
     count = 0
     with pytest.raises(BudgetError) as exc:
-        for i, p1, p2, verdict in swept:
-            assert verdict == oracle_verdict(posets[i], p1, p2, h)
-            assert maps.product_obstruction(posets[i], p1, p2, h) == verdict
-            assert verdict.candidates_examined == 0
-            count += 1
+        for i, firsts, seconds, verdicts in maps.product_obstructions(
+                h, posets):
+            pairs = [(p1, p2) for p1 in firsts for p2 in seconds]
+            for (p1, p2), verdict in zip(pairs, verdicts, strict=True):
+                assert verdict == oracle_verdict(posets[i], p1, p2, h)
+                assert maps.product_obstruction(posets[i], p1, p2,
+                                                h) == verdict
+                assert verdict.candidates_examined == 0
+                count += 1
     assert exc.value.used == len(h.levels[0])
     assert count == sum(len(maps.enumerate_open_maps(p, s)) ** 2
                         for p in posets if p.n < len(h.levels[0]))

@@ -10,8 +10,8 @@ import pytest
 from finord import hierarchy, hsets, kernels, order
 from finord.errors import FormatError
 from finord.order import FinitePreorder
-from oracles import (canonical_form_bruteforce, covers_pairwise, relation_iso,
-                     sample_poset)
+from oracles import (canonical_form_bruteforce, covers_pairwise,
+                     posets_unpruned, relation_iso, sample_poset)
 
 # counts of posets on n labeled-up-to-iso / preorders on n labeled elements
 POSETS_UP_TO_ISO = {1: 1, 2: 2, 3: 5, 4: 16, 5: 63}
@@ -151,31 +151,22 @@ def test_enumerators_bound_their_sizes():
         order.enumerate_preorders(order.MAX_PREORDER_SIZE + 1)
 
 
-def reference_posets(n):
-    """enumerate_posets with the brute-force canonical form."""
-    reps = [order.singleton()]
-    out = list(reps)
-    for k in range(2, n + 1):
-        seen = {}
-        for p in reps:
-            for d in order.all_downsets(p):
-                up = list(p.up)
-                for i in range(k - 1):
-                    if d >> i & 1:
-                        up[i] |= 1 << (k - 1)
-                up.append(1 << (k - 1))
-                q = FinitePreorder(k, tuple(up))
-                seen.setdefault(canonical_form_bruteforce(q), q)
-        reps = [seen[key] for key in sorted(seen)]
-        out += reps
-    return out
-
-
 def test_enumerate_posets_matches_reference_route():
-    # same representatives, same labelings, same order
+    # same representatives, same labelings, same order as the unpruned
+    # generation with the brute-force canonical form
     n = max(POSETS_UP_TO_ISO)
     got = [p.up for p in order.enumerate_posets(n)]
-    assert got == [p.up for p in reference_posets(n)]
+    assert got == [p.up for p in posets_unpruned(n, canonical_form_bruteforce)]
+
+
+def test_twin_skipping_keeps_every_representative(monkeypatch):
+    # enumerate_posets skips the candidates that a swap of twins maps to a
+    # smaller downset; each has an earlier isomorphic candidate, so the
+    # list is the unpruned generation's, element by element
+    for n in range(order.MAX_POSET_SIZE + 1):
+        assert order.enumerate_posets(n) == posets_unpruned(n), n
+    monkeypatch.setattr(order, "MAX_POSET_SIZE", 7)
+    assert order.enumerate_posets(7) == posets_unpruned(7)
 
 
 def test_enumerate_posets_six_digest():
