@@ -534,7 +534,7 @@ def cmd_obstruct(args):
     tick = time.perf_counter()
     for i, firsts, seconds, verdicts in maps_mod.product_obstructions(
             h, posets):
-        for t in {f.table for f in (*firsts, *seconds)}.difference(texts):
+        for t in set(firsts).union(seconds).difference(texts):
             # json.dumps(t, indent=2) with its lines indented by 6
             texts[t] = ("[\n        " + ",\n        ".join(map(str, t))
                         + "\n      ]") if t else "[]"
@@ -552,8 +552,8 @@ def cmd_obstruct(args):
                                   if not kept[key][0].refuted)
         block = [None] * (4 * len(ids))
         block[0::4] = map(heads.__getitem__, ids)
-        block[1::4] = [texts[p1.table] for p1 in firsts for _ in seconds]
-        block[2::4] = [f"{cut[5]}{texts[p2.table]}{tail}"
+        block[1::4] = [texts[p1] for p1 in firsts for _ in seconds]
+        block[2::4] = [f"{cut[5]}{texts[p2]}{tail}"
                        for p2 in seconds] * len(firsts)
         block[3::4] = map(stages.__getitem__, ids)
         if args.timing:

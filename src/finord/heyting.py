@@ -211,7 +211,8 @@ def fullness_report(p: FinitePreorder, q: FinitePreorder) -> FullnessReport:
     injective on the open maps and hit every enumerated morphism.
     """
     opens = maps_mod.enumerate_open_maps(p, q)
-    images = [preimage_morphism(f).table for f in opens]
+    images = [preimage_morphism(maps_mod.PointMap(p, q, t)).table
+              for t in opens]
     alg_q = downset_algebra(q)
     alg_p = downset_algebra(p)
     morphs = [phi.table for phi in cha_morphisms(alg_q, alg_p)]

@@ -8,22 +8,17 @@ search: posets compare by `order.canonical_form`.  A map search prepares
 its plan once per domain and keeps it in a bounded cache, since callers
 such as the obstruction sweep search from the same domain many times, and
 backtracks in one loop over a per-depth stack, not by recursion.  There
-are two map walks: `enumerate_maps` runs one search with every value
-allowed, and `_pinned_walk`, the only code that knows pins and lanes, many
-searches from one domain as the lanes of one mask, for `enumerate_pinned`
-(pinned searches into one codomain, the obstruction sweep's, each map
-with its mask of lanes) and `enumerate_into` (one codomain of any size per
-lane, the p-morphisms of Kripke frames, split per lane).  A single
-unpinned search tries a handful of assignments, so its cost is mostly
-fixed cost, which keeps `enumerate_maps` a walk of its own: as a batch of
-one, the open maps of a 5-point poset into the Sierpinski space take
-30 us against 11 us (mean over the 63 5-point posets, 2-vCPU VM, Python
-3.11).  The module also holds every operation on relation rows the
-modules share: `bits` and its inverse `mask`; `union` of the rows a mask
-selects; `unions`, every union of some rows (downsets); `image` and
-`preimage` under a table; `transpose`; transitive `closure`; `restrict`
-to a subset; and `row_string`, the JSON bit string.  Sizes are read off
-the rows.  It imports only `errors` and the standard library.
+is one map walk, `_pinned_walk`, which runs many searches from one domain
+as the lanes of one mask: `enumerate_maps` is one lane with every value
+allowed, `enumerate_pinned` pinned searches into one codomain (the
+obstruction sweep's, each map with its mask of lanes) and `enumerate_into`
+one codomain of any size per lane (the p-morphisms of Kripke frames,
+split per lane).  The module also holds every operation on relation rows
+the modules share: `bits` and its inverse `mask`; `union` of the rows a
+mask selects; `unions`, every union of some rows (downsets); `image` and
+`preimage` under a table; `transpose`; transitive `closure`; `restrict` to
+a subset; and `row_string`, the JSON bit string.  Sizes are read off the
+rows.  It imports only `errors` and the standard library.
 
 All subsets are bitmasks (bit i = element i), held in Python ints, so there
 is no limit on the number of elements.  Output order is deterministic.
@@ -39,10 +34,11 @@ from finord.errors import BudgetError
 # stamped into benchmark records; the only implementation
 ACTIVE = "pure"
 
-# the bound of every map search: the node budget of `enumerate_maps` and of
-# each `enumerate_pinned` candidate, and the function-space bound of
-# `kripke.pmorphisms`, the coreflection sweep, `fullness_frames_report` and
-# the monotone assignments of `heyting.cha_morphisms`
+# the bound of every map search: the node budget of each lane of the map
+# walk that `enumerate_maps` and `enumerate_pinned` run, and the
+# function-space bound of `kripke.pmorphisms`, the coreflection sweep,
+# `fullness_frames_report` and the monotone assignments of
+# `heyting.cha_morphisms`
 NODE_BUDGET = 10_000_000
 
 
@@ -100,91 +96,18 @@ def enumerate_maps(p_down, p_up, q_down, q_up):
 
     P and Q are relations given by rows: p_down[i] is the mask of the points
     below i in a preorder (i's successors in a Kripke frame) and p_up[i] its
-    transpose, likewise q_down/q_up.  Monotonicity is forward-checked
-    between distinct elements, which prunes; a map is emitted only if the
-    image of every p_down[w] equals q_down of the image of w, checked as
-    soon as w and p_down[w] are assigned, which prunes most of the tree and
-    alone enforces P's self-loops.
-
-    Elements are assigned by (row size, index) and candidate values are
-    tried in ascending order, so output order is deterministic.  The search
-    is depth-first, in one loop that keeps per depth the values still to
-    try and the undo list of its forward checks.  Raises BudgetError when
-    more than NODE_BUDGET assignments are attempted, at the first
+    transpose, likewise q_down/q_up.  The search is one lane of
+    `_pinned_walk`: every value is a member of the one class, and the lane
+    accepts q_down[v] at v.  Maps come in walk order.  Raises BudgetError
+    when more than NODE_BUDGET assignments are attempted, at the first
     assignment past it.
 
     Returns (maps, nodes) where nodes is the number of assignments tried.
     """
-    n_p = len(p_down)
-    if n_p == 0:
-        return [()], 0
-
-    order, check_at, later, down_bits = _plan(tuple(p_down), tuple(p_up))
-    budget = NODE_BUDGET
-    cand = [(1 << len(q_down)) - 1] * n_p
-    f = [-1] * n_p
-    out = []
-    nodes = 0
-    last = n_p - 1
-    # per depth below k: the values still to try and the (z, old mask)
-    # pairs that undo the forward checks of the value assigned there
-    rest = [0] * n_p
-    undos = [None] * n_p
-    k = 0
-    m = cand[order[0]]
-    while True:
-        if not m:
-            # depth k is exhausted: go back to the previous depth
-            k -= 1
-            if k < 0:
-                return out, nodes
-            for z, old in undos[k]:
-                cand[z] = old
-            m = rest[k]
-            continue
-        bit = m & -m
-        m ^= bit
-        nodes += 1
-        if nodes > budget:
-            raise BudgetError("map search exceeded node budget",
-                              used=nodes, budget=budget)
-        v = bit.bit_length() - 1
-        f[order[k]] = v
-        up_v, down_v = q_up[v], q_down[v]
-        undo = []
-        ok = True
-        # only elements related to order[k] can lose candidates
-        for z, above, below in later[k]:
-            old = cand[z]
-            new = old
-            if above:
-                new &= up_v
-            if below:
-                new &= down_v
-            if new != old:
-                cand[z] = new
-                undo.append((z, old))
-                if not new:
-                    ok = False
-                    break
-        if ok:
-            for w in check_at[k]:
-                img = 0
-                for z in down_bits[w]:
-                    img |= 1 << f[z]
-                if img != q_down[f[w]]:
-                    ok = False
-                    break
-        if ok and k < last:
-            rest[k] = m
-            undos[k] = undo
-            k += 1
-            m = cand[order[k]]
-            continue
-        if ok:
-            out.append(tuple(f))
-        for z, old in undo:
-            cand[z] = old
+    found, counts = _pinned_walk(p_down, p_up, q_down, q_up,
+                                 [0] * len(p_down), [[1] * len(q_down)], 1,
+                                 NODE_BUDGET, [{row: 1} for row in q_down])
+    return [t for t, _ in found], sum(d << i for i, d in enumerate(counts))
 
 
 def enumerate_pinned(p_down, p_up, q_down, q_up, classes, members, count):
@@ -192,12 +115,12 @@ def enumerate_pinned(p_down, p_up, q_down, q_up, classes, members, count):
 
     Candidate j, for j in range(count), pins element i of P to its fiber
     for classes[i]: the points v of Q whose members[classes[i]][v] holds
-    bit j.  Returns the (map, mask of its candidates) pairs in the walk
-    order of `enumerate_maps`, whose masks holding bit j give candidate j's
-    own search's maps, and per candidate the assignments that search
-    tries; raises that search's BudgetError as soon as some candidate's
-    search would pass NODE_BUDGET.  The candidates are the lanes of
-    `_pinned_walk`, which all accept q_down[v] at v.
+    bit j.  Returns the (map, mask of its candidates) pairs in walk order,
+    whose masks holding bit j give candidate j's own search's maps, and per
+    candidate the assignments that search tries; raises that search's
+    BudgetError as soon as some candidate's search would pass NODE_BUDGET.
+    The candidates are the lanes of `_pinned_walk`, which all accept
+    q_down[v] at v.
     """
     found, counts = _pinned_walk(p_down, p_up, q_down, q_up, classes,
                                  members, count, NODE_BUDGET,
@@ -248,18 +171,24 @@ def _into_opens(codomains):
 
 def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
                  node_budget, opens):
-    """The search of `enumerate_maps`, over the values the assigned ones
-    still allow, for count lanes at once: lane j pins element i to the
-    points v with bit j in members[classes[i]][v], and accepts the image of
-    p_down[w] at w iff opens[f(w)] maps it to a mask holding bit j.  A
+    """The one map walk: count open-map searches from P into Q at once.
+
+    Lane j pins element i to the points v with bit j in
+    members[classes[i]][v], and accepts the image of p_down[w] at w iff
+    opens[f(w)] maps it to a mask holding bit j.  Elements are assigned by
+    (row size, index), each over the values its assigned neighbours allow,
+    ascending, depth-first in one loop over a per-depth stack.  Monotonicity
+    is forward-checked between distinct elements, and openness at w as soon
+    as w and p_down[w] are assigned, which alone enforces P's self-loops.  A
     value is a node of the alive lanes whose fiber holds it, and a forward
     check kills the lanes whose fiber met an element's allowed values
     before it and meets none after.  The node counts are bit-sliced (bit j
-    of counts[i] is bit i of lane j's count), so a node adds one to all its
-    lanes with a few mask operations.  They need at most
-    node_budget.bit_length() + 1 masks, and are read out whenever the nodes
+    of counts[i] is bit i of lane j's count, at most
+    node_budget.bit_length() + 1 masks), so a node adds one to all its
+    lanes with a few mask operations.  They are read out whenever the nodes
     since the last reading could take a lane past node_budget, which raises
-    that lane's BudgetError as its own search would.
+    that lane's BudgetError as its own search would, at its first node past
+    the budget.
 
     Returns (found, counts): the (map, mask of its lanes) pairs in walk
     order, and the counts.
@@ -281,9 +210,7 @@ def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
     last = n_p - 1
     # per depth below k: the values still to try, the lanes alive and the
     # (z, old allowed mask, old meet) triples that undo its checks
-    rest = [0] * n_p
-    lives = [0] * n_p
-    undos = [None] * n_p
+    stack = [None] * n_p
     k = 0
     live = (1 << count) - 1
     fiber = pins[order[0]]
@@ -293,11 +220,10 @@ def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
             k -= 1
             if k < 0:
                 return found, counts
-            for z, old, meet in undos[k]:
+            m, live, undo = stack[k]
+            for z, old, meet in undo:
                 allow[z] = old
                 meets[z] = meet
-            m = rest[k]
-            live = lives[k]
             fiber = pins[order[k]]
             continue
         bit = m & -m
@@ -357,9 +283,7 @@ def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
                 if not alive:
                     break
         if alive and k < last:
-            rest[k] = m
-            lives[k] = live
-            undos[k] = undo
+            stack[k] = m, live, undo
             k += 1
             live = alive
             fiber = pins[order[k]]

@@ -98,9 +98,8 @@ def is_open_v3(f: PointMap) -> bool:
 
 
 def enumerate_open_maps(p: FinitePreorder, q: FinitePreorder):
-    """All open maps p -> q, deterministic order; see kernels.enumerate_maps."""
-    tables, _ = kernels.enumerate_maps(p.down, p.up, q.down, q.up)
-    return [PointMap(p, q, t) for t in tables]
+    """The tables of the open maps p -> q, in kernels.enumerate_maps order."""
+    return kernels.enumerate_maps(p.down, p.up, q.down, q.up)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -156,13 +155,13 @@ def injectivity_report(h, alpha: int, p: FinitePreorder) -> InjectivityReport:
     maps = enumerate_open_maps(stage, p)
     injective = 0
     violations = []
-    for f in maps:
-        base_vals = [f(i) for i in base_pos]
+    for t in maps:
+        base_vals = [t[i] for i in base_pos]
         if len(set(base_vals)) != len(base_vals):
             continue
         injective += 1
-        if len(set(f.table)) != stage.n:
-            violations.append(f.table)
+        if len(set(t)) != stage.n:
+            violations.append(t)
     return InjectivityReport(len(maps), injective, violations)
 
 
@@ -182,7 +181,7 @@ def mediating_search(q: FinitePreorder, f1: PointMap, f2: PointMap,
 
     Every point's value is pinned to the fiber of its (f1, f2) pair under
     (p1, p2): `kernels.enumerate_pinned` with (p1, p2) as its one
-    candidate.  Returns (maps, nodes_examined).
+    candidate.  Returns (tables, nodes_examined).
     """
     for f, name in ((f1, "f1"), (f2, "f2"), (p1, "p1"), (p2, "p2")):
         _check_into_sierpinski(f, name)
@@ -190,8 +189,8 @@ def mediating_search(q: FinitePreorder, f1: PointMap, f2: PointMap,
         raise HypothesisError("map domains must match the given preorders")
     found, (nodes,) = kernels.enumerate_pinned(
         q.down, q.up, p.down, p.up, _classes(f1, f2),
-        _members(p, [p1], [p2]), 1)
-    return [PointMap(q, p, t) for t, _ in found], nodes
+        _members(p, [p1.table], [p2.table]), 1)
+    return [t for t, _ in found], nodes
 
 
 def _classes(f1: PointMap, f2: PointMap):
@@ -231,17 +230,18 @@ def product_obstruction(p: FinitePreorder, p1: PointMap, p2: PointMap,
         _check_into_sierpinski(f, name)
     if p1.dom != p or p2.dom != p:
         raise HypothesisError("map domains must match the given preorders")
-    (_, _, _, verdicts), = _sweep(h, [p], [([p1], [p2])])
+    (_, _, _, verdicts), = _sweep(h, [p], [([p1.table], [p2.table])])
     return verdicts[0]
 
 
 def product_obstructions(h, posets):
     """Yield (i, firsts, seconds, verdicts) for each of the posets.
 
-    firsts and seconds both list the open maps posets[i] -> S, S the
-    two-point chain, in the order of `enumerate_open_maps`; verdicts holds
-    product_obstruction's verdict on each pair of them, p1 outer.  The
-    projections are open by construction, so none is checked again.
+    firsts and seconds both list the tables of the open maps posets[i] ->
+    S, S the two-point chain, in the order of `enumerate_open_maps`;
+    verdicts holds product_obstruction's verdict on each pair of them, p1
+    outer.  The projections are open by construction, so none is checked
+    again.
     Every poset's open maps are enumerated first: a poset with k of them
     makes k * k candidates, and a sweep of more than
     `order.MAX_CANDIDATES` raises BudgetError before its first search.
@@ -259,9 +259,10 @@ def _sweep(h, posets, projections):
     """The verdicts of stages 1..h.depth, on projections already checked.
 
     Yields (i, firsts, seconds, verdicts) per poset, for (firsts, seconds)
-    = projections[i]: verdicts[len(seconds) * a + b] is the verdict on
-    (firsts[a], seconds[b]), whose fibers are the points of posets[i] by
-    value pair (a, b), at index 2 * a + b.  A stage is prepared
+    = projections[i], tables into the two-point chain:
+    verdicts[len(seconds) * a + b] is the verdict on (firsts[a],
+    seconds[b]), whose fibers are the points of posets[i] by value pair
+    (a, b), at index 2 * a + b.  A stage is prepared
     (materialized, its coordinate maps built and checked open) the first
     time a candidate reaches it, for this call only.  Each stage is
     searched for all of a poset's candidates still standing by one
@@ -316,8 +317,8 @@ def _sweep(h, posets, projections):
                 ts, j = [t for t, alive in found if alive >> k & 1], lanes[k]
                 p1, p2 = firsts[j // width], seconds[j % width]
                 for t in ts:
-                    assert tuple(p1.table[v] for v in t) == f1.table
-                    assert tuple(p2.table[v] for v in t) == f2.table
+                    assert tuple(p1[v] for v in t) == f1.table
+                    assert tuple(p2[v] for v in t) == f2.table
                 counts = nodes[k], before[j][1] + len(ts)
                 if any(len(set(t)) != stage.n for t in ts):
                     verdicts[j] = ObstructionVerdict(
@@ -338,7 +339,7 @@ def _sweep(h, posets, projections):
 
 
 def _members(p, firsts, seconds):
-    """members[2 * a + b][v]: the candidates (p1, p2), numbered
+    """members[2 * a + b][v]: the candidates (p1, p2) of tables, numbered
     len(seconds) * (index of p1) + (index of p2), that send the point v of
     p to the value pair (a, b)."""
     members = [[0] * p.n for _ in range(4)]
@@ -346,10 +347,10 @@ def _members(p, firsts, seconds):
     for v in range(p.n):
         cols = [0, 0]  # the indices of the p2 that send v to 0, to 1
         for j, p2 in enumerate(seconds):
-            cols[p2.table[v]] |= 1 << j
+            cols[p2[v]] |= 1 << j
         rows = [0, 0]  # bit shift * j for each p1 that sends v to 0, to 1
         for j, p1 in enumerate(firsts):
-            rows[p1.table[v]] |= 1 << shift * j
+            rows[p1[v]] |= 1 << shift * j
         # a copy of cols[b] < 2 ** shift per bit of rows[a]: no carries
         members[0][v], members[1][v] = rows[0] * cols[0], rows[0] * cols[1]
         members[2][v], members[3][v] = rows[1] * cols[0], rows[1] * cols[1]

@@ -138,7 +138,8 @@ def relation_iso(a, b):
 
 def swept(h, posets) -> list[tuple]:
     """The blocks of `maps.product_obstructions` over posets on tower h,
-    flattened to one (i, p1, p2, verdict) per candidate, p1 outer."""
+    flattened to one (i, p1, p2, verdict) per candidate, p1 outer; p1 and
+    p2 are tables."""
     out = []
     for i, firsts, seconds, verdicts in maps.product_obstructions(h, posets):
         pairs = [(p1, p2) for p1 in firsts for p2 in seconds]
@@ -152,7 +153,7 @@ def certificate_dicts(h, posets, names) -> list[dict]:
     dict per candidate of the sweep over posets on tower h, for the stdlib
     encoder to render; names[i] names posets[i]."""
     return [{"poset": names[i], "size": posets[i].n,
-             "p1": p1.table, "p2": p2.table,
+             "p1": p1, "p2": p2,
              "certificate_kind": verdict.certificate_kind,
              "stage": verdict.stage,
              "candidates_examined": verdict.candidates_examined,

@@ -458,6 +458,9 @@ REPORT_DIGESTS = {
                    "34d38c749709f909947e60aee5e37dd077bbead4ca48f571a64d6424c6f7ed25"),
     "lemma32": (["verify", "lemma32"],
                 "0c7846f1d5c891bce20848f34c74ca3496292ad287cf818f596c37d4b6c7487a"),
+    # the one report that runs injectivity_report on stage 2
+    "lemma32_d2": (["verify", "lemma32", "--depth", "2", "--max-size", "2"],
+                   "4818981550ddab55cf457c4a42f901765600665b6eb86c2f233e453925ed1521"),
     "thm26": (["verify", "thm26"],
               "d9963e8dbb0b0ed877ae2c2e439c653cde1891f37754bba46e5bb47f80665a17"),
     "lemma24": (["verify", "lemma24"],
@@ -761,7 +764,7 @@ def test_lemma32_checks_four_point_posets(monkeypatch, capsys):
         rep = original(h, alpha, p)
         if p.n == 4 and rep.open_maps:
             stage, _ = hierarchy.materialize(h, alpha)
-            first = maps.enumerate_open_maps(stage, p)[0].table
+            first = maps.enumerate_open_maps(stage, p)[0]
             rep.violations.append(first)
             planted.append(["injectivity", 4, list(first)])
         return rep

@@ -97,8 +97,8 @@ def test_adjunction_unit_rejects_preorder():
 def test_preimage_of_open_maps():
     s = sierpinski()
     for p in order.enumerate_posets(3):
-        for f in maps.enumerate_open_maps(p, s):
-            phi = heyting.preimage_morphism(f)
+        for t in maps.enumerate_open_maps(p, s):
+            phi = heyting.preimage_morphism(maps.PointMap(p, s, t))
             assert heyting.is_complete_ha_morphism(phi)
 
 

@@ -320,8 +320,8 @@ def test_pinned_search_matches_each_sweep_candidate():
                 for j, p2 in enumerate(opens):
                     assert member_pins(classes, members,
                                        len(opens) * i + j) == [
-                        sum(1 << v for v in range(len(p1.table))
-                            if 2 * p1.table[v] + p2.table[v] == c)
+                        sum(1 << v for v in range(len(p1))
+                            if 2 * p1[v] + p2[v] == c)
                         for c in classes]
             for tables, n in assert_pinned_matches_each_search(*args):
                 maps_found += len(tables)

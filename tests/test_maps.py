@@ -1,6 +1,7 @@
 """Monotone and open maps, coordinate indicators, the product obstruction."""
 
 import random
+from itertools import product as iproduct
 
 import pytest
 
@@ -101,11 +102,45 @@ def test_open_implies_monotone():
 def test_enumerations_respect_composition():
     s = sierpinski()
     p = order.product(s, s)
-    opens = maps.enumerate_open_maps(p, s)
+    opens = [PointMap(p, s, t) for t in maps.enumerate_open_maps(p, s)]
     assert all(maps.is_open_v2(f) for f in opens)
     for f in opens:
-        for g in maps.enumerate_open_maps(s, s):
+        for t in maps.enumerate_open_maps(s, s):
+            g = PointMap(s, s, t)
             assert maps.is_open_v2(compose(g, f))
+
+
+def test_returned_tables_are_the_open_maps_by_brute_force():
+    # the tables enumerate_open_maps and mediating_search return, against
+    # every function (every function through the fibers, for a mediating
+    # search): each builds a valid PointMap and is open, and none is missing
+    small = order.enumerate_posets(3)
+    for p in order.enumerate_posets(4):
+        for q in small:
+            tables = maps.enumerate_open_maps(p, q)
+            assert all(maps.is_open_v2(PointMap(p, q, t)) for t in tables)
+            assert sorted(tables) == [f.table for f in maps.all_functions(p, q)
+                                      if maps.is_open_v2(f)], (p, q)
+    # stage 1 into itself has candidates with mediating maps
+    _, _, h = claw_tower(depth=1)
+    stage, _ = hierarchy.materialize(h, 1)
+    f1, f2 = maps.coordinate_map(h, 1, 1), maps.coordinate_map(h, 1, 2)
+    s = sierpinski()
+    found_any = 0
+    for p in small + [stage]:
+        opens = [PointMap(p, s, t) for t in maps.enumerate_open_maps(p, s)]
+        for p1 in opens:
+            for p2 in opens:
+                fibers = [[x for x in range(p.n) if (p1(x), p2(x)) == (a, b)]
+                          for a, b in zip(f1.table, f2.table)]
+                brute = [t for t in iproduct(*fibers)
+                         if maps.is_open_v2(PointMap(stage, p, t))]
+                found, _ = maps.mediating_search(stage, f1, f2, p, p1, p2)
+                assert all(maps.is_open_v2(PointMap(stage, p, t))
+                           for t in found)
+                assert sorted(found) == brute, (p, p1.table, p2.table)
+                found_any += len(found)
+    assert found_any == 6
 
 
 def test_coordinate_maps_are_open_at_every_stage(monkeypatch):
@@ -159,7 +194,7 @@ def test_mediating_search_finds_identity_on_self():
     f1 = maps.coordinate_map(h, 1, 1)
     f2 = maps.coordinate_map(h, 1, 2)
     found, _ = maps.mediating_search(stage, f1, f2, stage, f1, f2)
-    tables = {f.table for f in found}
+    tables = set(found)
     assert PointMap(stage, stage, tuple(range(stage.n))).table in tables
 
 
@@ -231,7 +266,7 @@ def test_all_small_posets_refuted_by_stage_one():
     _, _, h = claw_tower()
     s = sierpinski()
     for p in order.enumerate_posets(3):
-        opens = maps.enumerate_open_maps(p, s)
+        opens = [PointMap(p, s, t) for t in maps.enumerate_open_maps(p, s)]
         for p1 in opens:
             for p2 in opens:
                 verdict = maps.product_obstruction(p, p1, p2, h)
@@ -240,14 +275,16 @@ def test_all_small_posets_refuted_by_stage_one():
 
 
 def oracle_verdict(p, p1, p2, h):
-    """The obstruction verdict rebuilt stage by stage from public calls."""
+    """The obstruction verdict on the projection tables p1 and p2, rebuilt
+    stage by stage from public calls."""
+    p1, p2 = PointMap(p, sierpinski(), p1), PointMap(p, sierpinski(), p2)
     examined = found_total = 0
     for alpha in range(1, h.depth + 1):
         stage, _ = hierarchy.materialize(h, alpha)
         f1 = maps.coordinate_map(h, alpha, 1)
         f2 = maps.coordinate_map(h, alpha, 2)
         found, nodes = maps.mediating_search(stage, f1, f2, p, p1, p2)
-        injective = all(len(set(f.table)) == stage.n for f in found)
+        injective = all(len(set(t)) == stage.n for t in found)
         examined += nodes
         found_total += len(found)
         if not found:
@@ -275,10 +312,12 @@ def test_sweep_matches_oracle_on_small_posets():
     candidates = swept(h, posets)
     assert [(i, p1, p2) for i, p1, p2, _ in candidates] == expected
     for i, p1, p2, verdict in candidates:
-        assert verdict == oracle_verdict(posets[i], p1, p2, h), (
-            i, p1.table, p2.table)
-        assert maps.product_obstruction(posets[i], p1, p2, h) == verdict
-    coordinates = (maps.coordinate_map(h, 1, 1), maps.coordinate_map(h, 1, 2))
+        assert verdict == oracle_verdict(posets[i], p1, p2, h), (i, p1, p2)
+        assert maps.product_obstruction(posets[i], PointMap(posets[i], s, p1),
+                                        PointMap(posets[i], s, p2),
+                                        h) == verdict
+    coordinates = (maps.coordinate_map(h, 1, 1).table,
+                   maps.coordinate_map(h, 1, 2).table)
     mediated = [v for _, p1, p2, v in candidates if (p1, p2) == coordinates]
     assert len(mediated) == 1
     assert (mediated[0].certificate_kind, mediated[0].stage) == (
@@ -343,8 +382,9 @@ def test_sweep_on_a_tower_of_depth_zero_matches_oracle():
             pairs = [(p1, p2) for p1 in firsts for p2 in seconds]
             for (p1, p2), verdict in zip(pairs, verdicts, strict=True):
                 assert verdict == oracle_verdict(posets[i], p1, p2, h)
-                assert maps.product_obstruction(posets[i], p1, p2,
-                                                h) == verdict
+                assert maps.product_obstruction(
+                    posets[i], PointMap(posets[i], s, p1),
+                    PointMap(posets[i], s, p2), h) == verdict
                 assert verdict.candidates_examined == 0
                 count += 1
     assert exc.value.used == len(h.levels[0])
