@@ -20,6 +20,7 @@ configuration or violations found; 2 budget exhausted.
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from itertools import combinations
@@ -200,7 +201,7 @@ def _read_json(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
 
@@ -600,15 +601,19 @@ def main(argv=None) -> int:
     report = _render(args.command, _config_of(args), payload, elapsed)
     # the report holds every certificate: free the list of their pieces
     del payload
-    if args.out:
-        try:
+    try:
+        if args.out:
             with args.out.open("w", encoding="utf-8") as out:
                 _write(out, report if document is None else document)
-        except OSError as exc:
-            print(f"finord: error: {exc}", file=sys.stderr)
-            return EXIT_FAIL
-    _write(sys.stdout, document if document is not None and not args.out
-           else report)
+        _write(sys.stdout, document if document is not None and not args.out
+               else report)
+        sys.stdout.flush()
+    except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader is gone: the flush at exit writes to nowhere
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"finord: error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
     return code
 
 

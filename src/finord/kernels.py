@@ -11,14 +11,14 @@ backtracks in one loop over a per-depth stack, not by recursion.  There
 is one map walk, `_pinned_walk`, which runs many searches from one domain
 as the lanes of one mask: `enumerate_maps` is one lane with every value
 allowed, `enumerate_pinned` pinned searches into one codomain (the
-obstruction sweep's, each map with its mask of lanes) and `enumerate_into`
+obstruction sweep's, with the maps' masks of lanes) and `enumerate_into`
 one codomain of any size per lane (the p-morphisms of Kripke frames,
 split per lane).  The module also holds every operation on relation rows
 the modules share: `bits` and its inverse `mask`; `union` of the rows a
 mask selects; `unions`, every union of some rows (downsets); `image` and
-`preimage` under a table; `transpose`; transitive `closure`; `restrict` to
-a subset; and `row_string`, the JSON bit string.  Sizes are read off the
-rows.  It imports only `errors` and the standard library.
+`preimage` under a table; `is_open`; `transpose`; transitive `closure`;
+`restrict` to a subset; and `row_string`, the JSON bit string.  Sizes are
+read off the rows.  It imports only `errors` and the standard library.
 
 All subsets are bitmasks (bit i = element i), held in Python ints, so there
 is no limit on the number of elements.  Output order is deterministic.
@@ -104,10 +104,10 @@ def enumerate_maps(p_down, p_up, q_down, q_up):
 
     Returns (maps, nodes) where nodes is the number of assignments tried.
     """
-    found, counts = _pinned_walk(p_down, p_up, q_down, q_up,
-                                 [0] * len(p_down), [[1] * len(q_down)], 1,
-                                 NODE_BUDGET, [{row: 1} for row in q_down])
-    return [t for t, _ in found], sum(d << i for i, d in enumerate(counts))
+    found, _, counts = _pinned_walk(
+        p_down, p_up, q_down, q_up, [0] * len(p_down), [[1] * len(q_down)],
+        1, NODE_BUDGET, [{row: 1} for row in q_down])
+    return found, sum(d << i for i, d in enumerate(counts))
 
 
 def enumerate_pinned(p_down, p_up, q_down, q_up, classes, members, count):
@@ -115,17 +115,17 @@ def enumerate_pinned(p_down, p_up, q_down, q_up, classes, members, count):
 
     Candidate j, for j in range(count), pins element i of P to its fiber
     for classes[i]: the points v of Q whose members[classes[i]][v] holds
-    bit j.  Returns the (map, mask of its candidates) pairs in walk order,
-    whose masks holding bit j give candidate j's own search's maps, and per
-    candidate the assignments that search tries; raises that search's
+    bit j.  Returns the maps in walk order, the parallel list of their
+    masks of candidates (bit j marks candidate j's own search's maps), and
+    per candidate the assignments that search tries; raises that search's
     BudgetError as soon as some candidate's search would pass NODE_BUDGET.
     The candidates are the lanes of `_pinned_walk`, which all accept
     q_down[v] at v.
     """
-    found, counts = _pinned_walk(p_down, p_up, q_down, q_up, classes,
-                                 members, count, NODE_BUDGET,
-                                 [{row: (1 << count) - 1} for row in q_down])
-    return found, _unslice(counts, count)
+    found, masks, counts = _pinned_walk(
+        p_down, p_up, q_down, q_up, classes, members, count, NODE_BUDGET,
+        [{row: (1 << count) - 1} for row in q_down])
+    return found, masks, _unslice(counts, count)
 
 
 def enumerate_into(p_down, p_up, codomains):
@@ -144,12 +144,12 @@ def enumerate_into(p_down, p_up, codomains):
     complete = ((1 << len(opens)) - 1,) * len(opens)
     # each codomain of more than v points has one row at v
     fits = [sum(lanes.values()) for lanes in opens]
-    found, _ = _pinned_walk(p_down, p_up, complete, complete,
-                            [0] * len(p_down), [fits], len(codomains),
-                            math.inf, opens)
+    found, masks, _ = _pinned_walk(p_down, p_up, complete, complete,
+                                   [0] * len(p_down), [fits], len(codomains),
+                                   math.inf, opens)
     maps = [[] for _ in codomains]
     # elements are assigned in `_plan` order, not in table order
-    for t, alive in sorted(found):
+    for t, alive in sorted(zip(found, masks)):
         for j in bits(alive):
             maps[j].append(t)
     # the codomains with no map, most of those the coreflection sweep
@@ -190,12 +190,12 @@ def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
     that lane's BudgetError as its own search would, at its first node past
     the budget.
 
-    Returns (found, counts): the (map, mask of its lanes) pairs in walk
-    order, and the counts.
+    Returns (found, masks, counts): the maps in walk order, each one's
+    mask of lanes in the parallel list masks, and the counts.
     """
     n_p = len(p_down)
     if not n_p:
-        return [((), (1 << count) - 1)], []
+        return [()], [(1 << count) - 1], []
     order, check_at, later, down_bits = _plan(tuple(p_down), tuple(p_up))
     full_q = (1 << len(q_down)) - 1
     # per element: the rows of its fiber's members, the values its assigned
@@ -205,7 +205,7 @@ def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
     nonempty = [union(rows, full_q) for rows in members]
     meets = [nonempty[c] for c in classes]
     f = [-1] * n_p
-    found, counts = [], []
+    found, masks, counts = [], [], []
     worst = pending = 0
     last = n_p - 1
     # per depth below k: the values still to try, the lanes alive and the
@@ -219,7 +219,7 @@ def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
         if not m:
             k -= 1
             if k < 0:
-                return found, counts
+                return found, masks, counts
             m, live, undo = stack[k]
             for z, old, meet in undo:
                 allow[z] = old
@@ -290,7 +290,8 @@ def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
             m = allow[order[k]]
             continue
         if alive:
-            found.append((tuple(f), alive))
+            found.append(tuple(f))
+            masks.append(alive)
         for z, old, meet in undo:
             allow[z] = old
             meets[z] = meet
@@ -410,6 +411,13 @@ def unions(rows):
     for row in rows:
         out |= {u | row for u in out}
     return sorted(out)
+
+
+def is_open(table, rows, cod_rows):
+    """The image under table of each row is the codomain row of its value:
+    open maps of preorders on down rows, p-morphisms on successor rows."""
+    return all(image(table, row) == cod_rows[v]
+               for row, v in zip(rows, table))
 
 
 def image(table, m):

@@ -20,7 +20,6 @@ from itertools import permutations, product as iproduct
 from typing import NamedTuple
 
 from finord import kernels
-from finord import maps as maps_mod
 from finord.errors import BudgetError
 from finord.kernels import bits
 from finord.order import FinitePreorder
@@ -58,11 +57,8 @@ def opposite_frame(p: FinitePreorder) -> KripkeFrame:
 # p-morphisms
 
 def is_pmorphism(table, f: KripkeFrame, g: KripkeFrame) -> bool:
-    """f[R[x]] = S[f(x)] for every state x."""
-    for x, row in enumerate(f.succ):
-        if kernels.image(table, row) != g.succ[table[x]]:
-            return False
-    return True
+    """f[R[x]] = S[f(x)] for every state x, by `kernels.is_open`."""
+    return kernels.is_open(table, f.succ, g.succ)
 
 
 def _check_function_space(f: KripkeFrame, g: KripkeFrame):
@@ -176,7 +172,7 @@ def verify_coreflections(frames, preorders):
     Every p-morphism from a preorder p's opposite frame into a frame f must
     land inside the coreflection and corestrict to an open map into the
     coreflected preorder (equivalently a p-morphism into the subframe of f
-    on the coreflection's members; both routes are checked).  The
+    on the coreflection's members; `kernels.is_open` checks both).  The
     factorization is through an inclusion, so uniqueness is automatic.
     reports is a tuple of one CoreflectionReport per preorder of
     `preorders`, in order.
@@ -186,8 +182,8 @@ def verify_coreflections(frames, preorders):
     function space into each frame size is checked, sizes in the order the
     frames first have them, as the per-frame checks would; so the first
     BudgetError of that order is raised.  Each frame is coreflected; only a
-    frame with some map gets a position map and a subframe, and a pair with
-    no map gets the shared `_NO_MAPS`.
+    frame with some map gets a position map and restricted rows, and a pair
+    with no map gets the shared `_NO_MAPS`.
     """
     frames, preorders = list(frames), list(preorders)
     opposites = [opposite_frame(p) for p in preorders]
@@ -208,7 +204,6 @@ def verify_coreflections(frames, preorders):
         pos = {x: k for k, x in enumerate(cor.members)}
         # the frame route reads f's own rows, the open route cor.preorder's
         sub = kernels.restrict([f.succ[a] for a in cor.members], cor.members)
-        restricted = KripkeFrame(len(sub), sub)
         reports = []
         for p, frame_p, tables in zip(preorders, opposites, found):
             violations = []
@@ -217,9 +212,8 @@ def verify_coreflections(frames, preorders):
                     violations.append(("image_escapes", table))
                     continue
                 g = tuple(map(pos.__getitem__, table))
-                open_route = maps_mod.is_open_v2(
-                    maps_mod.PointMap(p, cor.preorder, g))
-                frame_route = is_pmorphism(g, frame_p, restricted)
+                open_route = kernels.is_open(g, p.down, cor.preorder.down)
+                frame_route = kernels.is_open(g, frame_p.succ, sub)
                 if open_route != frame_route:
                     violations.append(("route_disagreement", table))
                 if not open_route:

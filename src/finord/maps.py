@@ -47,9 +47,6 @@ class PointMap:
                            or max(self.table) >= self.cod.n):
             raise ValueError("table value outside codomain")
 
-    def __call__(self, i: int) -> int:
-        return self.table[i]
-
 
 def all_functions(p: FinitePreorder, q: FinitePreorder):
     """Every function p -> q, ascending table order."""
@@ -79,12 +76,8 @@ def is_open_v1(f: PointMap) -> bool:
 
 def is_open_v2(f: PointMap) -> bool:
     """Pointwise: image of each principal downset is the principal downset
-    of the image point."""
-    table, cod_down = f.table, f.cod.down
-    for i, row in enumerate(f.dom.down):
-        if kernels.image(table, row) != cod_down[table[i]]:
-            return False
-    return True
+    of the image point: `kernels.is_open` on down rows."""
+    return kernels.is_open(f.table, f.dom.down, f.cod.down)
 
 
 def is_open_v3(f: PointMap) -> bool:
@@ -187,10 +180,10 @@ def mediating_search(q: FinitePreorder, f1: PointMap, f2: PointMap,
         _check_into_sierpinski(f, name)
     if f1.dom != q or f2.dom != q or p1.dom != p or p2.dom != p:
         raise HypothesisError("map domains must match the given preorders")
-    found, (nodes,) = kernels.enumerate_pinned(
+    found, _, (nodes,) = kernels.enumerate_pinned(
         q.down, q.up, p.down, p.up, _classes(f1, f2),
         _members(p, [p1.table], [p2.table]), 1)
-    return [t for t, _ in found], nodes
+    return found, nodes
 
 
 def _classes(f1: PointMap, f2: PointMap):
@@ -296,7 +289,7 @@ def _sweep(h, posets, projections):
             rows = members if alpha == 1 else [
                 [sum((m >> j & 1) << k for k, j in enumerate(lanes))
                  for m in row] for row in members]
-            found, nodes = kernels.enumerate_pinned(
+            found, masks, nodes = kernels.enumerate_pinned(
                 stage.down, stage.up, p.down, p.up, classes, rows, len(lanes))
             if alpha == 1:  # all lanes, in order, with nothing found before
                 shared = empty.setdefault((1, 0), {})
@@ -312,9 +305,9 @@ def _sweep(h, posets, projections):
                         n, ObstructionVerdict("empty_mediating_set", alpha,
                                               n, total))
             before, standing = standing, {}
-            hits = {k for _, alive in found for k in kernels.bits(alive)}
-            for k in sorted(hits):  # each lane with maps, in walk order
-                ts, j = [t for t, alive in found if alive >> k & 1], lanes[k]
+            for k in sorted({i for a in masks for i in kernels.bits(a)}):
+                j = lanes[k]
+                ts = [t for t, a in zip(found, masks) if a >> k & 1]
                 p1, p2 = firsts[j // width], seconds[j % width]
                 for t in ts:
                     assert tuple(p1[v] for v in t) == f1.table

@@ -1,5 +1,6 @@
 """Command-line interface: reports, exit codes, determinism, file formats."""
 
+import errno
 import hashlib
 import json
 import os
@@ -806,6 +807,9 @@ def test_obstruct_writes_the_report_in_slices(monkeypatch):
         def write(self, text):
             writes.append(text)
 
+        def flush(self):
+            pass
+
     monkeypatch.setattr(sys, "stdout", Recorder())
     argv, digest = REPORT_DIGESTS["obstruct6"]
     assert cli.main(argv) == 0
@@ -852,10 +856,15 @@ def test_coreflect_suite_builds_each_opposite_frame_once(monkeypatch, capsys):
 def test_coreflect_suite_walks_once_per_preorder(monkeypatch, capsys):
     # no per-pair search: one enumerate_into walk per preorder, into every
     # frame, and every table a frame gets goes through the escape check and
-    # both routes
+    # both routes, each a `kernels.is_open` call: the open route's on the
+    # coreflected preorder's own down rows, the frame route's on the
+    # frame's restricted rows.  The sweep coreflects each frame just before
+    # it checks it
     walks, forbidden, escapes, routes = [], [], [], Counter()
     into = kernels.enumerate_into
     mask = kernels.mask
+    coreflect, is_open = kripke.coreflect, kernels.is_open
+    cors = []
 
     def walk(p_down, p_up, codomains):
         out = into(p_down, p_up, codomains)
@@ -871,19 +880,22 @@ def test_coreflect_suite_walks_once_per_preorder(monkeypatch, capsys):
             escapes.append(ids)
         return mask(ids)
 
-    def route(name, fn):
-        def counted(*args):
-            routes[name] += 1
-            return fn(*args)
-        return counted
+    def recording(f):
+        cors.append(coreflect(f))
+        return cors[-1]
+
+    def route(table, rows, cod_rows):
+        if sys._getframe(1).f_code.co_name == "verify_coreflections":
+            open_route = cod_rows is cors[-1].preorder.down
+            routes["open" if open_route else "frame"] += 1
+        return is_open(table, rows, cod_rows)
 
     monkeypatch.setattr(kernels, "enumerate_into", walk)
     monkeypatch.setattr(kernels, "enumerate_maps", forbid)
     monkeypatch.setattr(kripke, "pmorphisms", forbid)
     monkeypatch.setattr(kernels, "mask", escape)
-    monkeypatch.setattr(maps, "is_open_v2", route("open", maps.is_open_v2))
-    monkeypatch.setattr(kripke, "is_pmorphism",
-                        route("frame", kripke.is_pmorphism))
+    monkeypatch.setattr(kripke, "coreflect", recording)
+    monkeypatch.setattr(kernels, "is_open", route)
     code, doc = run_json(["verify", "coreflect", "--states", "3"], capsys)
     assert code == 0 and not forbidden
     assert doc["frames"] == 530 and doc["checks"] == 1735
@@ -902,7 +914,8 @@ def test_coreflect_suite_reports_a_fault_planted_in_one_frame(
     # frame's violations, at its own index, so batching the searches still
     # checks and attributes every frame.  The sweep coreflects each frame
     # just before it checks it, so the last coreflected frame is the one
-    # under check
+    # under check; its frame route is the `kernels.is_open` call that does
+    # not read the coreflected preorder's own down rows
     frames = [f for n in (1, 2, 3) for f in kripke.enumerate_frames(n)]
     target = kripke.KripkeFrame(3, (0b001, 0b101, 0b100))
     index = frames.index(target)
@@ -918,17 +931,20 @@ def test_coreflect_suite_reports_a_fault_planted_in_one_frame(
                              [["route_disagreement", str(t)] for t in inside]])
     assert len(expected) == 5
     current = []
-    coreflect, is_pmorphism = kripke.coreflect, kripke.is_pmorphism
+    coreflect, is_open = kripke.coreflect, kernels.is_open
 
     def recording(f):
-        current[:] = [f]
-        return coreflect(f)
+        current[:] = [f, coreflect(f)]
+        return current[1]
 
-    def planted(table, f, g):
-        return is_pmorphism(table, f, g) != (current == [target])
+    def planted(table, rows, cod_rows):
+        wrong = (sys._getframe(1).f_code.co_name == "verify_coreflections"
+                 and current[0] == target
+                 and cod_rows is not current[1].preorder.down)
+        return is_open(table, rows, cod_rows) != wrong
 
     monkeypatch.setattr(kripke, "coreflect", recording)
-    monkeypatch.setattr(kripke, "is_pmorphism", planted)
+    monkeypatch.setattr(kernels, "is_open", planted)
     code, doc = run_json(["verify", "coreflect"], capsys)
     assert code == 1
     assert doc["violations"] == expected
@@ -937,32 +953,43 @@ def test_coreflect_suite_reports_a_fault_planted_in_one_frame(
 def test_coreflect_suite_builds_subframes_only_where_a_map_lands(
         monkeypatch, capsys):
     # 199 of the 530 frames on up to 3 states have a p-morphism from some
-    # preorder on up to 2 points: the sweep builds a subframe for exactly
-    # those, while it coreflects the frame just before it checks it
+    # preorder on up to 2 points: the sweep restricts the rows of exactly
+    # those, while it coreflects the frame just before it checks it, and
+    # wraps no map in a PointMap and no rows in a KripkeFrame
     frames = [f for n in (1, 2, 3) for f in kripke.enumerate_frames(n)]
     preorders = order.enumerate_preorders(2)
     with_maps = [(f.n, f.succ) for f in frames if any(
         kripke.pmorphisms(kripke.opposite_frame(p), f) for p in preorders)]
     assert len(with_maps) == 199
-    current, built = [], []
-    coreflect = kripke.coreflect
+    current, restricted, built = [], [], []
+    coreflect, restrict = kripke.coreflect, kernels.restrict
 
     def recording(f):
         current[:] = [f]
         return coreflect(f)
 
-    class CountingFrame(kripke.KripkeFrame):
-        def __post_init__(self):
-            super().__post_init__()
-            # frame 1 is the dataclass __init__, frame 2 its caller
-            if sys._getframe(2).f_code.co_name == "verify_coreflections":
-                built.append((current[0].n, current[0].succ))
+    def restricting(rows, members):
+        if sys._getframe(1).f_code.co_name == "verify_coreflections":
+            restricted.append((current[0].n, current[0].succ))
+        return restrict(rows, members)
+
+    def counting(cls):
+        class Counting(cls):
+            def __post_init__(self):
+                super().__post_init__()
+                # frame 1 is the dataclass __init__, frame 2 its caller
+                if sys._getframe(2).f_code.co_name == "verify_coreflections":
+                    built.append(self)
+        return Counting
 
     monkeypatch.setattr(kripke, "coreflect", recording)
-    monkeypatch.setattr(kripke, "KripkeFrame", CountingFrame)
+    monkeypatch.setattr(kernels, "restrict", restricting)
+    monkeypatch.setattr(kripke, "KripkeFrame", counting(kripke.KripkeFrame))
+    monkeypatch.setattr(maps, "PointMap", counting(maps.PointMap))
     code, doc = run_json(["verify", "coreflect", "--states", "3"], capsys)
     assert code == 0 and doc["checks"] == 1735
-    assert built == with_maps
+    assert restricted == with_maps
+    assert built == []
 
 
 def test_coreflect_suite_reports_a_fault_in_a_frame_with_no_map(
@@ -1048,6 +1075,8 @@ def test_obstruct_timing_report_matches_the_stdlib(capsys):
     ["obstruct", "--poset", "file:{not_utf8}"],
     ["obstruct", "--poset", "file:{leq_not_string}"],
     ["obstruct", "--poset", "file:{size_is_bool}"],
+    ["obstruct", "--poset", "file:{nested}"],
+    ["hierarchy", "build", "--base", "file:{nested}"],
 ])
 def test_config_errors_exit_one_with_a_line(argv, tmp_path, capsys):
     files = {
@@ -1066,6 +1095,9 @@ def test_config_errors_exit_one_with_a_line(argv, tmp_path, capsys):
         paths[name].write_text(json.dumps(data))
     paths["not_utf8"] = tmp_path / "not_utf8.json"
     paths["not_utf8"].write_bytes(b'{"size": 1, "leq": "\xff"}')
+    # nested past the JSON decoder's recursion limit
+    paths["nested"] = tmp_path / "nested.json"
+    paths["nested"].write_text("[" * 200_000)
     argv = [arg.format(**paths) for arg in argv]
     code, out, err = run(argv, capsys)
     assert code == 1
@@ -1148,6 +1180,36 @@ def test_unwritable_out_is_a_one_line_error(argv, target, tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("finord: error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("code", [errno.EPIPE, errno.ENOSPC],
+                         ids=["broken_pipe", "no_space"])
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_stdout_errors_are_a_one_line_error(code, failing, tmp_path,
+                                            monkeypatch, capsys):
+    # a reader that has gone or a full disk, on a write or on the last
+    # flush: one line and exit 1.  After a broken pipe stdout's descriptor
+    # points at the null device, so the flush at exit writes nothing
+    target = (tmp_path / "stdout").open("wb")
+
+    class Stdout:
+        def raising(self, *args):
+            raise OSError(code, os.strerror(code))
+
+        def fileno(self):
+            return target.fileno()
+
+        write = flush = lambda self, *args: None
+
+    setattr(Stdout, failing, Stdout.raising)
+    monkeypatch.setattr(sys, "stdout", Stdout())
+    assert cli.main(["hierarchy", "stats", "--depth", "0"]) == 1
+    assert capsys.readouterr().err == (
+        f"finord: error: [Errno {code}] {os.strerror(code)}\n")
+    os.write(target.fileno(), b"written at exit")
+    target.close()
+    assert (tmp_path / "stdout").read_bytes() == (
+        b"" if code == errno.EPIPE else b"written at exit")
 
 
 def test_reports_are_byte_identical_across_runs(capsys):

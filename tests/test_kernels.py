@@ -80,9 +80,9 @@ def pinned_alone(p_down, p_up, q_down, q_up, allowed):
     `kernels.enumerate_pinned` with it as its one candidate, as the
     (maps list, nodes) of `enumerate_maps`."""
     members = [[a >> v & 1 for v in range(len(q_down))] for a in allowed]
-    found, (nodes,) = kernels.enumerate_pinned(
+    found, _, (nodes,) = kernels.enumerate_pinned(
         p_down, p_up, q_down, q_up, range(len(p_down)), members, 1)
-    return [t for t, _ in found], nodes
+    return found, nodes
 
 
 def test_enumerate_maps_brute_force_agreement():
@@ -260,10 +260,10 @@ def member_pins(classes, members, j):
             for c in classes]
 
 
-def per_lane(found, nodes):
+def per_lane(found, masks, nodes):
     """The (maps, nodes) of each lane of an `enumerate_pinned` result: the
     maps whose lane mask holds its bit, in walk order, as a tuple."""
-    return [(tuple(t for t, lanes in found if lanes >> j & 1), n)
+    return [(tuple(t for t, lanes in zip(found, masks) if lanes >> j & 1), n)
             for j, n in enumerate(nodes)]
 
 
@@ -272,11 +272,11 @@ def assert_pinned_matches_each_search(p_down, p_up, q_down, q_up, classes,
     """The batch equals every member's own search, and a batch of one
     equals that search too, under the same `kernels.NODE_BUDGET`; -> the
     batch's (maps, nodes) per member."""
-    found, nodes = kernels.enumerate_pinned(p_down, p_up, q_down, q_up,
-                                            classes, members, count)
-    assert len(nodes) == count
-    assert all(0 < lanes < 1 << count for _, lanes in found)
-    got = per_lane(found, nodes)
+    found, masks, nodes = kernels.enumerate_pinned(
+        p_down, p_up, q_down, q_up, classes, members, count)
+    assert len(nodes) == count and len(masks) == len(found)
+    assert all(0 < lanes < 1 << count for lanes in masks)
+    got = per_lane(found, masks, nodes)
     for j, result in enumerate(got):
         allowed = member_pins(classes, members, j)
         tables, nodes = recursive_maps(len(p_down), len(q_down), p_down,
@@ -377,7 +377,7 @@ def test_pinned_search_budget_counts_each_member_alone(monkeypatch):
     args = (p.down, p.up, q.down, q.up, [0], members, 2)
     monkeypatch.setattr(kernels, "NODE_BUDGET", 2)
     assert kernels.enumerate_pinned(*args) == (
-        [((0,), 0b01), ((1,), 0b10), ((2,), 0b01), ((3,), 0b10)], [2, 2])
+        [(0,), (1,), (2,), (3,)], [0b01, 0b10, 0b01, 0b10], [2, 2])
     monkeypatch.setattr(kernels, "NODE_BUDGET", 1)
     with pytest.raises(BudgetError) as exc:
         kernels.enumerate_pinned(*args)

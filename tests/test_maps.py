@@ -131,7 +131,8 @@ def test_returned_tables_are_the_open_maps_by_brute_force():
         opens = [PointMap(p, s, t) for t in maps.enumerate_open_maps(p, s)]
         for p1 in opens:
             for p2 in opens:
-                fibers = [[x for x in range(p.n) if (p1(x), p2(x)) == (a, b)]
+                pairs = list(zip(p1.table, p2.table))
+                fibers = [[x for x in range(p.n) if pairs[x] == (a, b)]
                           for a, b in zip(f1.table, f2.table)]
                 brute = [t for t in iproduct(*fibers)
                          if maps.is_open_v2(PointMap(stage, p, t))]
@@ -165,7 +166,7 @@ def test_pairing_values_separate_the_base():
     f1 = maps.coordinate_map(h, 0, 1)
     f2 = maps.coordinate_map(h, 0, 2)
     pos = {x: i for i, x in enumerate(ids)}
-    assert [(f1(pos[m]), f2(pos[m])) for m in h.base] == [
+    assert [(f1.table[pos[m]], f2.table[pos[m]]) for m in h.base] == [
         (0, 0), (0, 1), (1, 0), (1, 1)]
 
 
@@ -179,7 +180,7 @@ def test_base_pairing_is_monotone_but_not_open():
     f1 = maps.coordinate_map(h, 0, 1)
     f2 = maps.coordinate_map(h, 0, 2)
     pairing = PointMap(stage, prod,
-                       tuple(f1(i) * 2 + f2(i) for i in range(stage.n)))
+                       tuple(a * 2 + b for a, b in zip(f1.table, f2.table)))
     assert compose(p1, pairing).table == f1.table
     assert compose(p2, pairing).table == f2.table
     assert maps.is_monotone(pairing)
