@@ -9,13 +9,13 @@ its plan once per domain and keeps it in a bounded cache, since callers
 such as the obstruction sweep search from the same domain many times, and
 backtracks in one loop over a per-depth stack, not by recursion.  There
 is one map walk, `_pinned_walk`, which runs many searches from one domain
-as the lanes of one mask: `enumerate_maps` is one lane with every value
-allowed, `enumerate_pinned` pinned searches into one codomain (the
-obstruction sweep's, with the maps' masks of lanes) and `enumerate_into`
-one codomain of any size per lane (the p-morphisms of Kripke frames,
-split per lane).  The module also holds every operation on relation rows
-the modules share: `bits` and its inverse `mask`; `union` of the rows a
-mask selects; `unions`, every union of some rows (downsets); `image` and
+as the lanes of one mask and hands back each lane's maps in a list of its
+own: `enumerate_maps` is one lane with every value allowed,
+`enumerate_pinned` pinned searches into one codomain (the obstruction
+sweep's) and `enumerate_into` one codomain of any size per lane (the
+p-morphisms of Kripke frames).  It also holds every shared operation on
+relation rows: `bits` and its inverse `mask`; `union` of the rows a mask
+selects; `unions`, every union of some rows (downsets); `image` and
 `preimage` under a table; `is_open`; `transpose`; transitive `closure`;
 `restrict` to a subset; and `row_string`, the JSON bit string.  Sizes are
 read off the rows.  It imports only `errors` and the standard library.
@@ -104,7 +104,7 @@ def enumerate_maps(p_down, p_up, q_down, q_up):
 
     Returns (maps, nodes) where nodes is the number of assignments tried.
     """
-    found, _, counts = _pinned_walk(
+    (found,), counts = _pinned_walk(
         p_down, p_up, q_down, q_up, [0] * len(p_down), [[1] * len(q_down)],
         1, NODE_BUDGET, [{row: 1} for row in q_down])
     return found, sum(d << i for i, d in enumerate(counts))
@@ -115,17 +115,16 @@ def enumerate_pinned(p_down, p_up, q_down, q_up, classes, members, count):
 
     Candidate j, for j in range(count), pins element i of P to its fiber
     for classes[i]: the points v of Q whose members[classes[i]][v] holds
-    bit j.  Returns the maps in walk order, the parallel list of their
-    masks of candidates (bit j marks candidate j's own search's maps), and
-    per candidate the assignments that search tries; raises that search's
-    BudgetError as soon as some candidate's search would pass NODE_BUDGET.
+    bit j.  Returns per candidate the list of its own search's maps, in
+    walk order, and the assignments that search tries; raises that
+    search's BudgetError as soon as some candidate's would pass NODE_BUDGET.
     The candidates are the lanes of `_pinned_walk`, which all accept
     q_down[v] at v.
     """
-    found, masks, counts = _pinned_walk(
+    found, counts = _pinned_walk(
         p_down, p_up, q_down, q_up, classes, members, count, NODE_BUDGET,
         [{row: (1 << count) - 1} for row in q_down])
-    return found, masks, _unslice(counts, count)
+    return found, _unslice(counts, count)
 
 
 def enumerate_into(p_down, p_up, codomains):
@@ -144,17 +143,12 @@ def enumerate_into(p_down, p_up, codomains):
     complete = ((1 << len(opens)) - 1,) * len(opens)
     # each codomain of more than v points has one row at v
     fits = [sum(lanes.values()) for lanes in opens]
-    found, masks, _ = _pinned_walk(p_down, p_up, complete, complete,
-                                   [0] * len(p_down), [fits], len(codomains),
-                                   math.inf, opens)
-    maps = [[] for _ in codomains]
-    # elements are assigned in `_plan` order, not in table order
-    for t, alive in sorted(zip(found, masks)):
-        for j in bits(alive):
-            maps[j].append(t)
-    # the codomains with no map, most of those the coreflection sweep
-    # keeps, share `()`
-    return [tuple(m) for m in maps]
+    found, _ = _pinned_walk(p_down, p_up, complete, complete,
+                            [0] * len(p_down), [fits], len(codomains),
+                            math.inf, opens)
+    # maps come in `_plan` order, not table order; the codomains with no
+    # map, most of those the coreflection sweep keeps, share `()`
+    return [tuple(sorted(maps)) for maps in found]
 
 
 @lru_cache(maxsize=16)
@@ -190,12 +184,11 @@ def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
     that lane's BudgetError as its own search would, at its first node past
     the budget.
 
-    Returns (found, masks, counts): the maps in walk order, each one's
-    mask of lanes in the parallel list masks, and the counts.
+    Returns (found, counts): per lane, its maps in walk order; the counts.
     """
     n_p = len(p_down)
     if not n_p:
-        return [()], [(1 << count) - 1], []
+        return [[()] for _ in range(count)], []
     order, check_at, later, down_bits = _plan(tuple(p_down), tuple(p_up))
     full_q = (1 << len(q_down)) - 1
     # per element: the rows of its fiber's members, the values its assigned
@@ -205,7 +198,7 @@ def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
     nonempty = [union(rows, full_q) for rows in members]
     meets = [nonempty[c] for c in classes]
     f = [-1] * n_p
-    found, masks, counts = [], [], []
+    found, counts = [[] for _ in range(count)], []
     worst = pending = 0
     last = n_p - 1
     # per depth below k: the values still to try, the lanes alive and the
@@ -219,7 +212,7 @@ def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
         if not m:
             k -= 1
             if k < 0:
-                return found, masks, counts
+                return found, counts
             m, live, undo = stack[k]
             for z, old, meet in undo:
                 allow[z] = old
@@ -290,8 +283,11 @@ def _pinned_walk(p_down, p_up, q_down, q_up, classes, members, count,
             m = allow[order[k]]
             continue
         if alive:
-            found.append(tuple(f))
-            masks.append(alive)
+            t = tuple(f)
+            while alive:  # bits(alive), inlined
+                low = alive & -alive
+                alive ^= low
+                found[low.bit_length() - 1].append(t)
         for z, old, meet in undo:
             allow[z] = old
             meets[z] = meet
@@ -334,9 +330,11 @@ def _plan(p_down, p_up):
     for w in range(n_p):
         check_at[max(pos[z] for z in bits(p_down[w] | 1 << w))].append(w)
 
+    # read off each element's rows, not a (quadratic) scan of all after it
     later = tuple(
         tuple((z, bool(p_up[x] >> z & 1), bool(p_down[x] >> z & 1))
-              for z in order[k + 1:] if (p_up[x] | p_down[x]) >> z & 1)
+              for z in sorted((z for z in bits(p_up[x] | p_down[x])
+                               if pos[z] > k), key=pos.__getitem__))
         for k, x in enumerate(order))
     down_bits = tuple(tuple(bits(row)) for row in p_down)
     return tuple(order), tuple(map(tuple, check_at)), later, down_bits

@@ -2,9 +2,9 @@
 
 A frame is a carrier with an arbitrary relation, stored as successor masks.
 Frames generalize preorders: a preorder P corresponds to the frame of its
-opposite order (x R y iff y <= x), under which open maps of preorders and
-p-morphisms of frames are the same functions; that bridge is tested
-exhaustively.
+opposite order (x R y iff y <= x; its successor rows are P's down rows),
+under which open maps of preorders and p-morphisms of frames are the same
+functions; that bridge is tested exhaustively.
 
 The coreflector extracts the largest R-upset on which the relation is a
 preorder, read off the frame's reachability rows.  The complex algebra turns
@@ -48,11 +48,6 @@ class KripkeFrame:
         object.__setattr__(self, "pred", kernels.transpose(self.succ))
 
 
-def opposite_frame(p: FinitePreorder) -> KripkeFrame:
-    """x R y iff y <= x; open maps of preorders are p-morphisms of these."""
-    return KripkeFrame(p.n, p.down)
-
-
 # ---------------------------------------------------------------------------
 # p-morphisms
 
@@ -61,11 +56,10 @@ def is_pmorphism(table, f: KripkeFrame, g: KripkeFrame) -> bool:
     return kernels.is_open(table, f.succ, g.succ)
 
 
-def _check_function_space(f: KripkeFrame, g: KripkeFrame):
-    """Raise a BudgetError when there are more than `kernels.NODE_BUDGET`
-    functions f -> g."""
-    if g.n ** f.n > kernels.NODE_BUDGET:
-        raise BudgetError("function space too large", used=g.n ** f.n,
+def _check_function_space(n_f: int, n_g: int):
+    """Raise a BudgetError past `kernels.NODE_BUDGET` functions n_f -> n_g."""
+    if n_g ** n_f > kernels.NODE_BUDGET:
+        raise BudgetError("function space too large", used=n_g ** n_f,
                           budget=kernels.NODE_BUDGET)
 
 
@@ -79,7 +73,7 @@ def pmorphisms(f: KripkeFrame, g: KripkeFrame):
     search starts, and with it the search tree (at most f.n * g.n ** f.n
     nodes), so the walk needs no node budget of its own.
     """
-    _check_function_space(f, g)
+    _check_function_space(f.n, g.n)
     return kernels.enumerate_into(f.succ, f.pred, [(g.succ, g.pred)])[0]
 
 
@@ -169,30 +163,31 @@ def verify_coreflection(f: KripkeFrame, preorders):
 def verify_coreflections(frames, preorders):
     """Yield (coreflection, reports) for each frame of `frames`, in order.
 
-    Every p-morphism from a preorder p's opposite frame into a frame f must
-    land inside the coreflection and corestrict to an open map into the
-    coreflected preorder (equivalently a p-morphism into the subframe of f
-    on the coreflection's members; `kernels.is_open` checks both).  The
-    factorization is through an inclusion, so uniqueness is automatic.
-    reports is a tuple of one CoreflectionReport per preorder of
-    `preorders`, in order.
+    Every p-morphism from a preorder p's opposite frame (successor rows
+    p.down) into a frame f must land inside the coreflection and
+    corestrict to an open map into the coreflected preorder, one
+    `kernels.is_open` call per map; it is a p-morphism into f's subframe
+    on the members too iff that subframe's rows are the preorder's down
+    rows, compared once per frame with a map, and each map inside is a
+    "route_disagreement" if they differ.  The factorization is through an
+    inclusion, so uniqueness is automatic.  reports is a tuple of one
+    CoreflectionReport per preorder of `preorders`, in order.
 
     The p-morphisms are searched by one `kernels.enumerate_into` walk per
-    preorder, into every frame at once.  Before any walk, each preorder's
-    function space into each frame size is checked, sizes in the order the
-    frames first have them, as the per-frame checks would; so the first
-    BudgetError of that order is raised.  Each frame is coreflected; only a
-    frame with some map gets a position map and restricted rows, and a pair
-    with no map gets the shared `_NO_MAPS`.
+    preorder, from its down and up rows into every frame at once.  Before
+    any walk, each preorder's function space into each frame size is
+    checked, sizes in the order the frames first have them, as the
+    per-frame checks would; so the first BudgetError of that order is
+    raised.  Each frame is coreflected; only a frame with some map gets a
+    position map and restricted rows, and a pair with no map gets the
+    shared `_NO_MAPS`.
     """
     frames, preorders = list(frames), list(preorders)
-    opposites = [opposite_frame(p) for p in preorders]
-    for f in {f.n: f for f in frames}.values():
-        for frame_p in opposites:
-            _check_function_space(frame_p, f)
+    for n in dict.fromkeys(f.n for f in frames):
+        for p in preorders:
+            _check_function_space(p.n, n)
     rows = [(f.succ, f.pred) for f in frames]
-    walks = [kernels.enumerate_into(frame_p.succ, frame_p.pred, rows)
-             for frame_p in opposites]
+    walks = [kernels.enumerate_into(p.down, p.up, rows) for p in preorders]
     # per frame, its tables from each preorder; with no preorder, none
     per_frame = zip(*walks) if walks else [()] * len(frames)
     no_maps = (_NO_MAPS,) * len(preorders)
@@ -202,21 +197,20 @@ def verify_coreflections(frames, preorders):
             yield cor, no_maps
             continue
         pos = {x: k for k, x in enumerate(cor.members)}
-        # the frame route reads f's own rows, the open route cor.preorder's
+        # the frame route: f's rows on the members are cor's down rows
         sub = kernels.restrict([f.succ[a] for a in cor.members], cor.members)
+        disagree = sub != cor.preorder.down
         reports = []
-        for p, frame_p, tables in zip(preorders, opposites, found):
+        for p, tables in zip(preorders, found):
             violations = []
             for table in tables:
                 if kernels.mask(table) & ~cor.member_mask:
                     violations.append(("image_escapes", table))
                     continue
-                g = tuple(map(pos.__getitem__, table))
-                open_route = kernels.is_open(g, p.down, cor.preorder.down)
-                frame_route = kernels.is_open(g, frame_p.succ, sub)
-                if open_route != frame_route:
+                if disagree:
                     violations.append(("route_disagreement", table))
-                if not open_route:
+                g = tuple(map(pos.__getitem__, table))
+                if not kernels.is_open(g, p.down, cor.preorder.down):
                     violations.append(("corestriction_not_open", table))
             reports.append(CoreflectionReport(len(tables), tuple(violations))
                            if tables else _NO_MAPS)
@@ -406,7 +400,7 @@ def fullness_frames_report(f: KripkeFrame, g: KripkeFrame
     the functions that are not p-morphisms too, so no map search can stand
     in for it.  `kernels.NODE_BUDGET` bounds the function space.
     """
-    _check_function_space(f, g)
+    _check_function_space(f.n, g.n)
     ca_f, ca_g = complex_algebra(f), complex_algebra(g)
     count = 0
     violations = []

@@ -180,7 +180,7 @@ def mediating_search(q: FinitePreorder, f1: PointMap, f2: PointMap,
         _check_into_sierpinski(f, name)
     if f1.dom != q or f2.dom != q or p1.dom != p or p2.dom != p:
         raise HypothesisError("map domains must match the given preorders")
-    found, _, (nodes,) = kernels.enumerate_pinned(
+    (found,), (nodes,) = kernels.enumerate_pinned(
         q.down, q.up, p.down, p.up, _classes(f1, f2),
         _members(p, [p1.table], [p2.table]), 1)
     return found, nodes
@@ -289,7 +289,7 @@ def _sweep(h, posets, projections):
             rows = members if alpha == 1 else [
                 [sum((m >> j & 1) << k for k, j in enumerate(lanes))
                  for m in row] for row in members]
-            found, masks, nodes = kernels.enumerate_pinned(
+            found, nodes = kernels.enumerate_pinned(
                 stage.down, stage.up, p.down, p.up, classes, rows, len(lanes))
             if alpha == 1:  # all lanes, in order, with nothing found before
                 shared = empty.setdefault((1, 0), {})
@@ -305,14 +305,14 @@ def _sweep(h, posets, projections):
                         n, ObstructionVerdict("empty_mediating_set", alpha,
                                               n, total))
             before, standing = standing, {}
-            for k in sorted({i for a in masks for i in kernels.bits(a)}):
-                j = lanes[k]
-                ts = [t for t, a in zip(found, masks) if a >> k & 1]
+            for j, ts, n in zip(lanes, found, nodes):
+                if not ts:
+                    continue
                 p1, p2 = firsts[j // width], seconds[j % width]
                 for t in ts:
                     assert tuple(p1[v] for v in t) == f1.table
                     assert tuple(p2[v] for v in t) == f2.table
-                counts = nodes[k], before[j][1] + len(ts)
+                counts = n, before[j][1] + len(ts)
                 if any(len(set(t)) != stage.n for t in ts):
                     verdicts[j] = ObstructionVerdict(
                         "non_injective_mediating", alpha, *counts)

@@ -31,6 +31,12 @@ def is_pmorphism_via_preimages(table, f, g) -> bool:
     return True
 
 
+def opposite_frame(p) -> kripke.KripkeFrame:
+    """The frame of p's opposite order, x R y iff y <= x: its successor
+    rows are p.down, and its p-morphisms are p's open maps."""
+    return kripke.KripkeFrame(p.n, p.down)
+
+
 def upsets(f) -> list[int]:
     """Every R-upset of frame f, ascending: the unions of some of its
     reflexive reachability rows, 2 ** f.n of them at most."""
@@ -181,6 +187,16 @@ def posets_unpruned(n, form=order.canonical_form):
         reps = [seen[key] for key in sorted(seen)]
         out += reps
     return out
+
+
+def later_by_scan(order, p_down, p_up) -> tuple:
+    """Oracle for the `later` part of `kernels._plan`: per position k, the
+    elements after order[k] related to it, found by scanning every element
+    after it, as (z, z above order[k], z below order[k])."""
+    return tuple(
+        tuple((z, bool(p_up[x] >> z & 1), bool(p_down[x] >> z & 1))
+              for z in order[k + 1:] if (p_up[x] | p_down[x]) >> z & 1)
+        for k, x in enumerate(order))
 
 
 def is_monotone_pairwise(f) -> bool:

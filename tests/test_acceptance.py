@@ -15,7 +15,8 @@ from finord.hsets import Universe
 from finord.kripke import FiniteBAO
 from finord.maps import PointMap
 from finord.order import sierpinski
-from oracles import implies_bruteforce, is_pmorphism_via_preimages
+from oracles import (implies_bruteforce, is_pmorphism_via_preimages,
+                     opposite_frame)
 
 
 def _run(capsys, num, limit, body):
@@ -298,9 +299,9 @@ def _kripke_suite():
     classes = _preorder_classes(4)
     assert len(classes) == 46
     for p in classes:
-        fp = kripke.opposite_frame(p)
+        fp = opposite_frame(p)
         for q in classes:
-            fq = kripke.opposite_frame(q)
+            fq = opposite_frame(q)
             for table in iproduct(range(q.n), repeat=p.n):
                 a = maps.is_open_v2(PointMap(p, q, table))
                 assert a == kripke.is_pmorphism(table, fp, fq)

@@ -16,7 +16,7 @@ import pytest
 import finord
 from finord import cli, heyting, hierarchy, hsets, kernels, kripke, maps, order
 from finord.errors import BudgetError
-from oracles import certificate_dicts, relation_iso
+from oracles import certificate_dicts, opposite_frame, relation_iso
 
 
 def run(argv, capsys):
@@ -522,6 +522,17 @@ def test_deep_tower_verifies_under_memory_cap(suite):
     assert hashlib.sha256(proc.stdout).hexdigest() == DEEP_TOWER_DIGESTS[suite]
 
 
+def test_lemma32_at_depth_three_under_caps():
+    # one open map, from the 16,740-element stage 3 into the one-point
+    # poset: the search plan reads each element's later neighbours off its
+    # rows, where a scan of every later element per element took a minute
+    proc = run_capped(["verify", "lemma32", "--depth", "3", "--max-size",
+                       "1"], 256 << 20, 30)
+    assert proc.returncode == 0, proc.stderr.decode()[-500:]
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "f6cb0ecfb9dbcde3d347adbd51421a5f92307dcfb5995f3d39739426df436c6e")
+
+
 def test_deep_stage_dot_export_under_memory_cap():
     # the Hasse edges of the 16,739-element stage are read off its rows
     proc = run_capped(["hierarchy", "export", "--format", "dot", "--base",
@@ -834,32 +845,38 @@ def test_coreflect_suite_coreflects_each_frame_once(monkeypatch, capsys):
     assert len({(f.n, f.succ) for f in calls}) == 530
 
 
-def test_coreflect_suite_builds_each_opposite_frame_once(monkeypatch, capsys):
-    built = []
+def test_coreflect_suite_builds_no_opposite_frame(monkeypatch, capsys):
+    built, swept = [], []
 
     class CountingFrame(kripke.KripkeFrame):
         def __post_init__(self):
             super().__post_init__()
-            # frame 1 is the dataclass __init__, frame 2 its caller
-            if sys._getframe(2).f_code.co_name == "opposite_frame":
-                built.append(self)
+            built.append(self)
+            caller = sys._getframe(1)
+            while caller is not None:
+                if caller.f_code.co_name == "verify_coreflections":
+                    swept.append(self)
+                    break
+                caller = caller.f_back
 
     monkeypatch.setattr(kripke, "KripkeFrame", CountingFrame)
     code, doc = run_json(["verify", "coreflect", "--states", "3"], capsys)
     assert code == 0
     assert doc["frames"] == 530 and doc["preorders"] == 5
-    # one per checked preorder: the frame route's target is read off each
-    # frame's rows, not built from its coreflected preorder
-    assert len(built) == 5
+    # the 530 frames are built before the sweep, and the sweep builds none:
+    # it walks from each preorder's own rows, not from its opposite frame,
+    # and reads each frame's subframe rows off the frame itself
+    assert len(built) == 530
+    assert swept == []
 
 
 def test_coreflect_suite_walks_once_per_preorder(monkeypatch, capsys):
     # no per-pair search: one enumerate_into walk per preorder, into every
     # frame, and every table a frame gets goes through the escape check and
-    # both routes, each a `kernels.is_open` call: the open route's on the
-    # coreflected preorder's own down rows, the frame route's on the
-    # frame's restricted rows.  The sweep coreflects each frame just before
-    # it checks it
+    # one `kernels.is_open` call, on the coreflected preorder's own down
+    # rows; the frame's restricted rows are compared with those once per
+    # frame, with no `is_open` call.  The sweep coreflects each frame just
+    # before it checks it
     walks, forbidden, escapes, routes = [], [], [], Counter()
     into = kernels.enumerate_into
     mask = kernels.mask
@@ -904,7 +921,7 @@ def test_coreflect_suite_walks_once_per_preorder(monkeypatch, capsys):
     found = sum(len(tables) for *_, out in walks for tables in out)
     assert found == len(escapes) == 1205
     # every p-morphism from a preorder lands in the coreflection
-    assert routes == {"open": 1205, "frame": 1205}
+    assert routes == {"open": 1205}
 
 
 def test_coreflect_suite_reports_a_fault_planted_in_one_frame(
@@ -914,15 +931,15 @@ def test_coreflect_suite_reports_a_fault_planted_in_one_frame(
     # frame's violations, at its own index, so batching the searches still
     # checks and attributes every frame.  The sweep coreflects each frame
     # just before it checks it, so the last coreflected frame is the one
-    # under check; its frame route is the `kernels.is_open` call that does
-    # not read the coreflected preorder's own down rows
+    # under check; its frame route reads the frame's rows restricted to the
+    # coreflection's members, which are planted with one bit flipped
     frames = [f for n in (1, 2, 3) for f in kripke.enumerate_frames(n)]
     target = kripke.KripkeFrame(3, (0b001, 0b101, 0b100))
     index = frames.index(target)
     cor = kripke.coreflect(target)
     expected = []
     for p in order.enumerate_preorders(2):
-        frame_p = kripke.opposite_frame(p)
+        frame_p = opposite_frame(p)
         inside = [t for t in iproduct(range(3), repeat=p.n)
                   if kripke.is_pmorphism(t, frame_p, target)
                   and not kernels.mask(t) & ~cor.member_mask]
@@ -931,20 +948,21 @@ def test_coreflect_suite_reports_a_fault_planted_in_one_frame(
                              [["route_disagreement", str(t)] for t in inside]])
     assert len(expected) == 5
     current = []
-    coreflect, is_open = kripke.coreflect, kernels.is_open
+    coreflect, restrict = kripke.coreflect, kernels.restrict
 
     def recording(f):
-        current[:] = [f, coreflect(f)]
-        return current[1]
+        current[:] = [f]
+        return coreflect(f)
 
-    def planted(table, rows, cod_rows):
-        wrong = (sys._getframe(1).f_code.co_name == "verify_coreflections"
-                 and current[0] == target
-                 and cod_rows is not current[1].preorder.down)
-        return is_open(table, rows, cod_rows) != wrong
+    def planted(rows, members):
+        out = restrict(rows, members)
+        if (sys._getframe(1).f_code.co_name == "verify_coreflections"
+                and current[0] == target):
+            out = (out[0] ^ 1,) + out[1:]
+        return out
 
     monkeypatch.setattr(kripke, "coreflect", recording)
-    monkeypatch.setattr(kernels, "is_open", planted)
+    monkeypatch.setattr(kernels, "restrict", planted)
     code, doc = run_json(["verify", "coreflect"], capsys)
     assert code == 1
     assert doc["violations"] == expected
@@ -959,7 +977,7 @@ def test_coreflect_suite_builds_subframes_only_where_a_map_lands(
     frames = [f for n in (1, 2, 3) for f in kripke.enumerate_frames(n)]
     preorders = order.enumerate_preorders(2)
     with_maps = [(f.n, f.succ) for f in frames if any(
-        kripke.pmorphisms(kripke.opposite_frame(p), f) for p in preorders)]
+        kripke.pmorphisms(opposite_frame(p), f) for p in preorders)]
     assert len(with_maps) == 199
     current, restricted, built = [], [], []
     coreflect, restrict = kripke.coreflect, kernels.restrict
@@ -1001,7 +1019,7 @@ def test_coreflect_suite_reports_a_fault_in_a_frame_with_no_map(
     target = kripke.KripkeFrame(3, (0b111,) * 3)
     index = frames.index(target)
     assert kripke.coreflect(target).member_mask == 0b111
-    assert not any(kripke.pmorphisms(kripke.opposite_frame(p), target)
+    assert not any(kripke.pmorphisms(opposite_frame(p), target)
                    for p in order.enumerate_preorders(2))
     coreflect = kripke.coreflect
 

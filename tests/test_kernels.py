@@ -9,7 +9,8 @@ from hypothesis import given, strategies as st
 from finord import hierarchy, hsets, kernels, kripke, maps, order
 from finord.errors import BudgetError
 from finord.kernels import bits
-from oracles import relation_iso
+from oracles import (later_by_scan, opposite_frame, relation_iso,
+                     sample_poset)
 
 
 def random_comparability(n, rng, density=0.3):
@@ -80,7 +81,7 @@ def pinned_alone(p_down, p_up, q_down, q_up, allowed):
     `kernels.enumerate_pinned` with it as its one candidate, as the
     (maps list, nodes) of `enumerate_maps`."""
     members = [[a >> v & 1 for v in range(len(q_down))] for a in allowed]
-    found, _, (nodes,) = kernels.enumerate_pinned(
+    (found,), (nodes,) = kernels.enumerate_pinned(
         p_down, p_up, q_down, q_up, range(len(p_down)), members, 1)
     return found, nodes
 
@@ -150,9 +151,7 @@ def recursive_maps(n_p, n_q, p_down, p_up, q_down, q_up, allowed,
     check_at = [[] for _ in range(n_p)]
     for w in range(n_p):
         check_at[max(pos[z] for z in bits(p_down[w] | 1 << w))].append(w)
-    later = [[(z, bool(p_up[x] >> z & 1), bool(p_down[x] >> z & 1))
-              for z in order[k + 1:] if (p_up[x] | p_down[x]) >> z & 1]
-             for k, x in enumerate(order)]
+    later = later_by_scan(order, p_down, p_up)
     cand = [allowed[i] & ((1 << n_q) - 1) for i in range(n_p)]
     f = [-1] * n_p
     out = []
@@ -254,17 +253,28 @@ def test_loop_kernel_matches_the_recursive_oracle(monkeypatch):
     assert budget_cases > 750
 
 
+def test_plan_reads_later_neighbours_off_the_rows():
+    # the plan's later neighbours, read off each element's rows, equal the
+    # scan of every element after it, on random preorders and posets, on
+    # random frames (irreflexive and non-transitive rows included) and on
+    # every poset of up to 5 points
+    rng = random.Random(71)
+    domains = [order.sample_preorder(rng.randrange(1, 10), rng)
+               for _ in range(150)]
+    domains += [sample_poset(rng.randrange(1, 16), rng) for _ in range(150)]
+    rows = [(p.down, p.up) for p in domains + order.enumerate_posets(5)]
+    rows += [(f.succ, f.pred) for f in (
+        kripke.sample_frame(rng.randrange(1, 8), rng,
+                            rng.choice((0.2, 0.5, 0.8))) for _ in range(100))]
+    for p_down, p_up in rows:
+        plan_order, _, later, _ = kernels._plan(p_down, p_up)
+        assert later == later_by_scan(plan_order, p_down, p_up)
+
+
 def member_pins(classes, members, j):
     """The allowed vector of candidate j of a pinned batch."""
     return [sum(1 << v for v, row in enumerate(members[c]) if row >> j & 1)
             for c in classes]
-
-
-def per_lane(found, masks, nodes):
-    """The (maps, nodes) of each lane of an `enumerate_pinned` result: the
-    maps whose lane mask holds its bit, in walk order, as a tuple."""
-    return [(tuple(t for t, lanes in zip(found, masks) if lanes >> j & 1), n)
-            for j, n in enumerate(nodes)]
 
 
 def assert_pinned_matches_each_search(p_down, p_up, q_down, q_up, classes,
@@ -272,21 +282,21 @@ def assert_pinned_matches_each_search(p_down, p_up, q_down, q_up, classes,
     """The batch equals every member's own search, and a batch of one
     equals that search too, under the same `kernels.NODE_BUDGET`; -> the
     batch's (maps, nodes) per member."""
-    found, masks, nodes = kernels.enumerate_pinned(
+    found, nodes = kernels.enumerate_pinned(
         p_down, p_up, q_down, q_up, classes, members, count)
-    assert len(nodes) == count and len(masks) == len(found)
-    assert all(0 < lanes < 1 << count for lanes in masks)
-    got = per_lane(found, masks, nodes)
+    assert len(found) == len(nodes) == count
+    got = list(zip(found, nodes))
     for j, result in enumerate(got):
         allowed = member_pins(classes, members, j)
         tables, nodes = recursive_maps(len(p_down), len(q_down), p_down,
                                        p_up, q_down, q_up, allowed,
                                        kernels.NODE_BUDGET)
-        expected = (tuple(tables), nodes)
+        expected = (tables, nodes)
         assert result == expected, (j, allowed)
         alone = [[row >> j & 1 for row in rows] for rows in members]
-        assert per_lane(*kernels.enumerate_pinned(
-            p_down, p_up, q_down, q_up, classes, alone, 1)) == [expected]
+        assert kernels.enumerate_pinned(
+            p_down, p_up, q_down, q_up, classes, alone, 1) == (
+                [tables], [nodes])
     return got
 
 
@@ -377,7 +387,7 @@ def test_pinned_search_budget_counts_each_member_alone(monkeypatch):
     args = (p.down, p.up, q.down, q.up, [0], members, 2)
     monkeypatch.setattr(kernels, "NODE_BUDGET", 2)
     assert kernels.enumerate_pinned(*args) == (
-        [(0,), (1,), (2,), (3,)], [0b01, 0b10, 0b01, 0b10], [2, 2])
+        [[(0,), (2,)], [(1,), (3,)]], [2, 2])
     monkeypatch.setattr(kernels, "NODE_BUDGET", 1)
     with pytest.raises(BudgetError) as exc:
         kernels.enumerate_pinned(*args)
@@ -442,7 +452,7 @@ def test_into_search_matches_each_search():
     groups = [[(g.succ, g.pred) for g in kripke.enumerate_frames(n)]
               for n in (1, 2, 3)]
     groups.append([(g.succ, g.pred) for g in kripke.frames_up_to_iso(4)])
-    domains = [kripke.opposite_frame(p) for p in order.enumerate_preorders(3)]
+    domains = [opposite_frame(p) for p in order.enumerate_preorders(3)]
     found = sum(assert_into_matches_each_search(d.succ, d.pred, group)
                 for d in domains for group in groups)
     assert found == 47882

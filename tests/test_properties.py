@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 from finord import heyting, kernels, kripke, maps, order
 from finord.kripke import FiniteBAO, KripkeFrame
 from finord.maps import PointMap
-from oracles import implies_bruteforce, is_pmorphism_via_preimages
+from oracles import (implies_bruteforce, is_pmorphism_via_preimages,
+                     opposite_frame)
 
 
 @st.composite
@@ -99,7 +100,7 @@ def test_openness_conditions_agree(p, q, data):
 @given(posets(max_n=4), posets(max_n=4), st.data())
 def test_open_maps_are_pmorphisms_of_opposites(p, q, data):
     table = tuple(data.draw(st.integers(0, q.n - 1)) for _ in range(p.n))
-    fp, fq = kripke.opposite_frame(p), kripke.opposite_frame(q)
+    fp, fq = opposite_frame(p), opposite_frame(q)
     assert (maps.is_open_v2(PointMap(p, q, table))
             == kripke.is_pmorphism(table, fp, fq)
             == is_pmorphism_via_preimages(table, fp, fq))
